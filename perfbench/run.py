@@ -10,7 +10,11 @@ with ``nlts.cli.main(["decompress", ...])``, then verified outside the timed
 region.  Files are generated from ``--seed`` (see synth.py, workloads.py).
 
 The loop passes over the corpus again and again until ``--seconds`` have
-gone by, at least ``MIN_PASSES`` times.
+gone by, at least ``MIN_PASSES`` times.  About every ``CAL_EVERY_S`` it runs
+a fixed calibration kernel (calibrate.py), and every time it reports is an
+op's or set-up's wall time scaled to the kernel's reference speed, so that a
+swing in the speed of a shared host does not read as a change of the codec.
+The unscaled wall-time figures are printed too, for information.
 
 ``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` measures half
 the time untraced, replays the same files with span wrappers installed
@@ -46,13 +50,15 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 WORK = ROOT / ".perfbench-work"
 
-SETUP_REPEATS = 5
+SETUP_REPEATS = 7
+CAL_EVERY_S = 0.25  # wall seconds of files between two calibration samples
 MIN_PASSES = 3
 TAIL_LADDER = (50, 75, 90, 95, 99, 99.9)
 WARM_SAMPLES = 1_024
 CRITERION_8_MBPS = 0.5  # paper criterion #8: encode and decode >= 0.5 MB/s
 
 sys.path.insert(0, str(HERE))
+import calibrate  # noqa: E402
 import tracing  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -82,6 +88,7 @@ class FileResult:
     container: bytes
     ops: tuple  # (compress op id, decompress op id)
     failed: int  # failed ops among the two
+    scale: float = 1.0  # wall seconds to reference seconds (calibrate.scale)
 
 
 class Runner:
@@ -190,10 +197,14 @@ def measure(runner, jobs, seconds: float, passes: int | None = None) -> list:
     """Closed loop over the corpus, one whole pass at a time.
 
     Stops after ``passes`` passes, or else once ``seconds`` have gone by and
-    at least ``MIN_PASSES`` passes are done.
+    at least ``MIN_PASSES`` passes are done.  A calibration sample is taken
+    first, last and whenever ``CAL_EVERY_S`` have gone by since the previous
+    one; each result carries the scale of the samples around it.
     """
     results = []
-    start = time.perf_counter()
+    cal_index = []
+    cals = [calibrate.sample()]
+    last_cal = start = time.perf_counter()
     done = 0
     while True:
         if passes is None:
@@ -201,8 +212,16 @@ def measure(runner, jobs, seconds: float, passes: int | None = None) -> list:
                 break
         elif done >= passes:
             break
-        results.extend(runner.run_file(job) for job in jobs)
+        for job in jobs:
+            results.append(runner.run_file(job))
+            cal_index.append(len(cals) - 1)
+            if time.perf_counter() - last_cal >= CAL_EVERY_S:
+                cals.append(calibrate.sample())
+                last_cal = time.perf_counter()
         done += 1
+    cals.append(calibrate.sample())
+    for r, k in zip(results, cal_index):
+        r.scale = calibrate.scale(cals, k)
     return results
 
 
@@ -224,7 +243,8 @@ def end_to_end(results, n_jobs: int, setup_s: float, notes: list) -> dict:
     canonical = sum(r.canonical_bytes for r in results)
     out = {}
     for side in ("compress", "decompress"):
-        times = [getattr(r, f"{side}_s") for r in results]
+        wall = [getattr(r, f"{side}_s") for r in results]
+        times = [s * r.scale for s, r in zip(wall, results)]
         out[f"{side}_mbps"] = canonical / sum(times) / 1e6
         out[f"{side}_ms_p50"] = statistics.median(times) * 1e3
         t = tail(times)
@@ -233,6 +253,10 @@ def end_to_end(results, n_jobs: int, setup_s: float, notes: list) -> dict:
                 f"{side}_ms_tail = {t[1] * 1e3:.6g} ms "
                 f"(p{t[0]:g} of {len(times)} files, {t[2]} beyond it; not gated)"
             )
+        notes.append(
+            f"unscaled wall time: {side}_mbps = {canonical / sum(wall) / 1e6:.6g} MB/s, "
+            f"{side}_ms_p50 = {statistics.median(wall) * 1e3:.6g} ms (not gated)"
+        )
     first_pass = results[:n_jobs]
     container_bytes = sum(len(r.container) for r in first_pass)
     out["compression_ratio"] = (
@@ -246,8 +270,8 @@ def end_to_end(results, n_jobs: int, setup_s: float, notes: list) -> dict:
     return out
 
 
-def _op_wall(results) -> float:
-    return sum(r.compress_s + r.decompress_s for r in results)
+def _op_seconds(results) -> float:
+    return sum((r.compress_s + r.decompress_s) * r.scale for r in results)
 
 
 def per_layer(runner, jobs, seconds: float):
@@ -261,7 +285,7 @@ def per_layer(runner, jobs, seconds: float):
     finally:
         tracer.uninstall()
         runner.tracer = None
-    overhead = _op_wall(traced) / _op_wall(untraced) - 1
+    overhead = _op_seconds(traced) / _op_seconds(untraced) - 1
     op_bytes = {}
     for r in traced:
         for op in r.ops:
@@ -310,11 +334,17 @@ def main(argv=None) -> int:
     run_dir = WORK / f"{workload.name}-seed{args.seed}"
     shutil.rmtree(run_dir, ignore_errors=True)
     try:
+        calibrate.kernel()  # warm the kernel itself
         setups = []
+        cals = [calibrate.sample()]
         for _ in range(1 if args.trace else SETUP_REPEATS):
             seconds, runner, jobs, corpus_sha, warm_failed = set_up(workload, args.seed, run_dir)
             setups.append(seconds)
-        setup_s = statistics.median(setups)
+            cals.append(calibrate.sample())
+        # each set-up is scaled by the calibration samples just before and after it
+        ref = calibrate.REFERENCE_S
+        scaled = [s * ref / statistics.median(cals[k : k + 2]) for k, s in enumerate(setups)]
+        setup_s = statistics.median(scaled)
 
         notes = []
         if args.trace:
@@ -366,7 +396,9 @@ def main(argv=None) -> int:
         "metrics": metrics,
         "notes": notes,
         "failures": runner.failures,
-        "files": [[r.job.name, r.compress_s, r.decompress_s, r.canonical_bytes] for r in results],
+        "files": [
+            [r.job.name, r.compress_s, r.decompress_s, r.canonical_bytes, r.scale] for r in results
+        ],
     }
     if args.trace:
         names = sorted({span[0] for span in tracer.spans})
