@@ -14,7 +14,7 @@ from .container import (
     decompress_stream,
     decompress_to_tokens,
 )
-from .core import NonzeroMask, QuantizedBlock, SignalBlock, TransformedBlock
+from .core import NonzeroMask, QuantizedBlock, TransformedBlock
 from .entropy import ADAPTIVE_ARITHMETIC, ADAPTIVE_HUFFMAN, STATIC_HUFFMAN
 from .quantizer import QuantizerConfig
 from .transform import TransformConfig
@@ -28,7 +28,6 @@ __all__ = [
     "QuantizedBlock",
     "QuantizerConfig",
     "RunMetrics",
-    "SignalBlock",
     "StreamHeader",
     "TransformConfig",
     "TransformedBlock",

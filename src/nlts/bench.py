@@ -124,7 +124,8 @@ def verify_files(original_path, decoded_path, epsilon) -> VerifyResult:
     return verify_values(_read_tokens(original_path), _read_tokens(decoded_path), epsilon)
 
 
-def _codec_config(version, coder, L, tau, digits) -> CodecConfig:
+def codec_config(version, coder, L, tau, digits) -> CodecConfig:
+    """Codec settings for one configuration; digits is 0..6 or "lossless"."""
     if digits == LOSSLESS:
         q = QuantizerConfig.lossless()
     else:
@@ -152,7 +153,7 @@ def run_config(tokens, version, coder, L, tau, digits, repeats: int = 3) -> dict
         "error": "",
     }
     try:
-        cfg = _codec_config(version, coder, L, tau, digits)
+        cfg = codec_config(version, coder, L, tau, digits)
         enc_rates = []
         blob = metrics = None
         for _ in range(max(1, repeats)):

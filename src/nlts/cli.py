@@ -10,18 +10,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import SweepSpec, run_sweep, verify_files
-from .container import (
-    CodecConfig,
-    StreamHeader,
-    compress_stream,
-    decompress_to_tokens,
-)
+from .bench import SweepSpec, codec_config, run_sweep, verify_files
+from .container import HEADER_LEN, StreamHeader, compress_stream, decompress_to_tokens
 from .datasets import SKIP, WHITESPACE, DatasetSpec, ingest, packaged_spec
 from .entropy import CODER_IDS, CODER_NAMES
 from .errors import CodecError
-from .quantizer import QuantizerConfig
-from .transform import TransformConfig
+from .quantizer import LOSSLESS
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -99,17 +93,8 @@ def _read_samples(args) -> list:
 
 def _cmd_compress(args) -> int:
     samples = _read_samples(args)
-    if args.lossless:
-        q = QuantizerConfig.lossless()
-    else:
-        q = QuantizerConfig(mode="rounding", decimal_digits=args.digits)
-    cfg = CodecConfig(
-        transform=TransformConfig(
-            method_version=args.version, block_len=args.block, tau=args.tau
-        ),
-        quantizer=q,
-        coder=CODER_IDS[args.coder],
-    )
+    digits = LOSSLESS if args.lossless else args.digits
+    cfg = codec_config(args.version, args.coder, args.block, args.tau, digits)
     blob, m = compress_stream(samples, cfg)
     Path(args.output).write_bytes(blob)
     print(
@@ -177,7 +162,7 @@ def _cmd_stats(args) -> int:
     print(f"tau:             {h.tau}")
     print(f"scale_exp:       {scale}")
     print(f"sample_count:    {h.sample_count}")
-    print(f"payload_bytes:   {len(blob) - 24}")
+    print(f"payload_bytes:   {len(blob) - HEADER_LEN}")
     return EXIT_OK
 
 

@@ -38,8 +38,6 @@ from .quantizer import (
     render_code,
 )
 from .transform import (
-    MAX_BLOCK_LEN,
-    MIN_BLOCK_LEN,
     TransformConfig,
     inverse_transform,
     parse_block,
@@ -78,39 +76,41 @@ class StreamHeader:
 
     @classmethod
     def parse(cls, data: bytes) -> "StreamHeader":
-        if len(data) < 4 or data[:4] != MAGIC:
-            raise BadMagic("not a compressed stream (bad magic)")
-        if len(data) < HEADER_LEN:
-            raise CorruptStream("header truncated")
-        _, fmt, method, coder, scale_byte, block_len, tau, count = _HEADER_STRUCT.unpack(
-            data[:HEADER_LEN]
-        )
-        if fmt != FORMAT_VERSION:
-            raise UnsupportedVersion(f"format version {fmt} not supported")
-        if method not in (1, 2):
-            raise UnsupportedVersion(f"method version {method} not supported")
-        if coder not in entropy.CODER_NAMES:
-            raise UnsupportedVersion(f"entropy coder id {coder} not supported")
-        if (
-            block_len < MIN_BLOCK_LEN
-            or block_len > MAX_BLOCK_LEN
-            or block_len & (block_len - 1)
-        ):
-            raise CorruptStream(f"header block length {block_len} is invalid")
-        if not 1 <= tau <= block_len:
-            raise CorruptStream(f"header tau {tau} is invalid")
-        if scale_byte != SCALE_PASSTHROUGH and scale_byte > 6:
-            raise CorruptStream(f"header scale byte {scale_byte} is invalid")
-        if count < 1:
-            raise CorruptStream("header sample count must be >= 1")
-        return cls(
-            method_version=method,
-            entropy_id=coder,
-            block_len=block_len,
-            tau=tau,
-            scale_exp=None if scale_byte == SCALE_PASSTHROUGH else scale_byte,
-            sample_count=count,
-        )
+        return _parse_header(data)[0]
+
+
+def _parse_header(data: bytes):
+    """Validate and unpack a container header; returns (header, TransformConfig)."""
+    if len(data) < 4 or data[:4] != MAGIC:
+        raise BadMagic("not a compressed stream (bad magic)")
+    if len(data) < HEADER_LEN:
+        raise CorruptStream("header truncated")
+    _, fmt, method, coder, scale_byte, block_len, tau, count = _HEADER_STRUCT.unpack(
+        data[:HEADER_LEN]
+    )
+    if fmt != FORMAT_VERSION:
+        raise UnsupportedVersion(f"format version {fmt} not supported")
+    if method not in (1, 2):
+        raise UnsupportedVersion(f"method version {method} not supported")
+    if coder not in entropy.CODER_NAMES:
+        raise UnsupportedVersion(f"entropy coder id {coder} not supported")
+    try:
+        tcfg = TransformConfig(method_version=method, block_len=block_len, tau=tau)
+    except ValueError as e:
+        raise CorruptStream(f"header {e}") from None
+    if scale_byte != SCALE_PASSTHROUGH and scale_byte > 6:
+        raise CorruptStream(f"header scale byte {scale_byte} is invalid")
+    if count < 1:
+        raise CorruptStream("header sample count must be >= 1")
+    header = StreamHeader(
+        method_version=method,
+        entropy_id=coder,
+        block_len=block_len,
+        tau=tau,
+        scale_exp=None if scale_byte == SCALE_PASSTHROUGH else scale_byte,
+        sample_count=count,
+    )
+    return header, tcfg
 
 
 @dataclass
@@ -218,15 +218,10 @@ def compress_stream(samples, config: CodecConfig = CodecConfig()):
 
 def decode_codes(data: bytes):
     """Decode a container back to (codes, header, decode_secs)."""
-    header = StreamHeader.parse(data)
+    header, tcfg = _parse_header(data)
     t0 = time.perf_counter()
     symbols = entropy.decode(data[HEADER_LEN:], header.entropy_id)
 
-    tcfg = TransformConfig(
-        method_version=header.method_version,
-        block_len=header.block_len,
-        tau=header.tau,
-    )
     codes = []
     pos = 0
     remaining = header.sample_count

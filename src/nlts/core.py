@@ -1,4 +1,4 @@
-"""Value types and integer serialization shared by the transform and container stages.
+"""Block value types and the varint format shared by the transform and the coders.
 
 The nonzero mask is the bitmap that lets a transformed block drop its zero
 entries: bit i (first sample = most significant bit) is set iff entry i is
@@ -7,14 +7,16 @@ reconstruct the full sequence exactly.
 
 Signed values travel as zigzag-interleaved unsigned varints; the mask itself
 travels as a plain unsigned varint (it is never negative, and for wide blocks
-it would not fit a signed 64-bit value).  Byte layout is specified in
-FORMAT.md and is normative for the container format.
+it would not fit a signed 64-bit value).  write_varints and read_varints are
+the only varint encoder and decoder in the package; each handles a run of
+values.  Byte layout is specified in FORMAT.md and is normative for the
+container format.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import CountMismatch, Overlong, Truncated
 
@@ -26,23 +28,10 @@ INT64_MAX = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
-class SignalBlock:
-    """One window of raw samples; only a stream's final block may be short."""
-
-    samples: tuple
-
-    def __post_init__(self):
-        if len(self.samples) < 1:
-            raise ValueError("signal block must hold at least one sample")
-
-    @property
-    def length(self) -> int:
-        return len(self.samples)
-
-
-@dataclass(frozen=True)
 class QuantizedBlock:
-    """The same window as exact scaled integers: value == code / 10**scale_exp.
+    """One window of a stream as exact scaled integers: value == code / 10**scale_exp.
+
+    Only a stream's final block may be shorter than the block length.
 
     scale_exp is the number of retained decimal digits; None marks the
     integer-passthrough case (codes are the samples themselves).
@@ -83,11 +72,6 @@ class NonzeroMask:
 
     def popcount(self) -> int:
         return self.value.bit_count()
-
-    def flags(self) -> list:
-        """Per-entry booleans in block order."""
-        v, w = self.value, self.width
-        return [bool((v >> (w - 1 - i)) & 1) for i in range(w)]
 
     def expand(self, nonzeros: Sequence[int]) -> list:
         """Re-insert zeros: one nonzero consumed per set bit, 0 elsewhere."""
@@ -131,85 +115,54 @@ class TransformedBlock:
     length: int
 
 
-def zigzag_encode(v: int) -> int:
-    """Interleave signed onto unsigned: 0->0, -1->1, 1->2, -2->3, ..."""
-    return (v << 1) if v >= 0 else ((-v << 1) - 1)
+def write_varints(values, out: bytearray, signed: bool = True, max_bits: int = 64) -> None:
+    """Append each value as a base-128 little-endian varint.
 
-
-def zigzag_decode(u: int) -> int:
-    return (u >> 1) if (u & 1) == 0 else -((u + 1) >> 1)
-
-
-def write_uvarint(u: int, out: bytearray, max_bits: int = 64) -> int:
-    """Append u as a base-128 little-endian varint; returns bytes written.
-
-    max_bits bounds the legal value range; 64 for ordinary values, the mask
-    width for nonzero masks of wide blocks.
+    Signed values are zigzag-interleaved first (0->0, -1->1, 1->2, -2->3,
+    ...).  max_bits bounds the legal (zigzagged) value range: 64 for ordinary
+    values, the mask width for nonzero masks of wide blocks.
     """
-    if u < 0:
-        raise ValueError("varint value must be non-negative")
-    if u >> max_bits:
-        raise Overlong(f"value needs more than {max_bits} bits")
-    n = 1
-    while u >= 0x80:
-        out.append((u & 0x7F) | 0x80)
-        u >>= 7
-        n += 1
-    out.append(u)
-    return n
+    for u in values:
+        if signed:
+            u = (u << 1) if u >= 0 else ((-u << 1) - 1)
+        elif u < 0:
+            raise ValueError("varint value must be non-negative")
+        if u >> max_bits:
+            raise Overlong(f"value needs more than {max_bits} bits")
+        while u >= 0x80:
+            out.append((u & 0x7F) | 0x80)
+            u >>= 7
+        out.append(u)
 
 
-def read_uvarint(data, pos: int, max_bits: int = 64) -> tuple:
-    """Read a varint at pos; returns (value, next_pos).
+def read_varints(
+    data, pos: int, count: int, out: list, signed: bool = True, max_bits: int = 64
+) -> int:
+    """Read count varints at pos, appending each to out; returns the next position.
 
-    Raises Truncated when the buffer ends mid-value and Overlong when the
-    encoding needs more continuation bytes than max_bits allows.
+    Exact inverse of write_varints.  Raises Truncated when the buffer ends
+    mid-value and Overlong when an encoding needs more continuation bytes,
+    or a value more bits, than max_bits allows.
     """
-    max_bytes = (max_bits + 6) // 7
-    u = 0
-    shift = 0
-    n = 0
-    end = len(data)
-    while True:
-        if pos >= end:
-            raise Truncated("byte source ended inside a varint")
-        b = data[pos]
-        pos += 1
-        n += 1
-        u |= (b & 0x7F) << shift
-        if not b & 0x80:
-            break
-        if n >= max_bytes:
-            raise Overlong(f"varint exceeds {max_bytes} bytes for {max_bits}-bit range")
-        shift += 7
-    if u >> max_bits:
-        raise Overlong(f"decoded value needs more than {max_bits} bits")
-    return u, pos
-
-
-def write_signed(v: int, out: bytearray) -> int:
-    """Append a signed value as zigzag varint; returns bytes written."""
-    return write_uvarint(zigzag_encode(v), out)
-
-
-def read_signed(data, pos: int) -> tuple:
-    u, pos = read_uvarint(data, pos)
-    return zigzag_decode(u), pos
-
-
-def encode_ints(values: Iterable[int]) -> bytes:
-    """Serialize signed values as concatenated zigzag varints."""
-    out = bytearray()
-    for v in values:
-        write_uvarint(zigzag_encode(v), out)
-    return bytes(out)
-
-
-def decode_ints(data: bytes) -> list:
-    out = []
-    pos = 0
-    end = len(data)
-    while pos < end:
-        u, pos = read_uvarint(data, pos)
-        out.append(zigzag_decode(u))
-    return out
+    try:
+        for _ in range(count):
+            b = data[pos]
+            pos += 1
+            u = b & 0x7F
+            shift = 0
+            while b & 0x80:
+                # a continuation bit on the last byte max_bits allows
+                if shift >= max_bits - 7:
+                    raise Overlong(
+                        f"varint exceeds {(max_bits + 6) // 7} bytes for {max_bits}-bit range"
+                    )
+                shift += 7
+                b = data[pos]
+                pos += 1
+                u |= (b & 0x7F) << shift
+            if u >> max_bits:
+                raise Overlong(f"decoded value needs more than {max_bits} bits")
+            out.append((u >> 1 if not u & 1 else -((u + 1) >> 1)) if signed else u)
+    except IndexError:
+        raise Truncated("byte source ended inside a varint") from None
+    return pos

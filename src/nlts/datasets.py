@@ -86,13 +86,6 @@ def packaged_spec(name: str) -> DatasetSpec:
         return DatasetSpec.from_json(path)
 
 
-def packaged_manifest() -> dict:
-    ref = resources.files(__package__) / "dataset_specs" / "manifest.json"
-    with resources.as_file(ref) as path:
-        with open(path, encoding="utf-8") as f:
-            return json.load(f)
-
-
 def file_sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:

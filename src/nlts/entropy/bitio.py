@@ -1,10 +1,9 @@
 """MSB-first bit I/O over byte buffers.
 
 Bit 7 of each byte is written/read first; the final partial byte is padded
-with zero bits.  Readers offer two past-end behaviours: strict reads raise
-Truncated (Huffman decoders), padded reads return zeros while counting the
-overrun so the arithmetic decoder can flush its last symbols and still
-notice a torn stream.
+with zero bits.  Reading past the end of the stream raises Truncated, which
+the Huffman decoders turn into CorruptStream.  (The arithmetic decoder runs
+its own bit window, which feeds zeros past the end.)
 """
 
 from __future__ import annotations
@@ -59,38 +58,17 @@ class BitWriter:
 
 
 class BitReader:
-    __slots__ = ("_data", "_bit_len", "_pos", "overrun")
+    __slots__ = ("_data", "_bit_len", "_pos")
 
     def __init__(self, data: bytes, bit_len: int | None = None, bit_pos: int = 0):
         self._data = data
         self._bit_len = 8 * len(data) if bit_len is None else bit_len
         self._pos = bit_pos
-        #: bits handed out past the end of the stream (padded reads only)
-        self.overrun = 0
-
-    @property
-    def bits_left(self) -> int:
-        return max(0, self._bit_len - self._pos)
 
     def read_bit(self) -> int:
-        """Strict read; raises Truncated past the end."""
+        """Read one bit; raises Truncated past the end."""
         p = self._pos
         if p >= self._bit_len:
             raise Truncated("bit stream exhausted")
         self._pos = p + 1
         return (self._data[p >> 3] >> (7 - (p & 7))) & 1
-
-    def read_bit_padded(self) -> int:
-        """Read a bit, returning 0 (and counting overrun) past the end."""
-        p = self._pos
-        if p >= self._bit_len:
-            self.overrun += 1
-            return 0
-        self._pos = p + 1
-        return (self._data[p >> 3] >> (7 - (p & 7))) & 1
-
-    def read_bits(self, nbits: int) -> int:
-        v = 0
-        for _ in range(nbits):
-            v = (v << 1) | self.read_bit()
-        return v

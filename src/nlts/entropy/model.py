@@ -1,82 +1,14 @@
-"""Adaptive symbol-frequency model for the arithmetic coder.
+"""Normative constants of the arithmetic coder's adaptive frequency model.
 
 257 symbols (every byte value plus a terminator), all counts start at 1 and
 grow by 1 per occurrence.  When the total reaches the rescale ceiling every
 count is halved rounding up, which keeps counts >= 1 and the total inside
-16 bits -- both constants are normative for stream compatibility.
+16 bits -- all three constants are normative for stream compatibility.
 
-A Fenwick tree carries the counts so cumulative lookups, updates, and the
-decoder's inverse lookup all run in O(log n).
+The model itself is inlined into the coding loops of arithmetic.py; a
+plain class form lives with the reference coders in the tests.
 """
-
-from __future__ import annotations
 
 NUM_SYMBOLS = 257
 EOF_SYMBOL = 256
 RESCALE_CEILING = 1 << 16
-
-# Largest power of two <= NUM_SYMBOLS, for the Fenwick descend.
-_TOP_BIT = 256
-
-
-class FrequencyModel:
-    __slots__ = ("counts", "total", "tree")
-
-    def __init__(self):
-        self.counts = [1] * NUM_SYMBOLS
-        self.total = NUM_SYMBOLS
-        self._rebuild()
-
-    def _rebuild(self):
-        n = NUM_SYMBOLS
-        tree = [0] * (n + 1)
-        counts = self.counts
-        for i in range(1, n + 1):
-            tree[i] += counts[i - 1]
-            j = i + (i & -i)
-            if j <= n:
-                tree[j] += tree[i]
-        self.tree = tree
-
-    def cumulative(self, symbol: int) -> int:
-        """Sum of counts below symbol."""
-        s = 0
-        tree = self.tree
-        i = symbol
-        while i > 0:
-            s += tree[i]
-            i &= i - 1
-        return s
-
-    def interval(self, symbol: int):
-        """(low, high, total) cumulative bounds of symbol."""
-        lo = self.cumulative(symbol)
-        return lo, lo + self.counts[symbol], self.total
-
-    def locate(self, target: int) -> int:
-        """Symbol whose cumulative interval contains target."""
-        idx = 0
-        bit = _TOP_BIT
-        tree = self.tree
-        while bit:
-            nxt = idx + bit
-            if nxt <= NUM_SYMBOLS and tree[nxt] <= target:
-                idx = nxt
-                target -= tree[nxt]
-            bit >>= 1
-        return idx
-
-    def update(self, symbol: int) -> None:
-        """Count one occurrence, halving all counts at the ceiling."""
-        self.counts[symbol] += 1
-        self.total += 1
-        i = symbol + 1
-        tree = self.tree
-        while i <= NUM_SYMBOLS:
-            tree[i] += 1
-            i += i & -i
-        if self.total >= RESCALE_CEILING:
-            counts = [(c + 1) >> 1 for c in self.counts]
-            self.counts = counts
-            self.total = sum(counts)
-            self._rebuild()

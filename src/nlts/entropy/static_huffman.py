@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 
-from ..core import read_uvarint, write_uvarint
+from ..core import read_varints, write_varints
 from ..errors import CorruptStream, Truncated
 from .bitio import BitReader, BitStream, BitWriter
 
@@ -100,7 +100,7 @@ def _read_table(data, pos: int):
 def encode(payload: bytes) -> BitStream:
     lengths = code_lengths(Counter(payload))
     out = bytearray()
-    write_uvarint(len(payload), out)
+    write_varints((len(payload),), out, signed=False)
     _write_table(lengths, out)
 
     writer = BitWriter()
@@ -117,10 +117,12 @@ def encode(payload: bytes) -> BitStream:
 
 def decode(data: bytes, bit_len: int | None = None) -> bytes:
     try:
-        count, pos = read_uvarint(data, 0, max_bits=32)
+        count_field = []
+        pos = read_varints(data, 0, 1, count_field, signed=False, max_bits=32)
         lengths, pos = _read_table(data, pos)
     except Truncated as e:
         raise CorruptStream(str(e)) from None
+    (count,) = count_field
     if count == 0:
         return b""
     if not lengths:

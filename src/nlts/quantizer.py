@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .core import INT64_MAX, INT64_MIN, QuantizedBlock, SignalBlock
+from .core import INT64_MAX, INT64_MIN
 from .errors import NonFiniteSample, OverflowAtScale, TooManyDigits
 
 ROUNDING = "rounding"
@@ -70,16 +70,6 @@ def _to_decimal(value, index: int) -> Decimal:
     if not d.is_finite():
         raise NonFiniteSample(index, value)
     return d
-
-
-def scaled_code(value, digits: int, index: int = 0) -> int:
-    """Quantize one sample: round(value * 10**digits), ties away from zero."""
-    d = _to_decimal(value, index)
-    scaled = d.scaleb(digits, context=_CTX)
-    code = int(scaled.to_integral_value(rounding=decimal.ROUND_HALF_UP))
-    if not INT64_MIN <= code <= INT64_MAX:
-        raise OverflowAtScale(index, value, digits)
-    return code
 
 
 def fractional_digits(value, index: int = 0) -> int:
@@ -141,7 +131,6 @@ def quantize_stream(samples, digits: int):
     max_num = 0
     max_den = 1
     max_dec = Decimal(0)
-    scale = 10 ** digits
 
     for i, tok in enumerate(samples):
         if type(tok) is str and tok.isascii():
@@ -186,27 +175,6 @@ def quantize_stream(samples, digits: int):
     frac_err = _CTX.divide(Decimal(max_num), Decimal(max_den))
     worst = frac_err if frac_err > max_dec else max_dec
     return codes, worst.scaleb(-digits, context=_CTX)
-
-
-def quantize_block(block: SignalBlock, cfg: QuantizerConfig) -> QuantizedBlock:
-    """Quantize one block; lossless mode detects its scale from the block."""
-    if cfg.mode == LOSSLESS:
-        digits = detect_digits(block.samples)
-    else:
-        digits = cfg.decimal_digits
-    codes = tuple(scaled_code(v, digits, i) for i, v in enumerate(block.samples))
-    return QuantizedBlock(codes=codes, scale_exp=digits)
-
-
-def dequantize_block(block: QuantizedBlock) -> SignalBlock:
-    """Reconstruct real samples; exact text comes from render_code instead."""
-    d = block.scale_exp
-    if d is None or d == 0:
-        samples = tuple(float(c) for c in block.codes)
-    else:
-        scale = 10 ** d
-        samples = tuple(c / scale for c in block.codes)
-    return SignalBlock(samples=samples)
 
 
 def render_code(code: int, scale_exp: int | None) -> str:

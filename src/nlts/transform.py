@@ -24,12 +24,10 @@ from .core import (
     NonzeroMask,
     QuantizedBlock,
     TransformedBlock,
-    read_uvarint,
-    write_uvarint,
-    zigzag_decode,
-    zigzag_encode,
+    read_varints,
+    write_varints,
 )
-from .errors import BadFlag, CountMismatch, EmptyBlock, LengthMismatch, Overlong, Truncated
+from .errors import BadFlag, CountMismatch, EmptyBlock, LengthMismatch
 
 MIN_BLOCK_LEN = 16
 MAX_BLOCK_LEN = 1 << 15  # block length must fit the container's u16 field
@@ -224,71 +222,34 @@ def inverse_transform(
 
 
 def serialize_block(tb: TransformedBlock, out: bytearray) -> None:
-    for h in tb.header_values:
-        write_uvarint(zigzag_encode(h), out)
+    write_varints(tb.header_values, out)
     if tb.mask is not None:
-        write_uvarint(tb.mask.value, out, max_bits=tb.mask.width)
-    append = out.append
-    for v in tb.payload:
-        u = (v << 1) if v >= 0 else ((-v << 1) - 1)
-        if u >= 0x80:
-            if u >> 64:
-                raise Overlong("payload value needs more than 64 bits")
-            while u >= 0x80:
-                append((u & 0x7F) | 0x80)
-                u >>= 7
-        append(u)
-
-
-def _read_signed_run(data, pos: int, count: int):
-    """Read count zigzag varints starting at pos; returns (values, next_pos)."""
-    out = []
-    append = out.append
-    end = len(data)
-    for _ in range(count):
-        u = 0
-        shift = 0
-        while True:
-            if pos >= end:
-                raise Truncated("byte source ended inside a varint")
-            b = data[pos]
-            pos += 1
-            u |= (b & 0x7F) << shift
-            if not b & 0x80:
-                break
-            if shift >= 63:
-                raise Overlong("varint exceeds 10 bytes for 64-bit range")
-            shift += 7
-        if u >> 64:
-            raise Overlong("decoded value needs more than 64 bits")
-        append((u >> 1) if not u & 1 else -((u + 1) >> 1))
-    return out, pos
+        write_varints((tb.mask.value,), out, False, tb.mask.width)
+    write_varints(tb.payload, out)
 
 
 def parse_block(data, pos: int, method_version: int, width: int):
     """Parse one block's symbols; returns (TransformedBlock, next_pos)."""
+    fields = []
+    pos = read_varints(data, pos, 1, fields)
     if method_version == 1:
-        u, pos = read_uvarint(data, pos)
-        flag = zigzag_decode(u)
+        flag = fields[0]
         if flag == 0:
-            payload, pos = _read_signed_run(data, pos, width)
-            tb = TransformedBlock(1, DIFF, (0,), None, tuple(payload), width)
-            return tb, pos
+            payload = []
+            pos = read_varints(data, pos, width, payload)
+            return TransformedBlock(1, DIFF, (0,), None, tuple(payload), width), pos
         if flag != 1:
             raise BadFlag(f"version-1 branch flag must be 0 or 1, got {flag}")
-        u, pos = read_uvarint(data, pos)
-        mode = zigzag_decode(u)
-        mask_value, pos = read_uvarint(data, pos, max_bits=width)
-        mask = NonzeroMask(mask_value, width)
-        payload, pos = _read_signed_run(data, pos, mask.popcount())
-        tb = TransformedBlock(1, MODE, (1, mode), mask, tuple(payload), width)
-        return tb, pos
-
-    u, pos = read_uvarint(data, pos)
-    header = zigzag_decode(u)
-    mask_value, pos = read_uvarint(data, pos, max_bits=width)
-    mask = NonzeroMask(mask_value, width)
-    payload, pos = _read_signed_run(data, pos, mask.popcount())
-    branch = detect_branch_v2(header, mask, payload)
-    tb = TransformedBlock(2, branch, (header,), mask, tuple(payload), width)
+        pos = read_varints(data, pos, 1, fields)
+    pos = read_varints(data, pos, 1, fields, False, width)
+    mask = NonzeroMask(fields[-1], width)
+    payload = []
+    pos = read_varints(data, pos, mask.popcount(), payload)
+    payload = tuple(payload)
+    if method_version == 1:
+        tb = TransformedBlock(1, MODE, (1, fields[1]), mask, payload, width)
+    else:
+        header = fields[0]
+        branch = detect_branch_v2(header, mask, payload)
+        tb = TransformedBlock(2, branch, (header,), mask, payload, width)
     return tb, pos

@@ -2,17 +2,7 @@ import random
 
 import pytest
 
-from nlts.core import (
-    NonzeroMask,
-    QuantizedBlock,
-    SignalBlock,
-    decode_ints,
-    encode_ints,
-    read_uvarint,
-    write_uvarint,
-    zigzag_decode,
-    zigzag_encode,
-)
+from nlts.core import NonzeroMask, QuantizedBlock, read_varints, write_varints
 from nlts.errors import CountMismatch, Overlong, Truncated
 
 PAPER_DEVIATIONS = [10, -2, 0, 0, 0, -1, 2, 3, 0, 1, 0, 0, 3, 4, 0, 1]
@@ -52,7 +42,6 @@ class TestNonzeroMask:
     def test_first_sample_is_most_significant_bit(self):
         mask = NonzeroMask.from_values([5, 0, 0, 0])
         assert mask.value == 0b1000
-        assert mask.flags() == [True, False, False, False]
 
     def test_value_bounded_by_width(self):
         rng = random.Random(401)
@@ -76,6 +65,30 @@ class TestNonzeroMask:
             NonzeroMask(0, 0)
         with pytest.raises(ValueError):
             NonzeroMask(16, 4)
+
+
+def zigzag_encode(v: int) -> int:
+    """The unsigned varint value a signed value travels as."""
+    out = bytearray()
+    write_varints([v], out)
+    u = []
+    read_varints(out, 0, 1, u, signed=False)
+    return u[0]
+
+
+def zigzag_decode(u: int) -> int:
+    """The signed value an unsigned varint value reads back as."""
+    out = bytearray()
+    write_varints([u], out, signed=False)
+    v = []
+    read_varints(out, 0, 1, v)
+    return v[0]
+
+
+def read_one(data, max_bits=64):
+    values = []
+    pos = read_varints(data, 0, 1, values, signed=False, max_bits=max_bits)
+    return values[0], pos
 
 
 class TestZigzag:
@@ -112,59 +125,61 @@ class TestVarint:
     )
     def test_known_encodings(self, u, expected):
         out = bytearray()
-        n = write_uvarint(u, out)
+        write_varints([u], out, signed=False)
         assert bytes(out) == expected
-        assert n == len(expected)
-        value, pos = read_uvarint(out, 0)
+        value, pos = read_one(out)
         assert value == u and pos == len(expected)
 
     def test_truncated(self):
         with pytest.raises(Truncated):
-            read_uvarint(bytes([0x80]), 0)
+            read_one(bytes([0x80]))
         with pytest.raises(Truncated):
-            read_uvarint(b"", 0)
+            read_one(b"")
+        with pytest.raises(Truncated):
+            read_varints(bytes([0x02, 0x04]), 0, 3, [])
 
     def test_overlong_continuation(self):
         with pytest.raises(Overlong):
-            read_uvarint(bytes([0x80] * 10 + [0x01]), 0)
+            read_one(bytes([0x80] * 10 + [0x01]))
+        with pytest.raises(Overlong):
+            read_varints(bytes([0x02] + [0x80] * 10 + [0x01]), 0, 2, [])
 
     def test_overlong_value(self):
         # 10 bytes can carry up to 70 bits; values past 2^64 are rejected
-        out = bytearray()
         with pytest.raises(Overlong):
-            write_uvarint(1 << 64, out)
+            write_varints([1 << 64], bytearray(), signed=False)
         encoded = bytes([0xFF] * 9 + [0x7F])
         with pytest.raises(Overlong):
-            read_uvarint(encoded, 0)
+            read_one(encoded)
+        with pytest.raises(Overlong):
+            read_varints(encoded, 0, 1, [])
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            write_uvarint(-1, bytearray())
+            write_varints([-1], bytearray(), signed=False)
 
     def test_wide_values_with_max_bits(self):
         for width in (65, 128, 1024):
             u = (1 << width) - 1
             out = bytearray()
-            write_uvarint(u, out, max_bits=width)
-            value, pos = read_uvarint(bytes(out), 0, max_bits=width)
+            write_varints([u], out, signed=False, max_bits=width)
+            value, pos = read_one(bytes(out), max_bits=width)
             assert value == u and pos == len(out)
         with pytest.raises(Overlong):
-            write_uvarint(1 << 64, bytearray(), max_bits=64)
+            write_varints([1 << 64], bytearray(), signed=False, max_bits=64)
 
     def test_serialization_round_trip_random(self):
         rng = random.Random(404)
         values = [rng.randrange(-(2**63), 2**63) for _ in range(3000)]
         values += [0, 1, -1, 2**63 - 1, -(2**63)]
-        data = encode_ints(values)
-        assert decode_ints(data) == values
+        data = bytearray()
+        write_varints(values, data)
+        decoded = []
+        assert read_varints(data, 0, len(values), decoded) == len(data)
+        assert decoded == values
 
 
 class TestBlocks:
-    def test_signal_block_requires_samples(self):
-        with pytest.raises(ValueError):
-            SignalBlock(samples=())
-        assert SignalBlock(samples=(1.0, 2.0)).length == 2
-
     def test_quantized_block_requires_codes(self):
         with pytest.raises(ValueError):
             QuantizedBlock(codes=(), scale_exp=3)

@@ -13,18 +13,15 @@ from nlts.bench import (
     verify_files,
     verify_values,
 )
-from nlts.datasets import (
-    DatasetSpec,
-    ingest,
-    packaged_manifest,
-    packaged_spec,
-)
+from nlts.datasets import DatasetSpec, ingest, packaged_spec
 from nlts.errors import (
     LengthMismatch,
     MissingColumn,
     MissingValue,
     UnparseableRow,
 )
+
+from reference_coders import packaged_manifest
 
 
 class TestIngest:

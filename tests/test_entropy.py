@@ -14,10 +14,12 @@ from nlts.entropy import (
     static_huffman,
 )
 from nlts.entropy.bitio import BitReader, BitStream, BitWriter
-from nlts.entropy.model import EOF_SYMBOL, NUM_SYMBOLS, RESCALE_CEILING, FrequencyModel
+from nlts.entropy.model import EOF_SYMBOL, NUM_SYMBOLS, RESCALE_CEILING
 from nlts.errors import CorruptStream, Truncated, UnsupportedVersion
 
 from reference_coders import (
+    FrequencyModel,
+    PaddedBitReader,
     arithmetic_decode,
     arithmetic_encode,
     huffman_lengths_bruteforce,
@@ -333,9 +335,9 @@ class TestBitIO:
         assert stream.bit_len == 5
 
     def test_padded_reader_counts_overrun(self):
-        r = BitReader(bytes([0xFF]), 8)
-        assert [r.read_bit_padded() for _ in range(8)] == [1] * 8
-        assert r.read_bit_padded() == 0
+        r = PaddedBitReader(bytes([0xFF]), 8)
+        assert [r.read_bit() for _ in range(8)] == [1] * 8
+        assert r.read_bit() == 0
         assert r.overrun == 1
 
     def test_bitstream_validation(self):

@@ -4,19 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from nlts.core import SignalBlock
 from nlts.errors import NonFiniteSample, OverflowAtScale, TooManyDigits
 from nlts.quantizer import (
     QuantizerConfig,
     code_value,
-    dequantize_block,
     detect_digits,
     fractional_digits,
-    quantize_block,
     quantize_stream,
     render_code,
-    scaled_code,
 )
+
+
+def scaled_code(value, digits: int) -> int:
+    """Quantize one sample through the stream quantizer."""
+    codes, _ = quantize_stream([value], digits)
+    return codes[0]
 
 
 class TestScaledCode:
@@ -73,12 +75,6 @@ class TestRendering:
         assert code_value(-13, 1) == -1.3
         assert code_value(42, None) == 42.0
 
-    def test_dequantize_block(self):
-        from nlts.core import QuantizedBlock
-
-        sb = dequantize_block(QuantizedBlock(codes=(12435, 0, -13), scale_exp=2))
-        assert sb.samples == (124.35, 0.0, -0.13)
-
 
 class TestErrorBound:
     # |decoded - x| <= 0.5 * 10^-d, exact in rational arithmetic
@@ -86,21 +82,19 @@ class TestErrorBound:
     def test_random_floats_within_half_ulp(self, d):
         rng = random.Random(500 + d)
         bound = Fraction(1, 2 * 10**d)
-        n = 100_000
-        for _ in range(n):
-            x = rng.uniform(-1000, 1000)
-            code = scaled_code(x, d)
+        xs = [rng.uniform(-1000, 1000) for _ in range(100_000)]
+        codes, _ = quantize_stream(xs, d)
+        for x, code in zip(xs, codes):
             err = abs(Fraction(code, 10**d) - Fraction(x))
             assert err <= bound, (x, code)
 
     def test_idempotent(self):
         rng = random.Random(505)
         for d in (0, 1, 2, 3):
-            for _ in range(2000):
-                x = rng.uniform(-50, 50)
-                code = scaled_code(x, d)
-                again = scaled_code(code_value(code, d), d)
-                assert again == code
+            xs = [rng.uniform(-50, 50) for _ in range(2000)]
+            codes, _ = quantize_stream(xs, d)
+            again, _ = quantize_stream([code_value(c, d) for c in codes], d)
+            assert again == codes
 
     def test_ties_match_decimal_oracle(self):
         # exact-representable halves where the tie rule decides the code
@@ -181,19 +175,14 @@ class TestDigitDetection:
 
 class TestBlockOps:
     def test_quantize_block_rounding(self):
-        qb = quantize_block(
-            SignalBlock(samples=(124.3472, 0.0, -1.25)),
-            QuantizerConfig(mode="rounding", decimal_digits=2),
-        )
-        assert qb.codes == (12435, 0, -125)
-        assert qb.scale_exp == 2
+        codes, _ = quantize_stream((124.3472, 0.0, -1.25), 2)
+        assert codes == [12435, 0, -125]
 
     def test_quantize_block_lossless_detects_scale(self):
-        qb = quantize_block(
-            SignalBlock(samples=("1.5", "2.25")), QuantizerConfig.lossless()
-        )
-        assert qb.codes == (150, 225)
-        assert qb.scale_exp == 2
+        samples = ("1.5", "2.25")
+        digits = detect_digits(samples)
+        assert digits == 2
+        assert quantize_stream(samples, digits) == ([150, 225], 0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
