@@ -14,12 +14,12 @@ import json
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from itertools import product
 from pathlib import Path
 
 from .container import CodecConfig, compress_stream, decompress_to_tokens
-from .datasets import DatasetSpec, file_sha256, ingest
+from .datasets import DatasetSpec, file_sha256, ingest, is_numeric
 from .entropy import CODER_IDS, CODER_NAMES
 from .errors import CodecError, LengthMismatch
 from .quantizer import LOSSLESS, QuantizerConfig
@@ -98,25 +98,43 @@ class VerifyResult:
 
 
 def verify_values(original, decoded, epsilon) -> VerifyResult:
-    """Check |a_i - b_i| <= epsilon pairwise; values may be tokens or numbers."""
+    """Check |a_i - b_i| <= epsilon pairwise; values may be tokens or numbers.
+
+    A value or epsilon that is not a number raises ValueError.
+    """
     if len(original) != len(decoded):
         raise LengthMismatch(
             f"sample counts differ: {len(original)} vs {len(decoded)}"
         )
+    if not is_numeric(str(epsilon)):
+        raise ValueError(f"epsilon {epsilon!r} is not a finite number")
     eps = Decimal(str(epsilon))
     worst = Decimal(0)
     at = 0
     for i, (a, b) in enumerate(zip(original, decoded)):
-        err = abs(Decimal(str(a)) - Decimal(str(b)))
-        if err > worst:
-            worst = err
-            at = i
+        try:
+            err = abs(Decimal(str(a)) - Decimal(str(b)))
+            if err > worst:
+                worst = err
+                at = i
+        except InvalidOperation:
+            raise ValueError(
+                f"sample {i + 1}: cannot compare {a!r} with {b!r}"
+            ) from None
     return VerifyResult(ok=worst <= eps, max_abs_error=worst, argmax_index=at)
 
 
 def _read_tokens(path) -> list:
+    """The numeric token on each non-blank line; ValueError names a bad line."""
+    tokens = []
     with open(path, encoding="utf-8") as f:
-        return [line.strip() for line in f if line.strip()]
+        for line_no, line in enumerate(f, 1):
+            token = line.strip()
+            if token:
+                if not is_numeric(token):
+                    raise ValueError(f"{path} line {line_no}: {token!r} is not a number")
+                tokens.append(token)
+    return tokens
 
 
 def verify_files(original_path, decoded_path, epsilon) -> VerifyResult:

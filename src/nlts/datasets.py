@@ -104,7 +104,7 @@ def _rows(path, delimiter):
             yield from csv.reader(f, delimiter=delimiter)
 
 
-def _is_numeric(token: str) -> bool:
+def is_numeric(token: str) -> bool:
     try:
         return Decimal(token).is_finite()
     except InvalidOperation:
@@ -142,11 +142,13 @@ def ingest(spec: DatasetSpec) -> list:
         row_no += 1
         if not row:
             continue
-        if col >= len(row):
+        try:
+            token = row[col]
+        except IndexError:
             raise MissingColumn(
                 f"row {row_no} has {len(row)} fields, column {col} requested"
-            )
-        token = row[col].strip()
+            ) from None
+        token = token.strip()
         if token.lower() in MISSING_TOKENS:
             if spec.missing_policy == SKIP:
                 continue
@@ -155,7 +157,7 @@ def ingest(spec: DatasetSpec) -> list:
                     out.append(last)
                 continue
             raise MissingValue(row_no)
-        if not _is_numeric(token):
+        if not is_numeric(token):
             raise UnparseableRow(row_no, token)
         out.append(token)
         last = token

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..errors import UnsupportedVersion
 from . import adaptive_huffman, arithmetic, static_huffman
-from .bitio import BitReader, BitStream, BitWriter
+from .bitio import BitStream
 
 STATIC_HUFFMAN = 0
 ADAPTIVE_HUFFMAN = 1
@@ -56,9 +56,7 @@ __all__ = [
     "STATIC_HUFFMAN",
     "CODER_IDS",
     "CODER_NAMES",
-    "BitReader",
     "BitStream",
-    "BitWriter",
     "decode",
     "encode",
 ]

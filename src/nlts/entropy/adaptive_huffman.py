@@ -9,9 +9,14 @@ with the highest-numbered node of its weight class.
 
 The node numbering obeys the sibling property (weights nondecreasing with
 number, siblings adjacent), which makes the weight-class leader a binary
-search over the number-ordered weight list.  The initial tree is built by
-the two-queue Huffman construction in symbol order and is part of the
-stream format.
+search over the number-ordered weight list; a node whose next number
+weighs more is its own leader and needs no search.  The initial tree is
+built by the two-queue Huffman construction in symbol order and is part of
+the stream format.
+
+The encoder emits each root-to-leaf path as one (value, length) int into
+an accumulator that spills whole bytes; the decoder walks the tree from a
+local int window.  The update dominates both sides.
 """
 
 from __future__ import annotations
@@ -19,34 +24,34 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 
-from ..errors import CorruptStream, Truncated
-from .bitio import BitReader, BitStream, BitWriter
+from ..errors import CorruptStream
+from .bitio import FLUSH_BITS, BitStream, finish, spill
 from .model import EOF_SYMBOL, NUM_SYMBOLS
 
 _NUM_NODES = 2 * NUM_SYMBOLS - 1
+_ROOT = _NUM_NODES
 
 
 class _Tree:
-    """Code tree with FGK updates; node ids are their initial numbers."""
+    """Code tree with FGK updates; node ids are their initial numbers.
 
-    __slots__ = (
-        "parent", "left", "right", "weight", "symbol",
-        "leaf_of", "num_of", "node_at", "weight_at", "root",
-    )
+    Leaves are ids 1..257 (symbol + 1) and internal nodes 258..513 for
+    good, so a node is a leaf exactly when its id is at most 257.  The
+    children of node p sit at child[2 * p] (left) and child[2 * p + 1]
+    (right); slot[n] is n's index in child, so n's parent is slot[n] >> 1
+    and slot[n] & 1 is the code bit that leads to n.  Weights are kept by
+    number only: node n weighs weight_at[num_of[n]].
+    """
+
+    __slots__ = ("child", "slot", "num_of", "node_at", "weight_at")
 
     def __init__(self):
         size = _NUM_NODES + 1  # ids/numbers are 1-based
-        parent = [0] * size
-        left = [0] * size
-        right = [0] * size
+        child = [0] * (2 * size)
+        slot = [0] * size
         weight = [0] * size
-        symbol = [-1] * size
-        leaf_of = [0] * NUM_SYMBOLS
-
-        for s in range(NUM_SYMBOLS):
-            weight[s + 1] = 1
-            symbol[s + 1] = s
-            leaf_of[s] = s + 1
+        for n in range(1, NUM_SYMBOLS + 1):
+            weight[n] = 1
 
         # Two-queue Huffman build over equal weights; creation order is
         # nondecreasing in weight, so ids double as sibling-property numbers.
@@ -61,109 +66,127 @@ class _Tree:
                 else:
                     pair.append(internal.popleft())
             a, b = pair
-            left[nxt] = a
-            right[nxt] = b
-            parent[a] = nxt
-            parent[b] = nxt
+            child[2 * nxt] = a
+            child[2 * nxt + 1] = b
+            slot[a] = 2 * nxt
+            slot[b] = 2 * nxt + 1
             weight[nxt] = weight[a] + weight[b]
             internal.append(nxt)
             nxt += 1
 
-        self.parent = parent
-        self.left = left
-        self.right = right
-        self.weight = weight
-        self.symbol = symbol
-        self.leaf_of = leaf_of
-        self.root = _NUM_NODES
+        self.child = child
+        self.slot = slot
         # number <-> node maps start as the identity
         self.num_of = list(range(size))
         self.node_at = list(range(size))
-        self.weight_at = weight[:]
+        self.weight_at = weight
 
-    def code_bits(self, sym: int) -> list:
-        """Root-to-leaf bit path for a symbol (0 = left)."""
-        parent = self.parent
-        left = self.left
-        bits = []
-        node = self.leaf_of[sym]
-        while node != self.root:
-            p = parent[node]
-            bits.append(0 if left[p] == node else 1)
-            node = p
-        bits.reverse()
-        return bits
-
-    def _swap(self, a: int, b: int) -> None:
-        parent = self.parent
-        pa, pb = parent[a], parent[b]
-        if self.left[pa] == a:
-            self.left[pa] = b
-        else:
-            self.right[pa] = b
-        if self.left[pb] == b:
-            self.left[pb] = a
-        else:
-            self.right[pb] = a
-        parent[a], parent[b] = pb, pa
-        na, nb = self.num_of[a], self.num_of[b]
-        self.num_of[a], self.num_of[b] = nb, na
-        self.node_at[na], self.node_at[nb] = b, a
-        # equal weights by construction, so weight_at needs no change
+    def code(self, sym: int):
+        """(value, length) of the symbol's root-to-leaf path, 0 = left."""
+        slot = self.slot
+        node = sym + 1
+        value = 0
+        length = 0
+        while node != _ROOT:
+            s = slot[node]
+            value |= (s & 1) << length
+            length += 1
+            node = s >> 1
+        return value, length
 
     def update(self, sym: int) -> None:
         """Increment the symbol's weight, swapping to keep sibling order."""
-        weight = self.weight
+        child = self.child
+        slot = self.slot
         weight_at = self.weight_at
         num_of = self.num_of
         node_at = self.node_at
-        parent = self.parent
-        root = self.root
-        node = self.leaf_of[sym]
-        while node:
-            w = weight[node]
-            if node != root:
-                # ancestors weigh strictly more, so the class leader is
-                # never this node's parent
-                leader_num = bisect_right(weight_at, w) - 1
-                leader = node_at[leader_num]
-                if leader != node:
-                    self._swap(node, leader)
-            weight[node] = w + 1
-            weight_at[num_of[node]] = w + 1
-            node = parent[node]
+        node = sym + 1
+        while node != _ROOT:
+            n = num_of[node]
+            w = weight_at[n]
+            # Weights never decrease with number, so node leads its weight
+            # class unless the next number weighs the same.  Ancestors weigh
+            # strictly more, so the leader is never node's parent.
+            if weight_at[n + 1] == w:
+                num = bisect_right(weight_at, w, n + 2) - 1
+                leader = node_at[num]
+                # Swap the subtrees at node and leader; their weights are
+                # equal, so weight_at needs no change.  Siblings end up with
+                # node on the left, as the stream format has always done.
+                s = slot[node]
+                t = slot[leader]
+                if s ^ t == 1:
+                    t = s & ~1
+                    s = t | 1
+                child[s] = leader
+                child[t] = node
+                slot[leader] = s
+                slot[node] = t
+                num_of[leader] = n
+                node_at[n] = leader
+                num_of[node] = num
+                node_at[num] = node
+                n = num
+            weight_at[n] = w + 1
+            node = slot[node] >> 1
+        weight_at[_ROOT] += 1
 
 
 def encode(payload: bytes) -> BitStream:
     tree = _Tree()
-    out = BitWriter()
-    write_bit = out.write_bit
+    code = tree.code
+    update = tree.update
+    out = bytearray()
+    acc = 0
+    nacc = 0
     for sym in payload:
-        for bit in tree.code_bits(sym):
-            write_bit(bit)
-        tree.update(sym)
-    for bit in tree.code_bits(EOF_SYMBOL):
-        write_bit(bit)
-    return out.getvalue()
+        value, length = code(sym)
+        acc = (acc << length) | value
+        nacc += length
+        if nacc >= FLUSH_BITS:
+            acc, nacc = spill(out, acc, nacc)
+        update(sym)
+    value, length = code(EOF_SYMBOL)
+    return finish(out, (acc << length) | value, nacc + length)
 
 
 def decode(data: bytes, bit_len: int | None = None) -> bytes:
     tree = _Tree()
-    reader = BitReader(data, bit_len)
-    read_bit = reader.read_bit
-    left = tree.left
-    right = tree.right
-    symbol = tree.symbol
+    child = tree.child
+    update = tree.update
+    if bit_len is None:
+        bit_len = 8 * len(data)
+    # The window holds the next wbits stream bits in its low bits and is
+    # refilled up to 8 bytes at a time, never past bit_len.
+    whole = bit_len >> 3
+    tail = bit_len & 7
+    bytepos = 0
+    window = 0
+    wbits = 0
     out = bytearray()
-    try:
-        while True:
-            node = tree.root
-            while left[node]:
-                node = right[node] if read_bit() else left[node]
-            sym = symbol[node]
-            if sym == EOF_SYMBOL:
-                return bytes(out)
-            out.append(sym)
-            tree.update(sym)
-    except Truncated:
-        raise CorruptStream("adaptive huffman stream ended before its terminator") from None
+    append = out.append
+    while True:
+        node = _ROOT
+        while node > NUM_SYMBOLS:
+            if not wbits:
+                if bytepos < whole:
+                    end = min(bytepos + 8, whole)
+                    window = int.from_bytes(data[bytepos:end], "big")
+                    wbits = 8 * (end - bytepos)
+                    bytepos = end
+                elif bytepos == whole and tail:
+                    window = data[bytepos] >> (8 - tail)
+                    wbits = tail
+                    bytepos += 1
+                else:
+                    raise CorruptStream(
+                        "adaptive huffman stream ended before its terminator"
+                    )
+            wbits -= 1
+            node = child[(node << 1) | ((window >> wbits) & 1)]
+        sym = node - 1
+        if sym == EOF_SYMBOL:
+            return bytes(out)
+        append(sym)
+        update(sym)

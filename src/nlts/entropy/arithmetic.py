@@ -10,14 +10,19 @@ The 32-bit state width and the model's 2^16 rescale ceiling are normative:
 changing either changes the bit stream.  For throughput, renormalization is
 batched (all agreeing leading bits leave in one step -- after a straddle
 shift the top bits differ, so agreement can only occur once per symbol) and
-the frequency model's Fenwick tree is inlined into the coding loops; the
-output is bit-identical to the plain one-bit-at-a-time formulation.
+the frequency model's Fenwick tree is inlined into the coding loops: each
+symbol's prefix-sum and update indices are tuples computed at import, and
+the decoder's 9-step descent is unrolled over a tree padded past its last
+node.  Output bits collect in an int accumulator that spills whole bytes.
+The output is bit-identical to the plain one-bit-at-a-time formulation.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 from ..errors import CorruptStream
-from .bitio import BitStream
+from .bitio import FLUSH_BITS, BitStream, finish, spill
 from .model import EOF_SYMBOL, NUM_SYMBOLS, RESCALE_CEILING
 
 _STATE_BITS = 32
@@ -31,6 +36,36 @@ _HALF_MASK = _MASK >> 1
 _MAX_OVERRUN = 2 * _STATE_BITS
 
 
+def _fenwick_paths():
+    """Per symbol s, the Fenwick indices summed for counts[0..s-1] (_DOWN)
+    and the indices an increment of counts[s] touches (_UP)."""
+    down = []
+    up = []
+    for sym in range(NUM_SYMBOLS):
+        path = []
+        i = sym
+        while i:
+            path.append(i)
+            i &= i - 1
+        down.append(tuple(path))
+        path = []
+        i = sym + 1
+        while i <= NUM_SYMBOLS:
+            path.append(i)
+            i += i & -i
+        up.append(tuple(path))
+    return tuple(down), tuple(up)
+
+
+_DOWN, _UP = _fenwick_paths()
+
+# The decoder's descent probes indices up to 256 + 128; entries past the
+# last real node hold a value above any search target, so the descent never
+# steps onto them and needs no bound check.
+_TREE_LEN = 512
+_PAST_END = RESCALE_CEILING
+
+
 def _fresh_tree(counts):
     n = len(counts)
     tree = [0] * (n + 1)
@@ -39,6 +74,7 @@ def _fresh_tree(counts):
         j = i + (i & -i)
         if j <= n:
             tree[j] += tree[i]
+    tree += [_PAST_END] * (_TREE_LEN - n - 1)
     return tree
 
 
@@ -48,24 +84,16 @@ def encode(payload: bytes) -> BitStream:
     total = NUM_SYMBOLS
 
     out = bytearray()
-    append = out.append
     acc = 0        # pending output bits, MSB-first
     nacc = 0
     low = 0
     high = _MASK
     pending = 0
 
-    pos = 0
-    end = len(payload)
-    while True:
-        sym = payload[pos] if pos < end else EOF_SYMBOL
-        pos += 1
-
+    for sym in chain(payload, (EOF_SYMBOL,)):
         lo_c = 0
-        i = sym
-        while i:
+        for i in _DOWN[sym]:
             lo_c += tree[i]
-            i &= i - 1
         hi_c = lo_c + counts[sym]
         rng = high - low + 1
         high = low + hi_c * rng // total - 1
@@ -90,10 +118,8 @@ def encode(payload: bytes) -> BitStream:
                 nacc += k - 1
             low = (low << k) & _MASK
             high = ((high << k) & _MASK) | ((1 << k) - 1)
-            while nacc >= 8:
-                nacc -= 8
-                append((acc >> nacc) & 0xFF)
-            acc &= (1 << nacc) - 1
+            if nacc >= FLUSH_BITS:
+                acc, nacc = spill(out, acc, nacc)
         while low & ~high & _SECOND:
             pending += 1
             low = (low << 1) & _HALF_MASK
@@ -103,25 +129,15 @@ def encode(payload: bytes) -> BitStream:
             break
         counts[sym] += 1
         total += 1
-        i = sym + 1
-        while i <= NUM_SYMBOLS:
+        for i in _UP[sym]:
             tree[i] += 1
-            i += i & -i
         if total >= RESCALE_CEILING:
             counts = [(c + 1) >> 1 for c in counts]
             total = sum(counts)
             tree = _fresh_tree(counts)
 
     # one disambiguating bit; deferred underflow bits are never needed
-    acc = (acc << 1) | 1
-    nacc += 1
-    while nacc >= 8:
-        nacc -= 8
-        append((acc >> nacc) & 0xFF)
-    bit_len = 8 * len(out) + nacc
-    if nacc:
-        append((acc & ((1 << nacc) - 1)) << (8 - nacc))
-    return BitStream(data=bytes(out), bit_len=bit_len)
+    return finish(out, (acc << 1) | 1, nacc + 1)
 
 
 def decode(data: bytes, bit_len: int | None = None) -> bytes:
@@ -130,6 +146,7 @@ def decode(data: bytes, bit_len: int | None = None) -> bytes:
     total = NUM_SYMBOLS
     if bit_len is None:
         bit_len = 8 * len(data)
+    overrun_limit = bit_len + _MAX_OVERRUN
 
     # MSB-first bit window over data, feeding zeros past the end
     dlen = len(data)
@@ -152,22 +169,53 @@ def decode(data: bytes, bit_len: int | None = None) -> bytes:
     out = bytearray()
     append = out.append
     while True:
-        if fed - wbits - bit_len > _MAX_OVERRUN:
+        if fed - wbits > overrun_limit:
             raise CorruptStream("arithmetic stream ended before its terminator")
         rng = high - low + 1
         value = ((code - low + 1) * total - 1) // rng
         if not 0 <= value < total:
             raise CorruptStream("arithmetic decoder left its coding range")
-        idx = 0
+        # Fenwick descent for the symbol whose interval holds value,
+        # unrolled over the 9 powers of two from 256 down
         rem = value
-        bit = 256
-        while bit:
-            nxt = idx + bit
-            if nxt <= NUM_SYMBOLS and tree[nxt] <= rem:
-                rem -= tree[nxt]
-                idx = nxt
-            bit >>= 1
-        sym = idx
+        t = tree[256]
+        if t <= rem:
+            rem -= t
+            sym = 256
+        else:
+            sym = 0
+        t = tree[sym + 128]
+        if t <= rem:
+            rem -= t
+            sym += 128
+        t = tree[sym + 64]
+        if t <= rem:
+            rem -= t
+            sym += 64
+        t = tree[sym + 32]
+        if t <= rem:
+            rem -= t
+            sym += 32
+        t = tree[sym + 16]
+        if t <= rem:
+            rem -= t
+            sym += 16
+        t = tree[sym + 8]
+        if t <= rem:
+            rem -= t
+            sym += 8
+        t = tree[sym + 4]
+        if t <= rem:
+            rem -= t
+            sym += 4
+        t = tree[sym + 2]
+        if t <= rem:
+            rem -= t
+            sym += 2
+        t = tree[sym + 1]
+        if t <= rem:
+            rem -= t
+            sym += 1
         lo_c = value - rem
         hi_c = lo_c + counts[sym]
         high = low + hi_c * rng // total - 1
@@ -203,10 +251,8 @@ def decode(data: bytes, bit_len: int | None = None) -> bytes:
         append(sym)
         counts[sym] += 1
         total += 1
-        i = sym + 1
-        while i <= NUM_SYMBOLS:
+        for i in _UP[sym]:
             tree[i] += 1
-            i += i & -i
         if total >= RESCALE_CEILING:
             counts = [(c + 1) >> 1 for c in counts]
             total = sum(counts)

@@ -9,6 +9,13 @@ that a zero byte is followed by a run count 1..255 covering that many
 zero-length (absent) symbols.  Lengths alone determine the canonical codes:
 symbols sorted by (length, value) receive consecutive codes, left-shifted
 at each length increase, so no tree shape needs to travel.
+
+The encoder shifts each symbol's code into an int accumulator that spills
+whole bytes.  The decoder reads an int window and resolves a code of up to
+_TABLE_BITS bits in one lookup in a canonical prefix table (Moffat &
+Turpin 1997, as zlib's inflate does); longer codes, and bit patterns that
+start no code, fall back to the bit-by-bit canonical walk over first[] and
+by_len[], which also produces the damaged-stream errors.
 """
 
 from __future__ import annotations
@@ -17,8 +24,12 @@ import heapq
 from collections import Counter
 
 from ..core import read_varints, write_varints
-from ..errors import CorruptStream, Truncated
-from .bitio import BitReader, BitStream, BitWriter
+from ..errors import CorruptStream, Overlong, Truncated
+from .bitio import FLUSH_BITS, BitStream, finish, spill
+
+# Width of the decoder's lookup table: codes up to this long decode in one
+# step, longer ones fall back to a bit-by-bit walk.
+_TABLE_BITS = 11
 
 
 def code_lengths(histogram: dict) -> dict:
@@ -102,17 +113,18 @@ def encode(payload: bytes) -> BitStream:
     out = bytearray()
     write_varints((len(payload),), out, signed=False)
     _write_table(lengths, out)
-
-    writer = BitWriter()
+    acc = 0
+    nacc = 0
     if payload:
         codes = canonical_codes(lengths)
         table = [codes.get(s) for s in range(256)]
-        write_bits = writer.write_bits
         for b in payload:
             length, code = table[b]
-            write_bits(code, length)
-    bits = writer.getvalue()
-    return BitStream(data=bytes(out) + bits.data, bit_len=8 * len(out) + bits.bit_len)
+            acc = (acc << length) | code
+            nacc += length
+            if nacc >= FLUSH_BITS:
+                acc, nacc = spill(out, acc, nacc)
+    return finish(out, acc, nacc)
 
 
 def decode(data: bytes, bit_len: int | None = None) -> bytes:
@@ -120,13 +132,15 @@ def decode(data: bytes, bit_len: int | None = None) -> bytes:
         count_field = []
         pos = read_varints(data, 0, 1, count_field, signed=False, max_bits=32)
         lengths, pos = _read_table(data, pos)
-    except Truncated as e:
+    except (Truncated, Overlong) as e:
         raise CorruptStream(str(e)) from None
     (count,) = count_field
     if count == 0:
         return b""
     if not lengths:
         raise CorruptStream("nonzero symbol count but empty huffman table")
+    if bit_len is None:
+        bit_len = 8 * len(data)
 
     max_len = max(lengths.values())
     by_len = [[] for _ in range(max_len + 1)]
@@ -143,23 +157,63 @@ def decode(data: bytes, bit_len: int | None = None) -> bytes:
             raise CorruptStream("huffman table violates the Kraft inequality")
         code <<= 1
 
-    reader = BitReader(data, bit_len, bit_pos=8 * pos)
-    read_bit = reader.read_bit
+    # table[k-bit prefix] = (length << 8) | symbol for the code of length <= k
+    # that the prefix starts with; 0 where there is none (a longer code, or
+    # no code at all), which sends the decoder to the bit-by-bit walk.
+    k = min(max_len, _TABLE_BITS)
+    kmask = (1 << k) - 1
+    table = [0] * (1 << k)
+    for l in range(1, k + 1):
+        shift = k - l
+        for idx, sym in enumerate(by_len[l]):
+            lo = (first[l] + idx) << shift
+            table[lo : lo + (1 << shift)] = [(l << 8) | sym] * (1 << shift)
+
+    # The window holds the wbits bits that follow the consumed ones, in its
+    # low bits; past the end of data it reads zeros.  Bit position
+    # 8 * bytepos - wbits overrunning bit_len means a code ran past the end.
+    dlen = len(data)
+    bytepos = pos
+    window = 0
+    wbits = 0
     out = bytearray()
-    try:
-        for _ in range(count):
-            acc = 0
-            l = 0
-            while True:
-                acc = (acc << 1) | read_bit()
-                l += 1
-                if l > max_len:
-                    raise CorruptStream("bit pattern matches no huffman code")
-                idx = acc - first[l]
-                group = by_len[l]
-                if 0 <= idx < len(group):
-                    out.append(group[idx])
-                    break
-    except Truncated:
-        raise CorruptStream("huffman stream ended mid-code") from None
+    append = out.append
+    for _ in range(count):
+        if wbits < k:
+            if 8 * bytepos - wbits > bit_len:
+                raise CorruptStream("huffman stream ended mid-code")
+            chunk = data[bytepos : bytepos + 8]
+            window = ((window & ((1 << wbits) - 1)) << 64) | (
+                int.from_bytes(chunk, "big") << (64 - 8 * len(chunk))
+            )
+            wbits += 64
+            bytepos += 8
+        entry = table[(window >> (wbits - k)) & kmask]
+        if entry:
+            wbits -= entry >> 8
+            append(entry & 0xFF)
+            continue
+        # No code of length <= k fits: walk on one bit at a time.
+        acc = (window >> (wbits - k)) & kmask
+        wbits -= k
+        l = k
+        while True:
+            if 8 * bytepos - wbits >= bit_len:
+                raise CorruptStream("huffman stream ended mid-code")
+            if not wbits:
+                window = data[bytepos] if bytepos < dlen else 0
+                bytepos += 1
+                wbits = 8
+            wbits -= 1
+            acc = (acc << 1) | ((window >> wbits) & 1)
+            l += 1
+            if l > max_len:
+                raise CorruptStream("bit pattern matches no huffman code")
+            idx = acc - first[l]
+            group = by_len[l]
+            if 0 <= idx < len(group):
+                append(group[idx])
+                break
+    if 8 * bytepos - wbits > bit_len:
+        raise CorruptStream("huffman stream ended mid-code")
     return bytes(out)

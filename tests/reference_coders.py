@@ -2,20 +2,33 @@
 
 The coders mirror the normative stream definitions (FORMAT.md) in the most
 literal way possible and stay independent of the optimized implementations
-in nlts.entropy: the adaptive arithmetic reference renormalizes one bit per
+in nlts.entropy: they move one bit at a time through BitWriter and
+BitReader below.  The adaptive arithmetic reference renormalizes one bit per
 loop iteration, talks to the FrequencyModel class below (the same model
 arithmetic.py inlines into its loops), and reads through PaddedBitReader,
-which feeds zeros past the end of the stream.
+which feeds zeros past the end of the stream.  The static Huffman reference
+walks the canonical code one bit at a time, and the FGK reference keeps its
+tree as parent/left/right lists with a separate swap step (FgkTree).
 
 packaged_manifest loads the dataset manifest shipped with the package.
 """
 
 import json
 from importlib import resources
+from bisect import bisect_right
+from collections import Counter, deque
 from itertools import chain
 
-from nlts.entropy.bitio import BitStream, BitWriter
+from nlts.core import read_varints, write_varints
+from nlts.entropy.bitio import BitStream
 from nlts.entropy.model import EOF_SYMBOL, NUM_SYMBOLS, RESCALE_CEILING
+from nlts.entropy.static_huffman import (
+    _read_table,
+    _write_table,
+    canonical_codes,
+    code_lengths,
+)
+from nlts.errors import CorruptStream, Overlong, Truncated
 
 STATE_BITS = 32
 MASK = (1 << STATE_BITS) - 1
@@ -93,6 +106,60 @@ class FrequencyModel:
             self.counts = counts
             self.total = sum(counts)
             self._rebuild()
+
+
+class BitWriter:
+    """MSB-first bit writer; getvalue() zero-pads the last byte."""
+
+    __slots__ = ("_buf", "_cur", "_ncur")
+
+    def __init__(self):
+        self._buf = bytearray()
+        self._cur = 0
+        self._ncur = 0
+
+    def write_bit(self, bit: int) -> None:
+        self._cur = (self._cur << 1) | bit
+        self._ncur += 1
+        if self._ncur == 8:
+            self._buf.append(self._cur)
+            self._cur = 0
+            self._ncur = 0
+
+    def write_bits(self, value: int, nbits: int) -> None:
+        """Write nbits of value, most significant first."""
+        for shift in range(nbits - 1, -1, -1):
+            self.write_bit((value >> shift) & 1)
+
+    @property
+    def bit_len(self) -> int:
+        return 8 * len(self._buf) + self._ncur
+
+    def getvalue(self) -> BitStream:
+        """Zero-pad to a byte boundary and return the stream."""
+        bit_len = self.bit_len
+        data = bytes(self._buf)
+        if self._ncur:
+            data += bytes((self._cur << (8 - self._ncur),))
+        return BitStream(data=data, bit_len=bit_len)
+
+
+class BitReader:
+    """MSB-first bit reader; raises Truncated past the end."""
+
+    __slots__ = ("_data", "_bit_len", "_pos")
+
+    def __init__(self, data: bytes, bit_len=None, bit_pos: int = 0):
+        self._data = data
+        self._bit_len = 8 * len(data) if bit_len is None else bit_len
+        self._pos = bit_pos
+
+    def read_bit(self) -> int:
+        p = self._pos
+        if p >= self._bit_len:
+            raise Truncated("bit stream exhausted")
+        self._pos = p + 1
+        return (self._data[p >> 3] >> (7 - (p & 7))) & 1
 
 
 class PaddedBitReader:
@@ -184,6 +251,180 @@ def arithmetic_decode(data: bytes, bit_len=None) -> bytes:
             return bytes(out)
         out.append(sym)
         model.update(sym)
+
+
+def static_huffman_encode(payload: bytes) -> BitStream:
+    lengths = code_lengths(Counter(payload))
+    out = bytearray()
+    write_varints((len(payload),), out, signed=False)
+    _write_table(lengths, out)
+    writer = BitWriter()
+    if payload:
+        codes = canonical_codes(lengths)
+        for b in payload:
+            length, code = codes[b]
+            writer.write_bits(code, length)
+    bits = writer.getvalue()
+    return BitStream(data=bytes(out) + bits.data, bit_len=8 * len(out) + bits.bit_len)
+
+
+def static_huffman_decode(data: bytes, bit_len=None) -> bytes:
+    try:
+        count_field = []
+        pos = read_varints(data, 0, 1, count_field, signed=False, max_bits=32)
+        lengths, pos = _read_table(data, pos)
+    except (Truncated, Overlong) as e:
+        raise CorruptStream(str(e)) from None
+    (count,) = count_field
+    if count == 0:
+        return b""
+    if not lengths:
+        raise CorruptStream("nonzero symbol count but empty huffman table")
+
+    max_len = max(lengths.values())
+    by_len = [[] for _ in range(max_len + 1)]
+    for sym, l in lengths.items():
+        by_len[l].append(sym)
+    for group in by_len:
+        group.sort()
+    first = [0] * (max_len + 1)
+    code = 0
+    for l in range(1, max_len + 1):
+        first[l] = code
+        code += len(by_len[l])
+        if code > 1 << l:
+            raise CorruptStream("huffman table violates the Kraft inequality")
+        code <<= 1
+
+    reader = BitReader(data, bit_len, bit_pos=8 * pos)
+    out = bytearray()
+    try:
+        for _ in range(count):
+            acc = 0
+            l = 0
+            while True:
+                acc = (acc << 1) | reader.read_bit()
+                l += 1
+                if l > max_len:
+                    raise CorruptStream("bit pattern matches no huffman code")
+                idx = acc - first[l]
+                group = by_len[l]
+                if 0 <= idx < len(group):
+                    out.append(group[idx])
+                    break
+    except Truncated:
+        raise CorruptStream("huffman stream ended mid-code") from None
+    return bytes(out)
+
+
+FGK_NODES = 2 * NUM_SYMBOLS - 1
+
+
+class FgkTree:
+    """FGK code tree as parent/left/right lists; node ids are initial numbers."""
+
+    def __init__(self):
+        size = FGK_NODES + 1
+        parent = [0] * size
+        left = [0] * size
+        right = [0] * size
+        weight = [0] * size
+        for n in range(1, NUM_SYMBOLS + 1):
+            weight[n] = 1
+        leaves = deque(range(1, NUM_SYMBOLS + 1))
+        internal = deque()
+        nxt = NUM_SYMBOLS + 1
+        while len(leaves) + len(internal) > 1:
+            pair = []
+            for _ in range(2):
+                if leaves and (not internal or weight[leaves[0]] <= weight[internal[0]]):
+                    pair.append(leaves.popleft())
+                else:
+                    pair.append(internal.popleft())
+            a, b = pair
+            left[nxt], right[nxt] = a, b
+            parent[a] = parent[b] = nxt
+            weight[nxt] = weight[a] + weight[b]
+            internal.append(nxt)
+            nxt += 1
+        self.parent = parent
+        self.left = left
+        self.right = right
+        self.weight = weight
+        self.root = FGK_NODES
+        self.num_of = list(range(size))
+        self.node_at = list(range(size))
+        self.weight_at = weight[:]
+
+    def code_bits(self, sym: int) -> list:
+        """Root-to-leaf bit path for a symbol (0 = left)."""
+        bits = []
+        node = sym + 1
+        while node != self.root:
+            p = self.parent[node]
+            bits.append(0 if self.left[p] == node else 1)
+            node = p
+        bits.reverse()
+        return bits
+
+    def _swap(self, a: int, b: int) -> None:
+        # For siblings the two child assignments below leave a on the left;
+        # the stream format depends on exactly this.
+        pa, pb = self.parent[a], self.parent[b]
+        if self.left[pa] == a:
+            self.left[pa] = b
+        else:
+            self.right[pa] = b
+        if self.left[pb] == b:
+            self.left[pb] = a
+        else:
+            self.right[pb] = a
+        self.parent[a], self.parent[b] = pb, pa
+        na, nb = self.num_of[a], self.num_of[b]
+        self.num_of[a], self.num_of[b] = nb, na
+        self.node_at[na], self.node_at[nb] = b, a
+
+    def update(self, sym: int) -> None:
+        node = sym + 1
+        while node:
+            w = self.weight[node]
+            if node != self.root:
+                leader = self.node_at[bisect_right(self.weight_at, w) - 1]
+                if leader != node:
+                    self._swap(node, leader)
+            self.weight[node] = w + 1
+            self.weight_at[self.num_of[node]] = w + 1
+            node = self.parent[node]
+
+
+def fgk_encode(payload: bytes) -> BitStream:
+    tree = FgkTree()
+    out = BitWriter()
+    for sym in payload:
+        for bit in tree.code_bits(sym):
+            out.write_bit(bit)
+        tree.update(sym)
+    for bit in tree.code_bits(EOF_SYMBOL):
+        out.write_bit(bit)
+    return out.getvalue()
+
+
+def fgk_decode(data: bytes, bit_len=None) -> bytes:
+    tree = FgkTree()
+    reader = BitReader(data, bit_len)
+    out = bytearray()
+    try:
+        while True:
+            node = tree.root
+            while tree.left[node]:
+                node = tree.right[node] if reader.read_bit() else tree.left[node]
+            sym = node - 1
+            if sym == EOF_SYMBOL:
+                return bytes(out)
+            out.append(sym)
+            tree.update(sym)
+    except Truncated:
+        raise CorruptStream("adaptive huffman stream ended before its terminator") from None
 
 
 def huffman_lengths_bruteforce(histogram: dict) -> dict:

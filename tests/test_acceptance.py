@@ -406,7 +406,7 @@ class TestCriterion9PropertySuites:
         for step in range(3000):
             tree.update(rng.randrange(257))
             if step % 750 == 0:
-                ks = sum(Fraction(1, 2 ** len(tree.code_bits(s))) for s in range(257))
+                ks = sum(Fraction(1, 2 ** tree.code(s)[1]) for s in range(257))
                 assert ks == 1
         record_criterion(9, "property: Kraft inequality on Huffman code sets", "PASS",
                          "static (random histograms) and adaptive tree snapshots")

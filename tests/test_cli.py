@@ -68,6 +68,30 @@ class TestCompressDecompressVerify:
         assert main(["decompress", str(packed), str(back)]) == 0
         assert back.read_text() == "1.50\n2.50\n"
 
+    def test_column_out_of_range_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("0,1.5\n1,2.5\n")
+        packed = tmp_path / "out.nlts"
+        back = tmp_path / "back.txt"
+        for column in ("-5", "2"):
+            assert main(["compress", str(src), str(packed), "--column", column,
+                         "--delimiter", ","]) == 2
+            assert "column" in capsys.readouterr().err
+        assert main(["compress", str(src), str(packed), "--column", "-1",
+                     "--delimiter", ",", "--digits", "1"]) == 0
+        assert main(["decompress", str(packed), str(back)]) == 0
+        assert back.read_text() == "1.5\n2.5\n"
+
+    def test_verify_non_numeric_exit_2(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("1.0\n2.0\n")
+        b.write_text("1.0\n\nabc\n")
+        assert main(["verify", str(a), str(a), "--epsilon", "abc"]) == 2
+        assert "epsilon" in capsys.readouterr().err
+        assert main(["verify", str(a), str(b), "--epsilon", "0.1"]) == 2
+        assert "b.txt line 3" in capsys.readouterr().err
+
     def test_unparseable_input_exit_2(self, tmp_path):
         src = tmp_path / "in.txt"
         src.write_text("1.0\nhello\n")

@@ -128,6 +128,14 @@ class TestVerify:
         with pytest.raises(LengthMismatch):
             verify_values([1.0], [1.0, 2.0], 0.1)
 
+    def test_not_a_number(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            verify_values(["1.0"], ["1.0"], "abc")
+        with pytest.raises(ValueError, match="sample 2"):
+            verify_values(["1.0", "2.0"], ["1.0", "x"], "0.1")
+        with pytest.raises(ValueError, match="sample 1"):
+            verify_values(["nan"], ["1.0"], "0.1")
+
     def test_files(self, tmp_text_file):
         a = tmp_text_file("1.0\n2.0\n", name="a.txt")
         b = tmp_text_file("1.0\n2.0\n", name="b.txt")

@@ -13,16 +13,22 @@ from nlts.entropy import (
     arithmetic,
     static_huffman,
 )
-from nlts.entropy.bitio import BitReader, BitStream, BitWriter
+from nlts.entropy.bitio import BitStream, finish
 from nlts.entropy.model import EOF_SYMBOL, NUM_SYMBOLS, RESCALE_CEILING
 from nlts.errors import CorruptStream, Truncated, UnsupportedVersion
 
 from reference_coders import (
+    BitReader,
+    BitWriter,
     FrequencyModel,
     PaddedBitReader,
     arithmetic_decode,
     arithmetic_encode,
+    fgk_decode,
+    fgk_encode,
     huffman_lengths_bruteforce,
+    static_huffman_decode,
+    static_huffman_encode,
 )
 
 ALL_CODERS = (STATIC_HUFFMAN, ADAPTIVE_HUFFMAN, ADAPTIVE_ARITHMETIC)
@@ -148,6 +154,20 @@ class TestStaticHuffman:
         with pytest.raises(CorruptStream):
             static_huffman.decode(cut)
 
+    def test_no_code_matches(self):
+        # lengths {0: 1, 1: 2} give codes 0 and 10; the pattern 11 is no code
+        table = bytes([1, 2, 0, 254])
+        data = bytes([1]) + table + bytes([0b11000000])
+        with pytest.raises(CorruptStream, match="matches no huffman code"):
+            static_huffman.decode(data)
+        # the same pattern at the very end runs out of bits first
+        with pytest.raises(CorruptStream, match="ended mid-code"):
+            static_huffman.decode(data, 8 * len(table) + 8 + 2)
+
+    def test_overlong_count_rejected(self):
+        with pytest.raises(CorruptStream):
+            static_huffman.decode(bytes([0xFF] * 6))
+
     def test_overfull_table_rejected(self):
         # 256 one-bit codes cannot satisfy Kraft
         table = bytes([1] * 256)
@@ -175,9 +195,7 @@ class TestAdaptiveHuffman:
         for step in range(2000):
             tree.update(rng.choice([0, 1, 2, 250]))
             if step % 400 == 0:
-                total = sum(
-                    2.0 ** -len(tree.code_bits(s)) for s in range(NUM_SYMBOLS)
-                )
+                total = sum(2.0 ** -tree.code(s)[1] for s in range(NUM_SYMBOLS))
                 assert abs(total - 1.0) < 1e-9
 
     def test_adapts_to_skew(self):
@@ -195,15 +213,19 @@ class TestAdaptiveHuffman:
         # weights nondecreasing in number order; siblings hold adjacent
         # numbers; parents outnumber both children
         n = adaptive_huffman._NUM_NODES
-        weights = [tree.weight[tree.node_at[i]] for i in range(1, n + 1)]
+        weights = tree.weight_at[1 : n + 1]
         assert weights == sorted(weights)
-        assert tree.weight_at[1 : n + 1] == weights
-        for node in range(1, n + 1):
-            l, r = tree.left[node], tree.right[node]
-            if l:
-                assert abs(tree.num_of[l] - tree.num_of[r]) == 1
-                assert tree.num_of[node] > max(tree.num_of[l], tree.num_of[r])
-                assert tree.weight[node] == tree.weight[l] + tree.weight[r]
+        assert sorted(tree.num_of[1 : n + 1]) == list(range(1, n + 1))
+        assert all(tree.node_at[tree.num_of[i]] == i for i in range(1, n + 1))
+        weight = lambda node: tree.weight_at[tree.num_of[node]]
+        for node in range(NUM_SYMBOLS + 1, n + 1):
+            l, r = tree.child[2 * node], tree.child[2 * node + 1]
+            assert tree.slot[l] == 2 * node and tree.slot[r] == 2 * node + 1
+            assert abs(tree.num_of[l] - tree.num_of[r]) == 1
+            assert tree.num_of[node] > max(tree.num_of[l], tree.num_of[r])
+            assert weight(node) == weight(l) + weight(r)
+        for leaf in range(1, NUM_SYMBOLS + 1):
+            assert tree.child[2 * leaf] == tree.child[2 * leaf + 1] == 0
 
 
 class TestArithmetic:
@@ -278,6 +300,91 @@ class TestArithmetic:
         return bits
 
 
+def fibonacci_payload(seed, distinct=22):
+    """Symbol counts 1, 1, 2, 3, 5, ...: the longest Huffman code is
+    distinct - 1 bits, past the static decoder's lookup table."""
+    counts = [1, 1]
+    while len(counts) < distinct:
+        counts.append(counts[-1] + counts[-2])
+    syms = random.Random(seed).sample(range(256), distinct)
+    payload = [s for s, c in zip(syms, counts) for _ in range(c)]
+    random.Random(seed + 1).shuffle(payload)
+    return bytes(payload)
+
+
+REFERENCES = {
+    STATIC_HUFFMAN: (static_huffman_encode, static_huffman_decode),
+    ADAPTIVE_HUFFMAN: (fgk_encode, fgk_decode),
+}
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("coder", sorted(REFERENCES))
+    def test_bit_for_bit(self, coder):
+        ref_encode, ref_decode = REFERENCES[coder]
+        payloads = list(random_payloads(770 + coder, 60, max_len=3000))
+        payloads.append(fibonacci_payload(772))
+        for payload in payloads:
+            fast = entropy.encode(payload, coder)
+            ref = ref_encode(payload)
+            assert fast.data == ref.data and fast.bit_len == ref.bit_len
+            assert entropy.decode(fast, coder) == payload
+            assert ref_decode(fast.data, fast.bit_len) == payload
+
+    def test_fibonacci_payload_needs_long_codes(self):
+        lengths = static_huffman.code_lengths(Counter(fibonacci_payload(772)))
+        assert max(lengths.values()) > static_huffman._TABLE_BITS
+
+
+def mutations(stream, rng, count):
+    """Seeded damaged copies of a stream as (data, bit_len) pairs: bit
+    flips, truncations and byte overwrites."""
+    data = stream.data
+    for _ in range(count):
+        kind = rng.randrange(3)
+        if kind == 0 and stream.bit_len:
+            bit = rng.randrange(stream.bit_len)
+            damaged = bytearray(data)
+            damaged[bit >> 3] ^= 0x80 >> (bit & 7)
+            yield bytes(damaged), stream.bit_len
+        elif kind == 1:
+            cut = rng.randrange(stream.bit_len + 1)
+            yield data[: (cut + 7) >> 3], cut
+        elif data:
+            damaged = bytearray(data)
+            for _ in range(rng.randrange(1, 4)):
+                damaged[rng.randrange(len(damaged))] = rng.randrange(256)
+            yield bytes(damaged), stream.bit_len
+
+
+class TestDamagedStreams:
+    @pytest.mark.parametrize("coder", ALL_CODERS)
+    def test_fuzz(self, coder):
+        # Damaged input either decodes to some bytes or raises
+        # CorruptStream; the Huffman decoders also agree with their
+        # references on which, and on the bytes or the message.
+        rng = random.Random(780 + coder)
+        decode = (static_huffman.decode, adaptive_huffman.decode, arithmetic.decode)[coder]
+        payloads = [b"", b"\x05", bytes(rng.choices(range(6), k=300)), rng.randbytes(200)]
+        if coder == STATIC_HUFFMAN:
+            payloads.append(fibonacci_payload(781, distinct=20)[:400])
+        for payload in payloads:
+            stream = entropy.encode(payload, coder)
+            for data, bit_len in mutations(stream, rng, 150):
+                outcome = self._outcome(decode, data, bit_len)
+                assert isinstance(outcome, (bytes, CorruptStream))
+                if coder in REFERENCES:
+                    expected = self._outcome(REFERENCES[coder][1], data, bit_len)
+                    assert repr(outcome) == repr(expected)
+
+    @staticmethod
+    def _outcome(decode, data, bit_len):
+        try:
+            return decode(data, bit_len)
+        except CorruptStream as e:
+            return e
+
+
 class TestFrequencyModel:
     def test_counts_match_bruteforce(self):
         rng = random.Random(750)
@@ -333,6 +440,17 @@ class TestBitIO:
         stream = w.getvalue()
         assert stream.data == bytes([0b10110000])
         assert stream.bit_len == 5
+
+    def test_finish_matches_writer(self):
+        rng = random.Random(761)
+        for nbits in (0, 1, 7, 8, 9, 63, 64, 200):
+            head = rng.randbytes(rng.randrange(3))
+            value = rng.getrandbits(nbits) if nbits else 0
+            w = BitWriter()
+            for b in head:
+                w.write_bits(b, 8)
+            w.write_bits(value, nbits)
+            assert finish(bytearray(head), value, nbits) == w.getvalue()
 
     def test_padded_reader_counts_overrun(self):
         r = PaddedBitReader(bytes([0xFF]), 8)
