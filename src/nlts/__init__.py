@@ -14,7 +14,6 @@ from .container import (
     decompress_stream,
     decompress_to_tokens,
 )
-from .core import NonzeroMask, QuantizedBlock, TransformedBlock
 from .entropy import ADAPTIVE_ARITHMETIC, ADAPTIVE_HUFFMAN, STATIC_HUFFMAN
 from .quantizer import QuantizerConfig
 from .transform import TransformConfig
@@ -24,13 +23,10 @@ __all__ = [
     "ADAPTIVE_HUFFMAN",
     "STATIC_HUFFMAN",
     "CodecConfig",
-    "NonzeroMask",
-    "QuantizedBlock",
     "QuantizerConfig",
     "RunMetrics",
     "StreamHeader",
     "TransformConfig",
-    "TransformedBlock",
     "compress_stream",
     "compute_metrics",
     "decompress_stream",

@@ -18,16 +18,7 @@ import time
 from dataclasses import dataclass
 
 from . import entropy
-from .core import QuantizedBlock
-from .errors import (
-    BadFlag,
-    BadMagic,
-    CorruptStream,
-    CountMismatch,
-    Overlong,
-    Truncated,
-    UnsupportedVersion,
-)
+from .errors import BadMagic, CorruptStream, UnsupportedVersion
 from .quantizer import (
     LOSSLESS,
     SCALE_PASSTHROUGH,
@@ -37,13 +28,7 @@ from .quantizer import (
     quantize_stream,
     render_code,
 )
-from .transform import (
-    TransformConfig,
-    inverse_transform,
-    parse_block,
-    serialize_block,
-    transform_block,
-)
+from .transform import TransformConfig, decode_blocks, encode_blocks
 
 MAGIC = b"NLTS"
 FORMAT_VERSION = 1
@@ -188,21 +173,14 @@ def compress_stream(samples, config: CodecConfig = CodecConfig()):
         scale_exp = config.quantizer.decimal_digits
         codes, max_err = quantize_stream(samples, scale_exp)
 
-    symbols = bytearray()
-    L = tcfg.block_len
-    n = len(codes)
-    for start in range(0, n, L):
-        block = QuantizedBlock(codes=tuple(codes[start : start + L]), scale_exp=scale_exp)
-        serialize_block(transform_block(block, tcfg), symbols)
-
-    stream = entropy.encode(bytes(symbols), config.coder)
+    stream = entropy.encode(bytes(encode_blocks(codes, tcfg)), config.coder)
     header = StreamHeader(
         method_version=tcfg.method_version,
         entropy_id=config.coder,
-        block_len=L,
+        block_len=tcfg.block_len,
         tau=tcfg.tau,
         scale_exp=scale_exp,
-        sample_count=n,
+        sample_count=len(codes),
     )
     blob = header.pack() + stream.data
     encode_secs = time.perf_counter() - t0
@@ -221,25 +199,7 @@ def decode_codes(data: bytes):
     header, tcfg = _parse_header(data)
     t0 = time.perf_counter()
     symbols = entropy.decode(data[HEADER_LEN:], header.entropy_id)
-
-    codes = []
-    pos = 0
-    remaining = header.sample_count
-    try:
-        while remaining > 0:
-            width = min(header.block_len, remaining)
-            tb, pos = parse_block(symbols, pos, header.method_version, width)
-            block = inverse_transform(tb, tcfg, scale_exp=header.scale_exp)
-            codes.extend(block.codes)
-            remaining -= width
-    except (Truncated, Overlong, BadFlag) as e:
-        raise CorruptStream(str(e)) from e
-    if pos != len(symbols):
-        raise CorruptStream(f"{len(symbols) - pos} trailing bytes after the final block")
-    if len(codes) != header.sample_count:
-        raise CountMismatch(
-            f"decoded {len(codes)} samples, header promised {header.sample_count}"
-        )
+    codes = decode_blocks(symbols, tcfg, header.sample_count)
     return codes, header, time.perf_counter() - t0
 
 

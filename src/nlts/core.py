@@ -1,118 +1,23 @@
-"""Block value types and the varint format shared by the transform and the coders.
+"""The varint format shared by the transform and the coders.
 
-The nonzero mask is the bitmap that lets a transformed block drop its zero
-entries: bit i (first sample = most significant bit) is set iff entry i is
-nonzero, so the bitmap's integer value plus the surviving nonzero values
-reconstruct the full sequence exactly.
-
-Signed values travel as zigzag-interleaved unsigned varints; the mask itself
-travels as a plain unsigned varint (it is never negative, and for wide blocks
-it would not fit a signed 64-bit value).  write_varints and read_varints are
-the only varint encoder and decoder in the package; each handles a run of
-values.  Byte layout is specified in FORMAT.md and is normative for the
-container format.
+Signed values travel as zigzag-interleaved unsigned varints; a block's
+nonzero mask travels as a plain unsigned varint (it is never negative, and
+for wide blocks it would not fit a signed 64-bit value).  write_varints and
+read_varints are the only varint encoder and decoder in the package; each
+handles a run of values.  Byte layout is specified in FORMAT.md and is
+normative for the container format.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from .errors import Overlong, Truncated
 
-from .errors import CountMismatch, Overlong, Truncated
-
+# Names of the two block branches.
 MODE = "mode"
 DIFF = "diff"
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
-
-
-@dataclass(frozen=True)
-class QuantizedBlock:
-    """One window of a stream as exact scaled integers: value == code / 10**scale_exp.
-
-    Only a stream's final block may be shorter than the block length.
-
-    scale_exp is the number of retained decimal digits; None marks the
-    integer-passthrough case (codes are the samples themselves).
-    """
-
-    codes: tuple
-    scale_exp: int | None
-
-    def __post_init__(self):
-        if len(self.codes) < 1:
-            raise ValueError("quantized block must hold at least one code")
-
-    @property
-    def length(self) -> int:
-        return len(self.codes)
-
-
-class NonzeroMask:
-    """Width-bit bitmap marking the nonzero entries of a transformed block."""
-
-    __slots__ = ("value", "width")
-
-    def __init__(self, value: int, width: int):
-        if width < 1:
-            raise ValueError("mask width must be >= 1")
-        if not 0 <= value < (1 << width):
-            raise ValueError(f"mask value {value} does not fit {width} bits")
-        self.value = value
-        self.width = width
-
-    @classmethod
-    def from_values(cls, values: Sequence[int]) -> "NonzeroMask":
-        """Build the mask for a sequence: bit i set iff values[i] != 0."""
-        v = 0
-        for x in values:
-            v = (v << 1) | (x != 0)
-        return cls(v, len(values))
-
-    def popcount(self) -> int:
-        return self.value.bit_count()
-
-    def expand(self, nonzeros: Sequence[int]) -> list:
-        """Re-insert zeros: one nonzero consumed per set bit, 0 elsewhere."""
-        if len(nonzeros) != self.popcount():
-            raise CountMismatch(
-                f"mask expects {self.popcount()} nonzero values, got {len(nonzeros)}"
-            )
-        out = []
-        v, w = self.value, self.width
-        it = iter(nonzeros)
-        for i in range(w):
-            if (v >> (w - 1 - i)) & 1:
-                out.append(next(it))
-            else:
-                out.append(0)
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NonzeroMask)
-            and self.value == other.value
-            and self.width == other.width
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.width))
-
-    def __repr__(self):
-        return f"NonzeroMask(value={self.value}, width={self.width})"
-
-
-@dataclass(frozen=True)
-class TransformedBlock:
-    """Post-transform block: branch header, optional mask, surviving values."""
-
-    method_version: int
-    branch: str
-    header_values: tuple
-    mask: NonzeroMask | None
-    payload: tuple
-    length: int
 
 
 def write_varints(values, out: bytearray, signed: bool = True, max_bits: int = 64) -> None:

@@ -32,25 +32,15 @@ class TooManyDigits(CodecError):
     """Lossless mode saw more fractional digits than the supported maximum."""
 
 
-# --- block transform ---
-
-class EmptyBlock(CodecError):
-    """Operation requires a non-empty block."""
-
-
 class LengthMismatch(CodecError):
-    """Input length differs from the expected block/stream length."""
+    """Two sample streams that should match differ in length."""
 
 
-class CountMismatch(CodecError):
-    """Bitmap population count disagrees with the number of payload values."""
-
+# --- serialization / streams ---
 
 class BadFlag(CodecError):
     """Version-1 branch flag is neither 0 nor 1."""
 
-
-# --- serialization / streams ---
 
 class Truncated(CodecError):
     """Byte source ended in the middle of a value."""

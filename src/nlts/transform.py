@@ -1,33 +1,31 @@
-"""Per-block statistics/deviation transform and its exact inverse.
+"""Per-block statistics/deviation transform, fused with its wire layout.
 
 Each block of quantized codes is rewritten either as deviations from the
 block's mode (its most frequent value) or as successive differences,
-whichever the mode-frequency threshold tau selects.  Zero deviations are
-then dropped behind a nonzero mask, so highly repetitive blocks shrink to a
-header plus a handful of values.
+whichever the mode-frequency threshold tau selects.  Zero entries are then
+dropped behind a nonzero mask (bit i, the first entry being the most
+significant bit, is set iff entry i is nonzero), so highly repetitive
+blocks shrink to a header plus a handful of values.  encode_blocks writes
+the symbols of every block straight into one byte stream and decode_blocks
+reads them straight back into codes; this module is the only one that
+knows the block layout.
 
-Two wire layouts exist.  Version 1 spends an explicit branch flag per
-block; version 2 drops the flag and lets the decoder re-derive the branch
-from the header/payload relationship, which is ambiguous for two rare block
-shapes -- the encoder detects those and falls back to the other branch (see
-detect_branch_v2; one of the two branches is always classified correctly).
+Two wire layouts exist (FORMAT.md section 3).  Version 1 spends an explicit
+branch flag per block; version 2 drops the flag and lets the decoder
+re-derive the branch from the header/payload relationship.  That is
+ambiguous for two rare block shapes, x_1 == 2 * mode != 0 and x_1 == 0;
+the encoder takes the other branch for them (the two never coincide).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import add, sub
 
-from .core import (
-    DIFF,
-    MODE,
-    NonzeroMask,
-    QuantizedBlock,
-    TransformedBlock,
-    read_varints,
-    write_varints,
-)
-from .errors import BadFlag, CountMismatch, EmptyBlock, LengthMismatch
+from .core import read_varints, write_varints
+from .errors import BadFlag, CorruptStream, Overlong, Truncated
 
 MIN_BLOCK_LEN = 16
 MAX_BLOCK_LEN = 1 << 15  # block length must fit the container's u16 field
@@ -51,205 +49,104 @@ class TransformConfig:
             raise ValueError(f"tau must be in 1..{L}, got {self.tau}")
 
 
-@dataclass(frozen=True)
-class ModeStat:
-    value: int
-    frequency: int
+def compute_mode(codes) -> tuple:
+    """(value, frequency) of the most frequent code; ties break toward the smallest value."""
+    counts = Counter(codes)
+    frequency = max(counts.values())
+    return min(v for v, k in counts.items() if k == frequency), frequency
 
 
-def compute_mode(codes) -> ModeStat:
-    """Most frequent value; frequency ties break toward the smallest value."""
-    if not codes:
-        raise EmptyBlock("cannot take the mode of an empty block")
-    best_value = None
-    best_count = 0
-    for value, count in Counter(codes).items():
-        if count > best_count or (count == best_count and value < best_value):
-            best_value = value
-            best_count = count
-    return ModeStat(value=best_value, frequency=best_count)
+def encode_blocks(codes, cfg: TransformConfig) -> bytearray:
+    """Transform every block of codes and serialize it; returns the symbol stream.
 
-
-def diff_encode(codes) -> list:
-    """First value kept, then successive differences (current - previous)."""
-    if not codes:
-        raise EmptyBlock("cannot difference an empty block")
-    out = [codes[0]]
-    prev = codes[0]
-    for c in codes[1:]:
-        out.append(c - prev)
-        prev = c
-    return out
-
-
-def diff_decode(values) -> list:
-    """Prefix sums; exact inverse of diff_encode."""
-    if not values:
-        raise EmptyBlock("cannot undo differencing of an empty block")
-    out = [values[0]]
-    acc = values[0]
-    for v in values[1:]:
-        acc += v
-        out.append(acc)
-    return out
-
-
-def detect_branch_v2(header: int, mask: NonzeroMask, nonzeros) -> str:
-    """Re-derive the branch of a version-2 block from its decoded fields.
-
-    Diff only when the very first entry survived the mask and equals the
-    header (a diff block leads with its own header value); everything else,
-    including the all-zero degenerate block, is mode.
+    Blocks cover codes in order, block_len per block; the last may be shorter.
     """
-    if nonzeros and mask.width >= 1 and (mask.value >> (mask.width - 1)) & 1:
-        if nonzeros[0] == header:
-            return DIFF
-    return MODE
-
-
-def _build_mode(version: int, codes, mode: int, width: int) -> TransformedBlock:
-    deviations = [c - mode for c in codes]
-    mask = NonzeroMask.from_values(deviations)
-    payload = tuple(d for d in deviations if d)
-    header = (1, mode) if version == 1 else (mode,)
-    return TransformedBlock(
-        method_version=version,
-        branch=MODE,
-        header_values=header,
-        mask=mask,
-        payload=payload,
-        length=width,
-    )
-
-
-def _build_diff(version: int, codes, width: int) -> TransformedBlock:
-    body = diff_encode(codes)
-    if version == 1:
-        return TransformedBlock(
-            method_version=1,
-            branch=DIFF,
-            header_values=(0,),
-            mask=None,
-            payload=tuple(body),
-            length=width,
-        )
-    mask = NonzeroMask.from_values(body)
-    payload = tuple(v for v in body if v)
-    return TransformedBlock(
-        method_version=2,
-        branch=DIFF,
-        header_values=(codes[0],),
-        mask=mask,
-        payload=payload,
-        length=width,
-    )
-
-
-def transform_block(block: QuantizedBlock, cfg: TransformConfig) -> TransformedBlock:
-    """Transform one block; only a stream's final block may be shorter than L."""
-    codes = block.codes
-    width = len(codes)
-    if width > cfg.block_len:
-        raise LengthMismatch(
-            f"block holds {width} codes but block_len is {cfg.block_len}"
-        )
-    stat = compute_mode(codes)
-    preferred = MODE if stat.frequency >= cfg.tau else DIFF
-
-    if cfg.method_version == 1:
-        if preferred == MODE:
-            return _build_mode(1, codes, stat.value, width)
-        return _build_diff(1, codes, width)
-
-    # Version 2: the decoder infers the branch, so the encoder must only
-    # emit blocks its own detector classifies correctly.
-    if preferred == MODE:
-        tb = _build_mode(2, codes, stat.value, width)
-        if detect_branch_v2(tb.header_values[0], tb.mask, tb.payload) == MODE:
-            return tb
-        tb = _build_diff(2, codes, width)
-    else:
-        tb = _build_diff(2, codes, width)
-        if detect_branch_v2(tb.header_values[0], tb.mask, tb.payload) == DIFF:
-            return tb
-        tb = _build_mode(2, codes, stat.value, width)
-    if detect_branch_v2(tb.header_values[0], tb.mask, tb.payload) != tb.branch:
-        # Unreachable: at most one of the two branches can misclassify.
-        raise AssertionError("no correctly classified encoding exists for block")
-    return tb
-
-
-def inverse_transform(
-    tb: TransformedBlock, cfg: TransformConfig, scale_exp: int | None = 0
-) -> QuantizedBlock:
-    """Exact inverse of transform_block in the integer domain."""
-    if tb.method_version != cfg.method_version:
-        raise ValueError(
-            f"block is version {tb.method_version}, config expects {cfg.method_version}"
-        )
-    if tb.method_version == 1:
-        flag = tb.header_values[0]
-        if flag == 0:
-            if len(tb.payload) != tb.length:
-                raise CountMismatch(
-                    f"difference block carries {len(tb.payload)} values, expected {tb.length}"
-                )
-            codes = diff_decode(list(tb.payload))
-        elif flag == 1:
-            mode = tb.header_values[1]
-            deviations = tb.mask.expand(tb.payload)
-            codes = [mode + d for d in deviations]
+    out = bytearray()
+    L, tau, v1 = cfg.block_len, cfg.tau, cfg.method_version == 1
+    for start in range(0, len(codes), L):
+        block = codes[start : start + L]
+        x1 = block[0]
+        # The mode matters if some code can occur tau times, which leaves room
+        # for at most len(block) - tau other values, and for a version-2 diff
+        # block with x1 = 0, which falls back to mode.
+        if len(set(block)) <= len(block) - tau + 1 or not (v1 or x1):
+            mode, frequency = compute_mode(block)
         else:
-            raise BadFlag(f"version-1 branch flag must be 0 or 1, got {flag}")
-    else:
-        header = tb.header_values[0]
-        body = tb.mask.expand(tb.payload)
-        if detect_branch_v2(header, tb.mask, tb.payload) == DIFF:
-            codes = diff_decode(body)
+            frequency = 0
+        if frequency >= tau:
+            # a version-2 mode block leading with a deviation equal to the
+            # mode would read back as a diff block
+            use_mode = v1 or x1 != 2 * mode or not mode
         else:
-            codes = [header + d for d in body]
-    return QuantizedBlock(codes=tuple(codes), scale_exp=scale_exp)
+            # a version-2 diff block whose first entry is 0 reads back as mode
+            use_mode = not v1 and not x1
+        if use_mode:
+            header = (1, mode) if v1 else (mode,)
+            body = list(map(sub, block, repeat(mode)))
+        elif v1:
+            # flag 0, then every difference: no mask, zeros kept
+            write_varints((0, x1, *map(sub, block[1:], block)), out)
+            continue
+        else:
+            header = (x1,)
+            body = [x1, *map(sub, block[1:], block)]
+        mask = 0
+        for d in body:
+            mask = (mask << 1) | (d != 0)
+        write_varints(header, out)
+        write_varints((mask,), out, False, len(block))
+        write_varints(list(filter(None, body)), out)
+    return out
 
 
-# --- wire layout (normative, see FORMAT.md) ---
-#
-# v1 mode: zz(1), zz(mode), mask uvarint, zz(payload)...
-# v1 diff: zz(0), zz(payload) x width
-# v2:      zz(header), mask uvarint, zz(payload)...
-#
-# zz = zigzag varint; the mask varint is unsigned and may exceed 64 bits
-# for blocks wider than 64 samples.
+def _expand(mask: int, width: int, nonzeros: list) -> list:
+    """The width entries the mask stands for: first entry = most significant
+    bit, one nonzero per set bit in order, 0 elsewhere."""
+    if len(nonzeros) == width:
+        return nonzeros
+    body = [0] * width
+    for v in nonzeros:
+        i = mask.bit_length()
+        body[width - i] = v
+        mask ^= 1 << (i - 1)
+    return body
 
 
-def serialize_block(tb: TransformedBlock, out: bytearray) -> None:
-    write_varints(tb.header_values, out)
-    if tb.mask is not None:
-        write_varints((tb.mask.value,), out, False, tb.mask.width)
-    write_varints(tb.payload, out)
+def decode_blocks(symbols, cfg: TransformConfig, sample_count: int) -> list:
+    """Parse and invert the symbol stream of sample_count codes; returns the codes.
 
-
-def parse_block(data, pos: int, method_version: int, width: int):
-    """Parse one block's symbols; returns (TransformedBlock, next_pos)."""
-    fields = []
-    pos = read_varints(data, pos, 1, fields)
-    if method_version == 1:
-        flag = fields[0]
-        if flag == 0:
-            payload = []
-            pos = read_varints(data, pos, width, payload)
-            return TransformedBlock(1, DIFF, (0,), None, tuple(payload), width), pos
-        if flag != 1:
-            raise BadFlag(f"version-1 branch flag must be 0 or 1, got {flag}")
-        pos = read_varints(data, pos, 1, fields)
-    pos = read_varints(data, pos, 1, fields, False, width)
-    mask = NonzeroMask(fields[-1], width)
-    payload = []
-    pos = read_varints(data, pos, mask.popcount(), payload)
-    payload = tuple(payload)
-    if method_version == 1:
-        tb = TransformedBlock(1, MODE, (1, fields[1]), mask, payload, width)
-    else:
-        header = fields[0]
-        branch = detect_branch_v2(header, mask, payload)
-        tb = TransformedBlock(2, branch, (header,), mask, payload, width)
-    return tb, pos
+    Raises CorruptStream for a stream that ends early, holds an invalid
+    varint or version-1 flag, or has bytes left over after the final block.
+    """
+    codes = []
+    L, v1 = cfg.block_len, cfg.method_version == 1
+    pos = 0
+    try:
+        for start in range(0, sample_count, L):
+            width = min(L, sample_count - start)
+            fields = []
+            pos = read_varints(symbols, pos, 1, fields)
+            if v1:
+                flag = fields[0]
+                if flag == 0:
+                    pos = read_varints(symbols, pos, width, fields)
+                    codes.extend(accumulate(fields[1:]))
+                    continue
+                if flag != 1:
+                    raise BadFlag(f"version-1 branch flag must be 0 or 1, got {flag}")
+                pos = read_varints(symbols, pos, 1, fields)
+            header = fields[-1]
+            pos = read_varints(symbols, pos, 1, fields, False, width)
+            mask = fields.pop()
+            nonzeros = []
+            pos = read_varints(symbols, pos, mask.bit_count(), nonzeros)
+            if not v1 and mask >> (width - 1) and nonzeros[0] == header:
+                # version 2 diff: the first entry survived and repeats the header
+                codes.extend(accumulate(_expand(mask, width, nonzeros)))
+            else:
+                codes.extend(map(add, _expand(mask, width, nonzeros), repeat(header)))
+    except (Truncated, Overlong, BadFlag) as e:
+        raise CorruptStream(str(e)) from e
+    if pos != len(symbols):
+        raise CorruptStream(f"{len(symbols) - pos} trailing bytes after the final block")
+    return codes

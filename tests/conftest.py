@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))  # for reference_coders
+sys.path.insert(0, str(Path(__file__).parent))  # for the reference_* oracles
 
 ACCEPTANCE_RESULTS = []
 

@@ -13,23 +13,16 @@ from fractions import Fraction
 import pytest
 
 from conftest import dataset_path, record_criterion, require_dataset
+from reference_transform import NonzeroMask
 
 from nlts.bench import run_config, verify_values
 from nlts.container import CodecConfig, compress_stream, decompress_to_tokens
-from nlts.core import NonzeroMask, read_varints, write_varints
+from nlts.core import read_varints, write_varints
 from nlts.datasets import packaged_spec, ingest
 from nlts.entropy import static_huffman
 from nlts.entropy.adaptive_huffman import _Tree
 from nlts.quantizer import QuantizerConfig, quantize_stream, render_code
-from nlts.transform import (
-    TransformConfig,
-    detect_branch_v2,
-    inverse_transform,
-    parse_block,
-    serialize_block,
-    transform_block,
-)
-from nlts.core import QuantizedBlock
+from nlts.transform import TransformConfig, decode_blocks, encode_blocks
 
 DATASET_NAMES = ("BVP", "EDA", "ACM", "GYS", "GAS", "Gactive")
 
@@ -350,33 +343,33 @@ class TestCriterion9PropertySuites:
             width = L if rng.random() < 0.5 else rng.randrange(1, L + 1)
             codes = rng.choices(range(-6, 7), k=width)
             cfg = TransformConfig(version, L, tau)
-            tb = transform_block(QuantizedBlock(codes=tuple(codes), scale_exp=0), cfg)
-            buf = bytearray()
-            serialize_block(tb, buf)
-            parsed, pos = parse_block(bytes(buf), 0, version, width)
-            assert pos == len(buf)
-            assert inverse_transform(parsed, cfg).codes == tuple(codes)
+            symbols = encode_blocks(codes, cfg)
+            assert decode_blocks(bytes(symbols), cfg, width) == codes
         record_criterion(9, f"property: transform identity (v{version})", "PASS",
                          "2*10^4 blocks under randomized (L, tau)")
 
     def test_v2_resolvability_one_million(self):
+        # every block decodes to its codes, so the decoder re-derived the
+        # branch the encoder took; blocks go through in streams of 1,000
         rng = random.Random(905)
         cfg = TransformConfig(2, 16, 9)
         cases = 1_000_000
+        codes = []
         for i in range(cases):
             kind = i & 3
             if kind == 0:  # adversarial: x1 = 0
-                codes = [0] + rng.choices(range(-4, 5), k=15)
+                codes += [0] + rng.choices(range(-4, 5), k=15)
             elif kind == 1:  # adversarial: x1 = 2 * mode
                 m = rng.randrange(1, 30)
                 reps = rng.randrange(7, 15)
-                codes = [2 * m] + [m] * reps + rng.choices(range(-4, 5), k=15 - reps)
+                codes += [2 * m] + [m] * reps + rng.choices(range(-4, 5), k=15 - reps)
             elif kind == 2:  # mode-heavy
-                codes = rng.choices(range(-2, 3), k=16)
+                codes += rng.choices(range(-2, 3), k=16)
             else:  # wild
-                codes = rng.choices(range(-1000, 1000), k=16)
-            tb = transform_block(QuantizedBlock(codes=tuple(codes), scale_exp=0), cfg)
-            assert detect_branch_v2(tb.header_values[0], tb.mask, tb.payload) == tb.branch
+                codes += rng.choices(range(-1000, 1000), k=16)
+            if len(codes) == 16_000:
+                assert decode_blocks(bytes(encode_blocks(codes, cfg)), cfg, 16_000) == codes
+                codes = []
         record_criterion(9, "property: v2 branch resolvability", "PASS",
                          f"{cases} blocks incl. x1=0 and x1=2*mode")
 

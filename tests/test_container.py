@@ -13,12 +13,7 @@ from nlts.container import (
     decompress_to_tokens,
 )
 from nlts.entropy import ADAPTIVE_ARITHMETIC, ADAPTIVE_HUFFMAN, STATIC_HUFFMAN
-from nlts.errors import (
-    BadMagic,
-    CorruptStream,
-    CountMismatch,
-    UnsupportedVersion,
-)
+from nlts.errors import BadMagic, CorruptStream, UnsupportedVersion
 from nlts.quantizer import QuantizerConfig, quantize_stream, render_code
 from nlts.transform import TransformConfig
 
@@ -175,19 +170,19 @@ class TestCorruption:
         samples = [float(i % 7) for i in range(64)]
         blob, _ = compress_stream(samples, make_config())
         patched = blob[:16] + (48).to_bytes(8, "little") + blob[24:]
-        with pytest.raises((CorruptStream, CountMismatch)):
+        with pytest.raises(CorruptStream):
             decompress_stream(patched)
 
     def test_sample_count_raised(self):
         samples = [float(i % 7) for i in range(64)]
         blob, _ = compress_stream(samples, make_config())
         patched = blob[:16] + (80).to_bytes(8, "little") + blob[24:]
-        with pytest.raises((CorruptStream, CountMismatch)):
+        with pytest.raises(CorruptStream):
             decompress_stream(patched)
 
     def test_flipped_payload_byte_detected_or_wrong(self):
         # a corrupted entropy stream must never crash with a non-codec
-        # error; it either raises CorruptStream/CountMismatch or decodes to
+        # error; it either raises CorruptStream or decodes to
         # something (integrity checking is not the codec's job)
         samples = [float(i % 9) for i in range(256)]
         blob, _ = compress_stream(samples, make_config())
@@ -198,7 +193,7 @@ class TestCorruption:
             bad[i] ^= 1 << rng.randrange(8)
             try:
                 decompress_stream(bytes(bad))
-            except (CorruptStream, CountMismatch):
+            except CorruptStream:
                 pass
 
 

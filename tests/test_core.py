@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from nlts.core import NonzeroMask, QuantizedBlock, read_varints, write_varints
-from nlts.errors import CountMismatch, Overlong, Truncated
+from reference_transform import CountMismatch, NonzeroMask, QuantizedBlock
+
+from nlts.core import read_varints, write_varints
+from nlts.errors import Overlong, Truncated
 
 PAPER_DEVIATIONS = [10, -2, 0, 0, 0, -1, 2, 3, 0, 1, 0, 0, 3, 4, 0, 1]
 PAPER_NONZEROS = [10, -2, -1, 2, 3, 1, 3, 4, 1]

@@ -2,26 +2,34 @@ import random
 
 import pytest
 
-from nlts.core import DIFF, MODE, NonzeroMask, QuantizedBlock, TransformedBlock
-from nlts.errors import BadFlag, EmptyBlock, LengthMismatch
-from nlts.transform import (
-    ModeStat,
-    TransformConfig,
-    compute_mode,
+from reference_transform import (
+    DIFF,
+    MODE,
+    EmptyBlock,
+    NonzeroMask,
+    QuantizedBlock,
+    TransformedBlock,
+    decode_stream,
     detect_branch_v2,
     diff_decode,
     diff_encode,
+    encode_stream,
     inverse_transform,
     parse_block,
     serialize_block,
     transform_block,
 )
 
+from nlts.core import read_varints
+from nlts.errors import BadFlag, CorruptStream, LengthMismatch
+from nlts.transform import TransformConfig, compute_mode, decode_blocks, encode_blocks
+
 PAPER_DEVIATIONS = [10, -2, 0, 0, 0, -1, 2, 3, 0, 1, 0, 0, 3, 4, 0, 1]
 PAPER_NONZEROS = (10, -2, -1, 2, 3, 1, 3, 4, 1)
 
 
 def roundtrip(codes, cfg):
+    """Reference round trip of one block; the fused functions must agree."""
     tb = transform_block(QuantizedBlock(codes=tuple(codes), scale_exp=0), cfg)
     back = inverse_transform(tb, cfg)
     assert back.codes == tuple(codes), (codes, tb)
@@ -32,22 +40,29 @@ def roundtrip(codes, cfg):
     assert pos == len(buf)
     back2 = inverse_transform(parsed, cfg)
     assert back2.codes == tuple(codes)
+    assert encode_blocks(codes, cfg) == buf
+    assert decode_blocks(bytes(buf), cfg, len(codes)) == codes
     return tb
+
+
+def fused_roundtrip(codes, cfg):
+    symbols = encode_blocks(codes, cfg)
+    assert decode_blocks(bytes(symbols), cfg, len(codes)) == codes, (codes, cfg)
 
 
 class TestComputeMode:
     def test_unique_mode(self):
-        assert compute_mode([5, 5, 5, 2, 1]) == ModeStat(5, 3)
+        assert compute_mode([5, 5, 5, 2, 1]) == (5, 3)
 
     def test_tie_breaks_to_smallest(self):
-        assert compute_mode([1, 1, 2, 2]) == ModeStat(1, 2)
-        assert compute_mode([2, 2, -3, -3]) == ModeStat(-3, 2)
+        assert compute_mode([1, 1, 2, 2]) == (1, 2)
+        assert compute_mode([2, 2, -3, -3]) == (-3, 2)
 
     def test_singleton(self):
-        assert compute_mode([9]) == ModeStat(9, 1)
+        assert compute_mode([9]) == (9, 1)
 
     def test_empty(self):
-        with pytest.raises(EmptyBlock):
+        with pytest.raises(ValueError):
             compute_mode([])
 
 
@@ -120,6 +135,8 @@ class TestTransformVersion1:
         # and at the wire level: zigzag(2) = 4
         with pytest.raises(BadFlag):
             parse_block(bytes([4]), 0, 1, 16)
+        with pytest.raises(CorruptStream, match="flag must be 0 or 1, got 2"):
+            decode_blocks(bytes([4]), cfg, 16)
 
 
 class TestTransformVersion2:
@@ -192,7 +209,7 @@ class TestRoundTripProperties:
             else:  # wild
                 codes = [rng.randrange(-(2**31), 2**31) for _ in range(width)]
             cfg = TransformConfig(method_version=version, block_len=L, tau=tau)
-            roundtrip(codes, cfg)
+            fused_roundtrip(codes, cfg)
 
     def test_payload_matches_mask_popcount(self):
         rng = random.Random(602)
@@ -267,3 +284,143 @@ class TestConfigValidation:
     def test_method_version(self):
         with pytest.raises(ValueError):
             TransformConfig(method_version=3, block_len=16, tau=9)
+
+
+def random_block(rng, width):
+    """One block of codes: mode-friendly, random walk, wild or adversarial."""
+    style = rng.randrange(7)
+    if style == 0:  # mode-friendly: tiny alphabet
+        return rng.choices(range(-3, 4), k=width)
+    if style == 1:  # random walk
+        v = rng.randrange(-100, 100)
+        out = []
+        for _ in range(width):
+            v += rng.randrange(-5, 6)
+            out.append(v)
+        return out
+    if style == 2:  # wild: multi-byte varints
+        return [rng.randrange(-(2**40), 2**40) for _ in range(width)]
+    if style == 3:  # x1 = 0: a version-2 diff block would read back as mode
+        return [0] + rng.choices(range(-5, 6), k=width - 1)
+    if style == 4:  # x1 = 2 * mode: a version-2 mode block would read back as diff
+        m = rng.choice([-1, 1]) * rng.randrange(1, 50)
+        reps = rng.randrange(0, width)
+        rest = rng.choices(range(-5, 6), k=width - 1 - reps)
+        return [2 * m] + [m] * reps + rest
+    if style == 5:
+        return [0] * width
+    return [rng.randrange(-3, 4)] * width  # constant
+
+
+def random_stream(rng, L, partial):
+    """Several full blocks, then a partial one if partial is set."""
+    codes = []
+    for _ in range(rng.randrange(1, 6)):
+        codes += random_block(rng, L)
+    if partial:
+        codes += random_block(rng, rng.randrange(1, L))
+    return codes
+
+
+class TestMatchesReference:
+    # the fused transform writes the reference's bytes and inverts them
+    STREAMS = 3000
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_random_streams(self, version):
+        rng = random.Random(620 + version)
+        for _ in range(self.STREAMS):
+            L = rng.choice([16, 64, 128])
+            cfg = TransformConfig(version, L, rng.randrange(1, L + 1))
+            codes = random_stream(rng, L, rng.random() < 0.5)
+            symbols = encode_blocks(codes, cfg)
+            assert symbols == encode_stream(codes, cfg), (cfg, codes)
+            assert decode_blocks(bytes(symbols), cfg, len(codes)) == codes
+            assert decode_stream(bytes(symbols), cfg, len(codes)) == codes
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_adversarial_blocks_at_every_tau(self, version):
+        rng = random.Random(630 + version)
+        for tau in range(1, 17):
+            cfg = TransformConfig(version, 16, tau)
+            for _ in range(200):
+                codes = random_block(rng, rng.choice([16, 16, rng.randrange(1, 17)]))
+                assert encode_blocks(codes, cfg) == encode_stream(codes, cfg), (tau, codes)
+                fused_roundtrip(codes, cfg)
+
+
+class TestFormatExamples:
+    # the byte examples of FORMAT.md sections 2 and 3, as one-block streams
+    @pytest.mark.parametrize(
+        "codes,version,tau,expected",
+        [
+            ([7, 7, 7, 9], 1, 3, "02 0E 01 04"),
+            ([7, 7, 7, 9], 2, 3, "0E 01 04"),
+            ([3, 5, 4, 4], 1, 9, "00 06 04 01 00"),
+            ([3, 5, 4, 4], 2, 9, "06 0E 06 04 01"),
+        ],
+    )
+    def test_block_layout(self, codes, version, tau, expected):
+        cfg = TransformConfig(version, 16, tau)
+        symbols = encode_blocks(codes, cfg)
+        assert symbols.hex(" ").upper() == expected
+        assert decode_blocks(bytes(symbols), cfg, len(codes)) == codes
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_worked_example_mask(self, version):
+        # mode 1290 occurs 7 times: [flag 1,] mode, mask 51021, nine nonzeros
+        codes = [1290 + d for d in PAPER_DEVIATIONS]
+        cfg = TransformConfig(version, 16, 7)
+        symbols = encode_blocks(codes, cfg)
+        flag = "02 " if version == 1 else ""
+        assert symbols.hex(" ").upper() == (
+            flag + "94 14 CD 8E 03 14 03 01 04 06 02 06 08 02"
+        )
+        mask = []
+        read_varints(symbols, len(flag) // 3 + 2, 1, mask, signed=False, max_bits=16)
+        assert mask == [51021]
+        assert decode_blocks(bytes(symbols), cfg, 16) == codes
+
+
+class TestDecodeFuzz:
+    # damaged symbol streams decode to exactly sample_count codes or raise
+    # CorruptStream; IndexError, StopIteration, ValueError and the varint
+    # errors must not escape
+    @staticmethod
+    def check(symbols, cfg, n):
+        try:
+            codes = decode_blocks(bytes(symbols), cfg, n)
+        except CorruptStream:
+            return False
+        assert len(codes) == n
+        return True
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("L", [16, 128])
+    def test_damaged_streams(self, version, L):
+        rng = random.Random(640 + version + L)
+        for _ in range(12):
+            cfg = TransformConfig(version, L, rng.randrange(1, L + 1))
+            codes = random_stream(rng, L, True)
+            n = len(codes)
+            symbols = encode_blocks(codes, cfg)
+            for cut in range(len(symbols)):
+                assert not self.check(symbols[:cut], cfg, n)
+            assert not self.check(symbols + bytes([rng.randrange(256)]), cfg, n)
+            for _ in range(200):
+                bad = bytearray(symbols)
+                for _ in range(rng.randrange(1, 4)):
+                    bad[rng.randrange(len(bad))] = rng.randrange(256)
+                self.check(bad, cfg, n)
+
+    @pytest.mark.parametrize("L", [16, 128])
+    def test_version_1_flag_2(self, L):
+        rng = random.Random(650 + L)
+        cfg = TransformConfig(1, L, rng.randrange(1, L + 1))
+        codes = random_stream(rng, L, True)
+        symbols = encode_blocks(codes, cfg)
+        for start in range(0, len(codes), L):
+            bad = bytearray(symbols)
+            bad[len(encode_blocks(codes[:start], cfg))] = 4  # zigzag(2)
+            with pytest.raises(CorruptStream, match="got 2"):
+                decode_blocks(bytes(bad), cfg, len(codes))
