@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from .errors import Overlong, Truncated
 
-# Names of the two block branches.
+# Name of the mode block branch; perfbench/tracing.py counts blocks by it.
 MODE = "mode"
-DIFF = "diff"
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1

@@ -66,13 +66,7 @@ def encode_blocks(codes, cfg: TransformConfig) -> bytearray:
     for start in range(0, len(codes), L):
         block = codes[start : start + L]
         x1 = block[0]
-        # The mode matters if some code can occur tau times, which leaves room
-        # for at most len(block) - tau other values, and for a version-2 diff
-        # block with x1 = 0, which falls back to mode.
-        if len(set(block)) <= len(block) - tau + 1 or not (v1 or x1):
-            mode, frequency = compute_mode(block)
-        else:
-            frequency = 0
+        mode, frequency = compute_mode(block)
         if frequency >= tau:
             # a version-2 mode block leading with a deviation equal to the
             # mode would read back as a diff block
@@ -102,8 +96,6 @@ def encode_blocks(codes, cfg: TransformConfig) -> bytearray:
 def _expand(mask: int, width: int, nonzeros: list) -> list:
     """The width entries the mask stands for: first entry = most significant
     bit, one nonzero per set bit in order, 0 elsewhere."""
-    if len(nonzeros) == width:
-        return nonzeros
     body = [0] * width
     for v in nonzeros:
         i = mask.bit_length()

@@ -17,9 +17,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from nlts.core import DIFF, MODE, read_varints, write_varints
+from nlts.core import MODE, read_varints, write_varints
 from nlts.errors import BadFlag, CodecError, LengthMismatch
 from nlts.transform import TransformConfig
+
+# Name of the diff block branch (nlts.core.MODE names the other).
+DIFF = "diff"
 
 
 class EmptyBlock(CodecError):
