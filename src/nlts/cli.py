@@ -108,10 +108,10 @@ def _cmd_compress(args) -> int:
 def _cmd_decompress(args) -> int:
     blob = Path(args.input).read_bytes()
     tokens, m = decompress_to_tokens(blob)
-    with open(args.output, "w", encoding="utf-8") as f:
-        for t in tokens:
-            f.write(t)
-            f.write("\n")
+    # newline="" writes the canonical text byte for byte on every platform
+    with open(args.output, "w", encoding="utf-8", newline="") as f:
+        f.write("\n".join(tokens))
+        f.write("\n")
     print(
         f"{m.output_bytes} bytes -> {len(tokens)} samples  "
         f"cr={m.cr:.2f}  decode={m.decode_rate:.2f} MB/s"

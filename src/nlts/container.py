@@ -16,6 +16,8 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass
+from itertools import repeat
+from operator import truediv
 
 from . import entropy
 from .errors import BadMagic, CorruptStream, UnsupportedVersion
@@ -23,10 +25,9 @@ from .quantizer import (
     LOSSLESS,
     SCALE_PASSTHROUGH,
     QuantizerConfig,
-    code_value,
     detect_digits,
     quantize_stream,
-    render_code,
+    render_stream,
 )
 from .transform import TransformConfig, decode_blocks, encode_blocks
 
@@ -206,9 +207,13 @@ def decode_codes(data: bytes):
 def decompress_stream(data: bytes):
     """Decompress a container; returns (list of floats, RunMetrics)."""
     codes, header, decode_secs = decode_codes(data)
-    values = [code_value(c, header.scale_exp) for c in codes]
+    d = header.scale_exp
+    if d is None or d == 0:
+        values = list(map(float, codes))
+    else:
+        values = list(map(truediv, codes, repeat(10**d)))
     metrics = compute_metrics(
-        input_bytes=canonical_size(codes, header.scale_exp),
+        input_bytes=canonical_size(codes, d),
         output_bytes=len(data),
         decode_secs=decode_secs,
     )
@@ -218,9 +223,9 @@ def decompress_stream(data: bytes):
 def decompress_to_tokens(data: bytes):
     """Decompress to exact decimal text tokens; returns (tokens, RunMetrics)."""
     codes, header, decode_secs = decode_codes(data)
-    tokens = [render_code(c, header.scale_exp) for c in codes]
+    tokens = render_stream(codes, header.scale_exp)
     metrics = compute_metrics(
-        input_bytes=sum(len(t) + 1 for t in tokens),
+        input_bytes=sum(map(len, tokens)) + len(tokens),
         output_bytes=len(data),
         decode_secs=decode_secs,
     )

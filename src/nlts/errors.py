@@ -32,7 +32,7 @@ class TooManyDigits(CodecError):
     """Lossless mode saw more fractional digits than the supported maximum."""
 
 
-class LengthMismatch(CodecError):
+class LengthMismatch(CodecError, ValueError):
     """Two sample streams that should match differ in length."""
 
 

@@ -4,10 +4,12 @@ Samples become signed integers code = round(value * 10**d) with ties away
 from zero, so every reconstruction code / 10**d sits within 0.5 * 10**-d of
 the input -- strictly tighter than the advertised bound of 10**-d.
 
-All arithmetic runs through decimal.Decimal: text tokens are parsed digit
-for digit (never through binary floating point), and float inputs are
-converted exactly, which keeps the rounding decision deterministic across
-platforms.
+Quantization never goes through binary floating point: text tokens are
+parsed digit for digit, and float inputs are converted to decimal.Decimal
+exactly, which keeps the rounding decision deterministic across platforms.
+Rendering codes back to text goes through float formatting only where that
+is proven exact (see render_stream); every other code is rendered with
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import decimal
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import repeat
+from operator import truediv
 
 from .core import INT64_MAX, INT64_MIN
 from .errors import NonFiniteSample, OverflowAtScale, TooManyDigits
@@ -186,8 +190,21 @@ def render_code(code: int, scale_exp: int | None) -> str:
     return f"{sign}{whole}.{frac:0{scale_exp}d}"
 
 
-def code_value(code: int, scale_exp: int | None) -> float:
-    """Float value of a code (text round-trips are exact; floats may not be)."""
+def render_stream(codes, scale_exp: int | None) -> list[str]:
+    """Exact decimal text of every code, as render_code gives it, in C-level passes.
+
+    With d = scale_exp > 0 a code c reads as the float c / 10**d formatted
+    with "%.<d>f".  That is exact while |c| < 2**52: c and 10**d (d <= 6)
+    are exact doubles and int / int rounds correctly, so the quotient is off
+    the true value x = c / 10**d by at most |x| * 2**-53 < 0.5 * 10**-d.
+    x is a multiple of 10**-d, so the correctly rounded "%f" conversion
+    lands back on x, never on a midpoint.  Only code 0 gives a zero
+    quotient, and it is +0.0, so no "-0.000" appears.  A stream holding any
+    code outside (-2**52, 2**52) goes through render_code for every code.
+    """
     if scale_exp is None or scale_exp == 0:
-        return float(code)
-    return code / 10 ** scale_exp
+        return list(map(str, codes))
+    if not -(2**52) < min(codes) <= max(codes) < 2**52:
+        return [render_code(c, scale_exp) for c in codes]
+    fmt = f"%.{scale_exp}f".__mod__
+    return list(map(fmt, map(truediv, codes, repeat(10**scale_exp))))

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from nlts.cli import main
+from nlts.container import decompress_to_tokens
 
 
 def write_series(path, n=600, seed=920, fmt="{:.4f}"):
@@ -57,6 +58,20 @@ class TestCompressDecompressVerify:
         assert main(["decompress", str(packed), str(back)]) == 0
         assert back.read_text() == "1.500\n2.250\n-3.125\n"
         assert main(["verify", str(src), str(back), "--epsilon", "0"]) == 0
+
+    @pytest.mark.parametrize("lossless", [False, True])
+    def test_decompressed_bytes_are_canonical(self, tmp_path, lossless):
+        src = tmp_path / "in.txt"
+        src.write_bytes(b"1.250\n-0.004\n0.000\n12.500\n-3.125\n")
+        packed = tmp_path / "out.nlts"
+        back = tmp_path / "back.txt"
+        option = ["--lossless"] if lossless else ["--digits", "2"]
+        assert main(["compress", str(src), str(packed), *option]) == 0
+        assert main(["decompress", str(packed), str(back)]) == 0
+        tokens, _ = decompress_to_tokens(packed.read_bytes())
+        assert back.read_bytes() == "".join(t + "\n" for t in tokens).encode()
+        if lossless:
+            assert back.read_bytes() == src.read_bytes()
 
     def test_csv_column_options(self, tmp_path):
         src = tmp_path / "in.csv"

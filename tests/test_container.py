@@ -12,6 +12,7 @@ from nlts.container import (
     decompress_stream,
     decompress_to_tokens,
 )
+from nlts.core import INT64_MAX, INT64_MIN
 from nlts.entropy import ADAPTIVE_ARITHMETIC, ADAPTIVE_HUFFMAN, STATIC_HUFFMAN
 from nlts.errors import BadMagic, CorruptStream, UnsupportedVersion
 from nlts.quantizer import QuantizerConfig, quantize_stream, render_code
@@ -218,9 +219,25 @@ class TestMetrics:
     def test_canonical_size_matches_rendering(self):
         rng = random.Random(841)
         codes = [rng.randrange(-10**7, 10**7) for _ in range(500)] + [0, -1, 1]
+        codes += [s * (2**52 + k) for s in (1, -1) for k in range(-3, 4)]
+        codes += [INT64_MIN, INT64_MAX]
         for d in (None, 0, 1, 3, 6):
-            expected = sum(len(render_code(c, d)) + 1 for c in codes)
-            assert canonical_size(codes, d) == expected
+            cs = codes + list(range(-(10 ** (d or 0)) + 1, 0, 499))  # -10**d < c < 0
+            expected = sum(len(render_code(c, d)) + 1 for c in cs)
+            assert canonical_size(cs, d) == expected
+
+    def test_decompress_stream_floats(self):
+        rng = random.Random(842)
+        for d in (None, 0, 1, 3, 6):
+            samples = [str(rng.randrange(-10**7, 10**7)) for _ in range(300)]
+            if d:
+                samples = [f"{s}.{rng.randrange(10**d):0{d}d}" for s in samples]
+            blob, _ = compress_stream(samples, make_config(digits=d))
+            codes, _ = quantize_stream(samples, d or 0)
+            values, _ = decompress_stream(blob)
+            want = [c / 10**d if d else float(c) for c in codes]
+            assert values == want
+            assert all(type(v) is float for v in values)
 
     def test_decompress_tokens_input_bytes_equals_canonical(self):
         samples = [1.25, -3.5, 0.0]

@@ -128,6 +128,11 @@ class TestVerify:
         with pytest.raises(LengthMismatch):
             verify_values([1.0], [1.0, 2.0], 0.1)
 
+    def test_length_mismatch_is_value_error(self):
+        # callers that handle bad values with `except ValueError` see it too
+        with pytest.raises(ValueError):
+            verify_values(["1.0"], ["1.0", "2.0"], "0.001")
+
     def test_not_a_number(self):
         with pytest.raises(ValueError, match="epsilon"):
             verify_values(["1.0"], ["1.0"], "abc")

@@ -4,15 +4,23 @@ from fractions import Fraction
 
 import pytest
 
+from nlts.core import INT64_MAX, INT64_MIN
 from nlts.errors import NonFiniteSample, OverflowAtScale, TooManyDigits
 from nlts.quantizer import (
     QuantizerConfig,
-    code_value,
     detect_digits,
     fractional_digits,
     quantize_stream,
     render_code,
+    render_stream,
 )
+
+
+def code_value(code: int, scale_exp: int | None) -> float:
+    """Float value of a code, as decompress_stream returns it."""
+    if scale_exp is None or scale_exp == 0:
+        return float(code)
+    return code / 10**scale_exp
 
 
 def scaled_code(value, digits: int) -> int:
@@ -74,6 +82,31 @@ class TestRendering:
         assert code_value(12435, 2) == 124.35
         assert code_value(-13, 1) == -1.3
         assert code_value(42, None) == 42.0
+
+
+class TestRenderStream:
+    """render_stream is a faster render_code; render_code is the reference."""
+
+    DIGITS = [None, 0, 1, 2, 3, 4, 5, 6]
+
+    @pytest.mark.parametrize("d", DIGITS)
+    def test_random_codes(self, d):
+        rng = random.Random(530 + (d or 0))
+        for bits in (8, 20, 40, 52):
+            codes = [rng.randrange(-(2**bits) + 1, 2**bits) for _ in range(3000)]
+            assert render_stream(codes, d) == [render_code(c, d) for c in codes]
+
+    @pytest.mark.parametrize("d", DIGITS)
+    def test_edge_codes(self, d):
+        p = 10 ** (d or 0)
+        codes = [0, -1, p - 1, -(p - 1)]
+        codes += [s * (10**k + j) for s in (1, -1) for k in range(19) for j in (-1, 1)]
+        codes += [s * (2**52 + k) for s in (1, -1) for k in range(-3, 4)]
+        # a stream of codes inside (-2**52, 2**52) takes the float path
+        inside = [c for c in codes if -(2**52) < c < 2**52]
+        assert render_stream(inside, d) == [render_code(c, d) for c in inside]
+        codes += [INT64_MIN, INT64_MAX]
+        assert render_stream(codes, d) == [render_code(c, d) for c in codes]
 
 
 class TestErrorBound:
