@@ -20,12 +20,12 @@ from itertools import repeat
 from operator import truediv
 
 from . import entropy
+from .core import INT64_MAX, INT64_MIN
 from .errors import BadMagic, CorruptStream, UnsupportedVersion
 from .quantizer import (
     LOSSLESS,
     SCALE_PASSTHROUGH,
     QuantizerConfig,
-    detect_digits,
     quantize_stream,
     render_stream,
 )
@@ -163,16 +163,12 @@ def compress_stream(samples, config: CodecConfig = CodecConfig()):
 
     tcfg = config.transform
     t0 = time.perf_counter()
-    if config.quantizer.mode == LOSSLESS:
-        # floats are their shortest repr in lossless mode, so the detected
-        # scale captures them exactly and the measured error is zero
-        samples = [repr(s) if type(s) is float else s for s in samples]
-        digits = detect_digits(samples)
-        scale_exp = None if digits == 0 else digits
-        codes, max_err = quantize_stream(samples, digits)
-    else:
-        scale_exp = config.quantizer.decimal_digits
-        codes, max_err = quantize_stream(samples, scale_exp)
+    lossless = config.quantizer.mode == LOSSLESS
+    codes, max_err, scale_exp = quantize_stream(
+        samples, LOSSLESS if lossless else config.quantizer.decimal_digits
+    )
+    if lossless and not scale_exp:
+        scale_exp = None  # integer passthrough
 
     stream = entropy.encode(bytes(encode_blocks(codes, tcfg)), config.coder)
     header = StreamHeader(
@@ -201,6 +197,8 @@ def decode_codes(data: bytes):
     t0 = time.perf_counter()
     symbols = entropy.decode(data[HEADER_LEN:], header.entropy_id)
     codes = decode_blocks(symbols, tcfg, header.sample_count)
+    if not INT64_MIN <= min(codes) <= max(codes) <= INT64_MAX:
+        raise CorruptStream("decoded sample outside the signed 64-bit range")
     return codes, header, time.perf_counter() - t0
 
 

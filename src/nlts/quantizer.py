@@ -6,7 +6,8 @@ the input -- strictly tighter than the advertised bound of 10**-d.
 
 Quantization never goes through binary floating point: text tokens are
 parsed digit for digit, and float inputs are converted to decimal.Decimal
-exactly, which keeps the rounding decision deterministic across platforms.
+exactly (lossless mode takes a float as its shortest repr), which keeps
+the rounding decision deterministic across platforms.
 Rendering codes back to text goes through float formatting only where that
 is proven exact (see render_stream); every other code is rendered with
 integer arithmetic.
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import repeat
-from operator import truediv
+from operator import floordiv, truediv
 
 from .core import INT64_MAX, INT64_MIN
 from .errors import NonFiniteSample, OverflowAtScale, TooManyDigits
@@ -56,79 +57,67 @@ class QuantizerConfig:
         return cls(mode=LOSSLESS, decimal_digits=0)
 
 
-def _to_decimal(value, index: int) -> Decimal:
-    """Exact Decimal for a sample; floats convert at their binary value."""
-    if isinstance(value, Decimal):
-        d = value
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise NonFiniteSample(index, value)
-        d = Decimal(value)
-    elif isinstance(value, int):
-        d = Decimal(value)
+def _slow_sample_code(v, scale: int, index: int, lossless: bool):
+    """Decimal-exact quantization of one sample.
+
+    Returns (code, scaled error, fractional digits); the digits are counted
+    in lossless mode only.  Floats convert at their binary value, except in
+    lossless mode, which takes a float as its shortest repr so that the
+    detected scale captures it exactly.
+    """
+    if isinstance(v, Decimal):
+        d = v
+    elif isinstance(v, float):
+        if not math.isfinite(v):
+            raise NonFiniteSample(index, v)
+        d = Decimal(float.__repr__(v) if lossless else v)
+    elif isinstance(v, int):
+        d = Decimal(v)
     else:
         try:
-            d = Decimal(str(value).strip())
+            d = Decimal(str(v).strip())
         except decimal.InvalidOperation:
-            raise NonFiniteSample(index, value) from None
+            raise NonFiniteSample(index, v) from None
     if not d.is_finite():
-        raise NonFiniteSample(index, value)
-    return d
-
-
-def fractional_digits(value, index: int = 0) -> int:
-    """Number of fractional digits a sample carries.
-
-    Text tokens are counted as written ("1.500" has three); floats count the
-    digits of their shortest round-trip representation.
-    """
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise NonFiniteSample(index, value)
-        dec = Decimal(repr(value)).normalize(context=_CTX)
-    elif isinstance(value, int):
-        return 0
-    else:
-        dec = _to_decimal(value, index)
-    exp = dec.as_tuple().exponent
-    return max(0, -exp)
-
-
-def detect_digits(samples) -> int:
-    """Scan a stream and return the scale lossless mode needs."""
-    worst = 0
-    for i, v in enumerate(samples):
-        n = fractional_digits(v, i)
-        if n > worst:
-            worst = n
-            if worst > MAX_DIGITS:
-                raise TooManyDigits(
-                    f"sample at index {i} carries {n} fractional digits; "
-                    f"lossless mode supports at most {MAX_DIGITS}"
-                )
-    return worst
-
-
-def _slow_sample_code(v, digits: int, index: int):
-    """Decimal-exact quantization of one sample; returns (code, scaled error)."""
-    d = _to_decimal(v, index)
-    scaled = d.scaleb(digits, context=_CTX)
+        raise NonFiniteSample(index, v)
+    scaled = d.scaleb(scale, context=_CTX)
     q = scaled.to_integral_value(rounding=decimal.ROUND_HALF_UP)
-    code = int(q)
     err = scaled - q
-    return code, -err if err < 0 else err
+    n = max(0, -d.as_tuple().exponent) if lossless else 0
+    return int(q), -err if err < 0 else err, n
 
 
-def quantize_stream(samples, digits: int):
-    """Quantize a whole stream at a fixed scale.
+def _checked_digits(n: int, lossless: bool, index: int) -> int:
+    """n, the fractional digit count of sample index; lossless allows at most 6."""
+    if lossless and n > MAX_DIGITS:
+        raise TooManyDigits(
+            f"sample at index {index} carries {n} fractional digits; "
+            f"lossless mode supports at most {MAX_DIGITS}"
+        )
+    return n
 
-    Returns (codes, max_abs_error) with the error measured exactly in the
-    decimal domain; lossless inputs therefore report exactly 0.
+
+def quantize_stream(samples, digits):
+    """Quantize a sequence of samples; returns (codes, max_abs_error, scale).
+
+    digits is a scale of 0..6, or LOSSLESS for the smallest scale that holds
+    every sample exactly: the largest fractional digit count seen, text
+    counted as written ("1.500" has three), floats by their shortest repr,
+    ints as none.  Lossless mode quantizes at scale 6 while it counts and
+    divides the codes down to the final scale after the pass.
+
+    The error is measured exactly in the decimal domain; lossless inputs
+    therefore report exactly 0.  Parse faults (NonFiniteSample,
+    TooManyDigits) are raised at the first bad sample; the 64-bit range is
+    checked once, after the pass, at the final scale (OverflowAtScale).
 
     Plain decimal tokens take a string-arithmetic fast path that reproduces
     the Decimal rounding exactly; anything else (floats, exponents, unusual
     spellings) falls back to Decimal.
     """
+    lossless = digits == LOSSLESS
+    scale = MAX_DIGITS if lossless else digits
+    widest = 0
     codes = []
     append = codes.append
     # running maxima: fast-path errors as a fraction, slow-path as Decimal
@@ -147,11 +136,13 @@ def quantize_stream(samples, digits: int):
             ip, dot, fp = s.partition(".")
             if (ip.isdigit() or not ip) and (fp.isdigit() or (not fp and ip)):
                 flen = len(fp)
-                if flen <= digits:
-                    code = int(ip + fp) * 10 ** (digits - flen)
+                if flen > widest:
+                    widest = _checked_digits(flen, lossless, i)
+                if flen <= scale:
+                    code = int(ip + fp) * 10 ** (scale - flen)
                 else:
-                    head = int((ip + fp[:digits]) or "0")
-                    tail = fp[digits:]
+                    head = int((ip + fp[:scale]) or "0")
+                    tail = fp[scale:]
                     rem = int(tail)
                     den = 10 ** len(tail)
                     if 2 * rem >= den:
@@ -163,22 +154,26 @@ def quantize_stream(samples, digits: int):
                         max_num = num
                         max_den = den
                     code = head
-                if neg:
-                    code = -code
-                if not INT64_MIN <= code <= INT64_MAX:
-                    raise OverflowAtScale(i, tok, digits)
-                append(code)
+                append(-code if neg else code)
                 continue
-        code, err = _slow_sample_code(tok, digits, i)
-        if not INT64_MIN <= code <= INT64_MAX:
-            raise OverflowAtScale(i, tok, digits)
+        code, err, flen = _slow_sample_code(tok, scale, i, lossless)
+        if flen > widest:
+            widest = _checked_digits(flen, lossless, i)
         if err > max_dec:
             max_dec = err
         append(code)
 
+    if lossless:
+        scale = widest
+        if scale < MAX_DIGITS:
+            codes = list(map(floordiv, codes, repeat(10 ** (MAX_DIGITS - scale))))
+    if codes and not INT64_MIN <= min(codes) <= max(codes) <= INT64_MAX:
+        i = next(i for i, c in enumerate(codes) if not INT64_MIN <= c <= INT64_MAX)
+        raise OverflowAtScale(i, samples[i], scale)
+
     frac_err = _CTX.divide(Decimal(max_num), Decimal(max_den))
     worst = frac_err if frac_err > max_dec else max_dec
-    return codes, worst.scaleb(-digits, context=_CTX)
+    return codes, worst.scaleb(-scale, context=_CTX), scale
 
 
 def render_code(code: int, scale_exp: int | None) -> str:

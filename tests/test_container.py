@@ -12,7 +12,9 @@ from nlts.container import (
     decompress_stream,
     decompress_to_tokens,
 )
-from nlts.core import INT64_MAX, INT64_MIN
+from nlts import entropy
+from nlts.cli import main
+from nlts.core import INT64_MAX, INT64_MIN, write_varints
 from nlts.entropy import ADAPTIVE_ARITHMETIC, ADAPTIVE_HUFFMAN, STATIC_HUFFMAN
 from nlts.errors import BadMagic, CorruptStream, UnsupportedVersion
 from nlts.quantizer import QuantizerConfig, quantize_stream, render_code
@@ -121,7 +123,7 @@ class TestRoundTrip:
             blob, m = compress_stream(samples, cfg)
             tokens, _ = decompress_to_tokens(blob)
             d = 2 if digits is None else digits
-            expected_codes, _ = quantize_stream(samples, d)
+            expected_codes, _, _ = quantize_stream(samples, d)
             scale = None if digits is None and d == 0 else d
             assert tokens == [render_code(c, scale) for c in expected_codes]
 
@@ -198,6 +200,52 @@ class TestCorruption:
                 pass
 
 
+def crafted_container(version, fields):
+    """Two-sample container whose one block is the given (values, signed) varint runs."""
+    symbols = bytearray()
+    for values, signed in fields:
+        write_varints(values, symbols, signed, 64 if signed else 2)
+    header = StreamHeader(
+        method_version=version,
+        entropy_id=ADAPTIVE_ARITHMETIC,
+        block_len=16,
+        tau=9,
+        scale_exp=3,
+        sample_count=2,
+    )
+    return header.pack() + entropy.encode(bytes(symbols), ADAPTIVE_ARITHMETIC).data
+
+
+# Each decodes to [INT64_MAX, 2 * INT64_MAX], [INT64_MAX, INT64_MAX + 1] or
+# [INT64_MIN, INT64_MIN - 1]: a mode-block sum or a diff-block running sum
+# that leaves the signed 64-bit range.
+OUT_OF_RANGE = {
+    "v1-mode": (1, [((1, INT64_MAX), True), ((0b01,), False), ((INT64_MAX,), True)]),
+    "v1-diff": (1, [((0, INT64_MAX, 1), True)]),
+    "v2-mode": (2, [((INT64_MAX,), True), ((0b01,), False), ((INT64_MAX,), True)]),
+    "v2-diff": (2, [((INT64_MAX,), True), ((0b11,), False), ((INT64_MAX, 1), True)]),
+    "v2-diff-low": (2, [((INT64_MIN,), True), ((0b11,), False), ((INT64_MIN, -1), True)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_decoded_samples_outside_int64_rejected(case, tmp_path):
+    blob = crafted_container(*OUT_OF_RANGE[case])
+    with pytest.raises(CorruptStream, match="64-bit"):
+        decompress_to_tokens(blob)
+    with pytest.raises(CorruptStream):
+        decompress_stream(blob)
+    packed = tmp_path / "in.nlts"
+    packed.write_bytes(blob)
+    assert main(["decompress", str(packed), str(tmp_path / "out.txt")]) == 2
+
+
+def test_int64_edges_decode():
+    blob = crafted_container(2, [((INT64_MAX,), True), ((0b11,), False), ((INT64_MAX, -1), True)])
+    tokens, _ = decompress_to_tokens(blob)
+    assert tokens == ["9223372036854775.807", "9223372036854775.806"]
+
+
 class TestMetrics:
     def test_arithmetic(self):
         m = compute_metrics(1000, 250)
@@ -233,7 +281,7 @@ class TestMetrics:
             if d:
                 samples = [f"{s}.{rng.randrange(10**d):0{d}d}" for s in samples]
             blob, _ = compress_stream(samples, make_config(digits=d))
-            codes, _ = quantize_stream(samples, d or 0)
+            codes, _, _ = quantize_stream(samples, d or 0)
             values, _ = decompress_stream(blob)
             want = [c / 10**d if d else float(c) for c in codes]
             assert values == want

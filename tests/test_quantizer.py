@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 
 from nlts.core import INT64_MAX, INT64_MIN
-from nlts.errors import NonFiniteSample, OverflowAtScale, TooManyDigits
+from nlts.errors import CodecError, NonFiniteSample, OverflowAtScale, TooManyDigits
 from nlts.quantizer import (
+    LOSSLESS,
     QuantizerConfig,
-    detect_digits,
-    fractional_digits,
     quantize_stream,
     render_code,
     render_stream,
@@ -25,7 +24,7 @@ def code_value(code: int, scale_exp: int | None) -> float:
 
 def scaled_code(value, digits: int) -> int:
     """Quantize one sample through the stream quantizer."""
-    codes, _ = quantize_stream([value], digits)
+    codes, _, _ = quantize_stream([value], digits)
     return codes[0]
 
 
@@ -116,7 +115,7 @@ class TestErrorBound:
         rng = random.Random(500 + d)
         bound = Fraction(1, 2 * 10**d)
         xs = [rng.uniform(-1000, 1000) for _ in range(100_000)]
-        codes, _ = quantize_stream(xs, d)
+        codes, _, _ = quantize_stream(xs, d)
         for x, code in zip(xs, codes):
             err = abs(Fraction(code, 10**d) - Fraction(x))
             assert err <= bound, (x, code)
@@ -125,8 +124,8 @@ class TestErrorBound:
         rng = random.Random(505)
         for d in (0, 1, 2, 3):
             xs = [rng.uniform(-50, 50) for _ in range(2000)]
-            codes, _ = quantize_stream(xs, d)
-            again, _ = quantize_stream([code_value(c, d) for c in codes], d)
+            codes, _, _ = quantize_stream(xs, d)
+            again, _, _ = quantize_stream([code_value(c, d) for c in codes], d)
             assert again == codes
 
     def test_ties_match_decimal_oracle(self):
@@ -156,7 +155,8 @@ class TestStreamQuantization:
             tokens.append(tok)
         tokens += ["5.", ".5", "-.5", "0.0005", "00123.4500", "1e-3", "1.25E+2"]
         for d in (0, 1, 3, 6):
-            codes, max_err = quantize_stream(tokens, d)
+            codes, max_err, scale = quantize_stream(tokens, d)
+            assert scale == d
             ctx = Context(prec=200)
             oracle = [
                 int(Decimal(t).scaleb(d, ctx).to_integral_value(ROUND_HALF_UP))
@@ -170,52 +170,163 @@ class TestStreamQuantization:
 
     def test_lossless_is_exact(self):
         tokens = ["1.5", "2.25", "-3.125", "7", "0.5"]
-        d = detect_digits(tokens)
-        assert d == 3
-        codes, max_err = quantize_stream(tokens, d)
+        codes, max_err, scale = quantize_stream(tokens, LOSSLESS)
+        assert scale == 3
         assert codes == [1500, 2250, -3125, 7000, 500]
         assert max_err == 0
 
     def test_int_samples(self):
-        codes, err = quantize_stream([5, -3, 1000], 2)
-        assert codes == [500, -300, 100000] and err == 0
+        assert quantize_stream([5, -3, 1000], 2) == ([500, -300, 100000], 0, 2)
+
+
+def lossless_scale(value) -> int:
+    return quantize_stream([value], LOSSLESS)[2]
 
 
 class TestDigitDetection:
+    """Lossless mode finds its scale in the quantizing pass."""
+
     def test_token_digits_counted_as_written(self):
-        assert fractional_digits("1.500") == 3
-        assert fractional_digits("1.5") == 1
-        assert fractional_digits("7") == 0
-        assert fractional_digits("1e-3") == 3
-        assert fractional_digits("1.5E+2") == 0  # 150
+        assert lossless_scale("1.500") == 3
+        assert lossless_scale("1.5") == 1
+        assert lossless_scale("7") == 0
+        assert lossless_scale("1e-3") == 3
+        assert quantize_stream(["1.5E+2"], LOSSLESS) == ([150], 0, 0)
 
     def test_float_digits_use_shortest_repr(self):
-        assert fractional_digits(0.1) == 1
-        assert fractional_digits(1500.0) == 0
-        assert fractional_digits(-0.125) == 3
-        assert fractional_digits(3) == 0
+        assert lossless_scale(0.1) == 1
+        assert quantize_stream([1500.0], LOSSLESS) == ([15000], 0, 1)
+        assert lossless_scale(-0.125) == 3
+        assert lossless_scale(3) == 0
 
-    def test_detect_digits_stream(self):
-        assert detect_digits(["1.5", "2.25", "7"]) == 2
-        assert detect_digits([1, 2, 3]) == 0
+    def test_float_subclass_counts_by_float_repr(self):
+        class Reading(float):  # numpy.float64 reprs as "np.float64(0.1)"
+            def __repr__(self):
+                return f"Reading({float(self)!r})"
+
+        assert quantize_stream([Reading(0.1)], LOSSLESS) == ([1], 0, 1)
+
+    def test_stream_scale_is_widest_sample(self):
+        assert quantize_stream(["1.5", "2.25", "7"], LOSSLESS) == ([150, 225, 700], 0, 2)
+        assert quantize_stream([1, 2, 3], LOSSLESS) == ([1, 2, 3], 0, 0)
+
+    def test_decimal_and_int_samples(self):
+        samples = [Decimal("1.50"), 7, "0.5", Decimal("-2E+3")]
+        assert quantize_stream(samples, LOSSLESS) == ([150, 700, 50, -200000], 0, 2)
 
     def test_too_many_digits(self):
         with pytest.raises(TooManyDigits):
-            detect_digits(["0.1234567"])
+            quantize_stream(["0.1234567"], LOSSLESS)
         with pytest.raises(TooManyDigits):
-            detect_digits([1 / 3])
+            quantize_stream([1 / 3], LOSSLESS)
+
+    def test_int64_edges_at_scale_4(self):
+        edges = ["922337203685477.5807", "-922337203685477.5808", "0.5"]
+        assert quantize_stream(edges, LOSSLESS) == ([INT64_MAX, INT64_MIN, 5000], 0, 4)
+        for bad in ("922337203685477.5808", "-922337203685477.5809"):
+            with pytest.raises(OverflowAtScale) as e:
+                quantize_stream(["1.5", bad], LOSSLESS)
+            assert (e.value.index, e.value.value, e.value.digits) == (1, bad, 4)
+
+    def test_integer_passthrough_edges(self):
+        assert quantize_stream([INT64_MAX, INT64_MIN], LOSSLESS) == (
+            [INT64_MAX, INT64_MIN], 0, 0
+        )
+        with pytest.raises(OverflowAtScale):
+            quantize_stream([INT64_MAX + 1], LOSSLESS)
+
+    def test_overflow_only_at_final_scale(self):
+        # fits at its own scale 0; a later sample raises the stream to scale 1
+        with pytest.raises(OverflowAtScale) as e:
+            quantize_stream([INT64_MAX, "0.5"], LOSSLESS)
+        assert (e.value.index, e.value.value, e.value.digits) == (0, INT64_MAX, 1)
+
+    def test_matches_decimal_oracle(self):
+        rng = random.Random(540)
+
+        def digits_of(v):
+            if isinstance(v, int):
+                return 0
+            d = Decimal(repr(v)) if isinstance(v, float) else Decimal(v)
+            return max(0, -d.as_tuple().exponent)
+
+        for _ in range(300):
+            samples = []
+            for _ in range(rng.randrange(1, 40)):
+                kind = rng.randrange(5)
+                whole = rng.randrange(-(10**9), 10**9)
+                if kind == 0:
+                    samples.append(whole)
+                elif kind == 1:
+                    samples.append(round(whole / 10**6, rng.randrange(0, 7)))
+                elif kind == 2:
+                    samples.append(Decimal(whole).scaleb(-rng.randrange(0, 7)))
+                elif kind == 3:
+                    samples.append(f"{Decimal(whole).scaleb(-rng.randrange(0, 7)):E}")
+                else:
+                    frac = "".join(rng.choices("0123456789", k=rng.randrange(0, 7)))
+                    samples.append(f"{whole}.{frac}" if frac else str(whole))
+            scale = max(map(digits_of, samples))
+            ctx = Context(prec=60)
+            oracle = []
+            for v in samples:
+                d = Decimal(repr(v)) if isinstance(v, float) else Decimal(v)
+                scaled = d.scaleb(scale, ctx)
+                assert scaled == scaled.to_integral_value()
+                oracle.append(int(scaled))
+            assert quantize_stream(samples, LOSSLESS) == (oracle, 0, scale), samples
+
+
+class TestErrorPrecedence:
+    @pytest.mark.parametrize("digits", [LOSSLESS, 0, 3])
+    def test_parse_fault_before_range_fault(self, digits):
+        with pytest.raises(NonFiniteSample) as e:
+            quantize_stream(["9223372036854775808", "1", "2", "x", "y"], digits)
+        assert e.value.index == 3
+
+    def test_too_many_digits_names_first_sample(self):
+        with pytest.raises(TooManyDigits, match="index 1 carries 7 "):
+            quantize_stream(["1.5", "0.1234567", "0.12345678", "x"], LOSSLESS)
+        with pytest.raises(NonFiniteSample):
+            quantize_stream(["x", "0.1234567"], LOSSLESS)
+
+    @pytest.mark.parametrize("digits", [LOSSLESS, 3])
+    def test_single_fault_messages(self, digits):
+        scale = 0 if digits == LOSSLESS else digits
+        cases = [
+            (["1", "x"], "non-finite sample at index 1: 'x'"),
+            (["1", "nan"], "non-finite sample at index 1: 'nan'"),
+            (
+                ["1", "9223372036854775808"],
+                "sample at index 1 ('9223372036854775808') overflows 64-bit range "
+                f"at {scale} digits",
+            ),
+        ]
+        if digits == LOSSLESS:
+            cases.append((
+                ["1", "0.1234567"],
+                "sample at index 1 carries 7 fractional digits; "
+                "lossless mode supports at most 6",
+            ))
+        for samples, message in cases:
+            with pytest.raises(CodecError) as e:
+                quantize_stream(samples, digits)
+            assert str(e.value) == message
+
+    def test_lossless_messages_name_the_float(self):
+        with pytest.raises(NonFiniteSample, match=r"index 0: nan$"):
+            quantize_stream([float("nan")], LOSSLESS)
+        with pytest.raises(OverflowAtScale, match=r"\(1e\+19\)"):
+            quantize_stream([1e19], LOSSLESS)
 
 
 class TestBlockOps:
     def test_quantize_block_rounding(self):
-        codes, _ = quantize_stream((124.3472, 0.0, -1.25), 2)
+        codes, _, _ = quantize_stream((124.3472, 0.0, -1.25), 2)
         assert codes == [12435, 0, -125]
 
     def test_quantize_block_lossless_detects_scale(self):
-        samples = ("1.5", "2.25")
-        digits = detect_digits(samples)
-        assert digits == 2
-        assert quantize_stream(samples, digits) == ([150, 225], 0)
+        assert quantize_stream(("1.5", "2.25"), LOSSLESS) == ([150, 225], 0, 2)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
