@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 format/data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -23,6 +24,9 @@ EXIT_FORMAT = 2
 EXIT_IO = 3
 
 
+# Built once per process: parse_args keeps no state in the parser, and
+# building it takes a sizeable share of a small file's compress time.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="nlts", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -29,7 +29,7 @@ from .quantizer import (
     quantize_stream,
     render_stream,
 )
-from .transform import TransformConfig, decode_blocks, encode_blocks
+from .transform import TransformConfig, decode_blocks, encode_blocks, max_stream_bytes
 
 MAGIC = b"NLTS"
 FORMAT_VERSION = 1
@@ -195,7 +195,9 @@ def decode_codes(data: bytes):
     """Decode a container back to (codes, header, decode_secs)."""
     header, tcfg = _parse_header(data)
     t0 = time.perf_counter()
-    symbols = entropy.decode(data[HEADER_LEN:], header.entropy_id)
+    symbols = entropy.decode(
+        data[HEADER_LEN:], header.entropy_id, max_stream_bytes(tcfg, header.sample_count)
+    )
     codes = decode_blocks(symbols, tcfg, header.sample_count)
     if not INT64_MIN <= min(codes) <= max(codes) <= INT64_MAX:
         raise CorruptStream("decoded sample outside the signed 64-bit range")

@@ -20,7 +20,8 @@ from decimal import Decimal, InvalidOperation
 from importlib import resources
 from pathlib import Path
 
-from .errors import MissingColumn, MissingValue, UnparseableRow
+from .errors import CodecError, MissingColumn, MissingValue, UnparseableRow
+from .quantizer import join_plain
 
 SKIP = "skip"
 FORWARD_FILL = "forward-fill"
@@ -111,11 +112,12 @@ def is_numeric(token: str) -> bool:
         return False
 
 
-def ingest(spec: DatasetSpec) -> list:
-    """Extract the spec's column as a list of decimal text tokens.
+def _read_column(spec: DatasetSpec, checked: bool) -> list:
+    """The spec's column read row by row, after its missing-value policy.
 
-    Missing values follow the spec's policy; anything else non-numeric
-    raises UnparseableRow with its 1-based row number.
+    With checked, a kept token that is not a finite number raises
+    UnparseableRow with its 1-based row number; without, tokens are kept
+    as read.
     """
     rows = _rows(spec.source_path, spec.delimiter)
     col = spec.column
@@ -157,8 +159,46 @@ def ingest(spec: DatasetSpec) -> list:
                     out.append(last)
                 continue
             raise MissingValue(row_no)
-        if not is_numeric(token):
+        if checked and not is_numeric(token):
             raise UnparseableRow(row_no, token)
         out.append(token)
         last = token
     return out
+
+
+def _whole_file_tokens(spec: DatasetSpec):
+    """The tokens of a headerless single-column whitespace file, or None.
+
+    The file is read whole and split in C when it is exactly its tokens,
+    each on its own "\n"-terminated line: then row-by-row reading would
+    return the same tokens.  Any other file (blank lines, other line
+    endings or whitespace, more columns) returns None.
+    """
+    if spec.delimiter != WHITESPACE or spec.column != 0 or spec.header_expected:
+        return None
+    with open(spec.source_path, encoding="utf-8", newline="") as f:
+        text = f.read()
+    tokens = text.split()
+    return tokens if "\n".join(tokens) + "\n" == text else None
+
+
+def ingest(spec: DatasetSpec) -> list:
+    """Extract the spec's column as a list of decimal text tokens.
+
+    Missing values follow the spec's policy; anything else non-numeric
+    raises UnparseableRow with its 1-based row number.
+
+    The column is first collected unchecked and validated in one pass: a
+    column of plain decimals (quantizer.PLAIN) is returned as is.  Any other
+    column, and any error on the way, reads the file again row by row with
+    every token checked, which raises the first fault with its row.
+    """
+    try:
+        tokens = _whole_file_tokens(spec)
+        if tokens is None:
+            tokens = _read_column(spec, checked=False)
+        if join_plain(tokens) is not None:
+            return tokens
+    except (CodecError, ValueError, csv.Error):  # ValueError: bad UTF-8
+        pass
+    return _read_column(spec, checked=True)

@@ -7,6 +7,8 @@ always produce the identical bit stream.
 
 from __future__ import annotations
 
+import math
+
 from ..errors import UnsupportedVersion
 from . import adaptive_huffman, arithmetic, static_huffman
 from .bitio import BitStream
@@ -42,12 +44,19 @@ def encode(payload: bytes, coder: int) -> BitStream:
     return _ENCODERS[coder](payload)
 
 
-def decode(stream, coder: int) -> bytes:
+def decode(stream, coder: int, max_len: float = math.inf) -> bytes:
+    """Decode a stream; a payload longer than max_len raises CorruptStream.
+
+    Static Huffman checks its declared symbol count before it decodes.  The
+    adaptive decoders check their output length each time they read input
+    and at the terminator, so a damaged stream stops within a few thousand
+    symbols of the bound and no longer payload is ever returned.
+    """
     if coder not in _DECODERS:
         raise UnsupportedVersion(f"unknown entropy coder id {coder}")
     if isinstance(stream, BitStream):
-        return _DECODERS[coder](stream.data, stream.bit_len)
-    return _DECODERS[coder](stream)
+        return _DECODERS[coder](stream.data, stream.bit_len, max_len)
+    return _DECODERS[coder](stream, None, max_len)
 
 
 __all__ = [

@@ -21,6 +21,7 @@ local int window.  The update dominates both sides.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import deque
 
@@ -151,12 +152,14 @@ def encode(payload: bytes) -> BitStream:
     return finish(out, (acc << length) | value, nacc + length)
 
 
-def decode(data: bytes, bit_len: int | None = None) -> bytes:
+def decode(data: bytes, bit_len: int | None = None, max_len: float = math.inf) -> bytes:
     tree = _Tree()
     child = tree.child
     update = tree.update
     if bit_len is None:
         bit_len = 8 * len(data)
+    # every symbol costs at least one bit, so checking the output length at
+    # each refill (at most 64 bits) stops within 64 symbols of max_len
     # The window holds the next wbits stream bits in its low bits and is
     # refilled up to 8 bytes at a time, never past bit_len.
     whole = bit_len >> 3
@@ -170,6 +173,10 @@ def decode(data: bytes, bit_len: int | None = None) -> bytes:
         node = _ROOT
         while node > NUM_SYMBOLS:
             if not wbits:
+                if len(out) > max_len:
+                    raise CorruptStream(
+                        "adaptive huffman stream decodes past its declared size"
+                    )
                 if bytepos < whole:
                     end = min(bytepos + 8, whole)
                     window = int.from_bytes(data[bytepos:end], "big")
@@ -187,6 +194,8 @@ def decode(data: bytes, bit_len: int | None = None) -> bytes:
             node = child[(node << 1) | ((window >> wbits) & 1)]
         sym = node - 1
         if sym == EOF_SYMBOL:
+            if len(out) > max_len:
+                raise CorruptStream("adaptive huffman stream decodes past its declared size")
             return bytes(out)
         append(sym)
         update(sym)

@@ -19,6 +19,7 @@ The output is bit-identical to the plain one-bit-at-a-time formulation.
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 
 from ..errors import CorruptStream
@@ -140,12 +141,15 @@ def encode(payload: bytes) -> BitStream:
     return finish(out, (acc << 1) | 1, nacc + 1)
 
 
-def decode(data: bytes, bit_len: int | None = None) -> bytes:
+def decode(data: bytes, bit_len: int | None = None, max_len: float = math.inf) -> bytes:
     counts = [1] * NUM_SYMBOLS
     tree = _fresh_tree(counts)
     total = NUM_SYMBOLS
     if bit_len is None:
         bit_len = 8 * len(data)
+    # Counts stay >= 1 under a total below 2**16, so a symbol costs at least
+    # -log2(1 - 256 / 2**16) ~ 0.0056 bits: checking the output length
+    # whenever a byte is read stops within ~1,450 symbols of max_len.
     overrun_limit = bit_len + _MAX_OVERRUN
 
     # MSB-first bit window over data, feeding zeros past the end
@@ -225,6 +229,8 @@ def decode(data: bytes, bit_len: int | None = None) -> bytes:
         if x & _TOP == 0:
             k = _STATE_BITS - x.bit_length()
             while wbits < k:
+                if len(out) > max_len:
+                    raise CorruptStream("arithmetic stream decodes past its declared size")
                 window = (window << 8) | (data[bytepos] if bytepos < dlen else 0)
                 bytepos += 1
                 fed += 8
@@ -236,6 +242,8 @@ def decode(data: bytes, bit_len: int | None = None) -> bytes:
             high = ((high << k) & _MASK) | ((1 << k) - 1)
         while low & ~high & _SECOND:
             if wbits == 0:
+                if len(out) > max_len:
+                    raise CorruptStream("arithmetic stream decodes past its declared size")
                 window = (data[bytepos] if bytepos < dlen else 0)
                 bytepos += 1
                 fed += 8
@@ -247,6 +255,8 @@ def decode(data: bytes, bit_len: int | None = None) -> bytes:
             high = ((high << 1) & _HALF_MASK) | _TOP | 1
 
         if sym == EOF_SYMBOL:
+            if len(out) > max_len:
+                raise CorruptStream("arithmetic stream decodes past its declared size")
             return bytes(out)
         append(sym)
         counts[sym] += 1

@@ -21,6 +21,7 @@ by_len[], which also produces the damaged-stream errors.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import Counter
 
 from ..core import read_varints, write_varints
@@ -127,7 +128,7 @@ def encode(payload: bytes) -> BitStream:
     return finish(out, acc, nacc)
 
 
-def decode(data: bytes, bit_len: int | None = None) -> bytes:
+def decode(data: bytes, bit_len: int | None = None, max_len: float = math.inf) -> bytes:
     try:
         count_field = []
         pos = read_varints(data, 0, 1, count_field, signed=False, max_bits=32)
@@ -135,6 +136,8 @@ def decode(data: bytes, bit_len: int | None = None) -> bytes:
     except (Truncated, Overlong) as e:
         raise CorruptStream(str(e)) from None
     (count,) = count_field
+    if count > max_len:
+        raise CorruptStream(f"huffman symbol count {count} exceeds the declared size {max_len}")
     if count == 0:
         return b""
     if not lengths:

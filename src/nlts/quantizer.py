@@ -4,10 +4,15 @@ Samples become signed integers code = round(value * 10**d) with ties away
 from zero, so every reconstruction code / 10**d sits within 0.5 * 10**-d of
 the input -- strictly tighter than the advertised bound of 10**-d.
 
-Quantization never goes through binary floating point: text tokens are
-parsed digit for digit, and float inputs are converted to decimal.Decimal
-exactly (lossless mode takes a float as its shortest repr), which keeps
-the rounding decision deterministic across platforms.
+Quantization never goes through binary floating point.  A stream of text
+tokens that are all plain decimals (PLAIN: a sign, digits and at most one
+point, no exponent) is quantized as one column: one regex search validates
+it, int() reads every token with its point removed, and C-level map passes
+round and measure the error with integer arithmetic.  Any other stream --
+floats, ints, Decimals, exponents, or any other spelling among its tokens --
+is converted one sample at a time through decimal.Decimal, exactly (lossless
+mode takes a float as its shortest repr), which keeps the rounding decision
+deterministic across platforms.
 Rendering codes back to text goes through float formatting only where that
 is proven exact (see render_stream); every other code is rendered with
 integer arithmetic.
@@ -17,10 +22,11 @@ from __future__ import annotations
 
 import decimal
 import math
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import repeat
-from operator import floordiv, truediv
+from operator import add, floordiv, lt, mul, sub, truediv
 
 from .core import INT64_MAX, INT64_MIN
 from .errors import NonFiniteSample, OverflowAtScale, TooManyDigits
@@ -57,6 +63,77 @@ class QuantizerConfig:
         return cls(mode=LOSSLESS, decimal_digits=0)
 
 
+#: A plain decimal token: an optional sign, then digits with at most one
+#: point, at least one of them a digit.  No exponent, whitespace, underscore
+#: or non-ASCII digit.
+PLAIN = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)"
+
+# Matches at the start of any line of a "\n"-joined column that is not PLAIN.
+# A search for one such line keeps no per-line state; matching the whole
+# column against a repeated group such as (?:PLAIN\n)+ makes sre hold state
+# for every repetition, megabytes over a long column.
+_NOT_PLAIN = re.compile(f"^(?!{PLAIN}$)", re.M)
+
+# The characters a PLAIN token may hold before its point.
+_BEFORE_POINT = "+-0123456789"
+
+
+def join_plain(tokens):
+    """The tokens joined by "\\n" if every one is text holding one PLAIN decimal, else None."""
+    try:
+        text = "\n".join(tokens)
+    except TypeError:  # a sample that is not text
+        return None
+    # a token holding a newline would read as two lines
+    if text.count("\n") != len(tokens) - 1 or _NOT_PLAIN.search(text):
+        return None
+    return text
+
+
+def _too_many_digits(index: int, n: int) -> TooManyDigits:
+    return TooManyDigits(
+        f"sample at index {index} carries {n} fractional digits; "
+        f"lossless mode supports at most {MAX_DIGITS}"
+    )
+
+
+def _column_codes(tokens, text: str, digits):
+    """Quantize PLAIN tokens joined as text; returns (codes, max_abs_error, scale).
+
+    Every token reads as the integer n = int(token without its point) at its
+    own fraction length, and is brought to the widest fraction length S, so
+    that it stands for n / 10**S.  Rounding to d < S digits is
+    (n + half - (n < 0)) // 10**(S - d) with half = 10**(S - d) / 2: floor
+    division after adding half rounds ties up, and the -1 for a negative n
+    turns that into ties away from zero.  The error |n - code * 10**(S - d)|
+    is exact in units of 10**-S.  Lossless mode takes S as its scale.
+    """
+    # per token: 0 without a point, else 1 + its fraction length
+    tails = list(map(len, map(str.lstrip, tokens, repeat(_BEFORE_POINT))))
+    widest = max(tails)
+    source = max(widest - 1, 0)
+    lossless = digits == LOSSLESS
+    if lossless and source > MAX_DIGITS:
+        i = next(i for i, t in enumerate(tails) if t > MAX_DIGITS + 1)
+        raise _too_many_digits(i, tails[i] - 1)
+    n = list(map(int, text.replace(".", "").split("\n")))
+    if source and min(tails) < widest:
+        # a token with a shorter fraction: multiply by 10**(S - its length)
+        up = [10 ** (source - max(t - 1, 0)) for t in range(widest + 1)]
+        n = list(map(mul, n, map(up.__getitem__, tails)))
+    scale = source if lossless else digits
+    if source <= scale:
+        if source < scale:
+            n = list(map(mul, n, repeat(10 ** (scale - source))))
+        return n, Decimal(0), scale
+    den = 10 ** (source - scale)
+    codes = list(
+        map(floordiv, map(sub, map(add, n, repeat(den >> 1)), map(lt, n, repeat(0))), repeat(den))
+    )
+    error = max(map(abs, map(sub, n, map(mul, codes, repeat(den)))))
+    return codes, Decimal(error).scaleb(-source), scale
+
+
 def _slow_sample_code(v, scale: int, index: int, lossless: bool):
     """Decimal-exact quantization of one sample.
 
@@ -87,14 +164,32 @@ def _slow_sample_code(v, scale: int, index: int, lossless: bool):
     return int(q), -err if err < 0 else err, n
 
 
-def _checked_digits(n: int, lossless: bool, index: int) -> int:
-    """n, the fractional digit count of sample index; lossless allows at most 6."""
-    if lossless and n > MAX_DIGITS:
-        raise TooManyDigits(
-            f"sample at index {index} carries {n} fractional digits; "
-            f"lossless mode supports at most {MAX_DIGITS}"
-        )
-    return n
+def _decimal_codes(samples, digits):
+    """Quantize samples one at a time through Decimal; returns (codes, max_abs_error, scale).
+
+    Lossless mode quantizes at scale 6 while it counts digits and divides
+    the codes down to the widest count after the pass.
+    """
+    lossless = digits == LOSSLESS
+    scale = MAX_DIGITS if lossless else digits
+    widest = 0
+    worst = Decimal(0)
+    codes = []
+    append = codes.append
+    for i, v in enumerate(samples):
+        code, err, flen = _slow_sample_code(v, scale, i, lossless)
+        if flen > widest:
+            if lossless and flen > MAX_DIGITS:
+                raise _too_many_digits(i, flen)
+            widest = flen
+        if err > worst:
+            worst = err
+        append(code)
+    if lossless:
+        scale = widest
+        if scale < MAX_DIGITS:
+            codes = list(map(floordiv, codes, repeat(10 ** (MAX_DIGITS - scale))))
+    return codes, worst.scaleb(-scale, context=_CTX), scale
 
 
 def quantize_stream(samples, digits):
@@ -103,77 +198,28 @@ def quantize_stream(samples, digits):
     digits is a scale of 0..6, or LOSSLESS for the smallest scale that holds
     every sample exactly: the largest fractional digit count seen, text
     counted as written ("1.500" has three), floats by their shortest repr,
-    ints as none.  Lossless mode quantizes at scale 6 while it counts and
-    divides the codes down to the final scale after the pass.
+    ints as none.
+
+    A sequence of text tokens that are all PLAIN decimals takes one column
+    pass (_column_codes); any other sequence -- one float, int, Decimal,
+    exponent or other spelling among its samples is enough -- goes through
+    Decimal one sample at a time (_decimal_codes).  Both give the same
+    codes for the same tokens.
 
     The error is measured exactly in the decimal domain; lossless inputs
     therefore report exactly 0.  Parse faults (NonFiniteSample,
     TooManyDigits) are raised at the first bad sample; the 64-bit range is
     checked once, after the pass, at the final scale (OverflowAtScale).
-
-    Plain decimal tokens take a string-arithmetic fast path that reproduces
-    the Decimal rounding exactly; anything else (floats, exponents, unusual
-    spellings) falls back to Decimal.
     """
-    lossless = digits == LOSSLESS
-    scale = MAX_DIGITS if lossless else digits
-    widest = 0
-    codes = []
-    append = codes.append
-    # running maxima: fast-path errors as a fraction, slow-path as Decimal
-    max_num = 0
-    max_den = 1
-    max_dec = Decimal(0)
-
-    for i, tok in enumerate(samples):
-        if type(tok) is str and tok.isascii():
-            s = tok
-            neg = False
-            c0 = s[0] if s else ""
-            if c0 == "-" or c0 == "+":
-                neg = c0 == "-"
-                s = s[1:]
-            ip, dot, fp = s.partition(".")
-            if (ip.isdigit() or not ip) and (fp.isdigit() or (not fp and ip)):
-                flen = len(fp)
-                if flen > widest:
-                    widest = _checked_digits(flen, lossless, i)
-                if flen <= scale:
-                    code = int(ip + fp) * 10 ** (scale - flen)
-                else:
-                    head = int((ip + fp[:scale]) or "0")
-                    tail = fp[scale:]
-                    rem = int(tail)
-                    den = 10 ** len(tail)
-                    if 2 * rem >= den:
-                        head += 1
-                        num = den - rem
-                    else:
-                        num = rem
-                    if num * max_den > max_num * den:
-                        max_num = num
-                        max_den = den
-                    code = head
-                append(-code if neg else code)
-                continue
-        code, err, flen = _slow_sample_code(tok, scale, i, lossless)
-        if flen > widest:
-            widest = _checked_digits(flen, lossless, i)
-        if err > max_dec:
-            max_dec = err
-        append(code)
-
-    if lossless:
-        scale = widest
-        if scale < MAX_DIGITS:
-            codes = list(map(floordiv, codes, repeat(10 ** (MAX_DIGITS - scale))))
+    text = join_plain(samples)
+    if text is None:
+        codes, error, scale = _decimal_codes(samples, digits)
+    else:
+        codes, error, scale = _column_codes(samples, text, digits)
     if codes and not INT64_MIN <= min(codes) <= max(codes) <= INT64_MAX:
         i = next(i for i, c in enumerate(codes) if not INT64_MIN <= c <= INT64_MAX)
         raise OverflowAtScale(i, samples[i], scale)
-
-    frac_err = _CTX.divide(Decimal(max_num), Decimal(max_den))
-    worst = frac_err if frac_err > max_dec else max_dec
-    return codes, worst.scaleb(-scale, context=_CTX), scale
+    return codes, error, scale
 
 
 def render_code(code: int, scale_exp: int | None) -> str:

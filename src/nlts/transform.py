@@ -93,6 +93,20 @@ def encode_blocks(codes, cfg: TransformConfig) -> bytearray:
     return out
 
 
+def max_stream_bytes(cfg: TransformConfig, sample_count: int) -> int:
+    """Upper bound on the symbol-stream bytes of sample_count codes.
+
+    A block of width w holds at most a version-1 flag byte, a 10-byte header
+    varint, a ceil(w / 7)-byte mask varint and w values of at most 10 bytes
+    each (a version-1 diff block, flag plus w values, stays inside it).
+    """
+    def block(w):
+        return (cfg.method_version == 1) + 10 + -(-w // 7) + 10 * w
+
+    full, rest = divmod(sample_count, cfg.block_len)
+    return full * block(cfg.block_len) + (block(rest) if rest else 0)
+
+
 def _expand(mask: int, width: int, nonzeros: list) -> list:
     """The width entries the mask stands for: first entry = most significant
     bit, one nonzero per set bit in order, 0 elsewhere."""

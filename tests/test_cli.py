@@ -4,7 +4,8 @@ import random
 import pytest
 
 from nlts.cli import main
-from nlts.container import decompress_to_tokens
+from nlts.cli import _build_parser
+from nlts.container import StreamHeader, decompress_to_tokens
 
 
 def write_series(path, n=600, seed=920, fmt="{:.4f}"):
@@ -168,3 +169,37 @@ class TestBenchCommand:
         rc = main(["bench", "nosuch", str(sspec), "--out",
                    str(tmp_path / "r.csv")])
         assert rc == 3
+
+
+class TestParserReuse:
+    """The parser is built once per process; no call sees another's options."""
+
+    def test_back_to_back_calls(self, tmp_path):
+        src = tmp_path / "in.txt"
+        write_series(src, n=100)
+        runs = [
+            (["--lossless", "--coder", "static"], 4, 0),
+            (["--digits", "1"], 1, 2),
+            ([], 3, 2),
+            (["--lossless"], 4, 2),
+        ]
+        for i, (options, scale, coder) in enumerate(runs):
+            out = tmp_path / f"{i}.nlts"
+            assert main(["compress", str(src), str(out), *options]) == 0
+            header = StreamHeader.parse(out.read_bytes())
+            assert (header.scale_exp, header.entropy_id) == (scale, coder), options
+        assert _build_parser() is _build_parser()
+
+    def test_help_and_usage_errors_repeat(self, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as e:
+                main(["compress", "--help"])
+            assert e.value.code == 0
+            texts.append(capsys.readouterr().out)
+            with pytest.raises(SystemExit) as e:
+                main(["compress", "a", "b", "--digits", "1", "--lossless"])
+            assert e.value.code == 2
+            texts.append(capsys.readouterr().err)
+        assert texts[:2] == texts[2:]
+        assert "--lossless" in texts[0] and "not allowed with" in texts[1]

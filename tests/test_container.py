@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -182,6 +183,19 @@ class TestCorruption:
         patched = blob[:16] + (80).to_bytes(8, "little") + blob[24:]
         with pytest.raises(CorruptStream):
             decompress_stream(patched)
+
+    @pytest.mark.parametrize("coder", [STATIC_HUFFMAN, ADAPTIVE_HUFFMAN, ADAPTIVE_ARITHMETIC])
+    def test_crafted_payload_fails_fast(self, coder):
+        # one declared sample, then 10 kB of zeros: the decoder stops near
+        # the header's symbol-stream bound instead of decoding ~10^7 symbols
+        header = StreamHeader(
+            method_version=2, entropy_id=coder, block_len=16, tau=9,
+            scale_exp=3, sample_count=1,
+        ).pack()
+        t0 = time.perf_counter()
+        with pytest.raises(CorruptStream):
+            decompress_stream(header + bytes(10_000))
+        assert time.perf_counter() - t0 < 0.05
 
     def test_flipped_payload_byte_detected_or_wrong(self):
         # a corrupted entropy stream must never crash with a non-codec

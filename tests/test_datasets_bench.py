@@ -13,8 +13,9 @@ from nlts.bench import (
     verify_files,
     verify_values,
 )
-from nlts.datasets import DatasetSpec, ingest, packaged_spec
+from nlts.datasets import DatasetSpec, _read_column, ingest, packaged_spec
 from nlts.errors import (
+    CodecError,
     LengthMismatch,
     MissingColumn,
     MissingValue,
@@ -107,6 +108,75 @@ class TestIngest:
     def test_resolve_data_dir(self, tmp_path):
         spec = packaged_spec("bvp").resolve(tmp_path)
         assert str(tmp_path) in spec.source_path
+
+
+def ingest_outcome(read, spec):
+    """The tokens read returns for spec, or the type, message and row of its error."""
+    try:
+        return read(spec)
+    except CodecError as e:
+        return type(e), str(e), getattr(e, "row", None)
+
+
+def checked_loop(spec):
+    return _read_column(spec, checked=True)
+
+
+# (file text, delimiter, column); each runs under every missing policy
+INGEST_FILES = [
+    ("1.5\n-2.25\n+.5\n3.\n", "whitespace", 0),
+    ("1.5\r\n2.5\r\n", "whitespace", 0),
+    ("1.5\r2.5\r", "whitespace", 0),
+    ("1.5\n\n2.5\n\n", "whitespace", 0),
+    ("1.5 \n2.5\t\n", "whitespace", 0),
+    ("1.5 7\n2.5 8\n", "whitespace", 0),
+    ("1.5 7\n2.5 8\n", "whitespace", 1),
+    ("1.5\n2.5", "whitespace", 0),
+    ("\ufeff1.5\n2.5\n", "whitespace", 0),
+    ("1.5\x1c9\n2.5\n", "whitespace", 0),
+    ("1.5\u20289\n2.5\n", "whitespace", 0),
+    ("1\n?\n2\nnan\nNaN\n3\n", "whitespace", 0),
+    ("?\n1.5\nnull\n", "whitespace", 0),
+    ("1e3\n2\n", "whitespace", 0),
+    ("1\n2\nx\n4\n?\n", "whitespace", 0),
+    ("1\n2\n?\n4\nx\n", "whitespace", 0),
+    ("", "whitespace", 0),
+    ("\n", "whitespace", 0),
+    ("ts,value\n1,2.5\n2,\n3,?\n4,-1.25\n", ",", "value"),
+    ("ts,value\n1,2.5\n2,1e-3\n3,?\n", ",", "value"),
+    ("ts,value\n1,2.5\n2\n", ",", "value"),
+    ("a;b\n1;2\n", ";", "zzz"),
+]
+
+
+class TestIngestMatchesCheckedLoop:
+    """ingest returns the tokens, or raises the error, of the checked per-row loop."""
+
+    @pytest.mark.parametrize("policy", ["skip", "forward-fill", "fail"])
+    @pytest.mark.parametrize("text,delimiter,column", INGEST_FILES)
+    def test_file(self, tmp_path, text, delimiter, column, policy):
+        p = tmp_path / "in.txt"
+        p.write_bytes(text.encode("utf-8"))
+        spec = DatasetSpec(name="t", source_path=str(p), column=column,
+                           delimiter=delimiter, missing_policy=policy)
+        assert ingest_outcome(ingest, spec) == ingest_outcome(checked_loop, spec)
+
+    def test_unparseable_row_before_missing_row(self, tmp_path):
+        p = tmp_path / "in.txt"
+        p.write_text("1\n2\nx\n4\n?\n", encoding="utf-8")
+        spec = DatasetSpec(name="t", source_path=str(p), column=0,
+                           delimiter="whitespace", missing_policy="fail")
+        with pytest.raises(UnparseableRow) as exc:
+            ingest(spec)
+        assert exc.value.row == 3
+
+    def test_bad_utf8_after_unparseable_row(self, tmp_path):
+        p = tmp_path / "in.txt"
+        p.write_bytes(b"1\nx\n" + b"2\n" * 10_000 + b"\xff\n")
+        spec = DatasetSpec(name="t", source_path=str(p), column=0, delimiter="whitespace")
+        with pytest.raises(UnparseableRow) as exc:
+            ingest(spec)
+        assert exc.value.row == 2
 
 
 class TestVerify:

@@ -89,6 +89,35 @@ class TestRoundTrip:
             entropy.decode(b"x", 9)
 
 
+class TestDecodeBound:
+    """entropy.decode(data, coder, max_len) never returns more than max_len bytes."""
+
+    @pytest.mark.parametrize("coder", ALL_CODERS)
+    def test_exact_bound_decodes_one_less_raises(self, coder):
+        # short skewed payloads end with no input read after the last
+        # symbol, so only the check at the terminator catches them
+        rng = random.Random(720 + coder)
+        payloads = [bytes(n) for n in range(1, 100)]
+        payloads += [bytes(rng.choices(range(3), k=n)) for n in range(1, 100)]
+        payloads.append(bytes(rng.choices(range(8), k=3000)))
+        for payload in payloads:
+            stream = entropy.encode(payload, coder)
+            assert entropy.decode(stream, coder, len(payload)) == payload
+            with pytest.raises(CorruptStream):
+                entropy.decode(stream, coder, len(payload) - 1)
+
+    def test_zero_bytes_stop_near_the_bound(self):
+        # all-zero input decodes to ~1,400 symbols a byte; unbounded, 10 kB
+        # would take tens of seconds before the terminator check fires
+        with pytest.raises(CorruptStream, match="past its declared size"):
+            arithmetic.decode(bytes(10_000), None, 21)
+
+    def test_static_declared_count_checked_first(self):
+        stream = entropy.encode(bytes(100), STATIC_HUFFMAN)
+        with pytest.raises(CorruptStream, match="symbol count 100 exceeds"):
+            static_huffman.decode(stream.data, stream.bit_len, 99)
+
+
 @pytest.mark.slow
 class TestRoundTripExhaustive:
     @pytest.mark.parametrize("coder", ALL_CODERS)

@@ -9,10 +9,13 @@ from nlts.errors import CodecError, NonFiniteSample, OverflowAtScale, TooManyDig
 from nlts.quantizer import (
     LOSSLESS,
     QuantizerConfig,
+    join_plain,
     quantize_stream,
     render_code,
     render_stream,
 )
+
+import reference_quantizer
 
 
 def code_value(code: int, scale_exp: int | None) -> float:
@@ -333,3 +336,150 @@ class TestBlockOps:
             QuantizerConfig(mode="rounding", decimal_digits=7)
         with pytest.raises(ValueError):
             QuantizerConfig(mode="weird")
+
+
+def outcome(quantize, samples, digits):
+    """(codes, max_abs_error, scale), or the (type, message) of the error raised."""
+    try:
+        return quantize(samples, digits)
+    except CodecError as e:
+        return type(e), str(e)
+
+
+def assert_matches_reference(samples, digits):
+    got = outcome(quantize_stream, samples, digits)
+    want = outcome(reference_quantizer.quantize_stream, samples, digits)
+    # the Decimal errors compare by value
+    assert got == want, (samples, digits)
+
+
+# tokens that are not plain decimals: each sends a column to the Decimal path
+INTRUDERS = [
+    "1e3", "-2.5E-1", "", " 1.5", "1.5 ", "1_000", "\u0661\u0662", "\uff11.5", "nan",
+    "inf", "x", ".", "+", "-.", "1.2.3", "1\n2", "5\n", 1.5, 7, Decimal("2.25"),
+    float("nan"),
+]
+
+DIGITS = [LOSSLESS, 0, 1, 3, 6]
+
+
+def random_column(rng, size):
+    """A column of plain decimal tokens; one fraction length or many."""
+    uniform = rng.random() < 0.5
+    fixed = rng.randrange(0, 9)
+    tokens = []
+    for _ in range(size):
+        flen = fixed if uniform else rng.randrange(0, 22)
+        whole = str(rng.randrange(0, 10 ** rng.randrange(1, 20)))
+        frac = "".join(rng.choices("0123456789", k=flen))
+        sign = rng.choice(("", "", "-", "+"))
+        shape = rng.random()
+        if shape < 0.05:
+            tok = f"{sign}.{frac or '5'}"
+        elif shape < 0.1:
+            tok = f"{sign}{whole}."
+        elif shape < 0.15:
+            tok = f"{sign}00{whole}.{frac}"
+        else:
+            tok = f"{sign}{whole}.{frac}" if flen else sign + whole
+        tokens.append(tok)
+    return tokens
+
+
+def random_stream(rng):
+    tokens = random_column(rng, rng.randrange(1, 24))
+    if rng.random() < 0.15:
+        tokens[rng.randrange(len(tokens))] = rng.choice(INTRUDERS)
+    return tokens
+
+
+class TestMatchesReference:
+    """The column pass agrees with the per-token reference quantizer on codes,
+    scale, exact error, and on the type, index and message of any error."""
+
+    @pytest.mark.parametrize("digits", DIGITS)
+    def test_seeded_streams(self, digits):
+        rng = random.Random(560 + (7 if digits == LOSSLESS else digits))
+        for _ in range(1500):
+            assert_matches_reference(random_stream(rng), digits)
+
+    @pytest.mark.parametrize("digits", DIGITS)
+    def test_long_columns(self, digits):
+        rng = random.Random(570)
+        for size in (100, 1000, 5000):
+            assert_matches_reference(random_column(rng, size), digits)
+
+    @pytest.mark.parametrize("d", range(7))
+    def test_ties_both_signs(self, d):
+        # exactly half a step of 10**-d, at several magnitudes and lengths
+        half = "0" * d + "5"
+        for whole in ("0", "1", "7", "123456"):
+            for extra in ("", "0", "000"):
+                for sign in ("", "-", "+"):
+                    tok = f"{sign}{whole}.{half}{extra}"
+                    assert_matches_reference([tok], d)
+                    assert_matches_reference([tok, "1." + "0" * (d + 4)], d)
+        assert quantize_stream(["-0.0004"], 3)[0] == [0]
+        assert quantize_stream(["-0.0005", "0.0005"], 3)[0] == [-1, 1]
+
+    def test_spellings(self):
+        tokens = ["+1.5", "-0.0", "+0", "007.250", ".5", "-.5", "+.5", "5.", "-5.", "0000"]
+        for digits in DIGITS:
+            assert_matches_reference(tokens, digits)
+            for tok in tokens:
+                assert_matches_reference([tok], digits)
+
+    @pytest.mark.parametrize("digits", [0, 1, 3, 6])
+    def test_int64_edges_at_each_scale(self, digits):
+        for edge in (INT64_MAX, INT64_MIN):
+            for delta in (-1, 0, 1):
+                whole, frac = divmod(abs(edge + delta), 10**digits)
+                sign = "-" if edge + delta < 0 else ""
+                tok = f"{sign}{whole}.{frac:0{digits}d}" if digits else f"{sign}{whole}"
+                assert_matches_reference(["1", tok], digits)
+                assert_matches_reference(["1", tok], LOSSLESS)
+                assert_matches_reference([tok + "4", "2"], digits)
+
+    def test_lossless_too_many_digits_names_first_sample(self):
+        tokens = ["1.5", "2.1234567", "3.12345678", "4"]
+        assert_matches_reference(tokens, LOSSLESS)
+        with pytest.raises(TooManyDigits, match="index 1 carries 7 "):
+            quantize_stream(tokens, LOSSLESS)
+        assert_matches_reference(["0." + "1" * 20], LOSSLESS)
+
+    def test_long_fractions_round(self):
+        rng = random.Random(580)
+        for flen in range(21):
+            tokens = [
+                f"{rng.choice(('', '-'))}{rng.randrange(10**6)}."
+                + "".join(rng.choices("0123456789", k=flen))
+                for _ in range(50)
+            ]
+            assert_matches_reference(tokens, 3)
+
+    @pytest.mark.parametrize("intruder", INTRUDERS, ids=repr)
+    def test_one_intruder_in_a_plain_column(self, intruder):
+        rng = random.Random(590)
+        tokens = random_column(rng, 40)
+        for at in (0, 17, 39):
+            stream = tokens[:at] + [intruder] + tokens[at + 1 :]
+            for digits in DIGITS:
+                assert_matches_reference(stream, digits)
+
+    def test_non_text_members(self):
+        for samples in ([1, 2, 3], [1.5, "2.5"], [Decimal("1.25"), "2"], ["1", None], [b"1"]):
+            for digits in DIGITS:
+                assert_matches_reference(samples, digits)
+
+    def test_join_plain(self):
+        assert join_plain(["1.5", "-2", ".5", "+7."]) == "1.5\n-2\n.5\n+7."
+        for bad in (["1e3"], [""], ["1\n2"], ["1", 2], [], ["\u0661"], ["1_0"]):
+            assert join_plain(bad) is None
+
+
+@pytest.mark.slow
+class TestMatchesReferenceExhaustive:
+    def test_hundred_thousand_streams(self):
+        rng = random.Random(600)
+        for i in range(100_000):
+            assert_matches_reference(random_stream(rng), DIGITS[i % len(DIGITS)])

@@ -20,9 +20,15 @@ from reference_transform import (
     transform_block,
 )
 
-from nlts.core import read_varints
+from nlts.core import INT64_MAX, INT64_MIN, read_varints
 from nlts.errors import BadFlag, CorruptStream, LengthMismatch
-from nlts.transform import TransformConfig, compute_mode, decode_blocks, encode_blocks
+from nlts.transform import (
+    TransformConfig,
+    compute_mode,
+    decode_blocks,
+    encode_blocks,
+    max_stream_bytes,
+)
 
 PAPER_DEVIATIONS = [10, -2, 0, 0, 0, -1, 2, 3, 0, 1, 0, 0, 3, 4, 0, 1]
 PAPER_NONZEROS = (10, -2, -1, 2, 3, 1, 3, 4, 1)
@@ -424,3 +430,28 @@ class TestDecodeFuzz:
             bad[len(encode_blocks(codes[:start], cfg))] = 4  # zigzag(2)
             with pytest.raises(CorruptStream, match="got 2"):
                 decode_blocks(bytes(bad), cfg, len(codes))
+
+
+class TestStreamBound:
+    """max_stream_bytes bounds every symbol stream encode_blocks can write."""
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("L", [16, 64])
+    def test_wide_values(self, version, L):
+        rng = random.Random(740 + version + L)
+        half = 1 << 62
+        for _ in range(200):
+            n = rng.randrange(1, 3 * L + 2)
+            # values whose deviations and differences need 9-10 varint bytes
+            codes = [rng.choice((-1, 1)) * rng.randrange(half - 2**40, half) for _ in range(n)]
+            if rng.random() < 0.3:
+                codes = [rng.choice((INT64_MIN // 2, INT64_MAX // 2, 0)) for _ in range(n)]
+            cfg = TransformConfig(method_version=version, block_len=L, tau=rng.randrange(1, L + 1))
+            assert len(encode_blocks(codes, cfg)) <= max_stream_bytes(cfg, n)
+
+    def test_value(self):
+        # v1: flag + 10 + ceil(16/7) + 160 per block of 16; a last block of 5
+        cfg = TransformConfig(method_version=1, block_len=16, tau=9)
+        assert max_stream_bytes(cfg, 37) == 2 * (1 + 10 + 3 + 160) + (1 + 10 + 1 + 50)
+        cfg = TransformConfig(method_version=2, block_len=16, tau=9)
+        assert max_stream_bytes(cfg, 1) == 10 + 1 + 10
