@@ -27,6 +27,7 @@ from .quantizer import (
     SCALE_PASSTHROUGH,
     QuantizerConfig,
     quantize_stream,
+    render_code,
     render_stream,
 )
 from .transform import TransformConfig, decode_blocks, encode_blocks, max_stream_bytes
@@ -138,7 +139,16 @@ class CodecConfig:
 
 
 def canonical_size(codes, scale_exp: int | None) -> int:
-    """Byte size of the canonical text rendering (newline per sample)."""
+    """Byte size of the canonical text rendering (newline per sample).
+
+    A rendering is no shorter than that of any code nearer zero of the
+    same sign, so when the smallest and largest code share a sign and a
+    rendered length, every code has that length.
+    """
+    lo, hi = min(codes), max(codes)
+    size = len(render_code(lo, scale_exp))
+    if (lo >= 0 or hi < 0) and len(render_code(hi, scale_exp)) == size:
+        return (size + 1) * len(codes)
     if scale_exp is None or scale_exp == 0:
         return sum(len(str(c)) for c in codes) + len(codes)
     pow10 = 10 ** scale_exp
@@ -157,7 +167,8 @@ def compress_stream(samples, config: CodecConfig = CodecConfig()):
     Samples may be floats, ints, or decimal text tokens; text is quantized
     digit-exactly.  At least one sample is required.
     """
-    samples = list(samples)
+    if not isinstance(samples, list):  # a copy would drop a PlainColumn's text
+        samples = list(samples)
     if not samples:
         raise ValueError("cannot compress an empty stream")
 

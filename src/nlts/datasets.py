@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation
@@ -21,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import CodecError, MissingColumn, MissingValue, UnparseableRow
-from .quantizer import join_plain
+from .quantizer import PlainColumn, join_plain
 
 SKIP = "skip"
 FORWARD_FILL = "forward-fill"
@@ -95,16 +96,6 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
-def _rows(path, delimiter):
-    if delimiter == WHITESPACE:
-        with open(path, encoding="utf-8", newline="") as f:
-            for line in f:
-                yield line.split()
-    else:
-        with open(path, encoding="utf-8", newline="") as f:
-            yield from csv.reader(f, delimiter=delimiter)
-
-
 def is_numeric(token: str) -> bool:
     try:
         return Decimal(token).is_finite()
@@ -112,14 +103,18 @@ def is_numeric(token: str) -> bool:
         return False
 
 
-def _read_column(spec: DatasetSpec, checked: bool) -> list:
-    """The spec's column read row by row, after its missing-value policy.
+def _read_column(spec: DatasetSpec, lines, checked: bool) -> list:
+    """The spec's column read row by row from lines, after its missing-value policy.
 
+    lines reads as the file opened with newline="" would (see _lines).
     With checked, a kept token that is not a finite number raises
     UnparseableRow with its 1-based row number; without, tokens are kept
     as read.
     """
-    rows = _rows(spec.source_path, spec.delimiter)
+    if spec.delimiter == WHITESPACE:
+        rows = map(str.split, lines)
+    else:
+        rows = csv.reader(lines, delimiter=spec.delimiter)
     col = spec.column
     row_no = 0
 
@@ -166,20 +161,28 @@ def _read_column(spec: DatasetSpec, checked: bool) -> list:
     return out
 
 
-def _whole_file_tokens(spec: DatasetSpec):
+def _lines(data: bytes):
+    """The lines of a file's bytes, as the file opened with newline="" reads them."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+
+
+def _whole_file_tokens(spec: DatasetSpec, data: bytes):
     """The tokens of a headerless single-column whitespace file, or None.
 
-    The file is read whole and split in C when it is exactly its tokens,
-    each on its own "\n"-terminated line: then row-by-row reading would
-    return the same tokens.  Any other file (blank lines, other line
-    endings or whitespace, more columns) returns None.
+    The file is decoded whole and split in C when it is exactly its tokens,
+    each on its own line, all lines ending in "\n" or all in "\r\n": then
+    row-by-row reading would return the same tokens.  Any other file (blank
+    lines, other or mixed line endings or whitespace, more columns) returns
+    None.
     """
     if spec.delimiter != WHITESPACE or spec.column != 0 or spec.header_expected:
         return None
-    with open(spec.source_path, encoding="utf-8", newline="") as f:
-        text = f.read()
+    text = data.decode("utf-8")
     tokens = text.split()
-    return tokens if "\n".join(tokens) + "\n" == text else None
+    for newline in ("\n", "\r\n"):
+        if newline.join(tokens) + newline == text:
+            return tokens
+    return None
 
 
 def ingest(spec: DatasetSpec) -> list:
@@ -188,17 +191,22 @@ def ingest(spec: DatasetSpec) -> list:
     Missing values follow the spec's policy; anything else non-numeric
     raises UnparseableRow with its 1-based row number.
 
-    The column is first collected unchecked and validated in one pass: a
-    column of plain decimals (quantizer.PLAIN) is returned as is.  Any other
-    column, and any error on the way, reads the file again row by row with
-    every token checked, which raises the first fault with its row.
+    The file is read once.  Its column is first collected unchecked and
+    validated in one pass: a column of plain decimals (quantizer.PLAIN) is
+    returned as a PlainColumn, which quantize_stream need not validate
+    again.  Any other column, and any error on the way, is read again from
+    the same bytes row by row with every token checked, which raises the
+    first fault with its row.
     """
+    with open(spec.source_path, "rb") as f:
+        data = f.read()
     try:
-        tokens = _whole_file_tokens(spec)
+        tokens = _whole_file_tokens(spec, data)
         if tokens is None:
-            tokens = _read_column(spec, checked=False)
-        if join_plain(tokens) is not None:
-            return tokens
+            tokens = _read_column(spec, _lines(data), checked=False)
+        joined = join_plain(tokens)
+        if joined is not None:
+            return PlainColumn(tokens, joined)
     except (CodecError, ValueError, csv.Error):  # ValueError: bad UTF-8
         pass
-    return _read_column(spec, checked=True)
+    return _read_column(spec, _lines(data), checked=True)

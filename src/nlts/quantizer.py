@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import repeat
-from operator import add, floordiv, lt, mul, sub, truediv
+from operator import add, floordiv, lt, mod, mul, sub, truediv
 
 from .core import INT64_MAX, INT64_MIN
 from .errors import NonFiniteSample, OverflowAtScale, TooManyDigits
@@ -78,6 +78,21 @@ _NOT_PLAIN = re.compile(f"^(?!{PLAIN}$)", re.M)
 _BEFORE_POINT = "+-0123456789"
 
 
+class PlainColumn(list):
+    """A list of tokens that join_plain accepted, with their joined text.
+
+    join_plain compares the tokens' joined text with it rather than search
+    the text again; a column changed since then no longer matches and is
+    searched like any other.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, tokens, text: str):
+        super().__init__(tokens)
+        self.text = text
+
+
 def join_plain(tokens):
     """The tokens joined by "\\n" if every one is text holding one PLAIN decimal, else None."""
     try:
@@ -85,7 +100,10 @@ def join_plain(tokens):
     except TypeError:  # a sample that is not text
         return None
     # a token holding a newline would read as two lines
-    if text.count("\n") != len(tokens) - 1 or _NOT_PLAIN.search(text):
+    if text.count("\n") != len(tokens) - 1:
+        return None
+    # a PlainColumn whose tokens still join to its text was searched before
+    if text != getattr(tokens, "text", None) and _NOT_PLAIN.search(text):
         return None
     return text
 
@@ -105,8 +123,10 @@ def _column_codes(tokens, text: str, digits):
     that it stands for n / 10**S.  Rounding to d < S digits is
     (n + half - (n < 0)) // 10**(S - d) with half = 10**(S - d) / 2: floor
     division after adding half rounds ties up, and the -1 for a negative n
-    turns that into ties away from zero.  The error |n - code * 10**(S - d)|
-    is exact in units of 10**-S.  Lossless mode takes S as its scale.
+    turns that into ties away from zero; with no negative n it is left out.
+    The code is the multiple of 10**(S - d) nearest n, so the error, exact
+    in units of 10**-S, is min(r, 10**(S - d) - r) for r = n mod 10**(S - d),
+    taken over the distinct residues.  Lossless mode takes S as its scale.
     """
     # per token: 0 without a point, else 1 + its fraction length
     tails = list(map(len, map(str.lstrip, tokens, repeat(_BEFORE_POINT))))
@@ -127,10 +147,11 @@ def _column_codes(tokens, text: str, digits):
             n = list(map(mul, n, repeat(10 ** (scale - source))))
         return n, Decimal(0), scale
     den = 10 ** (source - scale)
-    codes = list(
-        map(floordiv, map(sub, map(add, n, repeat(den >> 1)), map(lt, n, repeat(0))), repeat(den))
-    )
-    error = max(map(abs, map(sub, n, map(mul, codes, repeat(den)))))
+    halfway = map(add, n, repeat(den >> 1))
+    if "-" in text:  # only a negative token makes a negative n
+        halfway = map(sub, halfway, map(lt, n, repeat(0)))
+    codes = list(map(floordiv, halfway, repeat(den)))
+    error = max(min(r, den - r) for r in set(map(mod, n, repeat(den))))
     return codes, Decimal(error).scaleb(-source), scale
 
 
@@ -204,7 +225,8 @@ def quantize_stream(samples, digits):
     pass (_column_codes); any other sequence -- one float, int, Decimal,
     exponent or other spelling among its samples is enough -- goes through
     Decimal one sample at a time (_decimal_codes).  Both give the same
-    codes for the same tokens.
+    codes for the same tokens.  A PlainColumn (as ingest returns) whose
+    tokens still join to its text skips the PLAIN search.
 
     The error is measured exactly in the decimal domain; lossless inputs
     therefore report exactly 0.  Parse faults (NonFiniteSample,

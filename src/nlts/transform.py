@@ -10,6 +10,11 @@ the symbols of every block straight into one byte stream and decode_blocks
 reads them straight back into codes; this module is the only one that
 knows the block layout.
 
+A constant block, the common case on a plateau, is a mode block with a
+zero mask: its value and one 0 byte.  encode_blocks writes it without
+counting the mode or building the mask, and decode_blocks repeats the value
+without expanding the mask.
+
 Two wire layouts exist (FORMAT.md section 3).  Version 1 spends an explicit
 branch flag per block; version 2 drops the flag and lets the decoder
 re-derive the branch from the header/payload relationship.  That is
@@ -66,6 +71,13 @@ def encode_blocks(codes, cfg: TransformConfig) -> bytearray:
     for start in range(0, len(codes), L):
         block = codes[start : start + L]
         x1 = block[0]
+        width = len(block)
+        if width >= tau and block.count(x1) == width:
+            # constant (frequency == width >= tau): the mode branch, every
+            # deviation 0; x1 == 2 * mode only when both are 0, kept as mode
+            write_varints((1, x1) if v1 else (x1,), out)
+            out.append(0)  # the empty mask
+            continue
         mode, frequency = compute_mode(block)
         if frequency >= tau:
             # a version-2 mode block leading with a deviation equal to the
@@ -88,7 +100,7 @@ def encode_blocks(codes, cfg: TransformConfig) -> bytearray:
         for d in body:
             mask = (mask << 1) | (d != 0)
         write_varints(header, out)
-        write_varints((mask,), out, False, len(block))
+        write_varints((mask,), out, False, width)
         write_varints(list(filter(None, body)), out)
     return out
 
@@ -144,6 +156,9 @@ def decode_blocks(symbols, cfg: TransformConfig, sample_count: int) -> list:
             header = fields[-1]
             pos = read_varints(symbols, pos, 1, fields, False, width)
             mask = fields.pop()
+            if not mask:  # no nonzero entry: a constant block of the header
+                codes.extend(repeat(header, width))
+                continue
             nonzeros = []
             pos = read_varints(symbols, pos, mask.bit_count(), nonzeros)
             if not v1 and mask >> (width - 1) and nonzeros[0] == header:

@@ -287,6 +287,22 @@ class TestMetrics:
             cs = codes + list(range(-(10 ** (d or 0)) + 1, 0, 499))  # -10**d < c < 0
             expected = sum(len(render_code(c, d)) + 1 for c in cs)
             assert canonical_size(cs, d) == expected
+        # columns of one sign, some of one whole-part width, some straddling
+        # a power of ten at d = 3 (0.999 / 1.000 and 9.999 / 10.000)
+        columns = [[0] * 40, [7], [-7], [999, 1000], [9_999, 10_000], [-10_000, -9_999]]
+        for k in range(19):
+            lo, hi = 10**k, min(10 ** (k + 1) - 1, INT64_MAX)
+            columns.append([rng.randrange(lo, hi + 1) for _ in range(50)] + [lo, hi])
+            columns.append([lo - 1, lo])
+            columns.append([-lo, -lo - 1])
+            columns.append([-rng.randrange(lo, hi + 1) for _ in range(50)])
+        columns.append([INT64_MIN, INT64_MIN + 1])
+        for d in (None, 0, 1, 3, 6):
+            # mixed signs whose ends render as long as each other, not as 0
+            one = 10 ** (d or 0)
+            for cs in columns + [[-one, 0, 10 * one], [10 * one, -one, 1]]:
+                expected = sum(len(render_code(c, d)) + 1 for c in cs)
+                assert canonical_size(cs, d) == expected, (cs, d)
 
     def test_decompress_stream_floats(self):
         rng = random.Random(842)

@@ -1,5 +1,6 @@
 import csv
 import json
+import pickle
 import random
 from decimal import Decimal
 
@@ -7,12 +8,14 @@ import pytest
 
 from nlts.bench import (
     SweepSpec,
+    codec_config,
     config_label,
     run_config,
     run_sweep,
     verify_files,
     verify_values,
 )
+from nlts.container import compress_stream
 from nlts.datasets import DatasetSpec, _read_column, ingest, packaged_spec
 from nlts.errors import (
     CodecError,
@@ -21,6 +24,7 @@ from nlts.errors import (
     MissingValue,
     UnparseableRow,
 )
+from nlts.quantizer import PlainColumn
 
 from reference_coders import packaged_manifest
 
@@ -119,7 +123,8 @@ def ingest_outcome(read, spec):
 
 
 def checked_loop(spec):
-    return _read_column(spec, checked=True)
+    with open(spec.source_path, encoding="utf-8", newline="") as f:
+        return _read_column(spec, f, checked=True)
 
 
 # (file text, delimiter, column); each runs under every missing policy
@@ -177,6 +182,74 @@ class TestIngestMatchesCheckedLoop:
         with pytest.raises(UnparseableRow) as exc:
             ingest(spec)
         assert exc.value.row == 2
+
+
+def replace_at(i, token):
+    def change(col):
+        col[i] = token
+    return change
+
+
+def newline_in_token(col):
+    col[3] = col[3][:1] + "\n" + col[3][1:]
+
+
+def newline_joins_tokens(col):
+    # the joined text is unchanged; only the token count tells
+    col[3:5] = ["\n".join(col[3:5])]
+
+
+# edits to a column after ingest validated it
+COLUMN_EDITS = {
+    "none": lambda col: None,
+    "abc": replace_at(3, "abc"),
+    "exponent": replace_at(3, "1e5"),
+    "plain": replace_at(3, "2.5"),
+    "not text": replace_at(3, 2.5),
+    "newline in token": newline_in_token,
+    "newline joins tokens": newline_joins_tokens,
+    "append plain": lambda col: col.append("7.25"),
+    "append exponent": lambda col: col.append("-1E-2"),
+    "append abc": lambda col: col.append("abc"),
+    "clear": list.clear,
+}
+
+
+def compress_outcome(samples, digits):
+    """The container compress_stream returns, or the type and message of its error."""
+    try:
+        return compress_stream(samples, codec_config(2, "arithmetic", 16, 9, digits))[0]
+    except (CodecError, ValueError) as e:
+        return type(e), str(e)
+
+
+class TestValidatedColumn:
+    """A column ingest validated compresses as a fresh list of its current tokens does."""
+
+    @pytest.fixture
+    def column(self, tmp_path):
+        p = tmp_path / "in.txt"
+        p.write_text("".join(f"{i % 7 - 3}.{i * 37 % 1000:0{1 + i % 3}d}\n" for i in range(40)))
+        col = ingest(DatasetSpec(name="t", source_path=str(p), delimiter="whitespace"))
+        assert isinstance(col, PlainColumn)
+        return col
+
+    @pytest.mark.parametrize("digits", [3, "lossless"])
+    @pytest.mark.parametrize("edit", list(COLUMN_EDITS))
+    def test_edited(self, column, edit, digits):
+        COLUMN_EDITS[edit](column)
+        assert compress_outcome(column, digits) == compress_outcome(list(column), digits)
+
+    @pytest.mark.parametrize("edit", list(COLUMN_EDITS))
+    def test_pickled(self, column, edit):
+        # as bench --jobs sends the column to its workers
+        before = pickle.loads(pickle.dumps(column))
+        COLUMN_EDITS[edit](before)
+        after = column
+        COLUMN_EDITS[edit](after)
+        after = pickle.loads(pickle.dumps(after))
+        for col in (before, after):
+            assert compress_outcome(col, 3) == compress_outcome(list(col), 3)
 
 
 class TestVerify:

@@ -318,8 +318,27 @@ def random_block(rng, width):
     return [rng.randrange(-3, 4)] * width  # constant
 
 
+def plateau_stream(rng, L, n):
+    """n codes in level runs that start and end anywhere across block boundaries.
+
+    The runs make constant full blocks, constant final blocks narrower and
+    wider than tau, and blocks that change level part way.  One stream's
+    levels lie within a few steps of 0 (so x1 = 0), of either int64 edge,
+    or of a random base.
+    """
+    base = rng.choice([0, INT64_MIN, INT64_MAX, rng.randrange(-(2**40), 2**40)])
+    codes = []
+    while len(codes) < n:
+        level = min(max(base + rng.randrange(-3, 4), INT64_MIN), INT64_MAX)
+        codes += [level] * rng.randrange(1, 3 * L)
+    return codes[:n]
+
+
 def random_stream(rng, L, partial):
     """Several full blocks, then a partial one if partial is set."""
+    if rng.random() < 0.3:
+        n = rng.randrange(1, 6) * L + (rng.randrange(1, L) if partial else 0)
+        return plateau_stream(rng, L, n)
     codes = []
     for _ in range(rng.randrange(1, 6)):
         codes += random_block(rng, L)
@@ -328,21 +347,25 @@ def random_stream(rng, L, partial):
     return codes
 
 
+def assert_stream_matches_reference(rng, version):
+    """One random stream: the fused transform writes the reference's bytes and inverts them."""
+    L = rng.choice([16, 64, 128])
+    cfg = TransformConfig(version, L, rng.randrange(1, L + 1))
+    codes = random_stream(rng, L, rng.random() < 0.5)
+    symbols = encode_blocks(codes, cfg)
+    assert symbols == encode_stream(codes, cfg), (cfg, codes)
+    assert decode_blocks(bytes(symbols), cfg, len(codes)) == codes
+    assert decode_stream(bytes(symbols), cfg, len(codes)) == codes
+
+
 class TestMatchesReference:
-    # the fused transform writes the reference's bytes and inverts them
     STREAMS = 3000
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_random_streams(self, version):
         rng = random.Random(620 + version)
         for _ in range(self.STREAMS):
-            L = rng.choice([16, 64, 128])
-            cfg = TransformConfig(version, L, rng.randrange(1, L + 1))
-            codes = random_stream(rng, L, rng.random() < 0.5)
-            symbols = encode_blocks(codes, cfg)
-            assert symbols == encode_stream(codes, cfg), (cfg, codes)
-            assert decode_blocks(bytes(symbols), cfg, len(codes)) == codes
-            assert decode_stream(bytes(symbols), cfg, len(codes)) == codes
+            assert_stream_matches_reference(rng, version)
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_adversarial_blocks_at_every_tau(self, version):
@@ -353,6 +376,14 @@ class TestMatchesReference:
                 codes = random_block(rng, rng.choice([16, 16, rng.randrange(1, 17)]))
                 assert encode_blocks(codes, cfg) == encode_stream(codes, cfg), (tau, codes)
                 fused_roundtrip(codes, cfg)
+
+
+@pytest.mark.slow
+class TestMatchesReferenceExhaustive:
+    def test_hundred_thousand_streams(self):
+        rng = random.Random(660)
+        for i in range(100_000):
+            assert_stream_matches_reference(rng, 1 + i % 2)
 
 
 class TestFormatExamples:
