@@ -13,8 +13,9 @@ shift the top bits differ, so agreement can only occur once per symbol) and
 the frequency model's Fenwick tree is inlined into the coding loops: each
 symbol's prefix-sum and update indices are tuples computed at import, and
 the decoder's 9-step descent is unrolled over a tree padded past its last
-node.  Output bits collect in an int accumulator that spills whole bytes.
-The output is bit-identical to the plain one-bit-at-a-time formulation.
+node and applies the decoded symbol's increment on its way down.  Output
+bits collect in an int accumulator that spills whole bytes.  The output is
+bit-identical to the plain one-bit-at-a-time formulation.
 """
 
 from __future__ import annotations
@@ -180,46 +181,67 @@ def decode(data: bytes, bit_len: int | None = None, max_len: float = math.inf) -
         if not 0 <= value < total:
             raise CorruptStream("arithmetic decoder left its coding range")
         # Fenwick descent for the symbol whose interval holds value,
-        # unrolled over the 9 powers of two from 256 down
+        # unrolled over the 9 powers of two from 256 down.  For a symbol
+        # below 256 the nodes where the descent does not advance are
+        # exactly _UP[sym], the nodes covering counts[sym], so each else
+        # branch applies the symbol's increment as it passes.  The EOF
+        # symbol also bumps nodes past the end, but it ends decoding.
         rem = value
         t = tree[256]
         if t <= rem:
             rem -= t
             sym = 256
         else:
+            tree[256] = t + 1
             sym = 0
         t = tree[sym + 128]
         if t <= rem:
             rem -= t
             sym += 128
+        else:
+            tree[sym + 128] = t + 1
         t = tree[sym + 64]
         if t <= rem:
             rem -= t
             sym += 64
+        else:
+            tree[sym + 64] = t + 1
         t = tree[sym + 32]
         if t <= rem:
             rem -= t
             sym += 32
+        else:
+            tree[sym + 32] = t + 1
         t = tree[sym + 16]
         if t <= rem:
             rem -= t
             sym += 16
+        else:
+            tree[sym + 16] = t + 1
         t = tree[sym + 8]
         if t <= rem:
             rem -= t
             sym += 8
+        else:
+            tree[sym + 8] = t + 1
         t = tree[sym + 4]
         if t <= rem:
             rem -= t
             sym += 4
+        else:
+            tree[sym + 4] = t + 1
         t = tree[sym + 2]
         if t <= rem:
             rem -= t
             sym += 2
+        else:
+            tree[sym + 2] = t + 1
         t = tree[sym + 1]
         if t <= rem:
             rem -= t
             sym += 1
+        else:
+            tree[sym + 1] = t + 1
         lo_c = value - rem
         hi_c = lo_c + counts[sym]
         high = low + hi_c * rng // total - 1
@@ -261,8 +283,6 @@ def decode(data: bytes, bit_len: int | None = None, max_len: float = math.inf) -
         append(sym)
         counts[sym] += 1
         total += 1
-        for i in _UP[sym]:
-            tree[i] += 1
         if total >= RESCALE_CEILING:
             counts = [(c + 1) >> 1 for c in counts]
             total = sum(counts)

@@ -8,14 +8,18 @@ Quantization never goes through binary floating point.  A stream of text
 tokens that are all plain decimals (PLAIN: a sign, digits and at most one
 point, no exponent) is quantized as one column: one regex search validates
 it, int() reads every token with its point removed, and C-level map passes
-round and measure the error with integer arithmetic.  Any other stream --
+round and measure the error with integer arithmetic.  Sensor columns repeat
+their readings, so a column in which at most half the tokens are distinct
+quantizes each distinct token once and maps the codes back over the column
+(see quantize_stream).  Any other stream --
 floats, ints, Decimals, exponents, or any other spelling among its tokens --
 is converted one sample at a time through decimal.Decimal, exactly (lossless
 mode takes a float as its shortest repr), which keeps the rounding decision
 deterministic across platforms.
 Rendering codes back to text goes through float formatting only where that
 is proven exact (see render_stream); every other code is rendered with
-integer arithmetic.
+integer arithmetic.  Like quantization, rendering converts each distinct
+code once when at most half the codes are distinct.
 """
 
 from __future__ import annotations
@@ -115,8 +119,11 @@ def _too_many_digits(index: int, n: int) -> TooManyDigits:
     )
 
 
-def _column_codes(tokens, text: str, digits):
+def _column_codes(tokens, text: str, digits, column):
     """Quantize PLAIN tokens joined as text; returns (codes, max_abs_error, scale).
+
+    The tokens are drawn from column, the samples as given: a fault names
+    the index where the offending token first occurs in it.
 
     Every token reads as the integer n = int(token without its point) at its
     own fraction length, and is brought to the widest fraction length S, so
@@ -135,7 +142,7 @@ def _column_codes(tokens, text: str, digits):
     lossless = digits == LOSSLESS
     if lossless and source > MAX_DIGITS:
         i = next(i for i, t in enumerate(tails) if t > MAX_DIGITS + 1)
-        raise _too_many_digits(i, tails[i] - 1)
+        raise _too_many_digits(column.index(tokens[i]), tails[i] - 1)
     n = list(map(int, text.replace(".", "").split("\n")))
     if source and min(tails) < widest:
         # a token with a shorter fraction: multiply by 10**(S - its length)
@@ -228,6 +235,15 @@ def quantize_stream(samples, digits):
     codes for the same tokens.  A PlainColumn (as ingest returns) whose
     tokens still join to its text skips the PLAIN search.
 
+    When at most half the tokens of a plain column are distinct, the column
+    pass runs over the distinct tokens in first-occurrence order and one
+    lookup per token maps their codes back; the error, a max over distinct
+    residues, and the range check, over the distinct codes, are unchanged.
+    Equal text is an equal token, so "1.5" and "1.50" stay apart.  The
+    Decimal path is not de-duplicated: 1, 1.0, True and Decimal("1.50")
+    hash and compare equal to spellings with other digit counts, which
+    would change the lossless scale.
+
     The error is measured exactly in the decimal domain; lossless inputs
     therefore report exactly 0.  Parse faults (NonFiniteSample,
     TooManyDigits) are raised at the first bad sample; the 64-bit range is
@@ -236,9 +252,15 @@ def quantize_stream(samples, digits):
     text = join_plain(samples)
     if text is None:
         codes, error, scale = _decimal_codes(samples, digits)
+        distinct = codes
+    elif 2 * len(set(samples)) <= len(samples):
+        tokens = list(dict.fromkeys(samples))
+        distinct, error, scale = _column_codes(tokens, "\n".join(tokens), digits, samples)
+        codes = list(map(dict(zip(tokens, distinct)).__getitem__, samples))
     else:
-        codes, error, scale = _column_codes(samples, text, digits)
-    if codes and not INT64_MIN <= min(codes) <= max(codes) <= INT64_MAX:
+        codes, error, scale = _column_codes(samples, text, digits, samples)
+        distinct = codes
+    if codes and not INT64_MIN <= min(distinct) <= max(distinct) <= INT64_MAX:
         i = next(i for i, c in enumerate(codes) if not INT64_MIN <= c <= INT64_MAX)
         raise OverflowAtScale(i, samples[i], scale)
     return codes, error, scale
@@ -264,10 +286,23 @@ def render_stream(codes, scale_exp: int | None) -> list[str]:
     lands back on x, never on a midpoint.  Only code 0 gives a zero
     quotient, and it is +0.0, so no "-0.000" appears.  A stream holding any
     code outside (-2**52, 2**52) goes through render_code for every code.
+
+    When at most half the codes are distinct, each distinct code is
+    rendered once, the same way, and one lookup per code maps the texts
+    back.
     """
+    distinct = set(codes)
+    few = 2 * len(distinct) <= len(codes)
+    # the codes to render; min and max also read them, as a list iterates
+    # about three times faster than a large set
+    source = distinct if few else codes
     if scale_exp is None or scale_exp == 0:
-        return list(map(str, codes))
-    if not -(2**52) < min(codes) <= max(codes) < 2**52:
-        return [render_code(c, scale_exp) for c in codes]
-    fmt = f"%.{scale_exp}f".__mod__
-    return list(map(fmt, map(truediv, codes, repeat(10**scale_exp))))
+        texts = map(str, source)
+    elif -(2**52) < min(source, default=0) and max(source, default=0) < 2**52:
+        fmt = f"%.{scale_exp}f".__mod__
+        texts = map(fmt, map(truediv, source, repeat(10**scale_exp)))
+    else:
+        texts = (render_code(c, scale_exp) for c in source)
+    if few:
+        return list(map(dict(zip(distinct, texts)).__getitem__, codes))
+    return list(texts)

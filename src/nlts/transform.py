@@ -30,7 +30,7 @@ from itertools import accumulate, repeat
 from operator import add, sub
 
 from .core import read_varints, write_varints
-from .errors import BadFlag, CorruptStream, Overlong, Truncated
+from .errors import BadFlag, CodecError, CorruptStream, Overlong, Truncated
 
 MIN_BLOCK_LEN = 16
 MAX_BLOCK_LEN = 1 << 15  # block length must fit the container's u16 field
@@ -65,43 +65,53 @@ def encode_blocks(codes, cfg: TransformConfig) -> bytearray:
     """Transform every block of codes and serialize it; returns the symbol stream.
 
     Blocks cover codes in order, block_len per block; the last may be shorter.
+    Raises CodecError, naming the block's first sample, when a difference
+    or a deviation from the mode does not fit a signed 64-bit varint.
     """
     out = bytearray()
     L, tau, v1 = cfg.block_len, cfg.tau, cfg.method_version == 1
-    for start in range(0, len(codes), L):
-        block = codes[start : start + L]
-        x1 = block[0]
-        width = len(block)
-        if width >= tau and block.count(x1) == width:
-            # constant (frequency == width >= tau): the mode branch, every
-            # deviation 0; x1 == 2 * mode only when both are 0, kept as mode
-            write_varints((1, x1) if v1 else (x1,), out)
-            out.append(0)  # the empty mask
-            continue
-        mode, frequency = compute_mode(block)
-        if frequency >= tau:
-            # a version-2 mode block leading with a deviation equal to the
-            # mode would read back as a diff block
-            use_mode = v1 or x1 != 2 * mode or not mode
-        else:
-            # a version-2 diff block whose first entry is 0 reads back as mode
-            use_mode = not v1 and not x1
-        if use_mode:
-            header = (1, mode) if v1 else (mode,)
-            body = list(map(sub, block, repeat(mode)))
-        elif v1:
-            # flag 0, then every difference: no mask, zeros kept
-            write_varints((0, x1, *map(sub, block[1:], block)), out)
-            continue
-        else:
-            header = (x1,)
-            body = [x1, *map(sub, block[1:], block)]
-        mask = 0
-        for d in body:
-            mask = (mask << 1) | (d != 0)
-        write_varints(header, out)
-        write_varints((mask,), out, False, width)
-        write_varints(list(filter(None, body)), out)
+    try:
+        for start in range(0, len(codes), L):
+            block = codes[start : start + L]
+            x1 = block[0]
+            width = len(block)
+            if width >= tau and block.count(x1) == width:
+                # constant (frequency == width >= tau): the mode branch, every
+                # deviation 0; x1 == 2 * mode only when both are 0, kept as mode
+                write_varints((1, x1) if v1 else (x1,), out)
+                out.append(0)  # the empty mask
+                continue
+            mode, frequency = compute_mode(block)
+            if frequency >= tau:
+                # a version-2 mode block leading with a deviation equal to the
+                # mode would read back as a diff block
+                use_mode = v1 or x1 != 2 * mode or not mode
+            else:
+                # a version-2 diff block whose first entry is 0 reads back as mode
+                use_mode = not v1 and not x1
+            if use_mode:
+                header = (1, mode) if v1 else (mode,)
+                body = list(map(sub, block, repeat(mode)))
+            elif v1:
+                # flag 0, then every difference: no mask, zeros kept
+                write_varints((0, x1, *map(sub, block[1:], block)), out)
+                continue
+            else:
+                header = (x1,)
+                body = [x1, *map(sub, block[1:], block)]
+            mask = 0
+            for d in body:
+                mask = (mask << 1) | (d != 0)
+            write_varints(header, out)
+            write_varints((mask,), out, False, width)
+            write_varints(list(filter(None, body)), out)
+    except Overlong as e:
+        # a header is a code and fits; only a difference or a deviation
+        # between two int64 codes can need a 65th bit
+        raise CodecError(
+            f"block starting at sample {start}: a difference or a deviation from "
+            "the block mode needs more than signed 64 bits"
+        ) from e
     return out
 
 

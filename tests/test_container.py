@@ -17,7 +17,7 @@ from nlts import entropy
 from nlts.cli import main
 from nlts.core import INT64_MAX, INT64_MIN, write_varints
 from nlts.entropy import ADAPTIVE_ARITHMETIC, ADAPTIVE_HUFFMAN, STATIC_HUFFMAN
-from nlts.errors import BadMagic, CorruptStream, UnsupportedVersion
+from nlts.errors import BadMagic, CodecError, CorruptStream, UnsupportedVersion
 from nlts.quantizer import QuantizerConfig, quantize_stream, render_code
 from nlts.transform import TransformConfig
 
@@ -258,6 +258,35 @@ def test_int64_edges_decode():
     blob = crafted_container(2, [((INT64_MAX,), True), ((0b11,), False), ((INT64_MAX, -1), True)])
     tokens, _ = decompress_to_tokens(blob)
     assert tokens == ["9223372036854775.807", "9223372036854775.806"]
+
+
+# int64 samples whose difference or deviation from the block mode does not
+# fit signed 64 bits: (tokens, digits, version, first sample of the block)
+WIDE_STEPS = {
+    "lossless-diff": ([str(INT64_MIN), str(INT64_MAX)], None, 2, 0),
+    "d3-diff": (["-9223372036854775.808", "9223372036854775.807"], 3, 2, 0),
+    "v1-diff": ([str(INT64_MIN), str(INT64_MAX)], None, 1, 0),
+    "mode-deviation": (["1"] * 16 + [str(INT64_MIN)] * 9 + [str(INT64_MAX)] * 7, None, 2, 16),
+    "v1-mode-deviation": (["1"] * 16 + [str(INT64_MIN)] * 9 + [str(INT64_MAX)] * 7, None, 1, 16),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WIDE_STEPS))
+def test_step_past_int64_names_block(case, tmp_path, capsys):
+    tokens, digits, version, start = WIDE_STEPS[case]
+    message = (
+        f"block starting at sample {start}: a difference or a deviation from "
+        "the block mode needs more than signed 64 bits"
+    )
+    with pytest.raises(CodecError) as e:
+        compress_stream(tokens, make_config(version=version, digits=digits))
+    assert type(e.value) is CodecError and str(e.value) == message
+    src = tmp_path / "in.txt"
+    src.write_text("\n".join(tokens) + "\n")
+    scale = ["--lossless"] if digits is None else ["--digits", str(digits)]
+    args = ["compress", str(src), str(tmp_path / "o.nlts"), "--version", str(version)]
+    assert main(args + scale) == 2
+    assert message in capsys.readouterr().err
 
 
 class TestMetrics:

@@ -110,6 +110,22 @@ class TestRenderStream:
         codes += [INT64_MIN, INT64_MAX]
         assert render_stream(codes, d) == [render_code(c, d) for c in codes]
 
+    @pytest.mark.parametrize("d", DIGITS)
+    def test_repeated_codes(self, d):
+        # at most half the codes distinct: each distinct code rendered once
+        rng = random.Random(620 + (d or 0) + (d is None))
+        p = 10 ** (d or 0)
+        pools = [
+            [0, 1, -1, p - 1, -(p - 1), p, -p, 123456789],
+            [s * (2**52 + k) for s in (1, -1) for k in range(-2, 3)],
+            [INT64_MIN, INT64_MAX, INT64_MIN + 1, 0, -1, 2**52],
+        ]
+        for pool in pools:
+            for _ in range(30):
+                few = rng.sample(pool, rng.randrange(1, len(pool) + 1))
+                codes = rng.choices(few, k=rng.randrange(2 * len(few), 300))
+                assert render_stream(codes, d) == [render_code(c, d) for c in codes]
+
 
 class TestErrorBound:
     # |decoded - x| <= 0.5 * 10^-d, exact in rational arithmetic
@@ -386,6 +402,19 @@ def random_column(rng, size):
     return tokens
 
 
+# spellings of one value that are distinct tokens, and must stay apart
+SAME_VALUES = ["1.5", "1.50", "+1.5", "01.5", "1.5000", "-0", "0", "+0.0", "-1.5", "-01.50"]
+
+
+def repeated_column(rng):
+    """40 to 400 tokens drawn from at most 8 distinct ones, at most a fifth
+    distinct, so the column pass quantizes each distinct token once."""
+    pool = rng.sample(SAME_VALUES, rng.randrange(0, 6))
+    pool += random_column(rng, rng.randrange(1, 9 - len(pool)))
+    weights = [rng.random() for _ in pool]
+    return rng.choices(pool, weights, k=rng.randrange(40, 401))
+
+
 def random_stream(rng):
     tokens = random_column(rng, rng.randrange(1, 24))
     if rng.random() < 0.15:
@@ -408,6 +437,35 @@ class TestMatchesReference:
         rng = random.Random(570)
         for size in (100, 1000, 5000):
             assert_matches_reference(random_column(rng, size), digits)
+
+    @pytest.mark.parametrize("digits", DIGITS)
+    def test_repeated_columns(self, digits):
+        rng = random.Random(610 + (7 if digits == LOSSLESS else digits))
+        for _ in range(400):
+            tokens = repeated_column(rng)
+            assert_matches_reference(tokens, digits)
+            tokens[rng.randrange(len(tokens))] = rng.choice(INTRUDERS)
+            assert_matches_reference(tokens, digits)
+
+    def test_repeated_too_many_digits_names_first_index(self):
+        # the offending token first appears after other repeats, and again later
+        tokens = ["1.5", "2.25"] * 20 + ["3.12345678", "0.1234567"] + ["1.5", "3.12345678"] * 10
+        assert_matches_reference(tokens, LOSSLESS)
+        with pytest.raises(TooManyDigits, match="index 40 carries 8 "):
+            quantize_stream(tokens, LOSSLESS)
+
+    def test_repeated_int64_edge_overflow_names_first_index(self):
+        cases = [
+            (["1.5", "2"] * 10 + ["9223372036854775.808", "2"] * 10, 3, 20),
+            (["1.5", "2"] * 10 + ["-922337203685477.5809", "1.5"] * 10, LOSSLESS, 20),
+            # fits at its own scale 0; the repeated "0.5" raises the stream to scale 1
+            (["7", str(INT64_MAX)] * 10 + ["0.5"] * 20, LOSSLESS, 1),
+        ]
+        for tokens, digits, index in cases:
+            assert_matches_reference(tokens, digits)
+            with pytest.raises(OverflowAtScale) as e:
+                quantize_stream(tokens, digits)
+            assert (e.value.index, e.value.value) == (index, tokens[index])
 
     @pytest.mark.parametrize("d", range(7))
     def test_ties_both_signs(self, d):
@@ -483,3 +541,11 @@ class TestMatchesReferenceExhaustive:
         rng = random.Random(600)
         for i in range(100_000):
             assert_matches_reference(random_stream(rng), DIGITS[i % len(DIGITS)])
+
+    def test_ten_thousand_repeated_columns(self):
+        rng = random.Random(630)
+        for i in range(10_000):
+            tokens = repeated_column(rng)
+            if i % 2:
+                tokens[rng.randrange(len(tokens))] = rng.choice(INTRUDERS)
+            assert_matches_reference(tokens, DIGITS[i % len(DIGITS)])
