@@ -19,19 +19,18 @@ from itertools import product
 from pathlib import Path
 
 from .container import CodecConfig, compress_stream, decompress_to_tokens
-from .datasets import DatasetSpec, file_sha256, ingest, is_numeric
+from .datasets import DatasetSpec, file_sha256, ingest, is_numeric, load_spec
 from .entropy import CODER_IDS, CODER_NAMES
 from .errors import CodecError, LengthMismatch
 from .quantizer import LOSSLESS, QuantizerConfig
 from .transform import TransformConfig
 
+#: The settings of one configuration, in codec_config's argument order.
+CONFIG_FIELDS = ("method_version", "coder", "block_len", "tau", "digits")
+
 REPORT_FIELDS = [
     "dataset",
-    "method_version",
-    "coder",
-    "block_len",
-    "tau",
-    "digits",
+    *CONFIG_FIELDS,
     "raw_input_bytes",
     "input_bytes",
     "output_bytes",
@@ -46,48 +45,34 @@ REPORT_FIELDS = [
 
 @dataclass(frozen=True)
 class SweepSpec:
-    versions: tuple = (2,)
-    coders: tuple = ("arithmetic",)
-    block_lens: tuple = (16,)
-    taus: tuple = (9,)
-    digits: tuple = (3,)  # 0..6 or "lossless"
+    """The settings a sweep crosses, each axis a non-empty tuple of values.
+
+    A combination codec_config refuses raises ValueError: every run can start.
+    """
+
+    versions: tuple = (TransformConfig.method_version,)
+    coders: tuple = (CODER_NAMES[CodecConfig.coder],)
+    block_lens: tuple = (TransformConfig.block_len,)
+    taus: tuple = (TransformConfig.tau,)
+    digits: tuple = (QuantizerConfig.decimal_digits,)  # 0..6 or "lossless"
     repeats: int = 3
 
     def __post_init__(self):
-        if not (self.versions and self.coders and self.block_lens and self.taus and self.digits):
-            raise ValueError("sweep axes must all be non-empty")
-        for v in self.versions:
-            if v not in (1, 2):
-                raise ValueError(f"bad method version {v}")
-        for c in self.coders:
-            if c not in CODER_IDS:
-                raise ValueError(f"bad coder name {c!r}; known: {sorted(CODER_IDS)}")
-        for tau in self.taus:
-            for L in self.block_lens:
-                if tau > L:
-                    raise ValueError(f"tau {tau} exceeds block length {L}")
-        for d in self.digits:
-            if d != LOSSLESS and (not isinstance(d, int) or not 0 <= d <= 6):
-                raise ValueError(f"bad digits entry {d!r}")
+        axes = (self.versions, self.coders, self.block_lens, self.taus, self.digits)
+        if not all(isinstance(axis, (tuple, list)) and axis for axis in axes):
+            raise ValueError("sweep axes must all be non-empty lists")
+        if type(self.repeats) is not int or self.repeats < 1:
+            raise ValueError(f"repeats must be an integer >= 1, got {self.repeats!r}")
+        for config in self.configs():
+            codec_config(*config)
 
     @classmethod
     def from_json(cls, path) -> "SweepSpec":
-        with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
-        return cls(
-            versions=tuple(raw.get("versions", (2,))),
-            coders=tuple(raw.get("coders", ("arithmetic",))),
-            block_lens=tuple(raw.get("block_lens", (16,))),
-            taus=tuple(raw.get("taus", (9,))),
-            digits=tuple(raw.get("digits", (3,))),
-            repeats=int(raw.get("repeats", 3)),
-        )
+        return load_spec(cls, path)
 
     def configs(self):
-        for version, coder, L, tau, d in product(
-            self.versions, self.coders, self.block_lens, self.taus, self.digits
-        ):
-            yield version, coder, L, tau, d
+        """(version, coder, L, tau, digits) for every combination, in order."""
+        return product(self.versions, self.coders, self.block_lens, self.taus, self.digits)
 
 
 @dataclass
@@ -143,7 +128,13 @@ def verify_files(original_path, decoded_path, epsilon) -> VerifyResult:
 
 
 def codec_config(version, coder, L, tau, digits) -> CodecConfig:
-    """Codec settings for one configuration; digits is 0..6 or "lossless"."""
+    """Codec settings for one configuration; digits is 0..6 or "lossless".
+
+    An unknown coder name, or a setting its config class refuses, raises
+    ValueError.
+    """
+    if coder not in CODER_NAMES.values():
+        raise ValueError(f"unknown coder {coder!r}; known: {', '.join(sorted(CODER_IDS))}")
     if digits == LOSSLESS:
         q = QuantizerConfig.lossless()
     else:
@@ -162,23 +153,16 @@ def config_label(version, coder, L, tau, digits) -> str:
 
 def run_config(tokens, version, coder, L, tau, digits, repeats: int = 3) -> dict:
     """Run one configuration; returns a report row (medians over repeats)."""
-    row = {
-        "method_version": version,
-        "coder": coder,
-        "block_len": L,
-        "tau": tau,
-        "digits": digits,
-        "error": "",
-    }
+    config = (version, coder, L, tau, digits)
+    row = dict.fromkeys(REPORT_FIELDS, "")  # a failed run leaves its measurements blank
+    row.update(zip(CONFIG_FIELDS, config), eps_ok=False)
     try:
-        cfg = codec_config(version, coder, L, tau, digits)
+        cfg = codec_config(*config)
         enc_rates = []
-        blob = metrics = None
         for _ in range(max(1, repeats)):
             blob, metrics = compress_stream(tokens, cfg)
             enc_rates.append(metrics.encode_rate)
         dec_rates = []
-        decoded = None
         for _ in range(max(1, repeats)):
             decoded, dmetrics = decompress_to_tokens(blob)
             dec_rates.append(dmetrics.decode_rate)
@@ -199,10 +183,6 @@ def run_config(tokens, version, coder, L, tau, digits, repeats: int = 3) -> dict
                 f"at index {check.argmax_index}"
             )
     except (CodecError, ValueError) as e:
-        row.update(
-            input_bytes="", output_bytes="", cr="", encode_rate="",
-            decode_rate="", max_abs_error="", eps_ok=False,
-        )
         row["error"] = f"{type(e).__name__}: {e}"
     return row
 
@@ -215,9 +195,8 @@ def _init_worker(tokens):
     _WORKER_TOKENS = tokens
 
 
-def _run_config_worker(args):
-    version, coder, L, tau, digits, repeats = args
-    return run_config(_WORKER_TOKENS, version, coder, L, tau, digits, repeats)
+def _run_config_worker(task):
+    return run_config(_WORKER_TOKENS, *task)
 
 
 def run_sweep(
@@ -232,18 +211,14 @@ def run_sweep(
     tokens = ingest(spec)
     raw_bytes = Path(spec.source_path).stat().st_size
 
-    configs = list(sweep.configs())
+    tasks = [(*config, sweep.repeats) for config in sweep.configs()]
     if jobs > 1:
-        tasks = [(v, c, L, t, d, sweep.repeats) for v, c, L, t, d in configs]
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(tokens,)
         ) as pool:
             rows = list(pool.map(_run_config_worker, tasks))
     else:
-        rows = [
-            run_config(tokens, v, c, L, t, d, sweep.repeats)
-            for v, c, L, t, d in configs
-        ]
+        rows = [run_config(tokens, *task) for task in tasks]
     for row in rows:
         row["dataset"] = spec.name
         row["raw_input_bytes"] = raw_bytes
@@ -269,18 +244,13 @@ def write_report(rows, out_path) -> None:
     with open(out_path, "w", newline="", encoding="utf-8") as f:
         w = csv.DictWriter(f, fieldnames=REPORT_FIELDS)
         w.writeheader()
-        for row in rows:
-            w.writerow(row)
+        w.writerows(rows)
     plot_path = out_path.with_suffix(out_path.suffix + ".plot.csv")
     with open(plot_path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["config", "cr"])
         for row in rows:
-            label = config_label(
-                row["method_version"], row["coder"], row["block_len"],
-                row["tau"], row["digits"],
-            )
-            w.writerow([label, row["cr"]])
+            w.writerow([config_label(*map(row.__getitem__, CONFIG_FIELDS)), row["cr"]])
 
 
 __all__ = [

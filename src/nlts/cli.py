@@ -12,16 +12,22 @@ import sys
 from pathlib import Path
 
 from .bench import SweepSpec, codec_config, run_sweep, verify_files
-from .container import HEADER_LEN, StreamHeader, compress_stream, decompress_to_tokens
-from .datasets import SKIP, WHITESPACE, DatasetSpec, ingest, packaged_spec
+from .container import HEADER_LEN, CodecConfig, StreamHeader, compress_stream, decompress_to_tokens
+from .datasets import MISSING_POLICIES, WHITESPACE, DatasetSpec, ingest, packaged_spec
 from .entropy import CODER_IDS, CODER_NAMES
 from .errors import CodecError
-from .quantizer import LOSSLESS
+from .quantizer import LOSSLESS, QuantizerConfig
+from .transform import METHOD_VERSIONS, TransformConfig
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_FORMAT = 2
 EXIT_IO = 3
+
+
+def _column(arg: str) -> int | str:
+    """A --column argument: an index if it reads as one, else a header name."""
+    return int(arg) if arg.lstrip("-").isdigit() else arg
 
 
 # Built once per process: parse_args keeps no state in the parser, and
@@ -34,24 +40,26 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compress", help="compress a numeric text file")
     c.add_argument("input")
     c.add_argument("output")
-    c.add_argument("--version", type=int, choices=(1, 2), default=2)
+    # every default is the config class's own; the classes check the values
+    c.add_argument("--version", type=int, choices=METHOD_VERSIONS,
+                   default=TransformConfig.method_version)
     c.add_argument(
-        "--coder", choices=sorted(CODER_IDS), default="arithmetic",
-        help="entropy coder (default: arithmetic)",
+        "--coder", choices=sorted(CODER_IDS), default=CODER_NAMES[CodecConfig.coder],
+        help="entropy coder (default: %(default)s)",
     )
-    c.add_argument("--block", type=int, default=16, metavar="L")
-    c.add_argument("--tau", type=int, default=9, metavar="N")
+    c.add_argument("--block", type=int, default=TransformConfig.block_len, metavar="L")
+    c.add_argument("--tau", type=int, default=TransformConfig.tau, metavar="N")
     g = c.add_mutually_exclusive_group()
-    g.add_argument("--digits", type=int, default=3, metavar="D",
+    g.add_argument("--digits", type=int, default=QuantizerConfig.decimal_digits, metavar="D",
                    help="fractional digits to keep (max error 10^-D)")
     g.add_argument("--lossless", action="store_true",
                    help="keep every digit (scale auto-detected)")
-    c.add_argument("--column", default=None,
+    c.add_argument("--column", type=_column, default=DatasetSpec.column,
                    help="column index or header name (default: single column)")
-    c.add_argument("--delimiter", default=None,
+    c.add_argument("--delimiter", default=WHITESPACE,
                    help="field delimiter, or 'whitespace' (default)")
-    c.add_argument("--missing", choices=("skip", "forward-fill", "fail"),
-                   default=SKIP, help="missing-value policy (default: skip)")
+    c.add_argument("--missing", choices=MISSING_POLICIES, default=DatasetSpec.missing_policy,
+                   help="missing-value policy (default: %(default)s)")
 
     d = sub.add_parser("decompress", help="decompress to numeric text")
     d.add_argument("input")
@@ -80,23 +88,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _read_samples(args) -> list:
-    column = 0
-    if args.column is not None:
-        column = int(args.column) if args.column.lstrip("-").isdigit() else args.column
-    delimiter = args.delimiter if args.delimiter is not None else WHITESPACE
-    spec = DatasetSpec(
+def _cmd_compress(args) -> int:
+    samples = ingest(DatasetSpec(
         name=Path(args.input).name,
         source_path=args.input,
-        column=column,
-        delimiter=delimiter,
+        column=args.column,
+        delimiter=args.delimiter,
         missing_policy=args.missing,
-    )
-    return ingest(spec)
-
-
-def _cmd_compress(args) -> int:
-    samples = _read_samples(args)
+    ))
     digits = LOSSLESS if args.lossless else args.digits
     cfg = codec_config(args.version, args.coder, args.block, args.tau, digits)
     blob, m = compress_stream(samples, cfg)
@@ -139,11 +138,8 @@ def _cmd_verify(args) -> int:
 def _cmd_bench(args) -> int:
     import os
 
-    spec_arg = args.dataset_spec
-    if Path(spec_arg).exists():
-        dataset = DatasetSpec.from_json(spec_arg)
-    else:
-        dataset = packaged_spec(spec_arg)
+    load = DatasetSpec.from_json if Path(args.dataset_spec).exists() else packaged_spec
+    dataset = load(args.dataset_spec)
     sweep = SweepSpec.from_json(args.sweep_spec)
     data_dir = args.data_dir or os.environ.get("NLTS_DATA_DIR") or "."
     rows = run_sweep(dataset, sweep, out_path=args.out, data_dir=data_dir, jobs=args.jobs)

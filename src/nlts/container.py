@@ -149,10 +149,8 @@ def canonical_size(codes, scale_exp: int | None) -> int:
     size = len(render_code(lo, scale_exp))
     if (lo >= 0 or hi < 0) and len(render_code(hi, scale_exp)) == size:
         return (size + 1) * len(codes)
-    if scale_exp is None or scale_exp == 0:
-        return sum(len(str(c)) for c in codes) + len(codes)
-    pow10 = 10 ** scale_exp
-    total = (scale_exp + 2) * len(codes)  # '.', the fraction, and '\n'
+    pow10 = 10 ** (scale_exp or 0)
+    total = (scale_exp + 2 if scale_exp else 1) * len(codes)  # '\n', any '.' and fraction
     for c in codes:
         if c < 0:
             total += 1 + len(str(-c // pow10))

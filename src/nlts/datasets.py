@@ -16,7 +16,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from decimal import Decimal, InvalidOperation
 from importlib import resources
 from pathlib import Path
@@ -27,6 +27,7 @@ from .quantizer import PlainColumn, join_plain
 SKIP = "skip"
 FORWARD_FILL = "forward-fill"
 FAIL = "fail"
+MISSING_POLICIES = (SKIP, FORWARD_FILL, FAIL)
 
 #: Tokens treated as absent values (case-insensitive).
 MISSING_TOKENS = {"", "?", "na", "nan", "null"}
@@ -35,22 +36,52 @@ MISSING_TOKENS = {"", "?", "na", "nan", "null"}
 WHITESPACE = "whitespace"
 
 
+def load_spec(cls, path):
+    """The dataclass cls built from the JSON object in path, arrays as tuples.
+
+    A file holding anything but an object, or an object that lacks a field
+    without a default or names an unknown one, raises ValueError; so does
+    any value cls refuses.  Only cls holds the defaults.
+    """
+    with open(path, encoding="utf-8") as f:
+        raw = json.load(f)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(raw).__name__}")
+    known = {field.name: field.default is MISSING for field in fields(cls)}  # name: required
+    bad = [f"unknown key {key!r}" for key in raw if key not in known]
+    bad += [f"missing key {key!r}" for key, needed in known.items() if needed and key not in raw]
+    if bad:
+        raise ValueError(f"{path}: {'; '.join(bad)} (keys: {', '.join(known)})")
+    try:
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
+    """Where a dataset's column lives; a field of the wrong type or value raises ValueError."""
+
     name: str
     source_path: str
-    column: int | str = 0
-    delimiter: str = ","
+    column: int | str = 0  # index, or header name
+    delimiter: str = ","  # one character, or WHITESPACE
     missing_policy: str = SKIP
     has_header: bool | None = None  # None: header iff column is named
 
     def __post_init__(self):
-        if self.missing_policy not in (SKIP, FORWARD_FILL, FAIL):
+        for key in ("name", "source_path"):
+            if type(getattr(self, key)) is not str:
+                raise ValueError(f"{key} must be a string, got {getattr(self, key)!r}")
+        if type(self.column) not in (int, str):
+            raise ValueError(f"column must be an index or a header name, got {self.column!r}")
+        if self.missing_policy not in MISSING_POLICIES:
             raise ValueError(f"unknown missing policy {self.missing_policy!r}")
-        if self.delimiter != WHITESPACE and len(self.delimiter) != 1:
-            raise ValueError(
-                f"delimiter must be one character or {WHITESPACE!r}, got {self.delimiter!r}"
-            )
+        d = self.delimiter
+        if type(d) is not str or (d != WHITESPACE and len(d) != 1):
+            raise ValueError(f"delimiter must be one character or {WHITESPACE!r}, got {d!r}")
+        if self.has_header is not None and type(self.has_header) is not bool:
+            raise ValueError(f"has_header must be true, false or null, got {self.has_header!r}")
 
     @property
     def header_expected(self) -> bool:
@@ -60,16 +91,7 @@ class DatasetSpec:
 
     @classmethod
     def from_json(cls, path) -> "DatasetSpec":
-        with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
-        return cls(
-            name=raw["name"],
-            source_path=raw["source_path"],
-            column=raw.get("column", 0),
-            delimiter=raw.get("delimiter", ","),
-            missing_policy=raw.get("missing_policy", SKIP),
-            has_header=raw.get("has_header"),
-        )
+        return load_spec(cls, path)
 
     def resolve(self, data_dir=None) -> "DatasetSpec":
         """Anchor a relative source path at the data directory."""

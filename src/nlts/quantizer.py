@@ -15,7 +15,8 @@ quantizes each distinct token once and maps the codes back over the column
 floats, ints, Decimals, exponents, or any other spelling among its tokens --
 is converted one sample at a time through decimal.Decimal, exactly (lossless
 mode takes a float as its shortest repr), which keeps the rounding decision
-deterministic across platforms.
+deterministic across platforms.  Both paths report the error exactly, at
+any number of digits and whatever the caller's decimal context.
 Rendering codes back to text goes through float formatting only where that
 is proven exact (see render_stream); every other code is rendered with
 integer arithmetic.  Like quantization, rendering converts each distinct
@@ -40,9 +41,10 @@ LOSSLESS = "lossless"
 
 MAX_DIGITS = 6
 
-# Exact decimal expansion of any double needs < 800 digits; a precision this
-# large makes scaleb/to_integral exact for every input we accept.
-_CTX = decimal.Context(prec=1000, rounding=decimal.ROUND_HALF_UP)
+# Every Decimal operation that could round runs here, not in the caller's
+# context: at the largest precision scaleb and subtraction are exact for any
+# input.  Nothing here divides, which this precision would leave unbounded.
+_CTX = decimal.Context(prec=decimal.MAX_PREC, rounding=decimal.ROUND_HALF_UP)
 
 #: Header byte marking integer passthrough (lossless stream with no
 #: fractional digits); ordinary streams carry their digit count 0..6.
@@ -51,16 +53,17 @@ SCALE_PASSTHROUGH = 255
 
 @dataclass(frozen=True)
 class QuantizerConfig:
+    """Quantizer settings (lossless mode ignores decimal_digits); bad ones raise ValueError."""
+
     mode: str = ROUNDING
     decimal_digits: int = 3
 
     def __post_init__(self):
         if self.mode not in (ROUNDING, LOSSLESS):
             raise ValueError(f"unknown quantizer mode {self.mode!r}")
-        if self.mode == ROUNDING and not 0 <= self.decimal_digits <= MAX_DIGITS:
-            raise ValueError(
-                f"decimal_digits must be 0..{MAX_DIGITS}, got {self.decimal_digits}"
-            )
+        d = self.decimal_digits
+        if type(d) is not int or not 0 <= d <= MAX_DIGITS:
+            raise ValueError(f"decimal_digits must be an integer in 0..{MAX_DIGITS}, got {d!r}")
 
     @classmethod
     def lossless(cls) -> "QuantizerConfig":
@@ -130,10 +133,11 @@ def _column_codes(tokens, text: str, digits, column):
     that it stands for n / 10**S.  Rounding to d < S digits is
     (n + half - (n < 0)) // 10**(S - d) with half = 10**(S - d) / 2: floor
     division after adding half rounds ties up, and the -1 for a negative n
-    turns that into ties away from zero; with no negative n it is left out.
-    The code is the multiple of 10**(S - d) nearest n, so the error, exact
-    in units of 10**-S, is min(r, 10**(S - d) - r) for r = n mod 10**(S - d),
-    taken over the distinct residues.  Lossless mode takes S as its scale.
+    turns that into ties away from zero.  The code is the multiple of
+    10**(S - d) nearest n, so the error, exact in units of 10**-S, is
+    min(r, 10**(S - d) - r) for r = n mod 10**(S - d), taken over the
+    distinct residues.  Lossless mode takes S as its scale.  Returns None
+    when a token has more digits than int() reads.
     """
     # per token: 0 without a point, else 1 + its fraction length
     tails = list(map(len, map(str.lstrip, tokens, repeat(_BEFORE_POINT))))
@@ -143,7 +147,10 @@ def _column_codes(tokens, text: str, digits, column):
     if lossless and source > MAX_DIGITS:
         i = next(i for i, t in enumerate(tails) if t > MAX_DIGITS + 1)
         raise _too_many_digits(column.index(tokens[i]), tails[i] - 1)
-    n = list(map(int, text.replace(".", "").split("\n")))
+    try:
+        n = list(map(int, text.replace(".", "").split("\n")))
+    except ValueError:  # a token longer than int() reads (sys.set_int_max_str_digits)
+        return None
     if source and min(tails) < widest:
         # a token with a shorter fraction: multiply by 10**(S - its length)
         up = [10 ** (source - max(t - 1, 0)) for t in range(widest + 1)]
@@ -154,12 +161,10 @@ def _column_codes(tokens, text: str, digits, column):
             n = list(map(mul, n, repeat(10 ** (scale - source))))
         return n, Decimal(0), scale
     den = 10 ** (source - scale)
-    halfway = map(add, n, repeat(den >> 1))
-    if "-" in text:  # only a negative token makes a negative n
-        halfway = map(sub, halfway, map(lt, n, repeat(0)))
+    halfway = map(sub, map(add, n, repeat(den >> 1)), map(lt, n, repeat(0)))
     codes = list(map(floordiv, halfway, repeat(den)))
     error = max(min(r, den - r) for r in set(map(mod, n, repeat(den))))
-    return codes, Decimal(error).scaleb(-source), scale
+    return codes, Decimal(error).scaleb(-source, context=_CTX), scale
 
 
 def _slow_sample_code(v, scale: int, index: int, lossless: bool):
@@ -187,9 +192,8 @@ def _slow_sample_code(v, scale: int, index: int, lossless: bool):
         raise NonFiniteSample(index, v)
     scaled = d.scaleb(scale, context=_CTX)
     q = scaled.to_integral_value(rounding=decimal.ROUND_HALF_UP)
-    err = scaled - q
     n = max(0, -d.as_tuple().exponent) if lossless else 0
-    return int(q), -err if err < 0 else err, n
+    return int(q), _CTX.subtract(scaled, q).copy_abs(), n
 
 
 def _decimal_codes(samples, digits):
@@ -231,9 +235,10 @@ def quantize_stream(samples, digits):
     A sequence of text tokens that are all PLAIN decimals takes one column
     pass (_column_codes); any other sequence -- one float, int, Decimal,
     exponent or other spelling among its samples is enough -- goes through
-    Decimal one sample at a time (_decimal_codes).  Both give the same
-    codes for the same tokens.  A PlainColumn (as ingest returns) whose
-    tokens still join to its text skips the PLAIN search.
+    Decimal one sample at a time (_decimal_codes), as does a plain column
+    holding a token longer than int() reads.  Both give the same codes for
+    the same tokens.  A PlainColumn (as ingest returns) whose tokens still
+    join to its text skips the PLAIN search.
 
     When at most half the tokens of a plain column are distinct, the column
     pass runs over the distinct tokens in first-occurrence order and one
@@ -244,22 +249,25 @@ def quantize_stream(samples, digits):
     hash and compare equal to spellings with other digit counts, which
     would change the lossless scale.
 
-    The error is measured exactly in the decimal domain; lossless inputs
-    therefore report exactly 0.  Parse faults (NonFiniteSample,
-    TooManyDigits) are raised at the first bad sample; the 64-bit range is
-    checked once, after the pass, at the final scale (OverflowAtScale).
+    The error is measured exactly in the decimal domain, whatever the
+    caller's decimal context; lossless inputs therefore report exactly 0.
+    Parse faults (NonFiniteSample, TooManyDigits) are raised at the first
+    bad sample; the 64-bit range is checked once, after the pass, at the
+    final scale (OverflowAtScale).
     """
     text = join_plain(samples)
-    if text is None:
-        codes, error, scale = _decimal_codes(samples, digits)
-        distinct = codes
-    elif 2 * len(set(samples)) <= len(samples):
+    tokens = samples
+    if text is not None and 2 * len(set(samples)) <= len(samples):
         tokens = list(dict.fromkeys(samples))
-        distinct, error, scale = _column_codes(tokens, "\n".join(tokens), digits, samples)
+        text = "\n".join(tokens)
+    column = None if text is None else _column_codes(tokens, text, digits, samples)
+    if column is None:
+        tokens = samples
+        column = _decimal_codes(samples, digits)
+    codes, error, scale = column
+    distinct = codes
+    if tokens is not samples:
         codes = list(map(dict(zip(tokens, distinct)).__getitem__, samples))
-    else:
-        codes, error, scale = _column_codes(samples, text, digits, samples)
-        distinct = codes
     if codes and not INT64_MIN <= min(distinct) <= max(distinct) <= INT64_MAX:
         i = next(i for i, c in enumerate(codes) if not INT64_MIN <= c <= INT64_MAX)
         raise OverflowAtScale(i, samples[i], scale)

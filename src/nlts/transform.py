@@ -32,26 +32,30 @@ from operator import add, sub
 from .core import read_varints, write_varints
 from .errors import BadFlag, CodecError, CorruptStream, Overlong, Truncated
 
+METHOD_VERSIONS = (1, 2)
 MIN_BLOCK_LEN = 16
 MAX_BLOCK_LEN = 1 << 15  # block length must fit the container's u16 field
 
 
 @dataclass(frozen=True)
 class TransformConfig:
+    """Block transform settings; a field of the wrong type or range raises ValueError."""
+
     method_version: int = 2
     block_len: int = 16
     tau: int = 9
 
     def __post_init__(self):
-        if self.method_version not in (1, 2):
-            raise ValueError(f"method_version must be 1 or 2, got {self.method_version}")
+        if type(self.method_version) is not int or self.method_version not in METHOD_VERSIONS:
+            raise ValueError(f"method_version must be 1 or 2, got {self.method_version!r}")
         L = self.block_len
-        if L < MIN_BLOCK_LEN or L > MAX_BLOCK_LEN or L & (L - 1):
+        if type(L) is not int or not MIN_BLOCK_LEN <= L <= MAX_BLOCK_LEN or L & (L - 1):
             raise ValueError(
-                f"block_len must be a power of two in [{MIN_BLOCK_LEN}, {MAX_BLOCK_LEN}], got {L}"
+                f"block_len must be a power of two in [{MIN_BLOCK_LEN}, {MAX_BLOCK_LEN}], "
+                f"got {L!r}"
             )
-        if not 1 <= self.tau <= L:
-            raise ValueError(f"tau must be in 1..{L}, got {self.tau}")
+        if type(self.tau) is not int or not 1 <= self.tau <= L:
+            raise ValueError(f"tau must be an integer in 1..{L}, got {self.tau!r}")
 
 
 def compute_mode(codes) -> tuple:

@@ -21,7 +21,7 @@ from nlts.core import INT64_MAX, INT64_MIN
 from nlts.errors import NonFiniteSample, OverflowAtScale, TooManyDigits
 from nlts.quantizer import LOSSLESS, MAX_DIGITS
 
-_CTX = decimal.Context(prec=1000, rounding=decimal.ROUND_HALF_UP)
+_CTX = decimal.Context(prec=decimal.MAX_PREC, rounding=decimal.ROUND_HALF_UP)
 
 
 def _slow_sample_code(v, scale: int, index: int, lossless: bool):
@@ -43,9 +43,8 @@ def _slow_sample_code(v, scale: int, index: int, lossless: bool):
         raise NonFiniteSample(index, v)
     scaled = d.scaleb(scale, context=_CTX)
     q = scaled.to_integral_value(rounding=decimal.ROUND_HALF_UP)
-    err = scaled - q
     n = max(0, -d.as_tuple().exponent) if lossless else 0
-    return int(q), -err if err < 0 else err, n
+    return int(q), _CTX.subtract(scaled, q).copy_abs(), n
 
 
 def _checked_digits(n: int, lossless: bool, index: int) -> int:

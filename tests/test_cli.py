@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from nlts.bench import SweepSpec
 from nlts.cli import main
 from nlts.cli import _build_parser
 from nlts.container import StreamHeader, decompress_to_tokens
+from nlts.datasets import DatasetSpec
 
 
 def write_series(path, n=600, seed=920, fmt="{:.4f}"):
@@ -169,6 +171,55 @@ class TestBenchCommand:
         rc = main(["bench", "nosuch", str(sspec), "--out",
                    str(tmp_path / "r.csv")])
         assert rc == 3
+
+
+GOOD_SWEEP = {"versions": [2], "coders": ["arithmetic"], "block_lens": [16],
+              "taus": [9], "digits": [3], "repeats": 1}
+GOOD_DATASET = {"name": "synth", "source_path": "series.csv", "column": 0,
+                "delimiter": "whitespace"}
+DATASET_WITHOUT_NAME = {k: v for k, v in GOOD_DATASET.items() if k != "name"}
+
+
+@pytest.mark.parametrize("sweep, dataset", [
+    ({**GOOD_SWEEP, "block_len": [32]}, GOOD_DATASET),  # typo
+    (GOOD_SWEEP, {**GOOD_DATASET, "colum": 0}),  # typo
+    ({**GOOD_SWEEP, "block_lens": [20]}, GOOD_DATASET),
+    ({**GOOD_SWEEP, "block_lens": [65536]}, GOOD_DATASET),
+    ({**GOOD_SWEEP, "block_lens": [16.0]}, GOOD_DATASET),
+    ({**GOOD_SWEEP, "block_lens": [8], "taus": [5]}, GOOD_DATASET),
+    ({**GOOD_SWEEP, "taus": [0]}, GOOD_DATASET),
+    ({**GOOD_SWEEP, "digits": [2.5]}, GOOD_DATASET),
+    ({**GOOD_SWEEP, "repeats": "3"}, GOOD_DATASET),
+    ({**GOOD_SWEEP, "repeats": 0}, GOOD_DATASET),
+    ([GOOD_SWEEP], GOOD_DATASET),
+    (GOOD_SWEEP, DATASET_WITHOUT_NAME),
+], ids=["block_len", "colum", "L20", "L65536", "L16.0", "L8-tau5", "tau0",
+        "digits2.5", "repeats-str", "repeats0", "sweep-list", "no-name"])
+def test_bad_spec_fails_at_load(tmp_path, capsys, sweep, dataset):
+    write_series(tmp_path / "series.csv", n=50)
+    sspec = tmp_path / "sweep.json"
+    sspec.write_text(json.dumps(sweep))
+    dspec = tmp_path / "dataset.json"
+    dspec.write_text(json.dumps(dataset))
+    with pytest.raises(ValueError):  # one spec is bad, the other loads
+        SweepSpec.from_json(sspec)
+        DatasetSpec.from_json(dspec)
+    report = tmp_path / "r.csv"
+    rc = main(["bench", str(dspec), str(sspec), "--out", str(report),
+               "--data-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not report.exists()
+
+
+def test_compress_defaults_are_the_config_classes():
+    args = _build_parser().parse_args(["compress", "in", "out"])
+    assert (args.version, args.coder, args.block, args.tau, args.digits) == (
+        2, "arithmetic", 16, 9, 3)
+    assert (args.column, args.delimiter, args.missing) == (0, "whitespace", "skip")
+    assert _build_parser().parse_args(["compress", "in", "out", "--column", "x"]).column == "x"
 
 
 class TestParserReuse:

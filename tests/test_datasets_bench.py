@@ -1,8 +1,10 @@
 import csv
+import itertools
 import json
 import pickle
 import random
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -388,6 +390,71 @@ class TestSweep:
         assert len(list(sweep.configs())) == 8
         assert sweep.repeats == 2
 
+    def test_defaults_are_the_config_classes(self):
+        sweep = SweepSpec()
+        assert (sweep.versions, sweep.coders, sweep.block_lens, sweep.taus,
+                sweep.digits, sweep.repeats) == ((2,), ("arithmetic",), (16,), (9,), (3,), 3)
+
+    def test_unknown_coder_is_a_value_error(self):
+        with pytest.raises(ValueError, match="unknown coder 'zpaq'"):
+            codec_config(2, "zpaq", 16, 9, 3)
+
+    @pytest.mark.parametrize("settings", [
+        (2, "arithmetic", 16.0, 9, 3),
+        (2, "arithmetic", 16, 9.0, 3),
+        (True, "arithmetic", 16, 9, 3),
+        (2, "arithmetic", 16, 9, 2.5),
+        (2, "arithmetic", 16, 9, True),
+        (2, ["arithmetic"], 16, 9, 3),
+    ])
+    def test_wrong_typed_setting_is_a_value_error(self, settings):
+        with pytest.raises(ValueError):
+            codec_config(*settings)
+
     def test_config_label(self):
         assert config_label(2, "arithmetic", 16, 9, 3) == "v2-arithmetic-L16-t9-d3"
         assert config_label(1, "static", 32, 5, "lossless") == "v1-static-L32-t5-lossless"
+
+
+# Each shipped spec as the loader before the config classes owned the
+# defaults read it: a key left out took these values.
+SWEEP_AXES = {"versions": (2,), "coders": ("arithmetic",), "block_lens": (16,),
+              "taus": (9,), "digits": (3,)}
+SHIPPED = Path(__file__).parent.parent
+
+
+@pytest.mark.parametrize("path", sorted((SHIPPED / "sweeps").glob("*.json")), ids=str)
+def test_shipped_sweep_configs_unchanged(path):
+    raw = json.loads(path.read_text())
+    sweep = SweepSpec.from_json(path)
+    expected = itertools.product(*(raw.get(k, default) for k, default in SWEEP_AXES.items()))
+    assert list(sweep.configs()) == list(expected)
+    assert sweep.repeats == raw.get("repeats", 3)
+
+
+@pytest.mark.parametrize("name", ["acm", "bvp", "eda", "gactive", "gas", "gys"])
+def test_shipped_dataset_specs_unchanged(name):
+    raw = json.loads((SHIPPED / "src/nlts/dataset_specs" / f"{name}.json").read_text())
+    assert packaged_spec(name) == DatasetSpec(
+        name=raw["name"],
+        source_path=raw["source_path"],
+        column=raw.get("column", 0),
+        delimiter=raw.get("delimiter", ","),
+        missing_policy=raw.get("missing_policy", "skip"),
+        has_header=raw.get("has_header"),
+    )
+
+
+@pytest.mark.parametrize("fields", [
+    {"name": None},
+    {"source_path": 3},
+    {"column": 1.5},
+    {"column": None},
+    {"delimiter": 5},
+    {"missing_policy": "drop"},
+    {"has_header": "yes"},
+    {"has_header": 1},
+])
+def test_dataset_spec_rejects_bad_fields(fields):
+    with pytest.raises(ValueError):
+        DatasetSpec(**{"name": "t", "source_path": "t.csv", **fields})

@@ -1,5 +1,5 @@
 import random
-from decimal import ROUND_HALF_UP, Context, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -339,6 +339,37 @@ class TestErrorPrecedence:
             quantize_stream([1e19], LOSSLESS)
 
 
+class TestExactDecimal:
+    """The error is exact at any digit count, whatever the caller's context."""
+
+    @pytest.mark.parametrize("token", ["0.1234564", "0.1234564e0"])
+    def test_error_ignores_the_callers_context(self, token):
+        with localcontext(Context(prec=3)):
+            assert quantize_stream([token], 3) == ([123], Decimal("0.0004564"), 3)
+
+    def test_error_keeps_every_digit(self):
+        _, error, _ = quantize_stream(["0." + "1" * 37], 3)
+        assert error == Decimal("0.000" + "1" * 34)
+
+    def test_more_than_a_thousand_digits_round_once(self):
+        # x = 0.0004999... < 0.0005: rounding x to 1,000 digits first would
+        # round it up to 0.0005 and then to code 1
+        token = "0.0004" + "9" * 1100 + "e0"
+        assert quantize_stream([token], 3) == ([0], Decimal("0.0004" + "9" * 1100), 3)
+
+    def test_token_too_long_for_int(self):
+        long = "0." + "1" * 5000
+        exact = Decimal("0.000" + "1" * 4997)
+        assert quantize_stream([long, "1.5"], 3) == ([111, 1500], exact, 3)
+        # repeated: the distinct-token column pass falls back the same way
+        codes = [111, 111, 111, 1500]
+        assert quantize_stream([long, long, long, "1.5"], 3) == (codes, exact, 3)
+
+    def test_token_too_long_for_int_lossless(self):
+        with pytest.raises(TooManyDigits, match="index 0 carries 5000 "):
+            quantize_stream(["0." + "1" * 5000, "1.5"], LOSSLESS)
+
+
 class TestBlockOps:
     def test_quantize_block_rounding(self):
         codes, _, _ = quantize_stream((124.3472, 0.0, -1.25), 2)
@@ -352,6 +383,9 @@ class TestBlockOps:
             QuantizerConfig(mode="rounding", decimal_digits=7)
         with pytest.raises(ValueError):
             QuantizerConfig(mode="weird")
+        for bad in (2.5, "3", True, None, -1):
+            with pytest.raises(ValueError):
+                QuantizerConfig(mode="rounding", decimal_digits=bad)
 
 
 def outcome(quantize, samples, digits):

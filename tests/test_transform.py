@@ -291,6 +291,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TransformConfig(method_version=3, block_len=16, tau=9)
 
+    @pytest.mark.parametrize("fields", [
+        {"method_version": 2.0}, {"method_version": True}, {"block_len": 16.0},
+        {"block_len": "16"}, {"tau": 9.0}, {"tau": None},
+    ])
+    def test_wrong_types(self, fields):
+        with pytest.raises(ValueError):
+            TransformConfig(**fields)
+
 
 def random_block(rng, width):
     """One block of codes: mode-friendly, random walk, wild or adversarial."""
