@@ -14,12 +14,13 @@ import json
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
-from itertools import product
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_UP, Context, Decimal, InvalidOperation, localcontext
+from itertools import chain, product
+from operator import indexOf, sub
 from pathlib import Path
 
 from .container import CodecConfig, compress_stream, decompress_to_tokens
-from .datasets import DatasetSpec, file_sha256, ingest, is_numeric, load_spec
+from .datasets import WHITESPACE, DatasetSpec, file_sha256, ingest, is_numeric, load_spec
 from .entropy import CODER_IDS, CODER_NAMES
 from .errors import CodecError, LengthMismatch
 from .quantizer import LOSSLESS, QuantizerConfig
@@ -85,46 +86,46 @@ class VerifyResult:
 def verify_values(original, decoded, epsilon) -> VerifyResult:
     """Check |a_i - b_i| <= epsilon pairwise; values may be tokens or numbers.
 
-    A value or epsilon that is not a number raises ValueError.
+    A value or epsilon that is not a number raises ValueError.  The decision
+    is exact in any caller context: differences keep twice the longest
+    value's text plus epsilon's digits; a longer one rounds away from zero,
+    to a multiple of a unit no coarser than epsilon's last digit while it
+    is within epsilon, so it passes exactly when the true difference does.
     """
     if len(original) != len(decoded):
-        raise LengthMismatch(
-            f"sample counts differ: {len(original)} vs {len(decoded)}"
-        )
+        raise LengthMismatch(f"sample counts differ: {len(original)} vs {len(decoded)}")
     if not is_numeric(str(epsilon)):
         raise ValueError(f"epsilon {epsilon!r} is not a finite number")
     eps = Decimal(str(epsilon))
-    worst = Decimal(0)
-    at = 0
-    for i, (a, b) in enumerate(zip(original, decoded)):
-        try:
-            err = abs(Decimal(str(a)) - Decimal(str(b)))
-            if err > worst:
-                worst = err
-                at = i
-        except InvalidOperation:
-            raise ValueError(
-                f"sample {i + 1}: cannot compare {a!r} with {b!r}"
-            ) from None
-    return VerifyResult(ok=worst <= eps, max_abs_error=worst, argmax_index=at)
-
-
-def _read_tokens(path) -> list:
-    """The numeric token on each non-blank line; ValueError names a bad line."""
-    tokens = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            token = line.strip()
-            if token:
-                if not is_numeric(token):
-                    raise ValueError(f"{path} line {line_no}: {token!r} is not a number")
-                tokens.append(token)
-    return tokens
+    texts = [list(map(str, original)), list(map(str, decoded))]
+    prec = 2 * max(map(len, chain(*texts)), default=0) + len(str(eps))
+    # a difference past Emax is Infinity, which fails
+    ctx = Context(prec, ROUND_UP, MIN_EMIN, MAX_EMAX, traps=[InvalidOperation])
+    def errors():  # lazily, so memory does not grow with the column
+        return map(abs, map(sub, *(map(Decimal, side) for side in texts)))
+    try:
+        with localcontext(ctx):
+            worst = max(chain([Decimal(0)], errors()))  # compares every error: a NaN raises
+            at = indexOf(errors(), worst) if worst else 0
+    except InvalidOperation:
+        i = next(i for i, pair in enumerate(zip(*texts)) if not all(map(is_numeric, pair)))
+        a, b = original[i], decoded[i]
+        raise ValueError(f"sample {i + 1}: cannot compare {a!r} with {b!r}") from None
+    return VerifyResult(worst <= eps, worst, at)
 
 
 def verify_files(original_path, decoded_path, epsilon) -> VerifyResult:
-    """File variant of verify_values: one numeric token per line."""
-    return verify_values(_read_tokens(original_path), _read_tokens(decoded_path), epsilon)
+    """verify_values over two files, each read as nlts compress reads it by default.
+
+    A value that is not a number raises ValueError naming its file and row.
+    """
+    columns = []
+    for path in (original_path, decoded_path):
+        try:
+            columns.append(ingest(DatasetSpec(Path(path).name, str(path), delimiter=WHITESPACE)))
+        except (CodecError, ValueError) as e:
+            raise ValueError(f"{path}: {e}") from None
+    return verify_values(*columns, epsilon)
 
 
 def codec_config(version, coder, L, tau, digits) -> CodecConfig:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -127,17 +128,12 @@ def _cmd_verify(args) -> int:
     if result.ok:
         print(f"ok  max_abs_error={result.max_abs_error}")
         return EXIT_OK
-    print(
-        f"FAIL  max_abs_error={result.max_abs_error} "
-        f"at index {result.argmax_index} (epsilon {args.epsilon})",
-        file=sys.stderr,
-    )
+    print(f"FAIL  max_abs_error={result.max_abs_error} at index {result.argmax_index} "
+          f"(epsilon {args.epsilon})", file=sys.stderr)
     return EXIT_VERIFY
 
 
 def _cmd_bench(args) -> int:
-    import os
-
     load = DatasetSpec.from_json if Path(args.dataset_spec).exists() else packaged_spec
     dataset = load(args.dataset_spec)
     sweep = SweepSpec.from_json(args.sweep_spec)

@@ -190,9 +190,11 @@ def _slow_sample_code(v, scale: int, index: int, lossless: bool):
             raise NonFiniteSample(index, v) from None
     if not d.is_finite():
         raise NonFiniteSample(index, v)
+    n = max(0, -d.as_tuple().exponent) if lossless else 0
+    if d.adjusted() >= 19:  # |d| > INT64_MAX: a code out of range at every final scale
+        return 10 ** (19 + MAX_DIGITS), Decimal(0), n
     scaled = d.scaleb(scale, context=_CTX)
     q = scaled.to_integral_value(rounding=decimal.ROUND_HALF_UP)
-    n = max(0, -d.as_tuple().exponent) if lossless else 0
     return int(q), _CTX.subtract(scaled, q).copy_abs(), n
 
 

@@ -108,7 +108,38 @@ class TestCompressDecompressVerify:
         assert main(["verify", str(a), str(a), "--epsilon", "abc"]) == 2
         assert "epsilon" in capsys.readouterr().err
         assert main(["verify", str(a), str(b), "--epsilon", "0.1"]) == 2
-        assert "b.txt line 3" in capsys.readouterr().err
+        assert "b.txt: row 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("a_text, b_text", [
+        ("0.00050000000000000000000000000000000000001\n", "0\n"),  # past 28 digits
+        ("1e9999999\n", "0\n"),  # past the default exponent limit
+    ])
+    def test_verify_fails_exactly(self, tmp_path, capsys, a_text, b_text):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text(a_text)
+        b.write_text(b_text)
+        assert main(["verify", str(a), str(b), "--epsilon", "0.0005"]) == 1
+        assert capsys.readouterr().err.startswith("FAIL  max_abs_error=")
+
+    def test_verify_reads_as_compress_reads(self, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        src.write_bytes(b"1.25\r\n\r\n?\r\n2.5 9\r\n-3\r\n")
+        packed = tmp_path / "out.nlts"
+        back = tmp_path / "back.txt"
+        assert main(["compress", str(src), str(packed), "--digits", "1"]) == 0
+        assert main(["decompress", str(packed), str(back)]) == 0
+        assert back.read_text() == "1.3\n2.5\n-3.0\n"
+        assert main(["verify", str(src), str(back), "--epsilon", "0.05"]) == 0
+        assert main(["verify", str(src), str(back), "--epsilon", "0.04"]) == 1
+
+    def test_huge_exponent_input_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        src.write_text("1\n1e999999\n")
+        assert main(["compress", str(src), str(tmp_path / "o.nlts")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "index 1 ('1e999999') overflows" in err
 
     def test_unparseable_input_exit_2(self, tmp_path):
         src = tmp_path / "in.txt"

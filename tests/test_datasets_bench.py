@@ -3,7 +3,8 @@ import itertools
 import json
 import pickle
 import random
-from decimal import Decimal
+import tracemalloc
+from decimal import Context, Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -290,6 +291,42 @@ class TestVerify:
         a = tmp_text_file("1.0\n2.0\n", name="a.txt")
         b = tmp_text_file("1.0\n2.0\n", name="b.txt")
         assert verify_files(a, b, 0).ok
+
+
+class TestVerifyExact:
+    """The decision is exact and bounded, whatever the caller's context."""
+
+    def test_difference_past_the_default_precision_fails(self):
+        r = verify_values(["0.00050000000000000000000000000000000000001"], ["0"], "0.0005")
+        assert not r.ok
+        assert r.max_abs_error == Decimal("0.00050000000000000000000000000000000000001")
+
+    def test_difference_keeps_every_digit(self):
+        r = verify_values(["0." + "1" * 37], ["0"], "0.1")
+        assert r.max_abs_error == Decimal("0." + "1" * 37) and not r.ok
+
+    def test_ignores_the_callers_context(self):
+        with localcontext(Context(prec=3)):
+            r = verify_values(["0.1234564", "1"], ["0.1230000", "1"], "0.0004564")
+            assert r.ok and r.max_abs_error == Decimal("0.0004564")
+            assert not verify_values(["0.1234565"], ["0.123"], "0.0004564").ok
+
+    def test_huge_difference_fails(self):
+        r = verify_values(["1", "1e9999999"], ["1", "0"], "0.0005")
+        assert not r.ok and r.argmax_index == 1
+        assert r.max_abs_error == Decimal("1e9999999")
+
+    def test_long_difference_rounds_away_from_zero_in_bounded_memory(self):
+        tracemalloc.start()
+        try:
+            r = verify_values(["1e-99999999"], ["1"], 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the true difference, 1 - 1e-99999999, rounds up to 1, never down
+        assert r.ok and r.max_abs_error == 1
+        assert peak < 1 << 20
+        assert not verify_values(["1e-99999999"], ["1"], "0.9999999999").ok
 
 
 class TestSweep:

@@ -332,6 +332,18 @@ class TestErrorPrecedence:
                 quantize_stream(samples, digits)
             assert str(e.value) == message
 
+    @pytest.mark.parametrize("digits", [LOSSLESS, 0, 3])
+    @pytest.mark.parametrize("huge", ["1e999999", "-1e99999999", "1e99999"])
+    def test_huge_exponent_is_a_range_fault(self, digits, huge):
+        # past the Decimal exponent limit, or an integer of the exponent's size
+        samples = ["1", huge, "2", huge]
+        assert_matches_reference(samples, digits)
+        with pytest.raises(OverflowAtScale) as e:
+            quantize_stream(samples, digits)
+        assert (e.value.index, e.value.value) == (1, huge)
+        with pytest.raises(NonFiniteSample, match="index 1"):
+            quantize_stream([huge, "x"], digits)
+
     def test_lossless_messages_name_the_float(self):
         with pytest.raises(NonFiniteSample, match=r"index 0: nan$"):
             quantize_stream([float("nan")], LOSSLESS)
@@ -407,7 +419,7 @@ def assert_matches_reference(samples, digits):
 INTRUDERS = [
     "1e3", "-2.5E-1", "", " 1.5", "1.5 ", "1_000", "\u0661\u0662", "\uff11.5", "nan",
     "inf", "x", ".", "+", "-.", "1.2.3", "1\n2", "5\n", 1.5, 7, Decimal("2.25"),
-    float("nan"),
+    float("nan"), "1e999999",
 ]
 
 DIGITS = [LOSSLESS, 0, 1, 3, 6]
