@@ -55,7 +55,7 @@ class SweepSpec:
     coders: tuple = (CODER_NAMES[CodecConfig.coder],)
     block_lens: tuple = (TransformConfig.block_len,)
     taus: tuple = (TransformConfig.tau,)
-    digits: tuple = (QuantizerConfig.decimal_digits,)  # 0..6 or "lossless"
+    digits: tuple = (QuantizerConfig.digits,)  # 0..6 or "lossless"
     repeats: int = 3
 
     def __post_init__(self):
@@ -86,16 +86,17 @@ class VerifyResult:
 def verify_values(original, decoded, epsilon) -> VerifyResult:
     """Check |a_i - b_i| <= epsilon pairwise; values may be tokens or numbers.
 
-    A value or epsilon that is not a number raises ValueError.  The decision
-    is exact in any caller context: differences keep twice the longest
-    value's text plus epsilon's digits; a longer one rounds away from zero,
-    to a multiple of a unit no coarser than epsilon's last digit while it
-    is within epsilon, so it passes exactly when the true difference does.
+    A value that is not a number, or an epsilon that is not a number >= 0,
+    raises ValueError.  The decision is exact in any caller context:
+    differences keep twice the longest value's text plus epsilon's digits;
+    a longer one rounds away from zero, to a multiple of a unit no coarser
+    than epsilon's last digit while it is within epsilon, so it passes
+    exactly when the true difference does.
     """
     if len(original) != len(decoded):
         raise LengthMismatch(f"sample counts differ: {len(original)} vs {len(decoded)}")
-    if not is_numeric(str(epsilon)):
-        raise ValueError(f"epsilon {epsilon!r} is not a finite number")
+    if not is_numeric(str(epsilon)) or Decimal(str(epsilon)) < 0:
+        raise ValueError(f"epsilon {epsilon!r} is not a finite number >= 0")
     eps = Decimal(str(epsilon))
     texts = [list(map(str, original)), list(map(str, decoded))]
     prec = 2 * max(map(len, chain(*texts)), default=0) + len(str(eps))
@@ -136,13 +137,9 @@ def codec_config(version, coder, L, tau, digits) -> CodecConfig:
     """
     if coder not in CODER_NAMES.values():
         raise ValueError(f"unknown coder {coder!r}; known: {', '.join(sorted(CODER_IDS))}")
-    if digits == LOSSLESS:
-        q = QuantizerConfig.lossless()
-    else:
-        q = QuantizerConfig(mode="rounding", decimal_digits=digits)
     return CodecConfig(
         transform=TransformConfig(method_version=version, block_len=L, tau=tau),
-        quantizer=q,
+        quantizer=QuantizerConfig(digits),
         coder=CODER_IDS[coder],
     )
 

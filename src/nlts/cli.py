@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--block", type=int, default=TransformConfig.block_len, metavar="L")
     c.add_argument("--tau", type=int, default=TransformConfig.tau, metavar="N")
     g = c.add_mutually_exclusive_group()
-    g.add_argument("--digits", type=int, default=QuantizerConfig.decimal_digits, metavar="D",
+    g.add_argument("--digits", type=int, default=QuantizerConfig.digits, metavar="D",
                    help="fractional digits to keep (max error 10^-D)")
     g.add_argument("--lossless", action="store_true",
                    help="keep every digit (scale auto-detected)")

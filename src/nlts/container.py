@@ -172,11 +172,8 @@ def compress_stream(samples, config: CodecConfig = CodecConfig()):
 
     tcfg = config.transform
     t0 = time.perf_counter()
-    lossless = config.quantizer.mode == LOSSLESS
-    codes, max_err, scale_exp = quantize_stream(
-        samples, LOSSLESS if lossless else config.quantizer.decimal_digits
-    )
-    if lossless and not scale_exp:
+    codes, max_err, scale_exp = quantize_stream(samples, config.quantizer.digits)
+    if config.quantizer.digits == LOSSLESS and not scale_exp:
         scale_exp = None  # integer passthrough
 
     stream = entropy.encode(bytes(encode_blocks(codes, tcfg)), config.coder)

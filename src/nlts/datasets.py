@@ -64,10 +64,9 @@ class DatasetSpec:
 
     name: str
     source_path: str
-    column: int | str = 0  # index, or header name
+    column: int | str = 0  # index, or the name in a header row
     delimiter: str = ","  # one character, or WHITESPACE
     missing_policy: str = SKIP
-    has_header: bool | None = None  # None: header iff column is named
 
     def __post_init__(self):
         for key in ("name", "source_path"):
@@ -80,14 +79,6 @@ class DatasetSpec:
         d = self.delimiter
         if type(d) is not str or (d != WHITESPACE and len(d) != 1):
             raise ValueError(f"delimiter must be one character or {WHITESPACE!r}, got {d!r}")
-        if self.has_header is not None and type(self.has_header) is not bool:
-            raise ValueError(f"has_header must be true, false or null, got {self.has_header!r}")
-
-    @property
-    def header_expected(self) -> bool:
-        if self.has_header is None:
-            return isinstance(self.column, str)
-        return self.has_header
 
     @classmethod
     def from_json(cls, path) -> "DatasetSpec":
@@ -140,20 +131,15 @@ def _read_column(spec: DatasetSpec, lines, checked: bool) -> list:
     col = spec.column
     row_no = 0
 
-    if spec.header_expected:
+    if isinstance(col, str):  # a named column: the first row is the header
         header = next(rows, None)
         row_no = 1
         if header is None:
             raise MissingColumn(f"{spec.source_path} is empty")
-        if isinstance(col, str):
-            try:
-                col = header.index(col)
-            except ValueError:
-                raise MissingColumn(
-                    f"column {spec.column!r} not in header {header!r}"
-                ) from None
-    elif isinstance(col, str):
-        raise MissingColumn("named column requires a header row")
+        try:
+            col = header.index(col)
+        except ValueError:
+            raise MissingColumn(f"column {spec.column!r} not in header {header!r}") from None
 
     out = []
     last = None
@@ -197,7 +183,7 @@ def _whole_file_tokens(spec: DatasetSpec, data: bytes):
     lines, other or mixed line endings or whitespace, more columns) returns
     None.
     """
-    if spec.delimiter != WHITESPACE or spec.column != 0 or spec.header_expected:
+    if spec.delimiter != WHITESPACE or spec.column != 0:
         return None
     text = data.decode("utf-8")
     tokens = text.split()

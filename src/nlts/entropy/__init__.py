@@ -2,7 +2,9 @@
 
 All three coders work on the byte alphabet (256 values plus a terminator
 where they need one) and are deterministic: the same payload and coder id
-always produce the identical bit stream.
+always produce the identical bit stream.  An encoder returns a BitStream;
+a decoder reads whole bytes, as the container stores them (FORMAT.md
+section 4), and takes the final byte's zero padding as stream bits.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ def encode(payload: bytes, coder: int) -> BitStream:
     return _ENCODERS[coder](payload)
 
 
-def decode(stream, coder: int, max_len: float = math.inf) -> bytes:
-    """Decode a stream; a payload longer than max_len raises CorruptStream.
+def decode(data: bytes, coder: int, max_len: float = math.inf) -> bytes:
+    """Decode a stream's whole bytes; a payload longer than max_len raises CorruptStream.
 
     Static Huffman checks its declared symbol count before it decodes.  The
     adaptive decoders check their output length each time they read input
@@ -54,9 +56,7 @@ def decode(stream, coder: int, max_len: float = math.inf) -> bytes:
     """
     if coder not in _DECODERS:
         raise UnsupportedVersion(f"unknown entropy coder id {coder}")
-    if isinstance(stream, BitStream):
-        return _DECODERS[coder](stream.data, stream.bit_len, max_len)
-    return _DECODERS[coder](stream, None, max_len)
+    return _DECODERS[coder](data, max_len)
 
 
 __all__ = [

@@ -16,7 +16,7 @@ the stream format.
 
 The encoder emits each root-to-leaf path as one (value, length) int into
 an accumulator that spills whole bytes; the decoder walks the tree from a
-local int window.  The update dominates both sides.
+local int window over whole bytes.  The update dominates both sides.
 """
 
 from __future__ import annotations
@@ -152,18 +152,15 @@ def encode(payload: bytes) -> BitStream:
     return finish(out, (acc << length) | value, nacc + length)
 
 
-def decode(data: bytes, bit_len: int | None = None, max_len: float = math.inf) -> bytes:
+def decode(data: bytes, max_len: float = math.inf) -> bytes:
     tree = _Tree()
     child = tree.child
     update = tree.update
-    if bit_len is None:
-        bit_len = 8 * len(data)
     # every symbol costs at least one bit, so checking the output length at
     # each refill (at most 64 bits) stops within 64 symbols of max_len
     # The window holds the next wbits stream bits in its low bits and is
-    # refilled up to 8 bytes at a time, never past bit_len.
-    whole = bit_len >> 3
-    tail = bit_len & 7
+    # refilled up to 8 bytes at a time.
+    dlen = len(data)
     bytepos = 0
     window = 0
     wbits = 0
@@ -177,19 +174,14 @@ def decode(data: bytes, bit_len: int | None = None, max_len: float = math.inf) -
                     raise CorruptStream(
                         "adaptive huffman stream decodes past its declared size"
                     )
-                if bytepos < whole:
-                    end = min(bytepos + 8, whole)
-                    window = int.from_bytes(data[bytepos:end], "big")
-                    wbits = 8 * (end - bytepos)
-                    bytepos = end
-                elif bytepos == whole and tail:
-                    window = data[bytepos] >> (8 - tail)
-                    wbits = tail
-                    bytepos += 1
-                else:
+                if bytepos >= dlen:
                     raise CorruptStream(
                         "adaptive huffman stream ended before its terminator"
                     )
+                chunk = data[bytepos : bytepos + 8]
+                window = int.from_bytes(chunk, "big")
+                wbits = 8 * len(chunk)
+                bytepos += 8
             wbits -= 1
             node = child[(node << 1) | ((window >> wbits) & 1)]
         sym = node - 1

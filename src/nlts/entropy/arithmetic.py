@@ -14,8 +14,9 @@ the frequency model's Fenwick tree is inlined into the coding loops: each
 symbol's prefix-sum and update indices are tuples computed at import, and
 the decoder's 9-step descent is unrolled over a tree padded past its last
 node and applies the decoded symbol's increment on its way down.  Output
-bits collect in an int accumulator that spills whole bytes.  The output is
-bit-identical to the plain one-bit-at-a-time formulation.
+bits collect in an int accumulator that spills whole bytes, and the decoder
+reads whole bytes.  The output is bit-identical to the plain
+one-bit-at-a-time formulation.
 """
 
 from __future__ import annotations
@@ -142,16 +143,14 @@ def encode(payload: bytes) -> BitStream:
     return finish(out, (acc << 1) | 1, nacc + 1)
 
 
-def decode(data: bytes, bit_len: int | None = None, max_len: float = math.inf) -> bytes:
+def decode(data: bytes, max_len: float = math.inf) -> bytes:
     counts = [1] * NUM_SYMBOLS
     tree = _fresh_tree(counts)
     total = NUM_SYMBOLS
-    if bit_len is None:
-        bit_len = 8 * len(data)
     # Counts stay >= 1 under a total below 2**16, so a symbol costs at least
     # -log2(1 - 256 / 2**16) ~ 0.0056 bits: checking the output length
     # whenever a byte is read stops within ~1,450 symbols of max_len.
-    overrun_limit = bit_len + _MAX_OVERRUN
+    overrun_limit = 8 * len(data) + _MAX_OVERRUN
 
     # MSB-first bit window over data, feeding zeros past the end
     dlen = len(data)

@@ -4,8 +4,8 @@ Bit 7 of each byte comes first; the final partial byte is padded with zero
 bits.  The coders do their own bit I/O on local integers: an encoder
 collects codes in an int accumulator, ``spill``s its whole bytes once it
 holds ``FLUSH_BITS`` bits and hands the rest to ``finish``; a decoder
-refills an int window a few bytes at a time.  Both stay a fixed size, so
-memory grows only with the output.
+refills an int window a few bytes at a time from whole bytes, padding
+included.  Both stay a fixed size, so memory grows only with the output.
 """
 
 from __future__ import annotations

@@ -11,11 +11,11 @@ symbols sorted by (length, value) receive consecutive codes, left-shifted
 at each length increase, so no tree shape needs to travel.
 
 The encoder shifts each symbol's code into an int accumulator that spills
-whole bytes.  The decoder reads an int window and resolves a code of up to
-_TABLE_BITS bits in one lookup in a canonical prefix table (Moffat &
-Turpin 1997, as zlib's inflate does); longer codes, and bit patterns that
-start no code, fall back to the bit-by-bit canonical walk over first[] and
-by_len[], which also produces the damaged-stream errors.
+whole bytes.  The decoder reads whole bytes into an int window and resolves
+a code of up to _TABLE_BITS bits in one lookup in a canonical prefix table
+(Moffat & Turpin 1997, as zlib's inflate does); longer codes, and bit
+patterns that start no code, fall back to the bit-by-bit canonical walk
+over first[] and by_len[], which also produces the damaged-stream errors.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def encode(payload: bytes) -> BitStream:
     return finish(out, acc, nacc)
 
 
-def decode(data: bytes, bit_len: int | None = None, max_len: float = math.inf) -> bytes:
+def decode(data: bytes, max_len: float = math.inf) -> bytes:
     try:
         count_field = []
         pos = read_varints(data, 0, 1, count_field, signed=False, max_bits=32)
@@ -142,18 +142,16 @@ def decode(data: bytes, bit_len: int | None = None, max_len: float = math.inf) -
         return b""
     if not lengths:
         raise CorruptStream("nonzero symbol count but empty huffman table")
-    if bit_len is None:
-        bit_len = 8 * len(data)
 
-    max_len = max(lengths.values())
-    by_len = [[] for _ in range(max_len + 1)]
+    longest = max(lengths.values())
+    by_len = [[] for _ in range(longest + 1)]
     for sym, l in lengths.items():
         by_len[l].append(sym)
     for group in by_len:
         group.sort()
-    first = [0] * (max_len + 1)
+    first = [0] * (longest + 1)
     code = 0
-    for l in range(1, max_len + 1):
+    for l in range(1, longest + 1):
         first[l] = code
         code += len(by_len[l])
         if code > 1 << l:
@@ -163,7 +161,7 @@ def decode(data: bytes, bit_len: int | None = None, max_len: float = math.inf) -
     # table[k-bit prefix] = (length << 8) | symbol for the code of length <= k
     # that the prefix starts with; 0 where there is none (a longer code, or
     # no code at all), which sends the decoder to the bit-by-bit walk.
-    k = min(max_len, _TABLE_BITS)
+    k = min(longest, _TABLE_BITS)
     kmask = (1 << k) - 1
     table = [0] * (1 << k)
     for l in range(1, k + 1):
@@ -174,8 +172,9 @@ def decode(data: bytes, bit_len: int | None = None, max_len: float = math.inf) -
 
     # The window holds the wbits bits that follow the consumed ones, in its
     # low bits; past the end of data it reads zeros.  Bit position
-    # 8 * bytepos - wbits overrunning bit_len means a code ran past the end.
+    # 8 * bytepos - wbits overrunning nbits means a code ran past the end.
     dlen = len(data)
+    nbits = 8 * dlen
     bytepos = pos
     window = 0
     wbits = 0
@@ -183,7 +182,7 @@ def decode(data: bytes, bit_len: int | None = None, max_len: float = math.inf) -
     append = out.append
     for _ in range(count):
         if wbits < k:
-            if 8 * bytepos - wbits > bit_len:
+            if 8 * bytepos - wbits > nbits:
                 raise CorruptStream("huffman stream ended mid-code")
             chunk = data[bytepos : bytepos + 8]
             window = ((window & ((1 << wbits) - 1)) << 64) | (
@@ -201,7 +200,7 @@ def decode(data: bytes, bit_len: int | None = None, max_len: float = math.inf) -
         wbits -= k
         l = k
         while True:
-            if 8 * bytepos - wbits >= bit_len:
+            if 8 * bytepos - wbits >= nbits:
                 raise CorruptStream("huffman stream ended mid-code")
             if not wbits:
                 window = data[bytepos] if bytepos < dlen else 0
@@ -210,13 +209,13 @@ def decode(data: bytes, bit_len: int | None = None, max_len: float = math.inf) -
             wbits -= 1
             acc = (acc << 1) | ((window >> wbits) & 1)
             l += 1
-            if l > max_len:
+            if l > longest:
                 raise CorruptStream("bit pattern matches no huffman code")
             idx = acc - first[l]
             group = by_len[l]
             if 0 <= idx < len(group):
                 append(group[idx])
                 break
-    if 8 * bytepos - wbits > bit_len:
+    if 8 * bytepos - wbits > nbits:
         raise CorruptStream("huffman stream ended mid-code")
     return bytes(out)

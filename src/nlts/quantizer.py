@@ -36,7 +36,6 @@ from operator import add, floordiv, lt, mod, mul, sub, truediv
 from .core import INT64_MAX, INT64_MIN
 from .errors import NonFiniteSample, OverflowAtScale, TooManyDigits
 
-ROUNDING = "rounding"
 LOSSLESS = "lossless"
 
 MAX_DIGITS = 6
@@ -53,21 +52,14 @@ SCALE_PASSTHROUGH = 255
 
 @dataclass(frozen=True)
 class QuantizerConfig:
-    """Quantizer settings (lossless mode ignores decimal_digits); bad ones raise ValueError."""
+    """Fractional digits to keep, 0..6, or LOSSLESS; a bad value raises ValueError."""
 
-    mode: str = ROUNDING
-    decimal_digits: int = 3
+    digits: int | str = 3
 
     def __post_init__(self):
-        if self.mode not in (ROUNDING, LOSSLESS):
-            raise ValueError(f"unknown quantizer mode {self.mode!r}")
-        d = self.decimal_digits
-        if type(d) is not int or not 0 <= d <= MAX_DIGITS:
-            raise ValueError(f"decimal_digits must be an integer in 0..{MAX_DIGITS}, got {d!r}")
-
-    @classmethod
-    def lossless(cls) -> "QuantizerConfig":
-        return cls(mode=LOSSLESS, decimal_digits=0)
+        d = self.digits
+        if d != LOSSLESS and (type(d) is not int or not 0 <= d <= MAX_DIGITS):
+            raise ValueError(f"digits must be 0..{MAX_DIGITS} or {LOSSLESS!r}, got {d!r}")
 
 
 #: A plain decimal token: an optional sign, then digits with at most one

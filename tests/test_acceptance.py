@@ -21,7 +21,7 @@ from nlts.core import read_varints, write_varints
 from nlts.datasets import packaged_spec, ingest
 from nlts.entropy import static_huffman
 from nlts.entropy.adaptive_huffman import _Tree
-from nlts.quantizer import QuantizerConfig, quantize_stream, render_code
+from nlts.quantizer import LOSSLESS, QuantizerConfig, quantize_stream, render_code
 from nlts.transform import TransformConfig, decode_blocks, encode_blocks
 
 DATASET_NAMES = ("BVP", "EDA", "ACM", "GYS", "GAS", "Gactive")
@@ -121,7 +121,7 @@ class TestCriterion3NearLossless:
                 for d in (1, 2, 3):
                     cfg = CodecConfig(
                         transform=TransformConfig(version, L, min(tau, L)),
-                        quantizer=QuantizerConfig("rounding", d),
+                        quantizer=QuantizerConfig(d),
                         coder=coder,
                     )
                     blob, _ = compress_stream(samples, cfg)
@@ -155,7 +155,7 @@ class TestCriterion3NearLossless:
                 for d in (1, 2, 3):
                     cfg = CodecConfig(
                         transform=TransformConfig(2, 16, 9),
-                        quantizer=QuantizerConfig("rounding", d),
+                        quantizer=QuantizerConfig(d),
                         coder=2,
                     )
                     blob, _ = compress_stream(tokens, cfg)
@@ -180,7 +180,7 @@ def test_criterion_4_lossless_cr_reproduction():
         tokens = dataset_tokens(name)
         cfg = CodecConfig(
             transform=TransformConfig(1, 16, 9),
-            quantizer=QuantizerConfig.lossless(),
+            quantizer=QuantizerConfig(LOSSLESS),
             coder=2,
         )
         blob, m = compress_stream(tokens, cfg)
@@ -206,7 +206,7 @@ def test_criterion_5_lossy_cr_reproduction():
         tokens = dataset_tokens(name)
         cfg = CodecConfig(
             transform=TransformConfig(2, 16, 9),
-            quantizer=QuantizerConfig("rounding", 3),
+            quantizer=QuantizerConfig(3),
             coder=2,
         )
         blob, m = compress_stream(tokens, cfg)
@@ -220,10 +220,7 @@ def test_criterion_5_lossy_cr_reproduction():
 
 
 def _cr(tokens, version, L, tau, digits, coder=2):
-    if digits is None:
-        q = QuantizerConfig.lossless()
-    else:
-        q = QuantizerConfig("rounding", digits)
+    q = QuantizerConfig(LOSSLESS if digits is None else digits)
     cfg = CodecConfig(transform=TransformConfig(version, L, tau), quantizer=q, coder=coder)
     _, m = compress_stream(tokens, cfg)
     return m.cr
@@ -379,7 +376,7 @@ class TestCriterion9PropertySuites:
 
         for coder in (0, 1, 2):
             for payload in random_payloads(906 + coder, 60):
-                assert entropy.decode(entropy.encode(payload, coder), coder) == payload
+                assert entropy.decode(entropy.encode(payload, coder).data, coder) == payload
         checker = TestArithmetic()
         rng = random.Random(907)
         for probs, n in [((0.95, 0.05), 8192), ((0.5, 0.3, 0.15, 0.05), 8192)]:

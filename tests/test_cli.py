@@ -110,6 +110,13 @@ class TestCompressDecompressVerify:
         assert main(["verify", str(a), str(b), "--epsilon", "0.1"]) == 2
         assert "b.txt: row 3" in capsys.readouterr().err
 
+    def test_verify_negative_epsilon_exit_2(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        a.write_text("1.0\n2.0\n")
+        assert main(["verify", str(a), str(a), "--epsilon", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: epsilon '-1'")
+
     @pytest.mark.parametrize("a_text, b_text", [
         ("0.00050000000000000000000000000000000000001\n", "0\n"),  # past 28 digits
         ("1e9999999\n", "0\n"),  # past the default exponent limit
@@ -224,8 +231,9 @@ DATASET_WITHOUT_NAME = {k: v for k, v in GOOD_DATASET.items() if k != "name"}
     ({**GOOD_SWEEP, "repeats": 0}, GOOD_DATASET),
     ([GOOD_SWEEP], GOOD_DATASET),
     (GOOD_SWEEP, DATASET_WITHOUT_NAME),
+    (GOOD_SWEEP, {**GOOD_DATASET, "has_header": False}),  # gone: a named column implies it
 ], ids=["block_len", "colum", "L20", "L65536", "L16.0", "L8-tau5", "tau0",
-        "digits2.5", "repeats-str", "repeats0", "sweep-list", "no-name"])
+        "digits2.5", "repeats-str", "repeats0", "sweep-list", "no-name", "has_header"])
 def test_bad_spec_fails_at_load(tmp_path, capsys, sweep, dataset):
     write_series(tmp_path / "series.csv", n=50)
     sspec = tmp_path / "sweep.json"

@@ -18,14 +18,12 @@ from nlts.cli import main
 from nlts.core import INT64_MAX, INT64_MIN, write_varints
 from nlts.entropy import ADAPTIVE_ARITHMETIC, ADAPTIVE_HUFFMAN, STATIC_HUFFMAN
 from nlts.errors import BadMagic, CodecError, CorruptStream, UnsupportedVersion
-from nlts.quantizer import QuantizerConfig, quantize_stream, render_code
+from nlts.quantizer import LOSSLESS, QuantizerConfig, quantize_stream, render_code
 from nlts.transform import TransformConfig
 
 
 def make_config(version=2, coder=ADAPTIVE_ARITHMETIC, L=16, tau=9, digits=3):
-    q = QuantizerConfig.lossless() if digits is None else QuantizerConfig(
-        mode="rounding", decimal_digits=digits
-    )
+    q = QuantizerConfig(LOSSLESS if digits is None else digits)
     return CodecConfig(
         transform=TransformConfig(method_version=version, block_len=L, tau=tau),
         quantizer=q,

@@ -287,6 +287,13 @@ class TestVerify:
         with pytest.raises(ValueError, match="sample 1"):
             verify_values(["nan"], ["1.0"], "0.1")
 
+    def test_negative_epsilon(self):
+        # no pair can pass a negative bound; it is a bad argument, not a failure
+        for eps in ("-1", -1, "-0.0005", Decimal("-1e-30")):
+            with pytest.raises(ValueError, match="epsilon"):
+                verify_values(["1.0"], ["1.0"], eps)
+        assert verify_values(["1.0"], ["1.0"], "-0").ok
+
     def test_files(self, tmp_text_file):
         a = tmp_text_file("1.0\n2.0\n", name="a.txt")
         b = tmp_text_file("1.0\n2.0\n", name="b.txt")
@@ -469,17 +476,23 @@ def test_shipped_sweep_configs_unchanged(path):
     assert sweep.repeats == raw.get("repeats", 3)
 
 
+# The shipped datasets whose files open with a header row; the spec of
+# each (and only these) names its column, which is what implies the header.
+HEADERED = {"acm", "gactive", "gas", "gys"}
+
+
 @pytest.mark.parametrize("name", ["acm", "bvp", "eda", "gactive", "gas", "gys"])
 def test_shipped_dataset_specs_unchanged(name):
     raw = json.loads((SHIPPED / "src/nlts/dataset_specs" / f"{name}.json").read_text())
-    assert packaged_spec(name) == DatasetSpec(
+    spec = packaged_spec(name)
+    assert spec == DatasetSpec(
         name=raw["name"],
         source_path=raw["source_path"],
         column=raw.get("column", 0),
         delimiter=raw.get("delimiter", ","),
         missing_policy=raw.get("missing_policy", "skip"),
-        has_header=raw.get("has_header"),
     )
+    assert isinstance(spec.column, str) == (name in HEADERED)
 
 
 @pytest.mark.parametrize("fields", [
@@ -489,8 +502,6 @@ def test_shipped_dataset_specs_unchanged(name):
     {"column": None},
     {"delimiter": 5},
     {"missing_policy": "drop"},
-    {"has_header": "yes"},
-    {"has_header": 1},
 ])
 def test_dataset_spec_rejects_bad_fields(fields):
     with pytest.raises(ValueError):

@@ -55,25 +55,25 @@ def random_payloads(seed, count, max_len=4096):
 class TestRoundTrip:
     @pytest.mark.parametrize("coder", ALL_CODERS)
     def test_empty(self, coder):
-        assert entropy.decode(entropy.encode(b"", coder), coder) == b""
+        assert entropy.decode(entropy.encode(b"", coder).data, coder) == b""
 
     @pytest.mark.parametrize("coder", ALL_CODERS)
     def test_two_byte_alternation(self, coder):
         payload = bytes([0x00, 0xFF] * 100)
-        assert entropy.decode(entropy.encode(payload, coder), coder) == payload
+        assert entropy.decode(entropy.encode(payload, coder).data, coder) == payload
 
     @pytest.mark.parametrize("coder", ALL_CODERS)
     def test_constant_source_compresses(self, coder):
         payload = b"A" * 1000
         stream = entropy.encode(payload, coder)
         assert len(stream.data) < 1000
-        assert entropy.decode(stream, coder) == payload
+        assert entropy.decode(stream.data, coder) == payload
 
     @pytest.mark.parametrize("coder", ALL_CODERS)
     def test_random_payloads(self, coder):
         for payload in random_payloads(700 + coder, 120):
             stream = entropy.encode(payload, coder)
-            assert entropy.decode(stream, coder) == payload
+            assert entropy.decode(stream.data, coder) == payload
 
     @pytest.mark.parametrize("coder", ALL_CODERS)
     def test_deterministic(self, coder):
@@ -102,20 +102,20 @@ class TestDecodeBound:
         payloads.append(bytes(rng.choices(range(8), k=3000)))
         for payload in payloads:
             stream = entropy.encode(payload, coder)
-            assert entropy.decode(stream, coder, len(payload)) == payload
+            assert entropy.decode(stream.data, coder, len(payload)) == payload
             with pytest.raises(CorruptStream):
-                entropy.decode(stream, coder, len(payload) - 1)
+                entropy.decode(stream.data, coder, len(payload) - 1)
 
     def test_zero_bytes_stop_near_the_bound(self):
         # all-zero input decodes to ~1,400 symbols a byte; unbounded, 10 kB
         # would take tens of seconds before the terminator check fires
         with pytest.raises(CorruptStream, match="past its declared size"):
-            arithmetic.decode(bytes(10_000), None, 21)
+            arithmetic.decode(bytes(10_000), 21)
 
     def test_static_declared_count_checked_first(self):
         stream = entropy.encode(bytes(100), STATIC_HUFFMAN)
         with pytest.raises(CorruptStream, match="symbol count 100 exceeds"):
-            static_huffman.decode(stream.data, stream.bit_len, 99)
+            static_huffman.decode(stream.data, 99)
 
 
 @pytest.mark.slow
@@ -128,7 +128,7 @@ class TestRoundTripExhaustive:
             n = min(int(rng.paretovariate(0.7) * 8), 65536)
             payload = bytes(rng.choices(range(256), k=n)) if i % 2 else rng.randbytes(n)
             stream = entropy.encode(payload, coder)
-            assert entropy.decode(stream, coder) == payload
+            assert entropy.decode(stream.data, coder) == payload
 
 
 class TestStaticHuffman:
@@ -189,9 +189,9 @@ class TestStaticHuffman:
         data = bytes([1]) + table + bytes([0b11000000])
         with pytest.raises(CorruptStream, match="matches no huffman code"):
             static_huffman.decode(data)
-        # the same pattern at the very end runs out of bits first
+        # eight symbols: seven 0s, then a 1 whose code runs past the last byte
         with pytest.raises(CorruptStream, match="ended mid-code"):
-            static_huffman.decode(data, 8 * len(table) + 8 + 2)
+            static_huffman.decode(bytes([8]) + table + bytes([0b00000001]))
 
     def test_overlong_count_rejected(self):
         with pytest.raises(CorruptStream):
@@ -263,19 +263,19 @@ class TestArithmetic:
             fast = arithmetic.encode(payload)
             ref = arithmetic_encode(payload)
             assert fast.data == ref.data and fast.bit_len == ref.bit_len
-            assert arithmetic.decode(fast.data, fast.bit_len) == payload
+            assert arithmetic.decode(fast.data) == payload
             assert arithmetic_decode(fast.data, fast.bit_len) == payload
 
     def test_truncated_stream(self):
         stream = arithmetic.encode(bytes(random.Random(741).randbytes(400)))
         with pytest.raises(CorruptStream):
-            arithmetic.decode(stream.data[:2], 16)
+            arithmetic.decode(stream.data[:2])
 
     def test_missing_terminator(self):
         # all-zero bits decode to an endless run of symbol 0 until the
         # overrun guard trips
         with pytest.raises(CorruptStream):
-            arithmetic.decode(b"", 0)
+            arithmetic.decode(b"")
 
     def test_model_learning_cost_bound(self):
         # ideal adaptive code length stays within the alphabet-learning
@@ -357,7 +357,7 @@ class TestMatchesReference:
             fast = entropy.encode(payload, coder)
             ref = ref_encode(payload)
             assert fast.data == ref.data and fast.bit_len == ref.bit_len
-            assert entropy.decode(fast, coder) == payload
+            assert entropy.decode(fast.data, coder) == payload
             assert ref_decode(fast.data, fast.bit_len) == payload
 
     def test_fibonacci_payload_needs_long_codes(self):
@@ -365,25 +365,24 @@ class TestMatchesReference:
         assert max(lengths.values()) > static_huffman._TABLE_BITS
 
 
-def mutations(stream, rng, count):
-    """Seeded damaged copies of a stream as (data, bit_len) pairs: bit
-    flips, truncations and byte overwrites."""
-    data = stream.data
+def mutations(data, rng, count):
+    """Seeded damaged copies of a stream's bytes: bit flips anywhere in
+    them (the final byte's padding too), byte-boundary truncations and
+    byte overwrites."""
     for _ in range(count):
         kind = rng.randrange(3)
-        if kind == 0 and stream.bit_len:
-            bit = rng.randrange(stream.bit_len)
+        if kind == 0 and data:
+            bit = rng.randrange(8 * len(data))
             damaged = bytearray(data)
             damaged[bit >> 3] ^= 0x80 >> (bit & 7)
-            yield bytes(damaged), stream.bit_len
+            yield bytes(damaged)
         elif kind == 1:
-            cut = rng.randrange(stream.bit_len + 1)
-            yield data[: (cut + 7) >> 3], cut
+            yield data[: rng.randrange(len(data) + 1)]
         elif data:
             damaged = bytearray(data)
             for _ in range(rng.randrange(1, 4)):
                 damaged[rng.randrange(len(damaged))] = rng.randrange(256)
-            yield bytes(damaged), stream.bit_len
+            yield bytes(damaged)
 
 
 class TestDamagedStreams:
@@ -399,17 +398,17 @@ class TestDamagedStreams:
             payloads.append(fibonacci_payload(781, distinct=20)[:400])
         for payload in payloads:
             stream = entropy.encode(payload, coder)
-            for data, bit_len in mutations(stream, rng, 150):
-                outcome = self._outcome(decode, data, bit_len)
+            for data in mutations(stream.data, rng, 150):
+                outcome = self._outcome(decode, data)
                 assert isinstance(outcome, (bytes, CorruptStream))
                 if coder in REFERENCES:
-                    expected = self._outcome(REFERENCES[coder][1], data, bit_len)
+                    expected = self._outcome(REFERENCES[coder][1], data)
                     assert repr(outcome) == repr(expected)
 
     @staticmethod
-    def _outcome(decode, data, bit_len):
+    def _outcome(decode, data):
         try:
-            return decode(data, bit_len)
+            return decode(data)
         except CorruptStream as e:
             return e
 

@@ -107,10 +107,9 @@ def sha256(data: bytes) -> str:
 
 
 def digests(tokens, version, coder, L, tau, d) -> dict:
-    q = QuantizerConfig.lossless() if d == "lossless" else QuantizerConfig(decimal_digits=d)
     cfg = CodecConfig(
         transform=TransformConfig(method_version=version, block_len=L, tau=tau),
-        quantizer=q,
+        quantizer=QuantizerConfig(d),
         coder=CODER_IDS[coder],
     )
     blob, _ = compress_stream(tokens, cfg)

@@ -391,13 +391,12 @@ class TestBlockOps:
         assert quantize_stream(("1.5", "2.25"), LOSSLESS) == ([150, 225], 0, 2)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QuantizerConfig(mode="rounding", decimal_digits=7)
-        with pytest.raises(ValueError):
-            QuantizerConfig(mode="weird")
-        for bad in (2.5, "3", True, None, -1):
-            with pytest.raises(ValueError):
-                QuantizerConfig(mode="rounding", decimal_digits=bad)
+        for good in (*range(7), LOSSLESS):
+            assert QuantizerConfig(good).digits == good
+        assert QuantizerConfig().digits == 3
+        for bad in (7, -1, True, 3.0, 2.5, "3", "rounding", None):
+            with pytest.raises(ValueError, match="digits"):
+                QuantizerConfig(bad)
 
 
 def outcome(quantize, samples, digits):
