@@ -12,7 +12,7 @@ number, siblings adjacent), which makes the weight-class leader a binary
 search over the number-ordered weight list; a node whose next number
 weighs more is its own leader and needs no search.  The initial tree is
 built by the two-queue Huffman construction in symbol order and is part of
-the stream format.
+the stream format; it is built once at import and copied per call.
 
 The encoder emits each root-to-leaf path as one (value, length) int into
 an accumulator that spills whole bytes; the decoder walks the tree from a
@@ -33,6 +33,43 @@ _NUM_NODES = 2 * NUM_SYMBOLS - 1
 _ROOT = _NUM_NODES
 
 
+def _initial_tree():
+    """The five lists of the initial code tree (see _Tree), built once."""
+    size = _NUM_NODES + 1  # ids/numbers are 1-based
+    child = [0] * (2 * size)
+    slot = [0] * size
+    weight = [0] * size
+    for n in range(1, NUM_SYMBOLS + 1):
+        weight[n] = 1
+
+    # Two-queue Huffman build over equal weights; creation order is
+    # nondecreasing in weight, so ids double as sibling-property numbers.
+    leaves = deque(range(1, NUM_SYMBOLS + 1))
+    internal = deque()
+    nxt = NUM_SYMBOLS + 1
+    while len(leaves) + len(internal) > 1:
+        pair = []
+        for _ in range(2):
+            if leaves and (not internal or weight[leaves[0]] <= weight[internal[0]]):
+                pair.append(leaves.popleft())
+            else:
+                pair.append(internal.popleft())
+        a, b = pair
+        child[2 * nxt] = a
+        child[2 * nxt + 1] = b
+        slot[a] = 2 * nxt
+        slot[b] = 2 * nxt + 1
+        weight[nxt] = weight[a] + weight[b]
+        internal.append(nxt)
+        nxt += 1
+
+    # number <-> node maps start as the identity
+    return child, slot, list(range(size)), list(range(size)), weight
+
+
+_INITIAL_TREE = _initial_tree()
+
+
 class _Tree:
     """Code tree with FGK updates; node ids are their initial numbers.
 
@@ -47,40 +84,9 @@ class _Tree:
     __slots__ = ("child", "slot", "num_of", "node_at", "weight_at")
 
     def __init__(self):
-        size = _NUM_NODES + 1  # ids/numbers are 1-based
-        child = [0] * (2 * size)
-        slot = [0] * size
-        weight = [0] * size
-        for n in range(1, NUM_SYMBOLS + 1):
-            weight[n] = 1
-
-        # Two-queue Huffman build over equal weights; creation order is
-        # nondecreasing in weight, so ids double as sibling-property numbers.
-        leaves = deque(range(1, NUM_SYMBOLS + 1))
-        internal = deque()
-        nxt = NUM_SYMBOLS + 1
-        while len(leaves) + len(internal) > 1:
-            pair = []
-            for _ in range(2):
-                if leaves and (not internal or weight[leaves[0]] <= weight[internal[0]]):
-                    pair.append(leaves.popleft())
-                else:
-                    pair.append(internal.popleft())
-            a, b = pair
-            child[2 * nxt] = a
-            child[2 * nxt + 1] = b
-            slot[a] = 2 * nxt
-            slot[b] = 2 * nxt + 1
-            weight[nxt] = weight[a] + weight[b]
-            internal.append(nxt)
-            nxt += 1
-
-        self.child = child
-        self.slot = slot
-        # number <-> node maps start as the identity
-        self.num_of = list(range(size))
-        self.node_at = list(range(size))
-        self.weight_at = weight
+        self.child, self.slot, self.num_of, self.node_at, self.weight_at = (
+            lst[:] for lst in _INITIAL_TREE
+        )
 
     def code(self, sym: int):
         """(value, length) of the symbol's root-to-leaf path, 0 = left."""

@@ -8,15 +8,19 @@ single 1 bit so the final window is identifiable under zero padding.
 
 The 32-bit state width and the model's 2^16 rescale ceiling are normative:
 changing either changes the bit stream.  For throughput, renormalization is
-batched (all agreeing leading bits leave in one step -- after a straddle
-shift the top bits differ, so agreement can only occur once per symbol) and
-the frequency model's Fenwick tree is inlined into the coding loops: each
-symbol's prefix-sum and update indices are tuples computed at import, and
-the decoder's 9-step descent is unrolled over a tree padded past its last
-node and applies the decoded symbol's increment on its way down.  Output
-bits collect in an int accumulator that spills whole bytes, and the decoder
-reads whole bytes.  The output is bit-identical to the plain
-one-bit-at-a-time formulation.
+batched: all agreeing leading bits leave in one shift, and so do all the
+straddle bits that follow them (after the first shift the top bits differ,
+so each kind occurs once per symbol).  The frequency model is inlined into
+the coding loops.  Symbol 0's count is a local, so coding a 0 needs no tree
+at all; the counts of symbols 1..256 sit at positions 1..256 of a Fenwick
+tree whose root, node 256, holds only their sum and is never read, so the
+tree stops at node 255.  The encoder sums precomputed per-symbol index
+tuples; the decoder's 8-step descent is unrolled and applies the decoded
+symbol's increment on its way down.  The decoder tracks code - low rather
+than the code itself, which turns both kinds of shift into one append of
+stream bits.  Output bits collect in an int accumulator that spills whole
+bytes, and the decoder reads four bytes at a time.  The output is
+bit-identical to the plain one-bit-at-a-time formulation.
 """
 
 from __future__ import annotations
@@ -37,23 +41,29 @@ _HALF_MASK = _MASK >> 1
 # A healthy stream never needs more than the state width of padding bits
 # past its end; needing more means the stream was torn.
 _MAX_OVERRUN = 2 * _STATE_BITS
+# The decoder checks the overrun before each 32-bit refill and no symbol
+# shifts in more than 18 bits, so it never reads past this much zero padding.
+_PAD = bytes((_MAX_OVERRUN + 2 * _STATE_BITS) // 8)
+
+# Fenwick nodes 1..255 over the counts of symbols 1..255 (index 0 unused).
+_TREE_LEN = EOF_SYMBOL
 
 
 def _fenwick_paths():
-    """Per symbol s, the Fenwick indices summed for counts[0..s-1] (_DOWN)
-    and the indices an increment of counts[s] touches (_UP)."""
-    down = []
-    up = []
-    for sym in range(NUM_SYMBOLS):
+    """Per symbol s >= 1, the Fenwick indices summed for counts[1..s-1]
+    (_DOWN) and the indices an increment of counts[s] touches (_UP)."""
+    down = [()]
+    up = [()]
+    for sym in range(1, NUM_SYMBOLS):
         path = []
-        i = sym
+        i = sym - 1
         while i:
             path.append(i)
             i &= i - 1
         down.append(tuple(path))
         path = []
-        i = sym + 1
-        while i <= NUM_SYMBOLS:
+        i = sym
+        while i < _TREE_LEN:
             path.append(i)
             i += i & -i
         up.append(tuple(path))
@@ -62,28 +72,38 @@ def _fenwick_paths():
 
 _DOWN, _UP = _fenwick_paths()
 
-# The decoder's descent probes indices up to 256 + 128; entries past the
-# last real node hold a value above any search target, so the descent never
-# steps onto them and needs no bound check.
-_TREE_LEN = 512
-_PAST_END = RESCALE_CEILING
-
 
 def _fresh_tree(counts):
-    n = len(counts)
-    tree = [0] * (n + 1)
-    for i in range(1, n + 1):
-        tree[i] += counts[i - 1]
+    tree = [0] * _TREE_LEN
+    for i in range(1, _TREE_LEN):
+        tree[i] += counts[i]
         j = i + (i & -i)
-        if j <= n:
+        if j < _TREE_LEN:
             tree[j] += tree[i]
-    tree += [_PAST_END] * (_TREE_LEN - n - 1)
     return tree
 
 
+_INITIAL_TREE = _fresh_tree([1] * NUM_SYMBOLS)
+
+
+def _halved(counts, c0):
+    """The model after a rescale: (counts, c0, total, tree)."""
+    counts[0] = c0
+    counts = [(c + 1) >> 1 for c in counts]
+    return counts, counts[0], sum(counts), _fresh_tree(counts)
+
+
+def _check(consumed, overrun_limit, decoded, max_len):
+    if consumed > overrun_limit:
+        raise CorruptStream("arithmetic stream ended before its terminator")
+    if decoded > max_len:
+        raise CorruptStream("arithmetic stream decodes past its declared size")
+
+
 def encode(payload: bytes) -> BitStream:
-    counts = [1] * NUM_SYMBOLS
-    tree = _fresh_tree(counts)
+    counts = [1] * NUM_SYMBOLS  # counts[0] is stale; c0 holds symbol 0's
+    c0 = 1
+    tree = _INITIAL_TREE[:]
     total = NUM_SYMBOLS
 
     out = bytearray()
@@ -94,17 +114,27 @@ def encode(payload: bytes) -> BitStream:
     pending = 0
 
     for sym in chain(payload, (EOF_SYMBOL,)):
-        lo_c = 0
-        for i in _DOWN[sym]:
-            lo_c += tree[i]
-        hi_c = lo_c + counts[sym]
         rng = high - low + 1
-        high = low + hi_c * rng // total - 1
-        low = low + lo_c * rng // total
+        if sym:
+            lo_c = c0
+            for i in _DOWN[sym]:
+                lo_c += tree[i]
+            c = counts[sym]
+            high = low + (lo_c + c) * rng // total - 1
+            low += lo_c * rng // total
+            # the terminator's update is never used
+            counts[sym] = c + 1
+            for i in _UP[sym]:
+                tree[i] += 1
+        else:
+            high = low + c0 * rng // total - 1
+            c0 += 1
+        total += 1
+        if total >= RESCALE_CEILING:
+            counts, c0, total, tree = _halved(counts, c0)
 
-        x = low ^ high
-        if x & _TOP == 0:
-            k = _STATE_BITS - x.bit_length()
+        k = _STATE_BITS - (low ^ high).bit_length()
+        if k:
             bits = low >> (_STATE_BITS - k)
             first = bits >> (k - 1)
             acc = (acc << 1) | first
@@ -123,166 +153,144 @@ def encode(payload: bytes) -> BitStream:
             high = ((high << k) & _MASK) | ((1 << k) - 1)
             if nacc >= FLUSH_BITS:
                 acc, nacc = spill(out, acc, nacc)
-        while low & ~high & _SECOND:
-            pending += 1
-            low = (low << 1) & _HALF_MASK
-            high = ((high << 1) & _HALF_MASK) | _TOP | 1
-
-        if sym == EOF_SYMBOL:
-            break
-        counts[sym] += 1
-        total += 1
-        for i in _UP[sym]:
-            tree[i] += 1
-        if total >= RESCALE_CEILING:
-            counts = [(c + 1) >> 1 for c in counts]
-            total = sum(counts)
-            tree = _fresh_tree(counts)
+        if low & ~high & _SECOND:
+            # j straddle shifts at once: the second bits of low and high
+            # read 1 and 0 for the j bits below the top
+            j = _STATE_BITS - 1 - ((~low | high) & _HALF_MASK).bit_length()
+            pending += j
+            low = (low << j) & _HALF_MASK
+            high = ((high << j) & _HALF_MASK) | _TOP | ((1 << j) - 1)
 
     # one disambiguating bit; deferred underflow bits are never needed
     return finish(out, (acc << 1) | 1, nacc + 1)
 
 
 def decode(data: bytes, max_len: float = math.inf) -> bytes:
-    counts = [1] * NUM_SYMBOLS
-    tree = _fresh_tree(counts)
+    counts = [1] * NUM_SYMBOLS  # counts[0] is stale; c0 holds symbol 0's
+    c0 = 1
+    tree = _INITIAL_TREE[:]
     total = NUM_SYMBOLS
     # Counts stay >= 1 under a total below 2**16, so a symbol costs at least
-    # -log2(1 - 256 / 2**16) ~ 0.0056 bits: checking the output length
-    # whenever a byte is read stops within ~1,450 symbols of max_len.
+    # -log2(1 - 256 / 2**16) ~ 0.0056 bits: checking the output length and
+    # the overrun at each 32-bit refill stops within ~5,800 symbols of
+    # max_len.  The overrun is the count of stream bits consumed before the
+    # terminator's renormalization, so the terminator returns before it.
     overrun_limit = 8 * len(data) + _MAX_OVERRUN
 
-    # MSB-first bit window over data, feeding zeros past the end
-    dlen = len(data)
-    bytepos = 0
+    # MSB-first bit window over data, feeding zeros past the end; the low
+    # wbits bits of window are the next stream bits
+    data = bytes(data) + _PAD
+    bytepos = _STATE_BITS // 8
     window = 0
     wbits = 0
-    fed = 0
 
+    # The code value always lies in [low, high], so the scaled search value
+    # always lies in [0, total).  Both kinds of shift map code and low alike
+    # (x -> 2x mod 2^32, or x -> 2x - 2^31 for a straddle), so the decoder
+    # keeps only d = code - low: a shift by n bits makes it (d << n) | the
+    # next n stream bits.
     low = 0
     high = _MASK
-    while wbits < _STATE_BITS:
-        window = (window << 8) | (data[bytepos] if bytepos < dlen else 0)
-        bytepos += 1
-        fed += 8
-        wbits += 8
-    wbits -= _STATE_BITS
-    code = (window >> wbits) & _MASK
-    window &= (1 << wbits) - 1
+    d = int.from_bytes(data[:bytepos], "big")
 
     out = bytearray()
     append = out.append
     while True:
-        if fed - wbits > overrun_limit:
-            raise CorruptStream("arithmetic stream ended before its terminator")
         rng = high - low + 1
-        value = ((code - low + 1) * total - 1) // rng
-        if not 0 <= value < total:
-            raise CorruptStream("arithmetic decoder left its coding range")
-        # Fenwick descent for the symbol whose interval holds value,
-        # unrolled over the 9 powers of two from 256 down.  For a symbol
-        # below 256 the nodes where the descent does not advance are
-        # exactly _UP[sym], the nodes covering counts[sym], so each else
-        # branch applies the symbol's increment as it passes.  The EOF
-        # symbol also bumps nodes past the end, but it ends decoding.
-        rem = value
-        t = tree[256]
-        if t <= rem:
-            rem -= t
-            sym = 256
+        value = ((d + 1) * total - 1) // rng
+        if value < c0:
+            high = low + c0 * rng // total - 1
+            c0 += 1
+            append(0)
         else:
-            tree[256] = t + 1
-            sym = 0
-        t = tree[sym + 128]
-        if t <= rem:
-            rem -= t
-            sym += 128
-        else:
-            tree[sym + 128] = t + 1
-        t = tree[sym + 64]
-        if t <= rem:
-            rem -= t
-            sym += 64
-        else:
-            tree[sym + 64] = t + 1
-        t = tree[sym + 32]
-        if t <= rem:
-            rem -= t
-            sym += 32
-        else:
-            tree[sym + 32] = t + 1
-        t = tree[sym + 16]
-        if t <= rem:
-            rem -= t
-            sym += 16
-        else:
-            tree[sym + 16] = t + 1
-        t = tree[sym + 8]
-        if t <= rem:
-            rem -= t
-            sym += 8
-        else:
-            tree[sym + 8] = t + 1
-        t = tree[sym + 4]
-        if t <= rem:
-            rem -= t
-            sym += 4
-        else:
-            tree[sym + 4] = t + 1
-        t = tree[sym + 2]
-        if t <= rem:
-            rem -= t
-            sym += 2
-        else:
-            tree[sym + 2] = t + 1
-        t = tree[sym + 1]
-        if t <= rem:
-            rem -= t
-            sym += 1
-        else:
-            tree[sym + 1] = t + 1
-        lo_c = value - rem
-        hi_c = lo_c + counts[sym]
-        high = low + hi_c * rng // total - 1
-        low = low + lo_c * rng // total
-
-        x = low ^ high
-        if x & _TOP == 0:
-            k = _STATE_BITS - x.bit_length()
-            while wbits < k:
-                if len(out) > max_len:
-                    raise CorruptStream("arithmetic stream decodes past its declared size")
-                window = (window << 8) | (data[bytepos] if bytepos < dlen else 0)
-                bytepos += 1
-                fed += 8
-                wbits += 8
-            wbits -= k
-            code = ((code << k) | ((window >> wbits) & ((1 << k) - 1))) & _MASK
-            window &= (1 << wbits) - 1
-            low = (low << k) & _MASK
-            high = ((high << k) & _MASK) | ((1 << k) - 1)
-        while low & ~high & _SECOND:
-            if wbits == 0:
-                if len(out) > max_len:
-                    raise CorruptStream("arithmetic stream decodes past its declared size")
-                window = (data[bytepos] if bytepos < dlen else 0)
-                bytepos += 1
-                fed += 8
-                wbits = 8
-            wbits -= 1
-            code = (code & _TOP) | ((code << 1) & _HALF_MASK) | ((window >> wbits) & 1)
-            window &= (1 << wbits) - 1
-            low = (low << 1) & _HALF_MASK
-            high = ((high << 1) & _HALF_MASK) | _TOP | 1
-
-        if sym == EOF_SYMBOL:
-            if len(out) > max_len:
-                raise CorruptStream("arithmetic stream decodes past its declared size")
-            return bytes(out)
-        append(sym)
-        counts[sym] += 1
+            # Fenwick descent over symbols 1..256 for value - c0, unrolled
+            # over the 8 powers of two from 128 down; sym - 1 is the
+            # position reached so far.  The nodes where the descent does not
+            # advance are exactly _UP[sym], the nodes covering counts[sym],
+            # so each else branch applies the symbol's increment as it
+            # passes.  The terminator advances at every step.
+            rem = value - c0
+            t = tree[128]
+            if t <= rem:
+                rem -= t
+                sym = 129
+            else:
+                tree[128] = t + 1
+                sym = 1
+            t = tree[sym + 63]
+            if t <= rem:
+                rem -= t
+                sym += 64
+            else:
+                tree[sym + 63] = t + 1
+            t = tree[sym + 31]
+            if t <= rem:
+                rem -= t
+                sym += 32
+            else:
+                tree[sym + 31] = t + 1
+            t = tree[sym + 15]
+            if t <= rem:
+                rem -= t
+                sym += 16
+            else:
+                tree[sym + 15] = t + 1
+            t = tree[sym + 7]
+            if t <= rem:
+                rem -= t
+                sym += 8
+            else:
+                tree[sym + 7] = t + 1
+            t = tree[sym + 3]
+            if t <= rem:
+                rem -= t
+                sym += 4
+            else:
+                tree[sym + 3] = t + 1
+            t = tree[sym + 1]
+            if t <= rem:
+                rem -= t
+                sym += 2
+            else:
+                tree[sym + 1] = t + 1
+            t = tree[sym]
+            if t <= rem:
+                rem -= t
+                sym += 1
+            else:
+                tree[sym] = t + 1
+            if sym == EOF_SYMBOL:
+                _check(8 * bytepos - wbits, overrun_limit, len(out), max_len)
+                return bytes(out)
+            lo_c = value - rem
+            c = counts[sym]
+            high = low + (lo_c + c) * rng // total - 1
+            step = lo_c * rng // total
+            low += step
+            d -= step
+            counts[sym] = c + 1
+            append(sym)
         total += 1
         if total >= RESCALE_CEILING:
-            counts = [(c + 1) >> 1 for c in counts]
-            total = sum(counts)
-            tree = _fresh_tree(counts)
+            counts, c0, total, tree = _halved(counts, c0)
+
+        # n leading bits agree (none when the top bits differ)
+        n = _STATE_BITS - (low ^ high).bit_length()
+        if n:
+            low = (low << n) & _MASK
+            high = ((high << n) & _MASK) | ((1 << n) - 1)
+        if low & ~high & _SECOND:
+            j = _STATE_BITS - 1 - ((~low | high) & _HALF_MASK).bit_length()
+            low = (low << j) & _HALF_MASK
+            high = ((high << j) & _HALF_MASK) | _TOP | ((1 << j) - 1)
+            n += j
+        if n:
+            if wbits < n:
+                _check(8 * bytepos - wbits, overrun_limit, len(out), max_len)
+                window = ((window & ((1 << wbits) - 1)) << 32) | int.from_bytes(
+                    data[bytepos : bytepos + 4], "big"
+                )
+                bytepos += 4
+                wbits += 32
+            wbits -= n
+            d = (d << n) | ((window >> wbits) & ((1 << n) - 1))

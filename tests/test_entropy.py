@@ -266,6 +266,21 @@ class TestArithmetic:
             assert arithmetic.decode(fast.data) == payload
             assert arithmetic_decode(fast.data, fast.bit_len) == payload
 
+    @pytest.mark.parametrize("n", [65_278, 65_279, 65_280])
+    def test_rescale_ceiling_matches_reference(self, n):
+        # the model halves once the total reaches 2^16, after 65,279 symbols:
+        # 65,278 stop one short, 65,279 halve just before the terminator
+        # and 65,280 code one more symbol after the halving
+        assert n + NUM_SYMBOLS in (RESCALE_CEILING - 1, RESCALE_CEILING, RESCALE_CEILING + 1)
+        rng = random.Random(743)
+        skewed = bytes(rng.choices([0, 1, 2, 255, 7], weights=[70, 12, 8, 8, 2], k=n))
+        for payload in (skewed, rng.randbytes(n)):
+            fast = arithmetic.encode(payload)
+            ref = arithmetic_encode(payload)
+            assert fast.data == ref.data and fast.bit_len == ref.bit_len
+            assert arithmetic.decode(fast.data) == payload
+            assert arithmetic_decode(fast.data) == payload
+
     def test_truncated_stream(self):
         stream = arithmetic.encode(bytes(random.Random(741).randbytes(400)))
         with pytest.raises(CorruptStream):
@@ -385,12 +400,29 @@ def mutations(data, rng, count):
             yield bytes(damaged)
 
 
+def arithmetic_reference_outcome(data):
+    """What the reference decoder makes of data: the decoded bytes, or None
+    for a rejection (its overrun guard is an AssertionError)."""
+    try:
+        return arithmetic_decode(data)
+    except AssertionError:
+        return None
+
+
+def arithmetic_outcome(data, max_len=math.inf):
+    try:
+        return arithmetic.decode(data, max_len)
+    except CorruptStream:
+        return None
+
+
 class TestDamagedStreams:
     @pytest.mark.parametrize("coder", ALL_CODERS)
     def test_fuzz(self, coder):
         # Damaged input either decodes to some bytes or raises
         # CorruptStream; the Huffman decoders also agree with their
-        # references on which, and on the bytes or the message.
+        # references on which, and on the bytes or the message, the
+        # arithmetic decoder on the bytes or a rejection.
         rng = random.Random(780 + coder)
         decode = (static_huffman.decode, adaptive_huffman.decode, arithmetic.decode)[coder]
         payloads = [b"", b"\x05", bytes(rng.choices(range(6), k=300)), rng.randbytes(200)]
@@ -404,6 +436,25 @@ class TestDamagedStreams:
                 if coder in REFERENCES:
                     expected = self._outcome(REFERENCES[coder][1], data)
                     assert repr(outcome) == repr(expected)
+                else:
+                    expected = arithmetic_reference_outcome(data)
+                    assert (outcome if isinstance(outcome, bytes) else None) == expected
+
+    def test_arithmetic_truncations_match_reference(self):
+        # Every byte-boundary cut of a few streams.  The overrun counts the
+        # bits consumed before the terminator's own renormalization: cut
+        # at 97 bytes, the stream below finds its terminator within the
+        # 64-bit limit, then renormalizes past it, and still decodes.
+        rng = random.Random(1)
+        skewed = bytes(rng.choices(range(6), k=300))
+        edge = arithmetic.encode(skewed).data[:97]
+        assert arithmetic_reference_outcome(edge) is not None
+        assert arithmetic_outcome(edge) == arithmetic_reference_outcome(edge)
+        for payload in (b"", b"\x05", skewed, rng.randbytes(200)):
+            data = arithmetic.encode(payload).data
+            for cut in range(len(data) + 1):
+                expected = arithmetic_reference_outcome(data[:cut])
+                assert arithmetic_outcome(data[:cut]) == expected
 
     @staticmethod
     def _outcome(decode, data):
@@ -411,6 +462,30 @@ class TestDamagedStreams:
             return decode(data)
         except CorruptStream as e:
             return e
+
+
+@pytest.mark.slow
+class TestDamagedArithmeticExhaustive:
+    def test_matches_reference_under_bounds(self):
+        # 100 seeds x 5 payloads x 60 mutations, each decoded unbounded,
+        # at its payload's length and one below
+        for seed in range(100):
+            rng = random.Random(900 + seed)
+            payloads = [
+                b"",
+                b"\x05",
+                bytes(rng.choices(range(6), k=300)),
+                rng.randbytes(200),
+                bytes(rng.choices([0] * 20 + [1, 2, 3], k=2000)),
+            ]
+            for payload in payloads:
+                stream = arithmetic.encode(payload)
+                for data in mutations(stream.data, rng, 60):
+                    expected = arithmetic_reference_outcome(data)
+                    for max_len in (math.inf, len(payload), len(payload) - 1):
+                        if expected is not None and len(expected) > max_len:
+                            expected = None
+                        assert arithmetic_outcome(data, max_len) == expected
 
 
 class TestFrequencyModel:
