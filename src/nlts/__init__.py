@@ -15,18 +15,14 @@ from .container import (
     decompress_to_tokens,
 )
 from .entropy import ADAPTIVE_ARITHMETIC, ADAPTIVE_HUFFMAN, STATIC_HUFFMAN
-from .quantizer import QuantizerConfig
-from .transform import TransformConfig
 
 __all__ = [
     "ADAPTIVE_ARITHMETIC",
     "ADAPTIVE_HUFFMAN",
     "STATIC_HUFFMAN",
     "CodecConfig",
-    "QuantizerConfig",
     "RunMetrics",
     "StreamHeader",
-    "TransformConfig",
     "compress_stream",
     "compute_metrics",
     "decompress_stream",

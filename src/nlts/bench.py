@@ -23,10 +23,9 @@ from .container import CodecConfig, compress_stream, decompress_to_tokens
 from .datasets import WHITESPACE, DatasetSpec, file_sha256, ingest, is_numeric, load_spec
 from .entropy import CODER_IDS, CODER_NAMES
 from .errors import CodecError, LengthMismatch
-from .quantizer import LOSSLESS, QuantizerConfig
-from .transform import TransformConfig
+from .quantizer import LOSSLESS
 
-#: The settings of one configuration, in codec_config's argument order.
+#: The settings of one configuration, in CodecConfig's field order.
 CONFIG_FIELDS = ("method_version", "coder", "block_len", "tau", "digits")
 
 REPORT_FIELDS = [
@@ -51,11 +50,11 @@ class SweepSpec:
     A combination codec_config refuses raises ValueError: every run can start.
     """
 
-    versions: tuple = (TransformConfig.method_version,)
+    versions: tuple = (CodecConfig.method_version,)
     coders: tuple = (CODER_NAMES[CodecConfig.coder],)
-    block_lens: tuple = (TransformConfig.block_len,)
-    taus: tuple = (TransformConfig.tau,)
-    digits: tuple = (QuantizerConfig.digits,)  # 0..6 or "lossless"
+    block_lens: tuple = (CodecConfig.block_len,)
+    taus: tuple = (CodecConfig.tau,)
+    digits: tuple = (CodecConfig.digits,)  # 0..6 or "lossless"
     repeats: int = 3
 
     def __post_init__(self):
@@ -130,18 +129,13 @@ def verify_files(original_path, decoded_path, epsilon) -> VerifyResult:
 
 
 def codec_config(version, coder, L, tau, digits) -> CodecConfig:
-    """Codec settings for one configuration; digits is 0..6 or "lossless".
+    """The CodecConfig of one configuration, its coder given by name.
 
-    An unknown coder name, or a setting its config class refuses, raises
-    ValueError.
+    An unknown coder name, or a setting CodecConfig refuses, raises ValueError.
     """
     if coder not in CODER_NAMES.values():
         raise ValueError(f"unknown coder {coder!r}; known: {', '.join(sorted(CODER_IDS))}")
-    return CodecConfig(
-        transform=TransformConfig(method_version=version, block_len=L, tau=tau),
-        quantizer=QuantizerConfig(digits),
-        coder=CODER_IDS[coder],
-    )
+    return CodecConfig(version, CODER_IDS[coder], L, tau, digits)
 
 
 def config_label(version, coder, L, tau, digits) -> str:
@@ -211,8 +205,9 @@ def run_sweep(
 
     tasks = [(*config, sweep.repeats) for config in sweep.configs()]
     if jobs > 1:
+        # the pool forks all its workers at once: no more than there are tasks
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(tokens,)
+            max_workers=min(jobs, len(tasks)), initializer=_init_worker, initargs=(tokens,)
         ) as pool:
             rows = list(pool.map(_run_config_worker, tasks))
     else:

@@ -12,13 +12,20 @@ import os
 import sys
 from pathlib import Path
 
-from .bench import SweepSpec, codec_config, run_sweep, verify_files
-from .container import HEADER_LEN, CodecConfig, StreamHeader, compress_stream, decompress_to_tokens
+from .bench import CONFIG_FIELDS, SweepSpec, codec_config, config_label, run_sweep, verify_files
+from .container import (
+    FORMAT_VERSION,
+    HEADER_LEN,
+    CodecConfig,
+    StreamHeader,
+    compress_stream,
+    decompress_to_tokens,
+)
 from .datasets import MISSING_POLICIES, WHITESPACE, DatasetSpec, ingest, packaged_spec
 from .entropy import CODER_IDS, CODER_NAMES
 from .errors import CodecError
-from .quantizer import LOSSLESS, QuantizerConfig
-from .transform import METHOD_VERSIONS, TransformConfig
+from .quantizer import LOSSLESS
+from .transform import METHOD_VERSIONS
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -41,17 +48,17 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compress", help="compress a numeric text file")
     c.add_argument("input")
     c.add_argument("output")
-    # every default is the config class's own; the classes check the values
+    # every default is CodecConfig's own; CodecConfig checks the values
     c.add_argument("--version", type=int, choices=METHOD_VERSIONS,
-                   default=TransformConfig.method_version)
+                   default=CodecConfig.method_version)
     c.add_argument(
         "--coder", choices=sorted(CODER_IDS), default=CODER_NAMES[CodecConfig.coder],
         help="entropy coder (default: %(default)s)",
     )
-    c.add_argument("--block", type=int, default=TransformConfig.block_len, metavar="L")
-    c.add_argument("--tau", type=int, default=TransformConfig.tau, metavar="N")
+    c.add_argument("--block", type=int, default=CodecConfig.block_len, metavar="L")
+    c.add_argument("--tau", type=int, default=CodecConfig.tau, metavar="N")
     g = c.add_mutually_exclusive_group()
-    g.add_argument("--digits", type=int, default=QuantizerConfig.digits, metavar="D",
+    g.add_argument("--digits", type=int, default=CodecConfig.digits, metavar="D",
                    help="fractional digits to keep (max error 10^-D)")
     g.add_argument("--lossless", action="store_true",
                    help="keep every digit (scale auto-detected)")
@@ -142,8 +149,8 @@ def _cmd_bench(args) -> int:
     bad = [r for r in rows if r["error"]]
     print(f"{len(rows)} runs -> {args.out}  ({len(bad)} failed)")
     for r in bad:
-        print(f"  {r['method_version']}/{r['coder']}/L{r['block_len']}"
-              f"/t{r['tau']}/d{r['digits']}: {r['error']}", file=sys.stderr)
+        label = config_label(*map(r.__getitem__, CONFIG_FIELDS))
+        print(f"  {label}: {r['error']}", file=sys.stderr)
     return EXIT_VERIFY if bad else EXIT_OK
 
 
@@ -151,7 +158,7 @@ def _cmd_stats(args) -> int:
     blob = Path(args.input).read_bytes()
     h = StreamHeader.parse(blob)
     scale = "lossless-integer" if h.scale_exp is None else h.scale_exp
-    print(f"format_version:  {h.format_version}")
+    print(f"format_version:  {FORMAT_VERSION}")
     print(f"method_version:  {h.method_version}")
     print(f"entropy_coder:   {CODER_NAMES[h.entropy_id]} ({h.entropy_id})")
     print(f"block_len:       {h.block_len}")

@@ -24,13 +24,13 @@ from .core import INT64_MAX, INT64_MIN
 from .errors import BadMagic, CorruptStream, UnsupportedVersion
 from .quantizer import (
     LOSSLESS,
+    MAX_DIGITS,
     SCALE_PASSTHROUGH,
-    QuantizerConfig,
     quantize_stream,
     render_code,
     render_stream,
 )
-from .transform import TransformConfig, decode_blocks, encode_blocks, max_stream_bytes
+from .transform import check_block_settings, decode_blocks, encode_blocks, max_stream_bytes
 
 MAGIC = b"NLTS"
 FORMAT_VERSION = 1
@@ -46,13 +46,12 @@ class StreamHeader:
     tau: int
     scale_exp: int | None  # None marks integer passthrough
     sample_count: int
-    format_version: int = FORMAT_VERSION
 
     def pack(self) -> bytes:
         scale_byte = SCALE_PASSTHROUGH if self.scale_exp is None else self.scale_exp
         return _HEADER_STRUCT.pack(
             MAGIC,
-            self.format_version,
+            FORMAT_VERSION,
             self.method_version,
             self.entropy_id,
             scale_byte,
@@ -63,41 +62,30 @@ class StreamHeader:
 
     @classmethod
     def parse(cls, data: bytes) -> "StreamHeader":
-        return _parse_header(data)[0]
-
-
-def _parse_header(data: bytes):
-    """Validate and unpack a container header; returns (header, TransformConfig)."""
-    if len(data) < 4 or data[:4] != MAGIC:
-        raise BadMagic("not a compressed stream (bad magic)")
-    if len(data) < HEADER_LEN:
-        raise CorruptStream("header truncated")
-    _, fmt, method, coder, scale_byte, block_len, tau, count = _HEADER_STRUCT.unpack(
-        data[:HEADER_LEN]
-    )
-    if fmt != FORMAT_VERSION:
-        raise UnsupportedVersion(f"format version {fmt} not supported")
-    if method not in (1, 2):
-        raise UnsupportedVersion(f"method version {method} not supported")
-    if coder not in entropy.CODER_NAMES:
-        raise UnsupportedVersion(f"entropy coder id {coder} not supported")
-    try:
-        tcfg = TransformConfig(method_version=method, block_len=block_len, tau=tau)
-    except ValueError as e:
-        raise CorruptStream(f"header {e}") from None
-    if scale_byte != SCALE_PASSTHROUGH and scale_byte > 6:
-        raise CorruptStream(f"header scale byte {scale_byte} is invalid")
-    if count < 1:
-        raise CorruptStream("header sample count must be >= 1")
-    header = StreamHeader(
-        method_version=method,
-        entropy_id=coder,
-        block_len=block_len,
-        tau=tau,
-        scale_exp=None if scale_byte == SCALE_PASSTHROUGH else scale_byte,
-        sample_count=count,
-    )
-    return header, tcfg
+        """Validate and unpack the header at the start of a container."""
+        if len(data) < 4 or data[:4] != MAGIC:
+            raise BadMagic("not a compressed stream (bad magic)")
+        if len(data) < HEADER_LEN:
+            raise CorruptStream("header truncated")
+        _, fmt, method, coder, scale_byte, block_len, tau, count = _HEADER_STRUCT.unpack(
+            data[:HEADER_LEN]
+        )
+        if fmt != FORMAT_VERSION:
+            raise UnsupportedVersion(f"format version {fmt} not supported")
+        if method not in (1, 2):
+            raise UnsupportedVersion(f"method version {method} not supported")
+        if coder not in entropy.CODER_NAMES:
+            raise UnsupportedVersion(f"entropy coder id {coder} not supported")
+        try:
+            check_block_settings(method, block_len, tau)
+        except ValueError as e:
+            raise CorruptStream(f"header {e}") from None
+        if scale_byte != SCALE_PASSTHROUGH and scale_byte > MAX_DIGITS:
+            raise CorruptStream(f"header scale byte {scale_byte} is invalid")
+        if count < 1:
+            raise CorruptStream("header sample count must be >= 1")
+        scale_exp = None if scale_byte == SCALE_PASSTHROUGH else scale_byte
+        return cls(method, coder, block_len, tau, scale_exp, count)
 
 
 @dataclass
@@ -129,11 +117,23 @@ def compute_metrics(
 
 @dataclass(frozen=True)
 class CodecConfig:
-    transform: TransformConfig = TransformConfig()
-    quantizer: QuantizerConfig = QuantizerConfig()
+    """The codec's five settings; digits is 0..MAX_DIGITS or LOSSLESS.
+
+    A block setting of the wrong type or range, or bad digits, raises
+    ValueError; an unknown coder id raises UnsupportedVersion.
+    """
+
+    method_version: int = 2
     coder: int = entropy.ADAPTIVE_ARITHMETIC
+    block_len: int = 16
+    tau: int = 9
+    digits: int | str = 3
 
     def __post_init__(self):
+        check_block_settings(self.method_version, self.block_len, self.tau)
+        d = self.digits
+        if d != LOSSLESS and (type(d) is not int or not 0 <= d <= MAX_DIGITS):
+            raise ValueError(f"digits must be 0..{MAX_DIGITS} or {LOSSLESS!r}, got {d!r}")
         if self.coder not in entropy.CODER_NAMES:
             raise UnsupportedVersion(f"unknown entropy coder id {self.coder}")
 
@@ -170,18 +170,17 @@ def compress_stream(samples, config: CodecConfig = CodecConfig()):
     if not samples:
         raise ValueError("cannot compress an empty stream")
 
-    tcfg = config.transform
     t0 = time.perf_counter()
-    codes, max_err, scale_exp = quantize_stream(samples, config.quantizer.digits)
-    if config.quantizer.digits == LOSSLESS and not scale_exp:
+    codes, max_err, scale_exp = quantize_stream(samples, config.digits)
+    if config.digits == LOSSLESS and not scale_exp:
         scale_exp = None  # integer passthrough
 
-    stream = entropy.encode(bytes(encode_blocks(codes, tcfg)), config.coder)
+    stream = entropy.encode(bytes(encode_blocks(codes, config)), config.coder)
     header = StreamHeader(
-        method_version=tcfg.method_version,
+        method_version=config.method_version,
         entropy_id=config.coder,
-        block_len=tcfg.block_len,
-        tau=tcfg.tau,
+        block_len=config.block_len,
+        tau=config.tau,
         scale_exp=scale_exp,
         sample_count=len(codes),
     )
@@ -199,12 +198,12 @@ def compress_stream(samples, config: CodecConfig = CodecConfig()):
 
 def decode_codes(data: bytes):
     """Decode a container back to (codes, header, decode_secs)."""
-    header, tcfg = _parse_header(data)
+    header = StreamHeader.parse(data)
     t0 = time.perf_counter()
     symbols = entropy.decode(
-        data[HEADER_LEN:], header.entropy_id, max_stream_bytes(tcfg, header.sample_count)
+        data[HEADER_LEN:], header.entropy_id, max_stream_bytes(header, header.sample_count)
     )
-    codes = decode_blocks(symbols, tcfg, header.sample_count)
+    codes = decode_blocks(symbols, header, header.sample_count)
     if not INT64_MIN <= min(codes) <= max(codes) <= INT64_MAX:
         raise CorruptStream("decoded sample outside the signed 64-bit range")
     return codes, header, time.perf_counter() - t0

@@ -28,7 +28,6 @@ from __future__ import annotations
 import decimal
 import math
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from itertools import repeat
 from operator import add, floordiv, lt, mod, mul, sub, truediv
@@ -48,19 +47,6 @@ _CTX = decimal.Context(prec=decimal.MAX_PREC, rounding=decimal.ROUND_HALF_UP)
 #: Header byte marking integer passthrough (lossless stream with no
 #: fractional digits); ordinary streams carry their digit count 0..6.
 SCALE_PASSTHROUGH = 255
-
-
-@dataclass(frozen=True)
-class QuantizerConfig:
-    """Fractional digits to keep, 0..6, or LOSSLESS; a bad value raises ValueError."""
-
-    digits: int | str = 3
-
-    def __post_init__(self):
-        d = self.digits
-        if d != LOSSLESS and (type(d) is not int or not 0 <= d <= MAX_DIGITS):
-            raise ValueError(f"digits must be 0..{MAX_DIGITS} or {LOSSLESS!r}, got {d!r}")
-
 
 #: A plain decimal token: an optional sign, then digits with at most one
 #: point, at least one of them a digit.  No exponent, whitespace, underscore

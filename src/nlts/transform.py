@@ -20,12 +20,15 @@ branch flag per block; version 2 drops the flag and lets the decoder
 re-derive the branch from the header/payload relationship.  That is
 ambiguous for two rare block shapes, x_1 == 2 * mode != 0 and x_1 == 0;
 the encoder takes the other branch for them (the two never coincide).
+
+The block functions read three settings from their cfg argument:
+method_version, block_len and tau.  A CodecConfig carries them on encode and
+a parsed StreamHeader on decode; check_block_settings is the rule both apply.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add, sub
 
@@ -37,25 +40,18 @@ MIN_BLOCK_LEN = 16
 MAX_BLOCK_LEN = 1 << 15  # block length must fit the container's u16 field
 
 
-@dataclass(frozen=True)
-class TransformConfig:
-    """Block transform settings; a field of the wrong type or range raises ValueError."""
-
-    method_version: int = 2
-    block_len: int = 16
-    tau: int = 9
-
-    def __post_init__(self):
-        if type(self.method_version) is not int or self.method_version not in METHOD_VERSIONS:
-            raise ValueError(f"method_version must be 1 or 2, got {self.method_version!r}")
-        L = self.block_len
-        if type(L) is not int or not MIN_BLOCK_LEN <= L <= MAX_BLOCK_LEN or L & (L - 1):
-            raise ValueError(
-                f"block_len must be a power of two in [{MIN_BLOCK_LEN}, {MAX_BLOCK_LEN}], "
-                f"got {L!r}"
-            )
-        if type(self.tau) is not int or not 1 <= self.tau <= L:
-            raise ValueError(f"tau must be an integer in 1..{L}, got {self.tau!r}")
+def check_block_settings(method_version, block_len, tau) -> None:
+    """Raise ValueError unless each block setting has the right type and range."""
+    if type(method_version) is not int or method_version not in METHOD_VERSIONS:
+        raise ValueError(f"method_version must be 1 or 2, got {method_version!r}")
+    L = block_len
+    if type(L) is not int or not MIN_BLOCK_LEN <= L <= MAX_BLOCK_LEN or L & (L - 1):
+        raise ValueError(
+            f"block_len must be a power of two in [{MIN_BLOCK_LEN}, {MAX_BLOCK_LEN}], "
+            f"got {L!r}"
+        )
+    if type(tau) is not int or not 1 <= tau <= L:
+        raise ValueError(f"tau must be an integer in 1..{L}, got {tau!r}")
 
 
 def compute_mode(codes) -> tuple:
@@ -65,7 +61,7 @@ def compute_mode(codes) -> tuple:
     return min(v for v, k in counts.items() if k == frequency), frequency
 
 
-def encode_blocks(codes, cfg: TransformConfig) -> bytearray:
+def encode_blocks(codes, cfg) -> bytearray:
     """Transform every block of codes and serialize it; returns the symbol stream.
 
     Blocks cover codes in order, block_len per block; the last may be shorter.
@@ -119,7 +115,7 @@ def encode_blocks(codes, cfg: TransformConfig) -> bytearray:
     return out
 
 
-def max_stream_bytes(cfg: TransformConfig, sample_count: int) -> int:
+def max_stream_bytes(cfg, sample_count: int) -> int:
     """Upper bound on the symbol-stream bytes of sample_count codes.
 
     A block of width w holds at most a version-1 flag byte, a 10-byte header
@@ -144,7 +140,7 @@ def _expand(mask: int, width: int, nonzeros: list) -> list:
     return body
 
 
-def decode_blocks(symbols, cfg: TransformConfig, sample_count: int) -> list:
+def decode_blocks(symbols, cfg, sample_count: int) -> list:
     """Parse and invert the symbol stream of sample_count codes; returns the codes.
 
     Raises CorruptStream for a stream that ends early, holds an invalid

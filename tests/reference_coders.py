@@ -227,7 +227,8 @@ def arithmetic_decode(data: bytes, bit_len=None) -> bytes:
         code = (code << 1) | reader.read_bit()
     out = bytearray()
     while True:
-        assert reader.overrun <= 64, "reference decoder run past stream end"
+        if reader.overrun > 64:
+            raise CorruptStream("reference decoder run past stream end")
         total = model.total
         rng = high - low + 1
         value = ((code - low + 1) * total - 1) // rng

@@ -17,9 +17,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+from nlts.container import CodecConfig
 from nlts.core import MODE, read_varints, write_varints
 from nlts.errors import BadFlag, CodecError, LengthMismatch
-from nlts.transform import TransformConfig
 
 # Name of the diff block branch (nlts.core.MODE names the other).
 DIFF = "diff"
@@ -215,7 +215,7 @@ def _build_diff(version: int, codes, width: int) -> TransformedBlock:
     )
 
 
-def transform_block(block: QuantizedBlock, cfg: TransformConfig) -> TransformedBlock:
+def transform_block(block: QuantizedBlock, cfg: CodecConfig) -> TransformedBlock:
     """Transform one block; only a stream's final block may be shorter than L."""
     codes = block.codes
     width = len(codes)
@@ -250,7 +250,7 @@ def transform_block(block: QuantizedBlock, cfg: TransformConfig) -> TransformedB
 
 
 def inverse_transform(
-    tb: TransformedBlock, cfg: TransformConfig, scale_exp: int | None = 0
+    tb: TransformedBlock, cfg: CodecConfig, scale_exp: int | None = 0
 ) -> QuantizedBlock:
     """Exact inverse of transform_block in the integer domain."""
     if tb.method_version != cfg.method_version:
@@ -325,7 +325,7 @@ def parse_block(data, pos: int, method_version: int, width: int):
     return tb, pos
 
 
-def encode_stream(codes, cfg: TransformConfig) -> bytearray:
+def encode_stream(codes, cfg: CodecConfig) -> bytearray:
     """Symbol stream of codes, transformed and serialized one block at a time."""
     out = bytearray()
     L = cfg.block_len
@@ -335,7 +335,7 @@ def encode_stream(codes, cfg: TransformConfig) -> bytearray:
     return out
 
 
-def decode_stream(symbols, cfg: TransformConfig, sample_count: int) -> list:
+def decode_stream(symbols, cfg: CodecConfig, sample_count: int) -> list:
     """Codes of a symbol stream, parsed and inverted one block at a time."""
     codes = []
     pos = 0

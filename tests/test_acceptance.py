@@ -21,8 +21,8 @@ from nlts.core import read_varints, write_varints
 from nlts.datasets import packaged_spec, ingest
 from nlts.entropy import static_huffman
 from nlts.entropy.adaptive_huffman import _Tree
-from nlts.quantizer import LOSSLESS, QuantizerConfig, quantize_stream, render_code
-from nlts.transform import TransformConfig, decode_blocks, encode_blocks
+from nlts.quantizer import LOSSLESS, quantize_stream, render_code
+from nlts.transform import decode_blocks, encode_blocks
 
 DATASET_NAMES = ("BVP", "EDA", "ACM", "GYS", "GAS", "Gactive")
 
@@ -119,11 +119,7 @@ class TestCriterion3NearLossless:
                 samples = self._random_stream(rng)
                 version, coder, L, tau = matrix[i % len(matrix)]
                 for d in (1, 2, 3):
-                    cfg = CodecConfig(
-                        transform=TransformConfig(version, L, min(tau, L)),
-                        quantizer=QuantizerConfig(d),
-                        coder=coder,
-                    )
+                    cfg = CodecConfig(version, coder, L, min(tau, L), d)
                     blob, _ = compress_stream(samples, cfg)
                     tokens, _ = decompress_to_tokens(blob)
                     # bit-exact in the quantized domain
@@ -153,11 +149,7 @@ class TestCriterion3NearLossless:
             for name in names:
                 tokens = dataset_tokens(name)
                 for d in (1, 2, 3):
-                    cfg = CodecConfig(
-                        transform=TransformConfig(2, 16, 9),
-                        quantizer=QuantizerConfig(d),
-                        coder=2,
-                    )
+                    cfg = CodecConfig(2, 2, 16, 9, d)
                     blob, _ = compress_stream(tokens, cfg)
                     decoded, _ = decompress_to_tokens(blob)
                     codes, _, _ = quantize_stream(tokens, d)
@@ -178,11 +170,7 @@ def test_criterion_4_lossless_cr_reproduction():
     failures = []
     for name in DATASET_NAMES:
         tokens = dataset_tokens(name)
-        cfg = CodecConfig(
-            transform=TransformConfig(1, 16, 9),
-            quantizer=QuantizerConfig(LOSSLESS),
-            coder=2,
-        )
+        cfg = CodecConfig(1, 2, 16, 9, LOSSLESS)
         blob, m = compress_stream(tokens, cfg)
         expected = TABLE_LOSSLESS_CR[name]
         raw = dataset_path(name).stat().st_size
@@ -204,11 +192,7 @@ def test_criterion_5_lossy_cr_reproduction():
     failures = []
     for name in DATASET_NAMES:
         tokens = dataset_tokens(name)
-        cfg = CodecConfig(
-            transform=TransformConfig(2, 16, 9),
-            quantizer=QuantizerConfig(3),
-            coder=2,
-        )
+        cfg = CodecConfig(2, 2, 16, 9, 3)
         blob, m = compress_stream(tokens, cfg)
         expected = TABLE_LOSSY_CR[name]
         details.append(f"{name}: cr={m.cr:.2f} (published {expected})")
@@ -220,8 +204,7 @@ def test_criterion_5_lossy_cr_reproduction():
 
 
 def _cr(tokens, version, L, tau, digits, coder=2):
-    q = QuantizerConfig(LOSSLESS if digits is None else digits)
-    cfg = CodecConfig(transform=TransformConfig(version, L, tau), quantizer=q, coder=coder)
+    cfg = CodecConfig(version, coder, L, tau, LOSSLESS if digits is None else digits)
     _, m = compress_stream(tokens, cfg)
     return m.cr
 
@@ -339,7 +322,7 @@ class TestCriterion9PropertySuites:
             tau = rng.randrange(1, L + 1)
             width = L if rng.random() < 0.5 else rng.randrange(1, L + 1)
             codes = rng.choices(range(-6, 7), k=width)
-            cfg = TransformConfig(version, L, tau)
+            cfg = CodecConfig(method_version=version, block_len=L, tau=tau)
             symbols = encode_blocks(codes, cfg)
             assert decode_blocks(bytes(symbols), cfg, width) == codes
         record_criterion(9, f"property: transform identity (v{version})", "PASS",
@@ -349,7 +332,7 @@ class TestCriterion9PropertySuites:
         # every block decodes to its codes, so the decoder re-derived the
         # branch the encoder took; blocks go through in streams of 1,000
         rng = random.Random(905)
-        cfg = TransformConfig(2, 16, 9)
+        cfg = CodecConfig(method_version=2, block_len=16, tau=9)
         cases = 1_000_000
         codes = []
         for i in range(cases):

@@ -203,6 +203,21 @@ class TestBenchCommand:
         assert len(lines) == 3  # header + 2 rows
         assert "2 runs" in capsys.readouterr().out
 
+    def test_failed_row_named_by_its_label(self, tmp_path, capsys):
+        data = tmp_path / "series.txt"
+        data.write_text("1.1234567\n2.5\n")  # 7 fractional digits: lossless fails
+        dspec = tmp_path / "dataset.json"
+        dspec.write_text(json.dumps({"name": "seven", "source_path": "series.txt"}))
+        sspec = tmp_path / "sweep.json"
+        sspec.write_text(json.dumps({"digits": ["lossless", 3], "repeats": 1}))
+        rc = main(["bench", str(dspec), str(sspec), "--out", str(tmp_path / "r.csv"),
+                   "--data-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "  v2-arithmetic-L16-t9-lossless: TooManyDigits: sample at index 0 carries "
+            "7 fractional digits; lossless mode supports at most 6"
+        ]
+
     def test_bench_unknown_dataset(self, tmp_path):
         sspec = tmp_path / "sweep.json"
         sspec.write_text("{}")

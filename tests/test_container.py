@@ -18,17 +18,11 @@ from nlts.cli import main
 from nlts.core import INT64_MAX, INT64_MIN, write_varints
 from nlts.entropy import ADAPTIVE_ARITHMETIC, ADAPTIVE_HUFFMAN, STATIC_HUFFMAN
 from nlts.errors import BadMagic, CodecError, CorruptStream, UnsupportedVersion
-from nlts.quantizer import LOSSLESS, QuantizerConfig, quantize_stream, render_code
-from nlts.transform import TransformConfig
+from nlts.quantizer import LOSSLESS, quantize_stream, render_code
 
 
 def make_config(version=2, coder=ADAPTIVE_ARITHMETIC, L=16, tau=9, digits=3):
-    q = QuantizerConfig(LOSSLESS if digits is None else digits)
-    return CodecConfig(
-        transform=TransformConfig(method_version=version, block_len=L, tau=tau),
-        quantizer=q,
-        coder=coder,
-    )
+    return CodecConfig(version, coder, L, tau, LOSSLESS if digits is None else digits)
 
 
 class TestHeader:
@@ -78,10 +72,12 @@ class TestHeader:
         with pytest.raises(CorruptStream):
             StreamHeader.parse(bad_scale)
         bad_L = good[:8] + (17).to_bytes(2, "little") + good[10:]
-        with pytest.raises(CorruptStream):
+        with pytest.raises(CorruptStream, match=r"^header block_len must be a power of two in "
+                                                r"\[16, 32768\], got 17$"):
             StreamHeader.parse(bad_L)
         bad_tau = good[:10] + (60000).to_bytes(2, "little") + good[12:]
-        with pytest.raises(CorruptStream):
+        with pytest.raises(CorruptStream, match=r"^header tau must be an integer in 1\.\.16, "
+                                                r"got 60000$"):
             StreamHeader.parse(bad_tau)
         bad_count = good[:16] + (0).to_bytes(8, "little")
         with pytest.raises(CorruptStream):

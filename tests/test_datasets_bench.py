@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from nlts import bench
 from nlts.bench import (
     SweepSpec,
     codec_config,
@@ -413,6 +414,33 @@ class TestSweep:
             {k: v for k, v in r.items() if "rate" not in k} for r in rows
         ]
         assert strip(serial) == strip(parallel)
+
+    def test_jobs_capped_at_config_count(self, tmp_path, monkeypatch):
+        # the pool forks all its workers at its first task; this stand-in
+        # records how many were asked for and runs the tasks in this process
+        asked = []
+
+        class Pool:
+            def __init__(self, max_workers, initializer, initargs):
+                asked.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(bench, "_WORKER_TOKENS", None)
+        spec = self._dataset(tmp_path, n=100)
+        sweep = SweepSpec(taus=(3, 5, 9), repeats=1)
+        assert len(run_sweep(spec, sweep, jobs=64)) == 3
+        run_sweep(spec, sweep, jobs=2)
+        assert asked == [3, 2]
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -402,10 +402,10 @@ def mutations(data, rng, count):
 
 def arithmetic_reference_outcome(data):
     """What the reference decoder makes of data: the decoded bytes, or None
-    for a rejection (its overrun guard is an AssertionError)."""
+    for a rejection (its overrun guard raises CorruptStream)."""
     try:
         return arithmetic_decode(data)
-    except AssertionError:
+    except CorruptStream:
         return None
 
 

@@ -23,8 +23,6 @@ import pytest
 
 from nlts.container import CodecConfig, compress_stream, decompress_to_tokens
 from nlts.entropy import CODER_IDS
-from nlts.quantizer import QuantizerConfig
-from nlts.transform import TransformConfig
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
 
@@ -107,11 +105,7 @@ def sha256(data: bytes) -> str:
 
 
 def digests(tokens, version, coder, L, tau, d) -> dict:
-    cfg = CodecConfig(
-        transform=TransformConfig(method_version=version, block_len=L, tau=tau),
-        quantizer=QuantizerConfig(d),
-        coder=CODER_IDS[coder],
-    )
+    cfg = CodecConfig(version, CODER_IDS[coder], L, tau, d)
     blob, _ = compress_stream(tokens, cfg)
     decoded, _ = decompress_to_tokens(blob)
     text = "".join(t + "\n" for t in decoded).encode()

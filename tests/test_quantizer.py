@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from nlts.container import CodecConfig
 from nlts.core import INT64_MAX, INT64_MIN
 from nlts.errors import CodecError, NonFiniteSample, OverflowAtScale, TooManyDigits
 from nlts.quantizer import (
     LOSSLESS,
-    QuantizerConfig,
     join_plain,
     quantize_stream,
     render_code,
@@ -392,11 +392,11 @@ class TestBlockOps:
 
     def test_config_validation(self):
         for good in (*range(7), LOSSLESS):
-            assert QuantizerConfig(good).digits == good
-        assert QuantizerConfig().digits == 3
+            assert CodecConfig(digits=good).digits == good
+        assert CodecConfig().digits == 3
         for bad in (7, -1, True, 3.0, 2.5, "3", "rounding", None):
             with pytest.raises(ValueError, match="digits"):
-                QuantizerConfig(bad)
+                CodecConfig(digits=bad)
 
 
 def outcome(quantize, samples, digits):

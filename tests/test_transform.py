@@ -20,10 +20,10 @@ from reference_transform import (
     transform_block,
 )
 
+from nlts.container import CodecConfig
 from nlts.core import INT64_MAX, INT64_MIN, read_varints
 from nlts.errors import BadFlag, CorruptStream, LengthMismatch
 from nlts.transform import (
-    TransformConfig,
     compute_mode,
     decode_blocks,
     encode_blocks,
@@ -98,7 +98,7 @@ class TestTransformVersion1:
         # here); the published worked example shows this exact symbol order.
         mod = 1290
         codes = [mod + d for d in PAPER_DEVIATIONS]
-        cfg = TransformConfig(method_version=1, block_len=16, tau=7)
+        cfg = CodecConfig(method_version=1, block_len=16, tau=7)
         tb = roundtrip(codes, cfg)
         assert tb.branch == MODE
         assert tb.header_values == (1, mod)
@@ -111,7 +111,7 @@ class TestTransformVersion1:
 
     def test_diff_branch_when_mode_rare(self):
         codes = [3, 5, 4, 1] * 4
-        cfg = TransformConfig(method_version=1, block_len=16, tau=9)
+        cfg = CodecConfig(method_version=1, block_len=16, tau=9)
         tb = roundtrip(codes, cfg)
         assert tb.branch == DIFF
         assert tb.header_values == (0,)
@@ -120,21 +120,21 @@ class TestTransformVersion1:
 
     def test_threshold_equality_selects_mode(self):
         codes = [5] * 9 + [1, 2, 3, 4, 6, 7, 8]
-        cfg = TransformConfig(method_version=1, block_len=16, tau=9)
+        cfg = CodecConfig(method_version=1, block_len=16, tau=9)
         assert roundtrip(codes, cfg).branch == MODE
 
     def test_inverse_diff_example(self):
-        cfg = TransformConfig(method_version=1, block_len=16, tau=9)
+        cfg = CodecConfig(method_version=1, block_len=16, tau=9)
         tb = TransformedBlock(1, DIFF, (0,), None, (3, 2, -1), 3)
         assert inverse_transform(tb, cfg).codes == (3, 5, 4)
 
     def test_inverse_constant_block(self):
-        cfg = TransformConfig(method_version=1, block_len=16, tau=9)
+        cfg = CodecConfig(method_version=1, block_len=16, tau=9)
         tb = TransformedBlock(1, MODE, (1, 42), NonzeroMask(0, 16), (), 16)
         assert inverse_transform(tb, cfg).codes == (42,) * 16
 
     def test_bad_flag(self):
-        cfg = TransformConfig(method_version=1, block_len=16, tau=9)
+        cfg = CodecConfig(method_version=1, block_len=16, tau=9)
         tb = TransformedBlock(1, MODE, (2, 42), NonzeroMask(0, 16), (), 16)
         with pytest.raises(BadFlag):
             inverse_transform(tb, cfg)
@@ -147,7 +147,7 @@ class TestTransformVersion1:
 
 class TestTransformVersion2:
     def test_mode_example(self):
-        cfg = TransformConfig(method_version=2, block_len=16, tau=3)
+        cfg = CodecConfig(method_version=2, block_len=16, tau=3)
         tb = transform_block(QuantizedBlock(codes=(7, 7, 7, 9), scale_exp=0), cfg)
         assert tb.branch == MODE
         assert tb.header_values == (7,)
@@ -156,7 +156,7 @@ class TestTransformVersion2:
         assert inverse_transform(tb, cfg).codes == (7, 7, 7, 9)
 
     def test_diff_example(self):
-        cfg = TransformConfig(method_version=2, block_len=16, tau=4)
+        cfg = CodecConfig(method_version=2, block_len=16, tau=4)
         tb = transform_block(QuantizedBlock(codes=(3, 5, 4, 4), scale_exp=0), cfg)
         assert tb.branch == DIFF
         assert tb.header_values == (3,)
@@ -172,7 +172,7 @@ class TestTransformVersion2:
     def test_fallback_diff_block_with_leading_zero(self):
         # x1 == 0 would decode as mode, so the encoder must emit mode
         codes = [0, 4, 9, 1, 7, 2, 8, 3, 6, 5, 11, 13, 17, 19, 23, 29]
-        cfg = TransformConfig(method_version=2, block_len=16, tau=9)
+        cfg = CodecConfig(method_version=2, block_len=16, tau=9)
         tb = roundtrip(codes, cfg)
         assert tb.branch == MODE
         assert detect_branch_v2(tb.header_values[0], tb.mask, tb.payload) == MODE
@@ -181,13 +181,13 @@ class TestTransformVersion2:
         # first deviation equals the mode (x1 = 2 * mode): mode encoding
         # would read back as diff, so the encoder must emit diff
         codes = [10] + [5] * 15
-        cfg = TransformConfig(method_version=2, block_len=16, tau=9)
+        cfg = CodecConfig(method_version=2, block_len=16, tau=9)
         tb = roundtrip(codes, cfg)
         assert tb.branch == DIFF
         assert detect_branch_v2(tb.header_values[0], tb.mask, tb.payload) == DIFF
 
     def test_constant_block_decodes_as_mode(self):
-        cfg = TransformConfig(method_version=2, block_len=16, tau=9)
+        cfg = CodecConfig(method_version=2, block_len=16, tau=9)
         tb = roundtrip([6] * 16, cfg)
         assert tb.branch == MODE
         assert tb.mask.popcount() == 0 and tb.payload == ()
@@ -214,7 +214,7 @@ class TestRoundTripProperties:
                     codes.append(v)
             else:  # wild
                 codes = [rng.randrange(-(2**31), 2**31) for _ in range(width)]
-            cfg = TransformConfig(method_version=version, block_len=L, tau=tau)
+            cfg = CodecConfig(method_version=version, block_len=L, tau=tau)
             fused_roundtrip(codes, cfg)
 
     def test_payload_matches_mask_popcount(self):
@@ -222,7 +222,7 @@ class TestRoundTripProperties:
         for _ in range(1000):
             codes = rng.choices(range(-2, 3), k=16)
             for version in (1, 2):
-                cfg = TransformConfig(method_version=version, block_len=16, tau=8)
+                cfg = CodecConfig(method_version=version, block_len=16, tau=8)
                 tb = transform_block(QuantizedBlock(codes=tuple(codes), scale_exp=0), cfg)
                 if tb.mask is not None:
                     assert len(tb.payload) == tb.mask.popcount()
@@ -233,7 +233,7 @@ class TestRoundTripProperties:
         for _ in range(500):
             codes = rng.choices(range(-1, 2), k=16)
             for version, header_syms in ((1, 2), (2, 1)):
-                cfg = TransformConfig(method_version=version, block_len=16, tau=4)
+                cfg = CodecConfig(method_version=version, block_len=16, tau=4)
                 tb = transform_block(QuantizedBlock(codes=tuple(codes), scale_exp=0), cfg)
                 if tb.branch == MODE:
                     n_symbols = header_syms + 1 + len(tb.payload)
@@ -241,13 +241,13 @@ class TestRoundTripProperties:
 
     def test_wide_block_mask_beyond_64_bits(self):
         rng = random.Random(604)
-        cfg = TransformConfig(method_version=2, block_len=128, tau=20)
+        cfg = CodecConfig(method_version=2, block_len=128, tau=20)
         codes = rng.choices(range(-2, 3), k=128)
         tb = roundtrip(codes, cfg)
         assert tb.mask.width == 128
 
     def test_length_mismatch(self):
-        cfg = TransformConfig(method_version=2, block_len=16, tau=9)
+        cfg = CodecConfig(method_version=2, block_len=16, tau=9)
         with pytest.raises(LengthMismatch):
             transform_block(QuantizedBlock(codes=(1,) * 17, scale_exp=0), cfg)
 
@@ -257,7 +257,7 @@ class TestResolvability:
     # adversarial block shapes, and the encoder's fallback settles on it
     def test_adversarial_and_random(self):
         rng = random.Random(610)
-        cfg = TransformConfig(method_version=2, block_len=16, tau=9)
+        cfg = CodecConfig(method_version=2, block_len=16, tau=9)
         for trial in range(20_000):
             kind = trial % 4
             if kind == 0:
@@ -279,17 +279,17 @@ class TestConfigValidation:
     def test_block_len_power_of_two(self):
         for bad in (8, 12, 17, 0, 1 << 16):
             with pytest.raises(ValueError):
-                TransformConfig(method_version=2, block_len=bad, tau=1)
+                CodecConfig(method_version=2, block_len=bad, tau=1)
 
     def test_tau_range(self):
         with pytest.raises(ValueError):
-            TransformConfig(method_version=2, block_len=16, tau=0)
+            CodecConfig(method_version=2, block_len=16, tau=0)
         with pytest.raises(ValueError):
-            TransformConfig(method_version=2, block_len=16, tau=17)
+            CodecConfig(method_version=2, block_len=16, tau=17)
 
     def test_method_version(self):
         with pytest.raises(ValueError):
-            TransformConfig(method_version=3, block_len=16, tau=9)
+            CodecConfig(method_version=3, block_len=16, tau=9)
 
     @pytest.mark.parametrize("fields", [
         {"method_version": 2.0}, {"method_version": True}, {"block_len": 16.0},
@@ -297,7 +297,7 @@ class TestConfigValidation:
     ])
     def test_wrong_types(self, fields):
         with pytest.raises(ValueError):
-            TransformConfig(**fields)
+            CodecConfig(**fields)
 
 
 def random_block(rng, width):
@@ -358,7 +358,7 @@ def random_stream(rng, L, partial):
 def assert_stream_matches_reference(rng, version):
     """One random stream: the fused transform writes the reference's bytes and inverts them."""
     L = rng.choice([16, 64, 128])
-    cfg = TransformConfig(version, L, rng.randrange(1, L + 1))
+    cfg = CodecConfig(method_version=version, block_len=L, tau=rng.randrange(1, L + 1))
     codes = random_stream(rng, L, rng.random() < 0.5)
     symbols = encode_blocks(codes, cfg)
     assert symbols == encode_stream(codes, cfg), (cfg, codes)
@@ -379,7 +379,7 @@ class TestMatchesReference:
     def test_adversarial_blocks_at_every_tau(self, version):
         rng = random.Random(630 + version)
         for tau in range(1, 17):
-            cfg = TransformConfig(version, 16, tau)
+            cfg = CodecConfig(method_version=version, block_len=16, tau=tau)
             for _ in range(200):
                 codes = random_block(rng, rng.choice([16, 16, rng.randrange(1, 17)]))
                 assert encode_blocks(codes, cfg) == encode_stream(codes, cfg), (tau, codes)
@@ -406,7 +406,7 @@ class TestFormatExamples:
         ],
     )
     def test_block_layout(self, codes, version, tau, expected):
-        cfg = TransformConfig(version, 16, tau)
+        cfg = CodecConfig(method_version=version, block_len=16, tau=tau)
         symbols = encode_blocks(codes, cfg)
         assert symbols.hex(" ").upper() == expected
         assert decode_blocks(bytes(symbols), cfg, len(codes)) == codes
@@ -415,7 +415,7 @@ class TestFormatExamples:
     def test_worked_example_mask(self, version):
         # mode 1290 occurs 7 times: [flag 1,] mode, mask 51021, nine nonzeros
         codes = [1290 + d for d in PAPER_DEVIATIONS]
-        cfg = TransformConfig(version, 16, 7)
+        cfg = CodecConfig(method_version=version, block_len=16, tau=7)
         symbols = encode_blocks(codes, cfg)
         flag = "02 " if version == 1 else ""
         assert symbols.hex(" ").upper() == (
@@ -445,7 +445,7 @@ class TestDecodeFuzz:
     def test_damaged_streams(self, version, L):
         rng = random.Random(640 + version + L)
         for _ in range(12):
-            cfg = TransformConfig(version, L, rng.randrange(1, L + 1))
+            cfg = CodecConfig(method_version=version, block_len=L, tau=rng.randrange(1, L + 1))
             codes = random_stream(rng, L, True)
             n = len(codes)
             symbols = encode_blocks(codes, cfg)
@@ -461,7 +461,7 @@ class TestDecodeFuzz:
     @pytest.mark.parametrize("L", [16, 128])
     def test_version_1_flag_2(self, L):
         rng = random.Random(650 + L)
-        cfg = TransformConfig(1, L, rng.randrange(1, L + 1))
+        cfg = CodecConfig(method_version=1, block_len=L, tau=rng.randrange(1, L + 1))
         codes = random_stream(rng, L, True)
         symbols = encode_blocks(codes, cfg)
         for start in range(0, len(codes), L):
@@ -485,12 +485,12 @@ class TestStreamBound:
             codes = [rng.choice((-1, 1)) * rng.randrange(half - 2**40, half) for _ in range(n)]
             if rng.random() < 0.3:
                 codes = [rng.choice((INT64_MIN // 2, INT64_MAX // 2, 0)) for _ in range(n)]
-            cfg = TransformConfig(method_version=version, block_len=L, tau=rng.randrange(1, L + 1))
+            cfg = CodecConfig(method_version=version, block_len=L, tau=rng.randrange(1, L + 1))
             assert len(encode_blocks(codes, cfg)) <= max_stream_bytes(cfg, n)
 
     def test_value(self):
         # v1: flag + 10 + ceil(16/7) + 160 per block of 16; a last block of 5
-        cfg = TransformConfig(method_version=1, block_len=16, tau=9)
+        cfg = CodecConfig(method_version=1, block_len=16, tau=9)
         assert max_stream_bytes(cfg, 37) == 2 * (1 + 10 + 3 + 160) + (1 + 10 + 1 + 50)
-        cfg = TransformConfig(method_version=2, block_len=16, tau=9)
+        cfg = CodecConfig(method_version=2, block_len=16, tau=9)
         assert max_stream_bytes(cfg, 1) == 10 + 1 + 10
