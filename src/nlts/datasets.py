@@ -122,7 +122,8 @@ def _read_column(spec: DatasetSpec, lines, checked: bool) -> list:
     lines reads as the file opened with newline="" would (see _lines).
     With checked, a kept token that is not a finite number raises
     UnparseableRow with its 1-based row number; without, tokens are kept
-    as read.
+    as read.  A negative column index counts from the end of the first
+    non-empty row read; a later row without that field raises MissingColumn.
     """
     if spec.delimiter == WHITESPACE:
         rows = map(str.split, lines)
@@ -147,6 +148,8 @@ def _read_column(spec: DatasetSpec, lines, checked: bool) -> list:
         row_no += 1
         if not row:
             continue
+        if col < 0 and len(row) + col >= 0:
+            col += len(row)
         try:
             token = row[col]
         except IndexError:

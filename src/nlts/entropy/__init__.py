@@ -26,24 +26,19 @@ CODER_NAMES = {
 }
 CODER_IDS = {name: coder for coder, name in CODER_NAMES.items()}
 
-_ENCODERS = {
-    STATIC_HUFFMAN: static_huffman.encode,
-    ADAPTIVE_HUFFMAN: adaptive_huffman.encode,
-    ADAPTIVE_ARITHMETIC: arithmetic.encode,
-}
-_DECODERS = {
-    STATIC_HUFFMAN: static_huffman.decode,
-    ADAPTIVE_HUFFMAN: adaptive_huffman.decode,
-    ADAPTIVE_ARITHMETIC: arithmetic.decode,
+_CODERS = {
+    STATIC_HUFFMAN: static_huffman,
+    ADAPTIVE_HUFFMAN: adaptive_huffman,
+    ADAPTIVE_ARITHMETIC: arithmetic,
 }
 
 
 def encode(payload: bytes, coder: int) -> BitStream:
-    if coder not in _ENCODERS:
+    if coder not in _CODERS:
         raise UnsupportedVersion(f"unknown entropy coder id {coder}")
     if len(payload) >= 1 << 32:
         raise ValueError("payload too large (must be < 2^32 bytes)")
-    return _ENCODERS[coder](payload)
+    return _CODERS[coder].encode(payload)
 
 
 def decode(data: bytes, coder: int, max_len: float = math.inf) -> bytes:
@@ -54,9 +49,9 @@ def decode(data: bytes, coder: int, max_len: float = math.inf) -> bytes:
     and at the terminator, so a damaged stream stops within a few thousand
     symbols of the bound and no longer payload is ever returned.
     """
-    if coder not in _DECODERS:
+    if coder not in _CODERS:
         raise UnsupportedVersion(f"unknown entropy coder id {coder}")
-    return _DECODERS[coder](data, max_len)
+    return _CODERS[coder].decode(data, max_len)
 
 
 __all__ = [

@@ -25,7 +25,7 @@ import math
 from collections import Counter
 
 from ..core import read_varints, write_varints
-from ..errors import CorruptStream, Overlong, Truncated
+from ..errors import CorruptStream
 from .bitio import FLUSH_BITS, BitStream, finish, spill
 
 # Width of the decoder's lookup table: codes up to this long decode in one
@@ -129,12 +129,9 @@ def encode(payload: bytes) -> BitStream:
 
 
 def decode(data: bytes, max_len: float = math.inf) -> bytes:
-    try:
-        count_field = []
-        pos = read_varints(data, 0, 1, count_field, signed=False, max_bits=32)
-        lengths, pos = _read_table(data, pos)
-    except (Truncated, Overlong) as e:
-        raise CorruptStream(str(e)) from None
+    count_field = []
+    pos = read_varints(data, 0, 1, count_field, signed=False, max_bits=32)
+    lengths, pos = _read_table(data, pos)
     (count,) = count_field
     if count > max_len:
         raise CorruptStream(f"huffman symbol count {count} exceeds the declared size {max_len}")

@@ -38,18 +38,6 @@ class LengthMismatch(CodecError, ValueError):
 
 # --- serialization / streams ---
 
-class BadFlag(CodecError):
-    """Version-1 branch flag is neither 0 nor 1."""
-
-
-class Truncated(CodecError):
-    """Byte source ended in the middle of a value."""
-
-
-class Overlong(CodecError):
-    """Varint carries more continuation bytes than its width allows."""
-
-
 class CorruptStream(CodecError):
     """Entropy stream or block stream is damaged."""
 

@@ -33,7 +33,7 @@ from itertools import accumulate, repeat
 from operator import add, sub
 
 from .core import read_varints, write_varints
-from .errors import BadFlag, CodecError, CorruptStream, Overlong, Truncated
+from .errors import CodecError, CorruptStream
 
 METHOD_VERSIONS = (1, 2)
 MIN_BLOCK_LEN = 16
@@ -105,7 +105,7 @@ def encode_blocks(codes, cfg) -> bytearray:
             write_varints(header, out)
             write_varints((mask,), out, False, width)
             write_varints(list(filter(None, body)), out)
-    except Overlong as e:
+    except OverflowError as e:
         # a header is a code and fits; only a difference or a deviation
         # between two int64 codes can need a 65th bit
         raise CodecError(
@@ -149,35 +149,32 @@ def decode_blocks(symbols, cfg, sample_count: int) -> list:
     codes = []
     L, v1 = cfg.block_len, cfg.method_version == 1
     pos = 0
-    try:
-        for start in range(0, sample_count, L):
-            width = min(L, sample_count - start)
-            fields = []
-            pos = read_varints(symbols, pos, 1, fields)
-            if v1:
-                flag = fields[0]
-                if flag == 0:
-                    pos = read_varints(symbols, pos, width, fields)
-                    codes.extend(accumulate(fields[1:]))
-                    continue
-                if flag != 1:
-                    raise BadFlag(f"version-1 branch flag must be 0 or 1, got {flag}")
-                pos = read_varints(symbols, pos, 1, fields)
-            header = fields[-1]
-            pos = read_varints(symbols, pos, 1, fields, False, width)
-            mask = fields.pop()
-            if not mask:  # no nonzero entry: a constant block of the header
-                codes.extend(repeat(header, width))
+    for start in range(0, sample_count, L):
+        width = min(L, sample_count - start)
+        fields = []
+        pos = read_varints(symbols, pos, 1, fields)
+        if v1:
+            flag = fields[0]
+            if flag == 0:
+                pos = read_varints(symbols, pos, width, fields)
+                codes.extend(accumulate(fields[1:]))
                 continue
-            nonzeros = []
-            pos = read_varints(symbols, pos, mask.bit_count(), nonzeros)
-            if not v1 and mask >> (width - 1) and nonzeros[0] == header:
-                # version 2 diff: the first entry survived and repeats the header
-                codes.extend(accumulate(_expand(mask, width, nonzeros)))
-            else:
-                codes.extend(map(add, _expand(mask, width, nonzeros), repeat(header)))
-    except (Truncated, Overlong, BadFlag) as e:
-        raise CorruptStream(str(e)) from e
+            if flag != 1:
+                raise CorruptStream(f"version-1 branch flag must be 0 or 1, got {flag}")
+            pos = read_varints(symbols, pos, 1, fields)
+        header = fields[-1]
+        pos = read_varints(symbols, pos, 1, fields, False, width)
+        mask = fields.pop()
+        if not mask:  # no nonzero entry: a constant block of the header
+            codes.extend(repeat(header, width))
+            continue
+        nonzeros = []
+        pos = read_varints(symbols, pos, mask.bit_count(), nonzeros)
+        if not v1 and mask >> (width - 1) and nonzeros[0] == header:
+            # version 2 diff: the first entry survived and repeats the header
+            codes.extend(accumulate(_expand(mask, width, nonzeros)))
+        else:
+            codes.extend(map(add, _expand(mask, width, nonzeros), repeat(header)))
     if pos != len(symbols):
         raise CorruptStream(f"{len(symbols) - pos} trailing bytes after the final block")
     return codes

@@ -28,7 +28,11 @@ from nlts.entropy.static_huffman import (
     canonical_codes,
     code_lengths,
 )
-from nlts.errors import CorruptStream, Overlong, Truncated
+from nlts.errors import CorruptStream
+
+
+class BitsExhausted(Exception):
+    """BitReader ran past the end; each reference decoder turns it into CorruptStream."""
 
 STATE_BITS = 32
 MASK = (1 << STATE_BITS) - 1
@@ -145,7 +149,7 @@ class BitWriter:
 
 
 class BitReader:
-    """MSB-first bit reader; raises Truncated past the end."""
+    """MSB-first bit reader; raises BitsExhausted past the end."""
 
     __slots__ = ("_data", "_bit_len", "_pos")
 
@@ -157,7 +161,7 @@ class BitReader:
     def read_bit(self) -> int:
         p = self._pos
         if p >= self._bit_len:
-            raise Truncated("bit stream exhausted")
+            raise BitsExhausted("bit stream exhausted")
         self._pos = p + 1
         return (self._data[p >> 3] >> (7 - (p & 7))) & 1
 
@@ -270,12 +274,9 @@ def static_huffman_encode(payload: bytes) -> BitStream:
 
 
 def static_huffman_decode(data: bytes, bit_len=None) -> bytes:
-    try:
-        count_field = []
-        pos = read_varints(data, 0, 1, count_field, signed=False, max_bits=32)
-        lengths, pos = _read_table(data, pos)
-    except (Truncated, Overlong) as e:
-        raise CorruptStream(str(e)) from None
+    count_field = []
+    pos = read_varints(data, 0, 1, count_field, signed=False, max_bits=32)
+    lengths, pos = _read_table(data, pos)
     (count,) = count_field
     if count == 0:
         return b""
@@ -313,7 +314,7 @@ def static_huffman_decode(data: bytes, bit_len=None) -> bytes:
                 if 0 <= idx < len(group):
                     out.append(group[idx])
                     break
-    except Truncated:
+    except BitsExhausted:
         raise CorruptStream("huffman stream ended mid-code") from None
     return bytes(out)
 
@@ -424,7 +425,7 @@ def fgk_decode(data: bytes, bit_len=None) -> bytes:
                 return bytes(out)
             out.append(sym)
             tree.update(sym)
-    except Truncated:
+    except BitsExhausted:
         raise CorruptStream("adaptive huffman stream ended before its terminator") from None
 
 

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from nlts.container import CodecConfig
 from nlts.core import MODE, read_varints, write_varints
-from nlts.errors import BadFlag, CodecError, LengthMismatch
+from nlts.errors import CodecError, LengthMismatch
 
 # Name of the diff block branch (nlts.core.MODE names the other).
 DIFF = "diff"
@@ -31,6 +31,10 @@ class EmptyBlock(CodecError):
 
 class CountMismatch(CodecError):
     """Bitmap population count disagrees with the number of payload values."""
+
+
+class BadBranchFlag(CodecError):
+    """Version-1 branch flag is neither 0 nor 1."""
 
 
 @dataclass(frozen=True)
@@ -270,7 +274,7 @@ def inverse_transform(
             deviations = tb.mask.expand(tb.payload)
             codes = [mode + d for d in deviations]
         else:
-            raise BadFlag(f"version-1 branch flag must be 0 or 1, got {flag}")
+            raise BadBranchFlag(f"version-1 branch flag must be 0 or 1, got {flag}")
     else:
         header = tb.header_values[0]
         body = tb.mask.expand(tb.payload)
@@ -309,7 +313,7 @@ def parse_block(data, pos: int, method_version: int, width: int):
             pos = read_varints(data, pos, width, payload)
             return TransformedBlock(1, DIFF, (0,), None, tuple(payload), width), pos
         if flag != 1:
-            raise BadFlag(f"version-1 branch flag must be 0 or 1, got {flag}")
+            raise BadBranchFlag(f"version-1 branch flag must be 0 or 1, got {flag}")
         pos = read_varints(data, pos, 1, fields)
     pos = read_varints(data, pos, 1, fields, False, width)
     mask = NonzeroMask(fields[-1], width)

@@ -99,6 +99,12 @@ class TestCompressDecompressVerify:
                      "--delimiter", ",", "--digits", "1"]) == 0
         assert main(["decompress", str(packed), str(back)]) == 0
         assert back.read_text() == "1.5\n2.5\n"
+        capsys.readouterr()
+        # -1 names the first row's last column; a shorter later row lacks it
+        src.write_text("1,10\n2\n3,30\n")
+        assert main(["compress", str(src), str(packed), "--column", "-1",
+                     "--delimiter", ","]) == 2
+        assert capsys.readouterr().err == "error: row 2 has 1 fields, column 1 requested\n"
 
     def test_verify_non_numeric_exit_2(self, tmp_path, capsys):
         a = tmp_path / "a.txt"

@@ -208,20 +208,26 @@ class TestCorruption:
                 pass
 
 
-def crafted_container(version, fields):
-    """Two-sample container whose one block is the given (values, signed) varint runs."""
-    symbols = bytearray()
-    for values, signed in fields:
-        write_varints(values, symbols, signed, 64 if signed else 2)
+def two_sample_container(version, coder, payload):
+    """Container of two samples (L16, tau 9, d3) whose entropy payload is payload."""
     header = StreamHeader(
         method_version=version,
-        entropy_id=ADAPTIVE_ARITHMETIC,
+        entropy_id=coder,
         block_len=16,
         tau=9,
         scale_exp=3,
         sample_count=2,
     )
-    return header.pack() + entropy.encode(bytes(symbols), ADAPTIVE_ARITHMETIC).data
+    return header.pack() + payload
+
+
+def crafted_container(version, fields):
+    """Two-sample container whose one block is the given (values, signed) varint runs."""
+    symbols = bytearray()
+    for values, signed in fields:
+        write_varints(values, symbols, signed, 64 if signed else 2)
+    payload = entropy.encode(bytes(symbols), ADAPTIVE_ARITHMETIC).data
+    return two_sample_container(version, ADAPTIVE_ARITHMETIC, payload)
 
 
 # Each decodes to [INT64_MAX, 2 * INT64_MAX], [INT64_MAX, INT64_MAX + 1] or
@@ -246,6 +252,45 @@ def test_decoded_samples_outside_int64_rejected(case, tmp_path):
     packed = tmp_path / "in.nlts"
     packed.write_bytes(blob)
     assert main(["decompress", str(packed), str(tmp_path / "out.txt")]) == 2
+
+
+# Damage found by the varint reader or the version-1 flag check, at the
+# container level: (method version, coder, payload hex, message).  For the
+# arithmetic coder the hex is the symbol stream, coded before it is stored;
+# for static Huffman it is the stored entropy payload itself.
+DAMAGED = {
+    "v1-flag-2": (
+        1, ADAPTIVE_ARITHMETIC, "04 02 00", "version-1 branch flag must be 0 or 1, got 2"
+    ),
+    "v2-cut-varint": (2, ADAPTIVE_ARITHMETIC, "80", "byte source ended inside a varint"),
+    "v2-overlong-value": (
+        2, ADAPTIVE_ARITHMETIC, "80 " * 10 + "01", "varint exceeds 10 bytes for 64-bit range"
+    ),
+    "v2-overlong-mask": (
+        2, ADAPTIVE_ARITHMETIC, "02 80 80 80 01", "varint exceeds 1 bytes for 2-bit range"
+    ),
+    "static-cut-count": (2, STATIC_HUFFMAN, "80", "byte source ended inside a varint"),
+    "static-wide-count": (
+        2, STATIC_HUFFMAN, "ff ff ff ff 1f", "decoded value needs more than 32 bits"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGED))
+def test_damaged_varint_or_flag_is_corrupt_stream(case, tmp_path, capsys):
+    version, coder, payload, message = DAMAGED[case]
+    payload = bytes.fromhex(payload)
+    if coder == ADAPTIVE_ARITHMETIC:
+        payload = entropy.encode(payload, coder).data
+    blob = two_sample_container(version, coder, payload)
+    for decompress in (decompress_to_tokens, decompress_stream):
+        with pytest.raises(CodecError) as e:
+            decompress(blob)
+        assert type(e.value) is CorruptStream and str(e.value) == message
+    packed = tmp_path / "in.nlts"
+    packed.write_bytes(blob)
+    assert main(["decompress", str(packed), str(tmp_path / "out.txt")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_int64_edges_decode():

@@ -5,7 +5,7 @@ import pytest
 from reference_transform import CountMismatch, NonzeroMask, QuantizedBlock
 
 from nlts.core import read_varints, write_varints
-from nlts.errors import Overlong, Truncated
+from nlts.errors import CorruptStream
 
 PAPER_DEVIATIONS = [10, -2, 0, 0, 0, -1, 2, 3, 0, 1, 0, 0, 3, 4, 0, 1]
 PAPER_NONZEROS = [10, -2, -1, 2, 3, 1, 3, 4, 1]
@@ -133,27 +133,30 @@ class TestVarint:
         assert value == u and pos == len(expected)
 
     def test_truncated(self):
-        with pytest.raises(Truncated):
+        truncated = "^byte source ended inside a varint$"
+        with pytest.raises(CorruptStream, match=truncated):
             read_one(bytes([0x80]))
-        with pytest.raises(Truncated):
+        with pytest.raises(CorruptStream, match=truncated):
             read_one(b"")
-        with pytest.raises(Truncated):
+        with pytest.raises(CorruptStream, match=truncated):
             read_varints(bytes([0x02, 0x04]), 0, 3, [])
 
     def test_overlong_continuation(self):
-        with pytest.raises(Overlong):
+        overlong = "^varint exceeds 10 bytes for 64-bit range$"
+        with pytest.raises(CorruptStream, match=overlong):
             read_one(bytes([0x80] * 10 + [0x01]))
-        with pytest.raises(Overlong):
+        with pytest.raises(CorruptStream, match=overlong):
             read_varints(bytes([0x02] + [0x80] * 10 + [0x01]), 0, 2, [])
 
     def test_overlong_value(self):
         # 10 bytes can carry up to 70 bits; values past 2^64 are rejected
-        with pytest.raises(Overlong):
+        with pytest.raises(OverflowError, match="^value needs more than 64 bits$"):
             write_varints([1 << 64], bytearray(), signed=False)
         encoded = bytes([0xFF] * 9 + [0x7F])
-        with pytest.raises(Overlong):
+        overlong = "^decoded value needs more than 64 bits$"
+        with pytest.raises(CorruptStream, match=overlong):
             read_one(encoded)
-        with pytest.raises(Overlong):
+        with pytest.raises(CorruptStream, match=overlong):
             read_varints(encoded, 0, 1, [])
 
     def test_negative_rejected(self):
@@ -167,7 +170,7 @@ class TestVarint:
             write_varints([u], out, signed=False, max_bits=width)
             value, pos = read_one(bytes(out), max_bits=width)
             assert value == u and pos == len(out)
-        with pytest.raises(Overlong):
+        with pytest.raises(OverflowError, match="^value needs more than 64 bits$"):
             write_varints([1 << 64], bytearray(), signed=False, max_bits=64)
 
     def test_serialization_round_trip_random(self):

@@ -51,6 +51,15 @@ class TestIngest:
         with pytest.raises(MissingColumn):
             ingest(spec)
 
+    def test_negative_column_fixed_by_first_row(self, tmp_text_file):
+        # -1 is the last field of the first non-empty row, on every row
+        p = tmp_text_file("\n1 10\n2 20 30\n")
+        spec = DatasetSpec(name="t", source_path=str(p), column=-1, delimiter="whitespace")
+        assert ingest(spec) == ["10", "20"]
+        p.write_text("\n1 10\n2\n")
+        with pytest.raises(MissingColumn, match="^row 3 has 1 fields, column 1 requested$"):
+            ingest(spec)
+
     def test_named_column_missing(self, tmp_text_file):
         p = tmp_text_file("a,b\n1,2\n")
         spec = DatasetSpec(name="t", source_path=str(p), column="zzz")

@@ -15,10 +15,11 @@ from nlts.entropy import (
 )
 from nlts.entropy.bitio import BitStream, finish
 from nlts.entropy.model import EOF_SYMBOL, NUM_SYMBOLS, RESCALE_CEILING
-from nlts.errors import CorruptStream, Truncated, UnsupportedVersion
+from nlts.errors import CorruptStream, UnsupportedVersion
 
 from reference_coders import (
     BitReader,
+    BitsExhausted,
     BitWriter,
     FrequencyModel,
     PaddedBitReader,
@@ -533,7 +534,7 @@ class TestBitIO:
         assert stream.bit_len == 999
         r = BitReader(stream.data, stream.bit_len)
         assert [r.read_bit() for _ in range(999)] == bits
-        with pytest.raises(Truncated):
+        with pytest.raises(BitsExhausted, match="^bit stream exhausted$"):
             r.read_bit()
 
     def test_write_bits_msb_first(self):

@@ -5,6 +5,7 @@ import pytest
 from reference_transform import (
     DIFF,
     MODE,
+    BadBranchFlag,
     EmptyBlock,
     NonzeroMask,
     QuantizedBlock,
@@ -22,7 +23,7 @@ from reference_transform import (
 
 from nlts.container import CodecConfig
 from nlts.core import INT64_MAX, INT64_MIN, read_varints
-from nlts.errors import BadFlag, CorruptStream, LengthMismatch
+from nlts.errors import CorruptStream, LengthMismatch
 from nlts.transform import (
     compute_mode,
     decode_blocks,
@@ -136,12 +137,13 @@ class TestTransformVersion1:
     def test_bad_flag(self):
         cfg = CodecConfig(method_version=1, block_len=16, tau=9)
         tb = TransformedBlock(1, MODE, (2, 42), NonzeroMask(0, 16), (), 16)
-        with pytest.raises(BadFlag):
+        bad_flag = "^version-1 branch flag must be 0 or 1, got 2$"
+        with pytest.raises(BadBranchFlag, match=bad_flag):
             inverse_transform(tb, cfg)
         # and at the wire level: zigzag(2) = 4
-        with pytest.raises(BadFlag):
+        with pytest.raises(BadBranchFlag, match=bad_flag):
             parse_block(bytes([4]), 0, 1, 16)
-        with pytest.raises(CorruptStream, match="flag must be 0 or 1, got 2"):
+        with pytest.raises(CorruptStream, match=bad_flag):
             decode_blocks(bytes([4]), cfg, 16)
 
 
@@ -429,8 +431,7 @@ class TestFormatExamples:
 
 class TestDecodeFuzz:
     # damaged symbol streams decode to exactly sample_count codes or raise
-    # CorruptStream; IndexError, StopIteration, ValueError and the varint
-    # errors must not escape
+    # CorruptStream; IndexError, StopIteration and ValueError must not escape
     @staticmethod
     def check(symbols, cfg, n):
         try:
