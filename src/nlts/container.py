@@ -17,25 +17,28 @@ import struct
 import time
 from dataclasses import dataclass
 from itertools import repeat
-from operator import truediv
+from operator import gt, le, truediv
 
 from . import entropy
 from .core import INT64_MAX, INT64_MIN
 from .errors import BadMagic, CorruptStream, UnsupportedVersion
-from .quantizer import (
-    LOSSLESS,
-    MAX_DIGITS,
-    SCALE_PASSTHROUGH,
-    quantize_stream,
-    render_code,
-    render_stream,
+from .quantizer import LOSSLESS, MAX_DIGITS, quantize_stream, render_stream
+from .transform import (
+    METHOD_VERSIONS,
+    check_block_settings,
+    decode_blocks,
+    encode_blocks,
+    max_stream_bytes,
 )
-from .transform import check_block_settings, decode_blocks, encode_blocks, max_stream_bytes
 
 MAGIC = b"NLTS"
 FORMAT_VERSION = 1
 HEADER_LEN = 24
 _HEADER_STRUCT = struct.Struct("<4sBBBBHH4xQ")
+
+#: Header byte marking integer passthrough (lossless stream with no
+#: fractional digits); ordinary streams carry their digit count 0..6.
+SCALE_PASSTHROUGH = 255
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ class StreamHeader:
         )
         if fmt != FORMAT_VERSION:
             raise UnsupportedVersion(f"format version {fmt} not supported")
-        if method not in (1, 2):
+        if method not in METHOD_VERSIONS:
             raise UnsupportedVersion(f"method version {method} not supported")
         if coder not in entropy.CODER_NAMES:
             raise UnsupportedVersion(f"entropy coder id {coder} not supported")
@@ -141,21 +144,22 @@ class CodecConfig:
 def canonical_size(codes, scale_exp: int | None) -> int:
     """Byte size of the canonical text rendering (newline per sample).
 
-    A rendering is no shorter than that of any code nearer zero of the
-    same sign, so when the smallest and largest code share a sign and a
-    rendered length, every code has that length.
+    Each code renders as a newline, one whole digit, '.' and d fraction
+    digits when d > 0, and a '-' when negative.  Its whole part |c| // 10**d
+    has one more digit for each k >= 1 with |c| >= 10**(d+k), so each such
+    power adds the count of magnitudes that reach it.
     """
+    d = scale_exp or 0
     lo, hi = min(codes), max(codes)
-    size = len(render_code(lo, scale_exp))
-    if (lo >= 0 or hi < 0) and len(render_code(hi, scale_exp)) == size:
-        return (size + 1) * len(codes)
-    pow10 = 10 ** (scale_exp or 0)
-    total = (scale_exp + 2 if scale_exp else 1) * len(codes)  # '\n', any '.' and fraction
-    for c in codes:
-        if c < 0:
-            total += 1 + len(str(-c // pow10))
-        else:
-            total += len(str(c // pow10))
+    total = (d + 3 if d else 2) * len(codes)
+    mags = codes
+    if lo < 0:
+        total += sum(map(gt, repeat(0), codes))
+        mags = list(map(abs, codes))
+    power, top = 10 ** (d + 1), max(hi, -lo)
+    while power <= top:
+        total += sum(map(le, repeat(power), mags))
+        power *= 10
     return total
 
 

@@ -6,8 +6,7 @@ the quantizer can parse digits exactly and lossless runs stay lossless.
 The packaged spec files under dataset_specs/ describe the benchmark
 datasets (column, delimiter, missing-value policy); the data files
 themselves are fetched by the user (see README) and located via a data
-directory.  manifest.json records the sha256 of the files a report was
-produced from so runs can be compared.
+directory.
 """
 
 from __future__ import annotations

@@ -2,14 +2,14 @@
 
 All three coders work on the byte alphabet (256 values plus a terminator
 where they need one) and are deterministic: the same payload and coder id
-always produce the identical bit stream.  An encoder returns a BitStream;
-a decoder reads whole bytes, as the container stores them (FORMAT.md
-section 4), and takes the final byte's zero padding as stream bits.
+always produce the identical bit stream.  An encoder returns a BitStream
+holding the stream's whole bytes, zero-padded; no bit length is kept.  A
+decoder reads those bytes, as the container stores them (FORMAT.md
+section 4), takes the final byte's padding as stream bits, and takes the
+longest payload it may return as a required bound.
 """
 
 from __future__ import annotations
-
-import math
 
 from ..errors import UnsupportedVersion
 from . import adaptive_huffman, arithmetic, static_huffman
@@ -41,7 +41,7 @@ def encode(payload: bytes, coder: int) -> BitStream:
     return _CODERS[coder].encode(payload)
 
 
-def decode(data: bytes, coder: int, max_len: float = math.inf) -> bytes:
+def decode(data: bytes, coder: int, max_len: float) -> bytes:
     """Decode a stream's whole bytes; a payload longer than max_len raises CorruptStream.
 
     Static Huffman checks its declared symbol count before it decodes.  The

@@ -21,7 +21,6 @@ local int window over whole bytes.  The update dominates both sides.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from collections import deque
 
@@ -158,7 +157,7 @@ def encode(payload: bytes) -> BitStream:
     return finish(out, (acc << length) | value, nacc + length)
 
 
-def decode(data: bytes, max_len: float = math.inf) -> bytes:
+def decode(data: bytes, max_len: float) -> bytes:
     tree = _Tree()
     child = tree.child
     update = tree.update

@@ -25,7 +25,6 @@ bit-identical to the plain one-bit-at-a-time formulation.
 
 from __future__ import annotations
 
-import math
 from itertools import chain
 
 from ..errors import CorruptStream
@@ -165,7 +164,7 @@ def encode(payload: bytes) -> BitStream:
     return finish(out, (acc << 1) | 1, nacc + 1)
 
 
-def decode(data: bytes, max_len: float = math.inf) -> bytes:
+def decode(data: bytes, max_len: float) -> bytes:
     counts = [1] * NUM_SYMBOLS  # counts[0] is stale; c0 holds symbol 0's
     c0 = 1
     tree = _INITIAL_TREE[:]

@@ -1,11 +1,13 @@
 """MSB-first bit streams over byte buffers.
 
 Bit 7 of each byte comes first; the final partial byte is padded with zero
-bits.  The coders do their own bit I/O on local integers: an encoder
-collects codes in an int accumulator, ``spill``s its whole bytes once it
-holds ``FLUSH_BITS`` bits and hands the rest to ``finish``; a decoder
-refills an int window a few bytes at a time from whole bytes, padding
-included.  Both stay a fixed size, so memory grows only with the output.
+bits.  A stream is its whole bytes: no bit length is kept, and a decoder
+reads the padding as stream bits.  The coders do their own bit I/O on
+local integers: an encoder collects codes in an int accumulator,
+``spill``s its whole bytes once it holds ``FLUSH_BITS`` bits and hands the
+rest to ``finish``; a decoder refills an int window a few bytes at a time
+from whole bytes, padding included.  Both stay a fixed size, so memory
+grows only with the output.
 """
 
 from __future__ import annotations
@@ -18,12 +20,9 @@ FLUSH_BITS = 64
 
 @dataclass(frozen=True)
 class BitStream:
-    data: bytes
-    bit_len: int
+    """A coded stream: its whole bytes, the last one zero-padded."""
 
-    def __post_init__(self):
-        if not 0 <= self.bit_len <= 8 * len(self.data):
-            raise ValueError("bit_len out of range for buffer")
+    data: bytes
 
 
 def spill(out: bytearray, acc: int, nacc: int):
@@ -39,7 +38,6 @@ def finish(out: bytearray, acc: int, nacc: int) -> BitStream:
 
     acc must hold no bits above its low nacc.
     """
-    bit_len = 8 * len(out) + nacc
     pad = -nacc & 7
     out += (acc << pad).to_bytes((nacc + pad) >> 3, "big")
-    return BitStream(data=bytes(out), bit_len=bit_len)
+    return BitStream(data=bytes(out))

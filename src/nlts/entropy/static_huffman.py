@@ -21,7 +21,6 @@ over first[] and by_len[], which also produces the damaged-stream errors.
 from __future__ import annotations
 
 import heapq
-import math
 from collections import Counter
 
 from ..core import read_varints, write_varints
@@ -128,7 +127,7 @@ def encode(payload: bytes) -> BitStream:
     return finish(out, acc, nacc)
 
 
-def decode(data: bytes, max_len: float = math.inf) -> bytes:
+def decode(data: bytes, max_len: float) -> bytes:
     count_field = []
     pos = read_varints(data, 0, 1, count_field, signed=False, max_bits=32)
     lengths, pos = _read_table(data, pos)

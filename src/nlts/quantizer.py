@@ -44,10 +44,6 @@ MAX_DIGITS = 6
 # input.  Nothing here divides, which this precision would leave unbounded.
 _CTX = decimal.Context(prec=decimal.MAX_PREC, rounding=decimal.ROUND_HALF_UP)
 
-#: Header byte marking integer passthrough (lossless stream with no
-#: fractional digits); ordinary streams carry their digit count 0..6.
-SCALE_PASSTHROUGH = 255
-
 #: A plain decimal token: an optional sign, then digits with at most one
 #: point, at least one of them a digit.  No exponent, whitespace, underscore
 #: or non-ASCII digit.

@@ -9,12 +9,8 @@ arithmetic.py inlines into its loops), and reads through PaddedBitReader,
 which feeds zeros past the end of the stream.  The static Huffman reference
 walks the canonical code one bit at a time, and the FGK reference keeps its
 tree as parent/left/right lists with a separate swap step (FgkTree).
-
-packaged_manifest loads the dataset manifest shipped with the package.
 """
 
-import json
-from importlib import resources
 from bisect import bisect_right
 from collections import Counter, deque
 from itertools import chain
@@ -141,11 +137,10 @@ class BitWriter:
 
     def getvalue(self) -> BitStream:
         """Zero-pad to a byte boundary and return the stream."""
-        bit_len = self.bit_len
         data = bytes(self._buf)
         if self._ncur:
             data += bytes((self._cur << (8 - self._ncur),))
-        return BitStream(data=data, bit_len=bit_len)
+        return BitStream(data=data)
 
 
 class BitReader:
@@ -169,9 +164,9 @@ class BitReader:
 class PaddedBitReader:
     """MSB-first bit reader that returns 0 past the end and counts the overrun."""
 
-    def __init__(self, data: bytes, bit_len=None):
+    def __init__(self, data: bytes):
         self.data = data
-        self.bit_len = 8 * len(data) if bit_len is None else bit_len
+        self.bit_len = 8 * len(data)
         self.pos = 0
         #: bits handed out past the end of the stream
         self.overrun = 0
@@ -183,13 +178,6 @@ class PaddedBitReader:
             return 0
         self.pos = p + 1
         return (self.data[p >> 3] >> (7 - (p & 7))) & 1
-
-
-def packaged_manifest() -> dict:
-    ref = resources.files("nlts") / "dataset_specs" / "manifest.json"
-    with resources.as_file(ref) as path:
-        with open(path, encoding="utf-8") as f:
-            return json.load(f)
 
 
 def arithmetic_encode(payload: bytes) -> BitStream:
@@ -222,9 +210,9 @@ def arithmetic_encode(payload: bytes) -> BitStream:
     return out.getvalue()
 
 
-def arithmetic_decode(data: bytes, bit_len=None) -> bytes:
+def arithmetic_decode(data: bytes) -> bytes:
     model = FrequencyModel()
-    reader = PaddedBitReader(data, bit_len)
+    reader = PaddedBitReader(data)
     low, high = 0, MASK
     code = 0
     for _ in range(STATE_BITS):
@@ -269,11 +257,10 @@ def static_huffman_encode(payload: bytes) -> BitStream:
         for b in payload:
             length, code = codes[b]
             writer.write_bits(code, length)
-    bits = writer.getvalue()
-    return BitStream(data=bytes(out) + bits.data, bit_len=8 * len(out) + bits.bit_len)
+    return BitStream(data=bytes(out) + writer.getvalue().data)
 
 
-def static_huffman_decode(data: bytes, bit_len=None) -> bytes:
+def static_huffman_decode(data: bytes) -> bytes:
     count_field = []
     pos = read_varints(data, 0, 1, count_field, signed=False, max_bits=32)
     lengths, pos = _read_table(data, pos)
@@ -298,7 +285,7 @@ def static_huffman_decode(data: bytes, bit_len=None) -> bytes:
             raise CorruptStream("huffman table violates the Kraft inequality")
         code <<= 1
 
-    reader = BitReader(data, bit_len, bit_pos=8 * pos)
+    reader = BitReader(data, bit_pos=8 * pos)
     out = bytearray()
     try:
         for _ in range(count):
@@ -411,9 +398,9 @@ def fgk_encode(payload: bytes) -> BitStream:
     return out.getvalue()
 
 
-def fgk_decode(data: bytes, bit_len=None) -> bytes:
+def fgk_decode(data: bytes) -> bytes:
     tree = FgkTree()
-    reader = BitReader(data, bit_len)
+    reader = BitReader(data)
     out = bytearray()
     try:
         while True:

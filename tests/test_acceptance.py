@@ -125,12 +125,12 @@ class TestCriterion3NearLossless:
                     # bit-exact in the quantized domain
                     codes, _, _ = quantize_stream(samples, d)
                     assert tokens == [render_code(c, d) for c in codes]
-                    # hard error bound against the float inputs
-                    bound = Fraction(1, 10**d)
+                    # hard error bound against the float inputs, exactly:
+                    # |p/q - c/10**d| <= 10**-d  <=>  |p * 10**d - c * q| <= q
                     scale = 10**d
                     for x, c in zip(samples, codes):
-                        err = abs(Fraction(x) - Fraction(c, scale))
-                        assert err <= bound, (x, c, d)
+                        p, q = x.as_integer_ratio()
+                        assert abs(p * scale - c * q) <= q, (x, c, d)
                         checked += 1
         except AssertionError:
             record_criterion(3, title, "FAIL")
@@ -359,7 +359,8 @@ class TestCriterion9PropertySuites:
 
         for coder in (0, 1, 2):
             for payload in random_payloads(906 + coder, 60):
-                assert entropy.decode(entropy.encode(payload, coder).data, coder) == payload
+                stream = entropy.encode(payload, coder)
+                assert entropy.decode(stream.data, coder, len(payload)) == payload
         checker = TestArithmetic()
         rng = random.Random(907)
         for probs, n in [((0.95, 0.05), 8192), ((0.5, 0.3, 0.15, 0.05), 8192)]:

@@ -5,6 +5,7 @@ import pickle
 import random
 import tracemalloc
 from decimal import Context, Decimal, localcontext
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -29,8 +30,6 @@ from nlts.errors import (
     UnparseableRow,
 )
 from nlts.quantizer import PlainColumn
-
-from reference_coders import packaged_manifest
 
 
 class TestIngest:
@@ -119,8 +118,10 @@ class TestIngest:
         for name in ("bvp", "eda", "acm", "gys", "gas", "gactive"):
             spec = packaged_spec(name)
             assert spec.name.lower() == name
-        manifest = packaged_manifest()
-        assert set(manifest["datasets"]) == {"BVP", "EDA", "ACM", "GYS", "GAS", "Gactive"}
+        shipped = resources.files("nlts") / "dataset_specs"
+        assert sorted(p.name for p in shipped.iterdir() if p.is_file()) == [
+            "acm.json", "bvp.json", "eda.json", "gactive.json", "gas.json", "gys.json",
+        ]
 
     def test_resolve_data_dir(self, tmp_path):
         spec = packaged_spec("bvp").resolve(tmp_path)
@@ -279,6 +280,15 @@ class TestVerify:
         assert not r.ok
         assert r.argmax_index == 1
         assert r.max_abs_error == Decimal("0.5")
+
+    @pytest.mark.parametrize("original, decoded, first", [
+        (["1", "2", "3"], ["1.5", "2", "3.5"], 0),
+        (["0", "1", "1"], ["0", "2", "2"], 1),
+    ])
+    def test_argmax_is_first_of_equal_errors(self, original, decoded, first):
+        r = verify_values(original, decoded, "0.1")
+        assert not r.ok
+        assert r.argmax_index == first
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
