@@ -10,7 +10,6 @@ from .container import (
     RunMetrics,
     StreamHeader,
     compress_stream,
-    compute_metrics,
     decompress_stream,
     decompress_to_tokens,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "RunMetrics",
     "StreamHeader",
     "compress_stream",
-    "compute_metrics",
     "decompress_stream",
     "decompress_to_tokens",
 ]

@@ -153,11 +153,11 @@ def run_config(tokens, version, coder, L, tau, digits, repeats: int = 3) -> dict
         enc_rates = []
         for _ in range(max(1, repeats)):
             blob, metrics = compress_stream(tokens, cfg)
-            enc_rates.append(metrics.encode_rate)
+            enc_rates.append(metrics.rate)
         dec_rates = []
         for _ in range(max(1, repeats)):
             decoded, dmetrics = decompress_to_tokens(blob)
-            dec_rates.append(dmetrics.decode_rate)
+            dec_rates.append(dmetrics.rate)
         eps = 0 if digits == LOSSLESS else Decimal(1).scaleb(-digits)
         check = verify_values(tokens, decoded, eps)
         row.update(
@@ -247,7 +247,6 @@ def write_report(rows, out_path) -> None:
 
 
 __all__ = [
-    "CODER_NAMES",
     "REPORT_FIELDS",
     "SweepSpec",
     "VerifyResult",

@@ -110,7 +110,7 @@ def _cmd_compress(args) -> int:
     Path(args.output).write_bytes(blob)
     print(
         f"{len(samples)} samples -> {m.output_bytes} bytes  "
-        f"cr={m.cr:.2f}  encode={m.encode_rate:.2f} MB/s  "
+        f"cr={m.cr:.2f}  encode={m.rate:.2f} MB/s  "
         f"max_err={m.max_abs_error:g}"
     )
     return EXIT_OK
@@ -125,7 +125,7 @@ def _cmd_decompress(args) -> int:
         f.write("\n")
     print(
         f"{m.output_bytes} bytes -> {len(tokens)} samples  "
-        f"cr={m.cr:.2f}  decode={m.decode_rate:.2f} MB/s"
+        f"cr={m.cr:.2f}  decode={m.rate:.2f} MB/s"
     )
     return EXIT_OK
 

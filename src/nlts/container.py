@@ -91,31 +91,24 @@ class StreamHeader:
         return cls(method, coder, block_len, tau, scale_exp, count)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunMetrics:
+    """What one call measured: canonical text and container bytes, and the
+    codec's own seconds, text I/O excluded."""
+
     input_bytes: int
     output_bytes: int
-    cr: float
-    encode_rate: float = 0.0  # MB/s, MB = 1e6 bytes
-    decode_rate: float = 0.0
-    max_abs_error: float | None = None
+    seconds: float
+    max_abs_error: float | None = None  # compress only
 
+    @property
+    def cr(self) -> float:
+        return self.input_bytes / self.output_bytes
 
-def compute_metrics(
-    input_bytes: int,
-    output_bytes: int,
-    encode_secs: float | None = None,
-    decode_secs: float | None = None,
-    max_abs_error: float | None = None,
-) -> RunMetrics:
-    return RunMetrics(
-        input_bytes=input_bytes,
-        output_bytes=output_bytes,
-        cr=input_bytes / output_bytes,
-        encode_rate=input_bytes / encode_secs / 1e6 if encode_secs else 0.0,
-        decode_rate=input_bytes / decode_secs / 1e6 if decode_secs else 0.0,
-        max_abs_error=max_abs_error,
-    )
+    @property
+    def rate(self) -> float:
+        """MB/s of canonical text, MB = 1e6 bytes; 0.0 for a zero time."""
+        return self.input_bytes / self.seconds / 1e6 if self.seconds else 0.0
 
 
 @dataclass(frozen=True)
@@ -189,15 +182,8 @@ def compress_stream(samples, config: CodecConfig = CodecConfig()):
         sample_count=len(codes),
     )
     blob = header.pack() + stream.data
-    encode_secs = time.perf_counter() - t0
-
-    metrics = compute_metrics(
-        input_bytes=canonical_size(codes, scale_exp),
-        output_bytes=len(blob),
-        encode_secs=encode_secs,
-        max_abs_error=float(max_err),
-    )
-    return blob, metrics
+    seconds = time.perf_counter() - t0
+    return blob, RunMetrics(canonical_size(codes, scale_exp), len(blob), seconds, float(max_err))
 
 
 def decode_codes(data: bytes):
@@ -221,21 +207,11 @@ def decompress_stream(data: bytes):
         values = list(map(float, codes))
     else:
         values = list(map(truediv, codes, repeat(10**d)))
-    metrics = compute_metrics(
-        input_bytes=canonical_size(codes, d),
-        output_bytes=len(data),
-        decode_secs=decode_secs,
-    )
-    return values, metrics
+    return values, RunMetrics(canonical_size(codes, d), len(data), decode_secs)
 
 
 def decompress_to_tokens(data: bytes):
     """Decompress to exact decimal text tokens; returns (tokens, RunMetrics)."""
     codes, header, decode_secs = decode_codes(data)
     tokens = render_stream(codes, header.scale_exp)
-    metrics = compute_metrics(
-        input_bytes=sum(map(len, tokens)) + len(tokens),
-        output_bytes=len(data),
-        decode_secs=decode_secs,
-    )
-    return tokens, metrics
+    return tokens, RunMetrics(sum(map(len, tokens)) + len(tokens), len(data), decode_secs)

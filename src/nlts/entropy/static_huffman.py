@@ -56,17 +56,26 @@ def code_lengths(histogram: dict) -> dict:
     return depth
 
 
-def canonical_codes(lengths: dict) -> dict:
-    """Map symbol -> (length, code) in canonical order."""
-    codes = {}
+def _canonical(lengths: dict):
+    """The canonical code of symbol->length lengths as (first, by_len).
+
+    by_len[l] lists the symbols of length l in order; the rank-th of them
+    has code first[l] + rank.  Lengths past the Kraft inequality raise
+    CorruptStream.
+    """
+    longest = max(lengths.values())
+    by_len = [[] for _ in range(longest + 1)]
+    for sym in sorted(lengths):
+        by_len[lengths[sym]].append(sym)
+    first = [0] * (longest + 1)
     code = 0
-    prev = 0
-    for length, sym in sorted((l, s) for s, l in lengths.items()):
-        code <<= length - prev
-        codes[sym] = (length, code)
-        code += 1
-        prev = length
-    return codes
+    for l in range(1, longest + 1):
+        first[l] = code
+        code += len(by_len[l])
+        if code > 1 << l:
+            raise CorruptStream("huffman table violates the Kraft inequality")
+        code <<= 1
+    return first, by_len
 
 
 def _write_table(lengths: dict, out: bytearray) -> None:
@@ -116,8 +125,11 @@ def encode(payload: bytes) -> BitStream:
     acc = 0
     nacc = 0
     if payload:
-        codes = canonical_codes(lengths)
-        table = [codes.get(s) for s in range(256)]
+        first, by_len = _canonical(lengths)
+        table = [None] * 256
+        for l, group in enumerate(by_len):
+            for rank, sym in enumerate(group):
+                table[sym] = (l, first[l] + rank)
         for b in payload:
             length, code = table[b]
             acc = (acc << length) | code
@@ -139,20 +151,8 @@ def decode(data: bytes, max_len: float) -> bytes:
     if not lengths:
         raise CorruptStream("nonzero symbol count but empty huffman table")
 
-    longest = max(lengths.values())
-    by_len = [[] for _ in range(longest + 1)]
-    for sym, l in lengths.items():
-        by_len[l].append(sym)
-    for group in by_len:
-        group.sort()
-    first = [0] * (longest + 1)
-    code = 0
-    for l in range(1, longest + 1):
-        first[l] = code
-        code += len(by_len[l])
-        if code > 1 << l:
-            raise CorruptStream("huffman table violates the Kraft inequality")
-        code <<= 1
+    first, by_len = _canonical(lengths)
+    longest = len(first) - 1
 
     # table[k-bit prefix] = (length << 8) | symbol for the code of length <= k
     # that the prefix starts with; 0 where there is none (a longer code, or

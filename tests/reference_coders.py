@@ -18,12 +18,7 @@ from itertools import chain
 from nlts.core import read_varints, write_varints
 from nlts.entropy.bitio import BitStream
 from nlts.entropy.model import EOF_SYMBOL, NUM_SYMBOLS, RESCALE_CEILING
-from nlts.entropy.static_huffman import (
-    _read_table,
-    _write_table,
-    canonical_codes,
-    code_lengths,
-)
+from nlts.entropy.static_huffman import _read_table, _write_table, code_lengths
 from nlts.errors import CorruptStream
 
 
@@ -244,6 +239,20 @@ def arithmetic_decode(data: bytes) -> bytes:
             return bytes(out)
         out.append(sym)
         model.update(sym)
+
+
+def canonical_codes(lengths: dict) -> dict:
+    """Map symbol -> (length, code): symbols sorted by (length, value) take
+    consecutive codes, shifted left at each length increase."""
+    codes = {}
+    code = 0
+    prev = 0
+    for length, sym in sorted((l, s) for s, l in lengths.items()):
+        code <<= length - prev
+        codes[sym] = (length, code)
+        code += 1
+        prev = length
+    return codes
 
 
 def static_huffman_encode(payload: bytes) -> BitStream:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from nlts.container import CodecConfig
 from nlts.core import MODE, read_varints, write_varints
-from nlts.errors import CodecError, LengthMismatch
+from nlts.errors import CodecError, CorruptStream, LengthMismatch
 
 # Name of the diff block branch (nlts.core.MODE names the other).
 DIFF = "diff"
@@ -347,5 +347,6 @@ def decode_stream(symbols, cfg: CodecConfig, sample_count: int) -> list:
         width = min(cfg.block_len, sample_count - start)
         tb, pos = parse_block(symbols, pos, cfg.method_version, width)
         codes.extend(inverse_transform(tb, cfg).codes)
-    assert pos == len(symbols)
+    if pos != len(symbols):
+        raise CorruptStream(f"{len(symbols) - pos} trailing bytes after the final block")
     return codes

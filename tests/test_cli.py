@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -31,6 +32,31 @@ class TestCompressDecompressVerify:
         assert main(["verify", str(src), str(back), "--epsilon", "0.001"]) == 0
         out = capsys.readouterr().out
         assert "cr=" in out and "ok" in out
+
+    def test_summary_lines(self, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        write_series(src, n=500)
+        packed = tmp_path / "out.nlts"
+        back = tmp_path / "back.txt"
+        assert main(["compress", str(src), str(packed), "--digits", "3"]) == 0
+        enc = capsys.readouterr().out
+        assert main(["decompress", str(packed), str(back)]) == 0
+        dec = capsys.readouterr().out
+        enc = re.fullmatch(
+            r"(\d+) samples -> (\d+) bytes  cr=(\d+\.\d\d)  encode=(\d+\.\d\d) MB/s  "
+            r"max_err=(\S+)\n",
+            enc,
+        )
+        dec = re.fullmatch(
+            r"(\d+) bytes -> (\d+) samples  cr=(\d+\.\d\d)  decode=(\d+\.\d\d) MB/s\n", dec
+        )
+        assert enc and dec
+        size = packed.stat().st_size
+        cr = f"{back.stat().st_size / size:.2f}"
+        assert enc[1] == dec[2] == "500"
+        assert enc[2] == dec[1] == str(size)
+        assert enc[3] == dec[3] == cr
+        assert float(enc[5]) <= 0.0005
 
     def test_verify_failure_exit_1(self, tmp_path):
         a = tmp_path / "a.txt"

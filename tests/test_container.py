@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 
@@ -6,10 +7,10 @@ import pytest
 from nlts.container import (
     HEADER_LEN,
     CodecConfig,
+    RunMetrics,
     StreamHeader,
     canonical_size,
     compress_stream,
-    compute_metrics,
     decompress_stream,
     decompress_to_tokens,
 )
@@ -330,15 +331,28 @@ def test_step_past_int64_names_block(case, tmp_path, capsys):
 
 class TestMetrics:
     def test_arithmetic(self):
-        m = compute_metrics(1000, 250)
+        m = RunMetrics(1000, 250, 1.0)
         assert m.cr == 4.0
-        m = compute_metrics(500, 500)
+        m = RunMetrics(500, 500, 1.0)
         assert m.cr == 1.0
 
     def test_rates(self):
-        m = compute_metrics(2_000_000, 100, encode_secs=2.0, decode_secs=0.5)
-        assert m.encode_rate == 1.0
-        assert m.decode_rate == 4.0
+        assert RunMetrics(2_000_000, 100, 2.0).rate == 1.0
+        assert RunMetrics(2_000_000, 100, 0.5).rate == 4.0
+        assert RunMetrics(2_000_000, 100, 0).rate == 0.0
+
+    def test_record_holds_what_a_call_measures(self):
+        fields = [f.name for f in dataclasses.fields(RunMetrics)]
+        assert fields == ["input_bytes", "output_bytes", "seconds", "max_abs_error"]
+        m = RunMetrics(10, 5, 0.25, 0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.input_bytes = 20
+        with pytest.raises(AttributeError):
+            m.cr = 1.0
+        blob, m = compress_stream([0.5, 1.25], make_config(digits=2))
+        assert m.seconds > 0 and m.rate == m.input_bytes / m.seconds / 1e6
+        _, md = decompress_to_tokens(blob)
+        assert md.seconds > 0 and md.max_abs_error is None
 
     def test_cr_recomputable_from_sizes(self):
         samples = [random.Random(840).uniform(0, 1) for _ in range(300)]

@@ -25,6 +25,7 @@ from reference_coders import (
     PaddedBitReader,
     arithmetic_decode,
     arithmetic_encode,
+    canonical_codes,
     fgk_decode,
     fgk_encode,
     huffman_lengths_bruteforce,
@@ -165,7 +166,7 @@ class TestStaticHuffman:
         for _ in range(40):
             syms = rng.sample(range(256), rng.randrange(1, 30))
             hist = {s: rng.randrange(1, 100) for s in syms}
-            codes = static_huffman.canonical_codes(static_huffman.code_lengths(hist))
+            codes = canonical_codes(static_huffman.code_lengths(hist))
             rendered = [format(c, f"0{l}b") for l, c in codes.values()]
             for i, a in enumerate(rendered):
                 for j, b in enumerate(rendered):

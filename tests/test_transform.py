@@ -387,6 +387,18 @@ class TestMatchesReference:
                 assert encode_blocks(codes, cfg) == encode_stream(codes, cfg), (tau, codes)
                 fused_roundtrip(codes, cfg)
 
+    @pytest.mark.parametrize("extra", [1, 3])
+    def test_trailing_bytes_named_by_both(self, extra):
+        # the reference's check is a raise, so it holds under python -O too
+        cfg = CodecConfig(block_len=16, tau=9)
+        codes = [5, 5, 5, 9] * 10
+        symbols = bytes(encode_blocks(codes, cfg)) + bytes(extra)
+        message = f"^{extra} trailing bytes after the final block$"
+        with pytest.raises(CorruptStream, match=message):
+            decode_blocks(symbols, cfg, len(codes))
+        with pytest.raises(CorruptStream, match=message):
+            decode_stream(symbols, cfg, len(codes))
+
 
 @pytest.mark.slow
 class TestMatchesReferenceExhaustive:
