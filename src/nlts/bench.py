@@ -23,7 +23,7 @@ from .container import CodecConfig, compress_stream, decompress_to_tokens
 from .datasets import WHITESPACE, DatasetSpec, file_sha256, ingest, is_numeric, load_spec
 from .entropy import CODER_IDS, CODER_NAMES
 from .errors import CodecError, LengthMismatch
-from .quantizer import LOSSLESS
+from .quantizer import LOSSLESS, repeated
 
 #: The settings of one configuration, in CodecConfig's field order.
 CONFIG_FIELDS = ("method_version", "coder", "block_len", "tau", "digits")
@@ -90,7 +90,10 @@ def verify_values(original, decoded, epsilon) -> VerifyResult:
     differences keep twice the longest value's text plus epsilon's digits;
     a longer one rounds away from zero, to a multiple of a unit no coarser
     than epsilon's last digit while it is within epsilon, so it passes
-    exactly when the true difference does.
+    exactly when the true difference does.  When the (original, decoded)
+    text pairs repeat (quantizer.repeated), each distinct pair is converted
+    and compared once, and the index reported is still the first in the
+    columns with the largest error.
     """
     if len(original) != len(decoded):
         raise LengthMismatch(f"sample counts differ: {len(original)} vs {len(decoded)}")
@@ -99,14 +102,22 @@ def verify_values(original, decoded, epsilon) -> VerifyResult:
     eps = Decimal(str(epsilon))
     texts = [list(map(str, original)), list(map(str, decoded))]
     prec = 2 * max(map(len, chain(*texts)), default=0) + len(str(eps))
+    distinct = repeated(zip(*texts), len(texts[0]))
+    sides = texts if distinct is None else [[a for a, _ in distinct], [b for _, b in distinct]]
     # a difference past Emax is Infinity, which fails
     ctx = Context(prec, ROUND_UP, MIN_EMIN, MAX_EMAX, traps=[InvalidOperation])
     def errors():  # lazily, so memory does not grow with the column
-        return map(abs, map(sub, *(map(Decimal, side) for side in texts)))
+        return map(abs, map(sub, *(map(Decimal, side) for side in sides)))
     try:
         with localcontext(ctx):
             worst = max(chain([Decimal(0)], errors()))  # compares every error: a NaN raises
-            at = indexOf(errors(), worst) if worst else 0
+            if not worst:
+                at = 0
+            elif distinct is None:
+                at = indexOf(errors(), worst)
+            else:  # the first pair in the columns among those with the largest error
+                tops = {pair for pair, error in zip(distinct, errors()) if error == worst}
+                at = indexOf(map(tops.__contains__, zip(*texts)), True)
     except InvalidOperation:
         i = next(i for i, pair in enumerate(zip(*texts)) if not all(map(is_numeric, pair)))
         a, b = original[i], decoded[i]
@@ -114,17 +125,22 @@ def verify_values(original, decoded, epsilon) -> VerifyResult:
     return VerifyResult(worst <= eps, worst, at)
 
 
-def verify_files(original_path, decoded_path, epsilon) -> VerifyResult:
-    """verify_values over two files, each read as nlts compress reads it by default.
+def verify_files(original, decoded, epsilon) -> VerifyResult:
+    """verify_values over two files, each a DatasetSpec or a path.
 
-    A value that is not a number raises ValueError naming its file and row.
+    A path is read as nlts compress reads a file by default; pass the
+    original's DatasetSpec to read it with the options it was compressed
+    with.  A value that is not a number raises ValueError naming its file
+    and row.
     """
     columns = []
-    for path in (original_path, decoded_path):
+    for source in (original, decoded):
+        if not isinstance(source, DatasetSpec):
+            source = DatasetSpec(Path(source).name, str(source), delimiter=WHITESPACE)
         try:
-            columns.append(ingest(DatasetSpec(Path(path).name, str(path), delimiter=WHITESPACE)))
+            columns.append(ingest(source))
         except (CodecError, ValueError) as e:
-            raise ValueError(f"{path}: {e}") from None
+            raise ValueError(f"{source.source_path}: {e}") from None
     return verify_values(*columns, epsilon)
 
 

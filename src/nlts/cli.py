@@ -38,6 +38,32 @@ def _column(arg: str) -> int | str:
     return int(arg) if arg.lstrip("-").isdigit() else arg
 
 
+def _add_reading_options(parser) -> None:
+    """The options that say how a file's column is read, shared by compress and verify.
+
+    Added after the parser's own options, where compress has always listed
+    them (an argparse parent would put them first).
+    """
+    parser.add_argument("--column", type=_column, default=DatasetSpec.column,
+                        help="column index or header name (default: single column)")
+    parser.add_argument("--delimiter", default=WHITESPACE,
+                        help="field delimiter, or 'whitespace' (default)")
+    parser.add_argument("--missing", choices=MISSING_POLICIES,
+                        default=DatasetSpec.missing_policy,
+                        help="missing-value policy (default: %(default)s)")
+
+
+def _reading_spec(args, path: str) -> DatasetSpec:
+    """The DatasetSpec that reads path as the reading options in args say."""
+    return DatasetSpec(
+        name=Path(path).name,
+        source_path=path,
+        column=args.column,
+        delimiter=args.delimiter,
+        missing_policy=args.missing,
+    )
+
+
 # Built once per process: parse_args keeps no state in the parser, and
 # building it takes a sizeable share of a small file's compress time.
 @functools.cache
@@ -62,12 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="fractional digits to keep (max error 10^-D)")
     g.add_argument("--lossless", action="store_true",
                    help="keep every digit (scale auto-detected)")
-    c.add_argument("--column", type=_column, default=DatasetSpec.column,
-                   help="column index or header name (default: single column)")
-    c.add_argument("--delimiter", default=WHITESPACE,
-                   help="field delimiter, or 'whitespace' (default)")
-    c.add_argument("--missing", choices=MISSING_POLICIES, default=DatasetSpec.missing_policy,
-                   help="missing-value policy (default: %(default)s)")
+    _add_reading_options(c)
 
     d = sub.add_parser("decompress", help="decompress to numeric text")
     d.add_argument("input")
@@ -78,6 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("decoded")
     v.add_argument("--epsilon", required=True,
                    help="maximum allowed absolute difference")
+    # the original is read as compress read it; the decoded file is canonical
+    _add_reading_options(v)
 
     b = sub.add_parser("bench", help="run a parameter sweep over a dataset")
     b.add_argument("dataset_spec",
@@ -97,13 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compress(args) -> int:
-    samples = ingest(DatasetSpec(
-        name=Path(args.input).name,
-        source_path=args.input,
-        column=args.column,
-        delimiter=args.delimiter,
-        missing_policy=args.missing,
-    ))
+    samples = ingest(_reading_spec(args, args.input))
     digits = LOSSLESS if args.lossless else args.digits
     cfg = codec_config(args.version, args.coder, args.block, args.tau, digits)
     blob, m = compress_stream(samples, cfg)
@@ -131,7 +148,7 @@ def _cmd_decompress(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    result = verify_files(args.original, args.decoded, args.epsilon)
+    result = verify_files(_reading_spec(args, args.original), args.decoded, args.epsilon)
     if result.ok:
         print(f"ok  max_abs_error={result.max_abs_error}")
         return EXIT_OK

@@ -177,7 +177,7 @@ def _lines(data: bytes):
 
 
 def _whole_file_tokens(spec: DatasetSpec, data: bytes):
-    """The tokens of a headerless single-column whitespace file, or None.
+    """The tokens of a headerless single-column whitespace file and their "\n"-joined text, or None.
 
     The file is decoded whole and split in C when it is exactly its tokens,
     each on its own line, all lines ending in "\n" or all in "\r\n": then
@@ -189,9 +189,9 @@ def _whole_file_tokens(spec: DatasetSpec, data: bytes):
         return None
     text = data.decode("utf-8")
     tokens = text.split()
-    for newline in ("\n", "\r\n"):
-        if newline.join(tokens) + newline == text:
-            return tokens
+    joined = "\n".join(tokens)
+    if joined + "\n" == text or "\r\n".join(tokens) + "\r\n" == text:
+        return tokens, joined
     return None
 
 
@@ -202,21 +202,24 @@ def ingest(spec: DatasetSpec) -> list:
     raises UnparseableRow with its 1-based row number.
 
     The file is read once.  Its column is first collected unchecked and
-    validated in one pass: a column of plain decimals (quantizer.PLAIN) is
-    returned as a PlainColumn, which quantize_stream need not validate
-    again.  Any other column, and any error on the way, is read again from
-    the same bytes row by row with every token checked, which raises the
-    first fault with its row.
+    checked in one pass by quantizer.join_plain, which also decides here,
+    once, whether the column repeats (quantizer.repeated) and then searches
+    only its distinct tokens.  A column of plain decimals (quantizer.PLAIN)
+    is returned as a PlainColumn carrying its joined text and distinct
+    tokens, which quantize_stream neither checks nor counts again.  Any
+    other column, and any error on the way, is read again from the same
+    bytes row by row with every token checked, which raises the first fault
+    with its row.
     """
     with open(spec.source_path, "rb") as f:
         data = f.read()
     try:
-        tokens = _whole_file_tokens(spec, data)
-        if tokens is None:
-            tokens = _read_column(spec, _lines(data), checked=False)
-        joined = join_plain(tokens)
-        if joined is not None:
-            return PlainColumn(tokens, joined)
+        tokens, text = _whole_file_tokens(spec, data) or (
+            _read_column(spec, _lines(data), checked=False), None
+        )
+        plain = join_plain(tokens, text)
+        if plain is not None:
+            return PlainColumn(tokens, *plain)
     except (CodecError, ValueError, csv.Error):  # ValueError: bad UTF-8
         pass
     return _read_column(spec, _lines(data), checked=True)

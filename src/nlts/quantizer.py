@@ -9,9 +9,12 @@ tokens that are all plain decimals (PLAIN: a sign, digits and at most one
 point, no exponent) is quantized as one column: one regex search validates
 it, int() reads every token with its point removed, and C-level map passes
 round and measure the error with integer arithmetic.  Sensor columns repeat
-their readings, so a column in which at most half the tokens are distinct
-quantizes each distinct token once and maps the codes back over the column
-(see quantize_stream).  Any other stream --
+their readings.  One function, repeated, decides whether a sequence repeats
+(a probe of its first PROBE items, then the exact at-most-half rule) and
+returns its distinct items; ingest, quantize_stream, render_stream and
+bench.verify_values all ask it.  Only the distinct tokens of a repeating
+column are checked and quantized, and their codes are mapped back over the
+column (see join_plain and quantize_stream).  Any other stream --
 floats, ints, Decimals, exponents, or any other spelling among its tokens --
 is converted one sample at a time through decimal.Decimal, exactly (lossless
 mode takes a float as its shortest repr), which keeps the rounding decision
@@ -20,7 +23,7 @@ any number of digits and whatever the caller's decimal context.
 Rendering codes back to text goes through float formatting only where that
 is proven exact (see render_stream); every other code is rendered with
 integer arithmetic.  Like quantization, rendering converts each distinct
-code once when at most half the codes are distinct.
+code once when the codes repeat.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import decimal
 import math
 import re
 from decimal import Decimal
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add, floordiv, lt, mod, mul, sub, truediv
 
 from .core import INT64_MAX, INT64_MIN
@@ -59,34 +62,66 @@ _NOT_PLAIN = re.compile(f"^(?!{PLAIN}$)", re.M)
 _BEFORE_POINT = "+-0123456789"
 
 
-class PlainColumn(list):
-    """A list of tokens that join_plain accepted, with their joined text.
+#: How many leading items repeated counts before it looks at the rest.
+PROBE = 1024
 
-    join_plain compares the tokens' joined text with it rather than search
-    the text again; a column changed since then no longer matches and is
-    searched like any other.
+
+def repeated(items, count: int):
+    """The distinct items, in no set order, if at most half of them are distinct, else None.
+
+    items is an iterable of count hashable items, read once.  When count
+    exceeds PROBE, a sequence whose first PROBE items are more than half
+    distinct counts as not repeating without a look at the rest: the
+    per-sample readings of a noisy signal build no set they throw away.
+    """
+    it = iter(items)
+    seen = set(islice(it, PROBE))
+    if 2 * len(seen) > min(count, PROBE):
+        return None
+    seen.update(it)
+    return list(seen) if 2 * len(seen) <= count else None
+
+
+class PlainColumn(list):
+    """A list of tokens that join_plain accepted, with its joined text and distinct tokens.
+
+    join_plain compares the tokens' joined text with text rather than check
+    the tokens again, and then takes distinct (repeated's answer) as it is;
+    a column changed since then no longer matches and is checked like any
+    other.  Both slots survive pickling.
     """
 
-    __slots__ = ("text",)
+    __slots__ = ("text", "distinct")
 
-    def __init__(self, tokens, text: str):
+    def __init__(self, tokens, text: str, distinct):
         super().__init__(tokens)
         self.text = text
+        self.distinct = distinct
 
 
-def join_plain(tokens):
-    """The tokens joined by "\\n" if every one is text holding one PLAIN decimal, else None."""
-    try:
-        text = "\n".join(tokens)
-    except TypeError:  # a sample that is not text
-        return None
+def join_plain(tokens, text=None):
+    """(joined text, distinct tokens or None) if every token is text holding one PLAIN decimal, else None.
+
+    The text is the tokens joined by "\n"; pass it when it is at hand.  The
+    distinct tokens are repeated's.  The newline count covers the whole
+    text, so no token holds a newline; the PLAIN search then runs over the
+    distinct tokens alone when the column repeats.
+    """
+    if text is None:
+        try:
+            text = "\n".join(tokens)
+        except TypeError:  # a sample that is not text
+            return None
     # a token holding a newline would read as two lines
     if text.count("\n") != len(tokens) - 1:
         return None
-    # a PlainColumn whose tokens still join to its text was searched before
-    if text != getattr(tokens, "text", None) and _NOT_PLAIN.search(text):
+    # a PlainColumn whose tokens still join to its text was checked before
+    if text == getattr(tokens, "text", None):
+        return text, tokens.distinct
+    distinct = repeated(tokens, len(tokens))
+    if _NOT_PLAIN.search(text if distinct is None else "\n".join(distinct)):
         return None
-    return text
+    return text, distinct
 
 
 def _too_many_digits(index: int, n: int) -> TooManyDigits:
@@ -99,8 +134,8 @@ def _too_many_digits(index: int, n: int) -> TooManyDigits:
 def _column_codes(tokens, text: str, digits, column):
     """Quantize PLAIN tokens joined as text; returns (codes, max_abs_error, scale).
 
-    The tokens are drawn from column, the samples as given: a fault names
-    the index where the offending token first occurs in it.
+    The tokens are column, the samples as given, or its distinct tokens in
+    any order: a fault names the first index in column that holds one.
 
     Every token reads as the integer n = int(token without its point) at its
     own fraction length, and is brought to the widest fraction length S, so
@@ -119,8 +154,9 @@ def _column_codes(tokens, text: str, digits, column):
     source = max(widest - 1, 0)
     lossless = digits == LOSSLESS
     if lossless and source > MAX_DIGITS:
+        tails = list(map(len, map(str.lstrip, column, repeat(_BEFORE_POINT))))
         i = next(i for i, t in enumerate(tails) if t > MAX_DIGITS + 1)
-        raise _too_many_digits(column.index(tokens[i]), tails[i] - 1)
+        raise _too_many_digits(i, tails[i] - 1)
     try:
         n = list(map(int, text.replace(".", "").split("\n")))
     except ValueError:  # a token longer than int() reads (sys.set_int_max_str_digits)
@@ -213,17 +249,18 @@ def quantize_stream(samples, digits):
     exponent or other spelling among its samples is enough -- goes through
     Decimal one sample at a time (_decimal_codes), as does a plain column
     holding a token longer than int() reads.  Both give the same codes for
-    the same tokens.  A PlainColumn (as ingest returns) whose tokens still
-    join to its text skips the PLAIN search.
+    the same tokens.  join_plain checks the tokens and decides, through
+    repeated, whether they repeat; a PlainColumn (as ingest returns) whose
+    tokens still join to its text carries both answers, found once in
+    ingest, and is neither searched nor counted again.
 
-    When at most half the tokens of a plain column are distinct, the column
-    pass runs over the distinct tokens in first-occurrence order and one
-    lookup per token maps their codes back; the error, a max over distinct
-    residues, and the range check, over the distinct codes, are unchanged.
-    Equal text is an equal token, so "1.5" and "1.50" stay apart.  The
-    Decimal path is not de-duplicated: 1, 1.0, True and Decimal("1.50")
-    hash and compare equal to spellings with other digit counts, which
-    would change the lossless scale.
+    When the tokens of a plain column repeat, the column pass runs over the
+    distinct tokens and one lookup per token maps their codes back; the
+    error, a max over distinct residues, and the range check, over the
+    distinct codes, are unchanged.  Equal text is an equal token, so "1.5"
+    and "1.50" stay apart.  The Decimal path is not de-duplicated: 1, 1.0,
+    True and Decimal("1.50") hash and compare equal to spellings with other
+    digit counts, which would change the lossless scale.
 
     The error is measured exactly in the decimal domain, whatever the
     caller's decimal context; lossless inputs therefore report exactly 0.
@@ -231,20 +268,22 @@ def quantize_stream(samples, digits):
     bad sample; the 64-bit range is checked once, after the pass, at the
     final scale (OverflowAtScale).
     """
-    text = join_plain(samples)
+    plain = join_plain(samples)
     tokens = samples
-    if text is not None and 2 * len(set(samples)) <= len(samples):
-        tokens = list(dict.fromkeys(samples))
-        text = "\n".join(tokens)
-    column = None if text is None else _column_codes(tokens, text, digits, samples)
+    column = None
+    if plain is not None:
+        text, distinct = plain
+        if distinct is not None:
+            tokens, text = distinct, "\n".join(distinct)
+        column = _column_codes(tokens, text, digits, samples)
     if column is None:
         tokens = samples
         column = _decimal_codes(samples, digits)
     codes, error, scale = column
-    distinct = codes
+    own = codes  # one code per member of tokens
     if tokens is not samples:
-        codes = list(map(dict(zip(tokens, distinct)).__getitem__, samples))
-    if codes and not INT64_MIN <= min(distinct) <= max(distinct) <= INT64_MAX:
+        codes = list(map(dict(zip(tokens, own)).__getitem__, samples))
+    if codes and not INT64_MIN <= min(own) <= max(own) <= INT64_MAX:
         i = next(i for i, c in enumerate(codes) if not INT64_MIN <= c <= INT64_MAX)
         raise OverflowAtScale(i, samples[i], scale)
     return codes, error, scale
@@ -271,15 +310,12 @@ def render_stream(codes, scale_exp: int | None) -> list[str]:
     quotient, and it is +0.0, so no "-0.000" appears.  A stream holding any
     code outside (-2**52, 2**52) goes through render_code for every code.
 
-    When at most half the codes are distinct, each distinct code is
-    rendered once, the same way, and one lookup per code maps the texts
-    back.
+    When the codes repeat (see repeated), each distinct code is rendered
+    once, the same way, and one lookup per code maps the texts back.
     """
-    distinct = set(codes)
-    few = 2 * len(distinct) <= len(codes)
-    # the codes to render; min and max also read them, as a list iterates
-    # about three times faster than a large set
-    source = distinct if few else codes
+    distinct = repeated(codes, len(codes))
+    # the codes to render, a list either way: min and max read it too
+    source = codes if distinct is None else distinct
     if scale_exp is None or scale_exp == 0:
         texts = map(str, source)
     elif -(2**52) < min(source, default=0) and max(source, default=0) < 2**52:
@@ -287,6 +323,6 @@ def render_stream(codes, scale_exp: int | None) -> list[str]:
         texts = map(fmt, map(truediv, source, repeat(10**scale_exp)))
     else:
         texts = (render_code(c, scale_exp) for c in source)
-    if few:
-        return list(map(dict(zip(distinct, texts)).__getitem__, codes))
-    return list(texts)
+    if distinct is None:
+        return list(texts)
+    return list(map(dict(zip(distinct, texts)).__getitem__, codes))

@@ -172,6 +172,41 @@ class TestCompressDecompressVerify:
         assert main(["verify", str(src), str(back), "--epsilon", "0.05"]) == 0
         assert main(["verify", str(src), str(back), "--epsilon", "0.04"]) == 1
 
+    READING = ["--column", "value", "--delimiter", ",", "--missing", "forward-fill"]
+
+    @pytest.mark.parametrize("options, epsilon", [
+        (["--digits", "3"], "0.001"),
+        (["--lossless"], "0"),
+    ])
+    def test_verify_takes_compress_reading_options(self, tmp_path, capsys, options, epsilon):
+        src = tmp_path / "g.csv"
+        src.write_text("ts,value\n1,1.5\n2,?\n3,2.5\n")
+        packed = tmp_path / "g.nlts"
+        back = tmp_path / "g.out"
+        assert main(["compress", str(src), str(packed), *self.READING, *options]) == 0
+        assert main(["decompress", str(packed), str(back)]) == 0
+        assert len(back.read_text().split()) == 3  # the gap forward-filled
+        capsys.readouterr()
+        assert main(["verify", str(src), str(back), "--epsilon", epsilon, *self.READING]) == 0
+        assert capsys.readouterr().out.startswith("ok  ")
+        # without them the header row is read as a value
+        assert main(["verify", str(src), str(back), "--epsilon", epsilon]) == 2
+        assert "row 1: cannot parse value 'ts,value'" in capsys.readouterr().err
+
+    def test_verify_ragged_original_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "g.csv"
+        src.write_text("ts,value\n1,1.5\n2,2.0\n3,2.5\n")
+        packed = tmp_path / "g.nlts"
+        back = tmp_path / "g.out"
+        assert main(["compress", str(src), str(packed), *self.READING]) == 0
+        assert main(["decompress", str(packed), str(back)]) == 0
+        src.write_text("ts,value\n1,1.5\n2\n3,2.5\n")
+        capsys.readouterr()
+        assert main(["verify", str(src), str(back), "--epsilon", "0.001", *self.READING]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {src}: row 3 has 1 fields, column 1 requested\n"
+
     def test_huge_exponent_input_exit_2(self, tmp_path, capsys):
         src = tmp_path / "in.txt"
         src.write_text("1\n1e999999\n")

@@ -226,6 +226,9 @@ COLUMN_EDITS = {
     "append exponent": lambda col: col.append("-1E-2"),
     "append abc": lambda col: col.append("abc"),
     "clear": list.clear,
+    "new token": replace_at(3, "123.456"),
+    "remove only copy": lambda col: col.pop(5),  # each fixture holds col[5] once
+    "widen lossless scale": replace_at(3, "0.123456"),
 }
 
 
@@ -246,6 +249,7 @@ class TestValidatedColumn:
         p.write_text("".join(f"{i % 7 - 3}.{i * 37 % 1000:0{1 + i % 3}d}\n" for i in range(40)))
         col = ingest(DatasetSpec(name="t", source_path=str(p), delimiter="whitespace"))
         assert isinstance(col, PlainColumn)
+        assert col.distinct is None and col.count(col[5]) == 1
         return col
 
     @pytest.mark.parametrize("digits", [3, "lossless"])
@@ -264,6 +268,28 @@ class TestValidatedColumn:
         after = pickle.loads(pickle.dumps(after))
         for col in (before, after):
             assert compress_outcome(col, 3) == compress_outcome(list(col), 3)
+
+    def test_pickle_keeps_text_and_distinct(self, column):
+        back = pickle.loads(pickle.dumps(column))
+        assert isinstance(back, PlainColumn) and back == column
+        assert (back.text, back.distinct) == (column.text, column.distinct)
+
+
+class TestValidatedRepeatingColumn(TestValidatedColumn):
+    """The same edits on a column that repeats, whose distinct tokens ingest found."""
+
+    @pytest.fixture
+    def column(self, tmp_path):
+        pool = [f"{v % 9 - 4}.{v * 37 % 100:0{1 + v % 3}d}" for v in range(40)]
+        tokens = [pool[i * 7 % 39] for i in range(3000)]
+        tokens[5] = pool[39]  # the one copy of a value
+        p = tmp_path / "in.txt"
+        p.write_text("".join(t + "\n" for t in tokens))
+        col = ingest(DatasetSpec(name="t", source_path=str(p), delimiter="whitespace"))
+        assert isinstance(col, PlainColumn) and col == tokens
+        assert sorted(col.distinct) == sorted(pool)
+        assert col.count(col[5]) == 1
+        return col
 
 
 class TestVerify:
@@ -318,6 +344,44 @@ class TestVerify:
         a = tmp_text_file("1.0\n2.0\n", name="a.txt")
         b = tmp_text_file("1.0\n2.0\n", name="b.txt")
         assert verify_files(a, b, 0).ok
+
+
+def naive_verify(original, decoded):
+    """(max |a - b|, first index of it), one pair at a time."""
+    errors = [abs(Decimal(a) - Decimal(b)) for a, b in zip(original, decoded)]
+    worst = max(errors, default=Decimal(0))
+    return worst, errors.index(worst) if worst else 0
+
+
+class TestVerifyRepeating:
+    """Repeating pairs are compared once each; the answer is the pairwise one."""
+
+    def test_matches_pairwise(self):
+        rng = random.Random(920)
+        pool = [("1.5", "1.5"), ("1.5", "1.501"), ("2.25", "2.249"), ("-3", "-3.0005"),
+                ("0.125", "0.124"), ("7", "7.001")]
+        for size in (10, 400, 3000):
+            for _ in range(20):
+                pairs = rng.choices(pool, k=size)
+                original, decoded = map(list, zip(*pairs))
+                r = verify_values(original, decoded, "0.001")
+                assert (r.max_abs_error, r.argmax_index) == naive_verify(original, decoded)
+                assert r.ok == (r.max_abs_error <= Decimal("0.001"))
+
+    def test_first_index_of_equal_errors(self):
+        # two distinct pairs share the largest error; the index is the first of either
+        original = ["1"] * 2000 + ["5", "3"] + ["1"] * 500 + ["3", "5"]
+        decoded = ["1"] * 2000 + ["5.5", "2.5"] + ["1"] * 500 + ["2.5", "5.5"]
+        r = verify_values(original, decoded, "0.1")
+        assert (r.max_abs_error, r.argmax_index, r.ok) == (Decimal("0.5"), 2000, False)
+        r = verify_values(original[::-1], decoded[::-1], "0.1")
+        assert r.argmax_index == 0
+
+    def test_not_a_number_in_a_repeating_column(self):
+        original = ["1.0"] * 3000
+        decoded = ["1.0"] * 2999 + ["nan"]
+        with pytest.raises(ValueError, match="sample 3000"):
+            verify_values(original, decoded, "0.1")
 
 
 class TestVerifyExact:

@@ -6,13 +6,16 @@ import pytest
 
 from nlts.container import CodecConfig
 from nlts.core import INT64_MAX, INT64_MIN
+from nlts.datasets import DatasetSpec, ingest
 from nlts.errors import CodecError, NonFiniteSample, OverflowAtScale, TooManyDigits
 from nlts.quantizer import (
     LOSSLESS,
+    PROBE,
     join_plain,
     quantize_stream,
     render_code,
     render_stream,
+    repeated,
 )
 
 import reference_quantizer
@@ -575,9 +578,91 @@ class TestMatchesReference:
                 assert_matches_reference(samples, digits)
 
     def test_join_plain(self):
-        assert join_plain(["1.5", "-2", ".5", "+7."]) == "1.5\n-2\n.5\n+7."
+        assert join_plain(["1.5", "-2", ".5", "+7."]) == ("1.5\n-2\n.5\n+7.", None)
+        # a repeating column comes back with its distinct tokens
+        text, distinct = join_plain(["-2", "1.5", "-2", "-2"])
+        assert (text, sorted(distinct)) == ("-2\n1.5\n-2\n-2", ["-2", "1.5"])
         for bad in (["1e3"], [""], ["1\n2"], ["1", 2], [], ["\u0661"], ["1_0"]):
             assert join_plain(bad) is None
+            # searched among the distinct tokens of a repeating column too
+            assert bad == [] or join_plain(bad * 2 + ["1"] * 3) is None
+
+
+def probe_columns(rng):
+    """Columns longer than PROBE that the probe and the exact rule judge apart.
+
+    "late": the first PROBE tokens all distinct, yet at most half the column
+    is; "early": the first PROBE tokens repeat, yet more than half the
+    column is distinct.
+    """
+    def token():  # in range at every scale, at most MAX_DIGITS fractional digits
+        flen = rng.randrange(7)
+        frac = "".join(rng.choices("0123456789", k=flen))
+        return f"{rng.choice(('', '-', '+'))}{rng.randrange(10**9)}{'.' * bool(flen)}{frac}"
+
+    fresh = iter(dict.fromkeys(token() for _ in range(8 * PROBE)))
+    few = [next(fresh) for _ in range(3)] + rng.sample(SAME_VALUES, 2)
+    late = [next(fresh) for _ in range(PROBE)] + rng.choices(few, k=3 * PROBE)
+    early = rng.choices(few, k=PROBE) + [next(fresh) for _ in range(3 * PROBE)]
+    return {"late": late, "early": early}
+
+
+class TestProbe:
+    """The probe only decides how a column is quantized and rendered, never what comes out."""
+
+    def test_decisions(self):
+        rng = random.Random(640)
+        columns = probe_columns(rng)
+        late, early = columns["late"], columns["early"]
+        assert repeated(late, len(late)) is None  # by the probe
+        assert repeated(early, len(early)) is None  # by the exact rule
+        assert 2 * len(set(late)) <= len(late) and 2 * len(set(early[:PROBE])) <= PROBE
+        steady = late[PROBE:] + late[:PROBE]
+        assert sorted(repeated(steady, len(steady))) == sorted(set(steady))
+        assert sorted(repeated(iter(steady), len(steady))) == sorted(set(steady))
+        # at PROBE items or fewer the exact rule alone decides
+        assert sorted(repeated(["2", "1", "2", "2"], 4)) == ["1", "2"]
+        assert repeated(["2", "1", "2", "3"], 4) is None
+        assert repeated([], 0) == []
+
+    @pytest.mark.parametrize("shape", ["late", "early"])
+    @pytest.mark.parametrize("digits", [LOSSLESS, *range(7)])
+    def test_quantize_and_render_match_references(self, shape, digits):
+        rng = random.Random(650 + (7 if digits == LOSSLESS else digits))
+        tokens = probe_columns(rng)[shape]
+        assert_matches_reference(tokens, digits)
+        codes, _, scale = quantize_stream(tokens, digits)
+        assert render_stream(codes, scale) == [render_code(c, scale) for c in codes]
+
+    @pytest.mark.parametrize("d", [None, 0, 3, 6])
+    def test_render_codes(self, d):
+        rng = random.Random(670)
+        few = [0, -1, 10**6, INT64_MAX, INT64_MIN, 2**52]
+        fresh = rng.sample(range(-(2**60), 2**60), 4 * PROBE)
+        late = fresh[:PROBE] + rng.choices(few, k=3 * PROBE)
+        early = rng.choices(few, k=PROBE) + fresh[PROBE:]
+        for codes in (late, early, [c % 1000 for c in late], [c % 1000 for c in early]):
+            assert render_stream(codes, d) == [render_code(c, d) for c in codes]
+
+    def test_faults_name_the_first_index_in_a_long_repeating_column(self, tmp_path):
+        few = ["1.5", "-2.25", "3", "0.125"]
+        rng = random.Random(660)
+        tokens = rng.choices(few, k=3 * PROBE)
+        bad = [
+            ("0.1234567", LOSSLESS, TooManyDigits, "index 2000 carries 7 "),
+            ("9223372036854775.808", 3, OverflowAtScale, "index 2000 "),
+        ]
+        for token, digits, error, message in bad:
+            column = list(tokens)
+            column[2000] = column[2500] = column[3000] = token
+            p = tmp_path / "in.txt"
+            p.write_text("".join(t + "\n" for t in column))
+            ingested = ingest(DatasetSpec(name="t", source_path=str(p), delimiter="whitespace"))
+            assert ingested.distinct is not None
+            for samples in (column, ingested):
+                assert_matches_reference(samples, digits)
+                with pytest.raises(error, match=message):
+                    quantize_stream(samples, digits)
 
 
 @pytest.mark.slow
