@@ -125,22 +125,26 @@ def verify_values(original, decoded, epsilon) -> VerifyResult:
     return VerifyResult(worst <= eps, worst, at)
 
 
-def verify_files(original, decoded, epsilon) -> VerifyResult:
-    """verify_values over two files, each a DatasetSpec or a path.
+def verify_files(original_path, decoded_path, epsilon) -> VerifyResult:
+    """verify_values over two files, each read as nlts compress reads it by default.
 
-    A path is read as nlts compress reads a file by default; pass the
-    original's DatasetSpec to read it with the options it was compressed
-    with.  A value that is not a number raises ValueError naming its file
-    and row.
+    original_path may instead be the DatasetSpec the original was compressed
+    with, which reads it with those options; the decoded file is canonical
+    and always read with the defaults.  A value that is not a number raises
+    ValueError naming its file and row.
     """
+    def default(path):
+        return DatasetSpec(Path(path).name, str(path), delimiter=WHITESPACE)
+
+    original = original_path
+    if not isinstance(original, DatasetSpec):
+        original = default(original_path)
     columns = []
-    for source in (original, decoded):
-        if not isinstance(source, DatasetSpec):
-            source = DatasetSpec(Path(source).name, str(source), delimiter=WHITESPACE)
+    for spec in (original, default(decoded_path)):
         try:
-            columns.append(ingest(source))
+            columns.append(ingest(spec))
         except (CodecError, ValueError) as e:
-            raise ValueError(f"{source.source_path}: {e}") from None
+            raise ValueError(f"{spec.source_path}: {e}") from None
     return verify_values(*columns, epsilon)
 
 

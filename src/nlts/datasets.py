@@ -202,14 +202,14 @@ def ingest(spec: DatasetSpec) -> list:
     raises UnparseableRow with its 1-based row number.
 
     The file is read once.  Its column is first collected unchecked and
-    checked in one pass by quantizer.join_plain, which also decides here,
-    once, whether the column repeats (quantizer.repeated) and then searches
-    only its distinct tokens.  A column of plain decimals (quantizer.PLAIN)
-    is returned as a PlainColumn carrying its joined text and distinct
-    tokens, which quantize_stream neither checks nor counts again.  Any
-    other column, and any error on the way, is read again from the same
-    bytes row by row with every token checked, which raises the first fault
-    with its row.
+    checked in one pass by quantizer.join_plain, which decides whether the
+    column repeats (quantizer.repeated) and then searches only its distinct
+    tokens.  A column of plain decimals (quantizer.PLAIN) is returned as a
+    PlainColumn carrying its joined text, which quantize_stream does not
+    search again; quantize_stream asks repeated once more.  Any other
+    column, and any error on the way, is read again from the same bytes row
+    by row with every token checked, which raises the first fault with its
+    row.
     """
     with open(spec.source_path, "rb") as f:
         data = f.read()
@@ -219,7 +219,7 @@ def ingest(spec: DatasetSpec) -> list:
         )
         plain = join_plain(tokens, text)
         if plain is not None:
-            return PlainColumn(tokens, *plain)
+            return PlainColumn(tokens, plain[0])
     except (CodecError, ValueError, csv.Error):  # ValueError: bad UTF-8
         pass
     return _read_column(spec, _lines(data), checked=True)

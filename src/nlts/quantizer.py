@@ -83,20 +83,18 @@ def repeated(items, count: int):
 
 
 class PlainColumn(list):
-    """A list of tokens that join_plain accepted, with its joined text and distinct tokens.
+    """A list of tokens that join_plain accepted, with their joined text.
 
-    join_plain compares the tokens' joined text with text rather than check
-    the tokens again, and then takes distinct (repeated's answer) as it is;
-    a column changed since then no longer matches and is checked like any
-    other.  Both slots survive pickling.
+    join_plain compares the tokens' joined text with it rather than search
+    the text again; a column changed since then no longer matches and is
+    searched like any other.
     """
 
-    __slots__ = ("text", "distinct")
+    __slots__ = ("text",)
 
-    def __init__(self, tokens, text: str, distinct):
+    def __init__(self, tokens, text: str):
         super().__init__(tokens)
         self.text = text
-        self.distinct = distinct
 
 
 def join_plain(tokens, text=None):
@@ -115,11 +113,11 @@ def join_plain(tokens, text=None):
     # a token holding a newline would read as two lines
     if text.count("\n") != len(tokens) - 1:
         return None
-    # a PlainColumn whose tokens still join to its text was checked before
-    if text == getattr(tokens, "text", None):
-        return text, tokens.distinct
     distinct = repeated(tokens, len(tokens))
-    if _NOT_PLAIN.search(text if distinct is None else "\n".join(distinct)):
+    # a PlainColumn whose tokens still join to its text was searched before
+    if text != getattr(tokens, "text", None) and _NOT_PLAIN.search(
+        text if distinct is None else "\n".join(distinct)
+    ):
         return None
     return text, distinct
 
@@ -251,8 +249,7 @@ def quantize_stream(samples, digits):
     holding a token longer than int() reads.  Both give the same codes for
     the same tokens.  join_plain checks the tokens and decides, through
     repeated, whether they repeat; a PlainColumn (as ingest returns) whose
-    tokens still join to its text carries both answers, found once in
-    ingest, and is neither searched nor counted again.
+    tokens still join to its text is not searched again.
 
     When the tokens of a plain column repeat, the column pass runs over the
     distinct tokens and one lookup per token maps their codes back; the

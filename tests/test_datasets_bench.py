@@ -29,7 +29,7 @@ from nlts.errors import (
     MissingValue,
     UnparseableRow,
 )
-from nlts.quantizer import PlainColumn
+from nlts.quantizer import PlainColumn, repeated
 
 
 class TestIngest:
@@ -249,7 +249,7 @@ class TestValidatedColumn:
         p.write_text("".join(f"{i % 7 - 3}.{i * 37 % 1000:0{1 + i % 3}d}\n" for i in range(40)))
         col = ingest(DatasetSpec(name="t", source_path=str(p), delimiter="whitespace"))
         assert isinstance(col, PlainColumn)
-        assert col.distinct is None and col.count(col[5]) == 1
+        assert col.count(col[5]) == 1
         return col
 
     @pytest.mark.parametrize("digits", [3, "lossless"])
@@ -269,14 +269,14 @@ class TestValidatedColumn:
         for col in (before, after):
             assert compress_outcome(col, 3) == compress_outcome(list(col), 3)
 
-    def test_pickle_keeps_text_and_distinct(self, column):
+    def test_pickle_keeps_text(self, column):
         back = pickle.loads(pickle.dumps(column))
         assert isinstance(back, PlainColumn) and back == column
-        assert (back.text, back.distinct) == (column.text, column.distinct)
+        assert back.text == column.text
 
 
 class TestValidatedRepeatingColumn(TestValidatedColumn):
-    """The same edits on a column that repeats, whose distinct tokens ingest found."""
+    """The same edits on a column that repeats, so join_plain searches its distinct tokens."""
 
     @pytest.fixture
     def column(self, tmp_path):
@@ -287,7 +287,7 @@ class TestValidatedRepeatingColumn(TestValidatedColumn):
         p.write_text("".join(t + "\n" for t in tokens))
         col = ingest(DatasetSpec(name="t", source_path=str(p), delimiter="whitespace"))
         assert isinstance(col, PlainColumn) and col == tokens
-        assert sorted(col.distinct) == sorted(pool)
+        assert sorted(repeated(col, len(col))) == sorted(pool)
         assert col.count(col[5]) == 1
         return col
 
@@ -344,6 +344,17 @@ class TestVerify:
         a = tmp_text_file("1.0\n2.0\n", name="a.txt")
         b = tmp_text_file("1.0\n2.0\n", name="b.txt")
         assert verify_files(a, b, 0).ok
+
+    def test_files_original_spec(self, tmp_text_file):
+        # the original read with its compress options, the decoded one with the defaults
+        a = tmp_text_file("ts,value\n1,1.5\n2,?\n3,2.5\n", name="a.csv")
+        b = tmp_text_file("1.5\n1.5\n2.5\n", name="b.txt")
+        spec = DatasetSpec("a.csv", str(a), column="value", delimiter=",",
+                           missing_policy="forward-fill")
+        r = verify_files(original_path=spec, decoded_path=b, epsilon=0)
+        assert (r.ok, r.max_abs_error) == (True, 0)
+        with pytest.raises(ValueError, match="a.csv: row 1"):
+            verify_files(original_path=a, decoded_path=b, epsilon=0)
 
 
 def naive_verify(original, decoded):

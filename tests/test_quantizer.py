@@ -11,6 +11,7 @@ from nlts.errors import CodecError, NonFiniteSample, OverflowAtScale, TooManyDig
 from nlts.quantizer import (
     LOSSLESS,
     PROBE,
+    PlainColumn,
     join_plain,
     quantize_stream,
     render_code,
@@ -658,7 +659,7 @@ class TestProbe:
             p = tmp_path / "in.txt"
             p.write_text("".join(t + "\n" for t in column))
             ingested = ingest(DatasetSpec(name="t", source_path=str(p), delimiter="whitespace"))
-            assert ingested.distinct is not None
+            assert isinstance(ingested, PlainColumn) and repeated(column, len(column))
             for samples in (column, ingested):
                 assert_matches_reference(samples, digits)
                 with pytest.raises(error, match=message):
