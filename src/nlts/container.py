@@ -9,6 +9,14 @@ Compression ratios are computed against the canonicalized text of the
 input: one sample per line, rendered with exactly the stream's number of
 fractional digits.  That is also byte-for-byte the text decompression
 produces, which keeps the ratio reproducible from the emitted files alone.
+
+Decoding reads a stream's distinct codes and range once.  decode_codes asks
+quantizer.code_survey for the distinct codes (None when the codes do not
+repeat) and their least and greatest, and checks the signed 64-bit range on
+those two; render_stream, canonical_size and the decoded-text sizing take
+the survey instead of reading every code again.  When every code lies in
+[0, 10**(d+1)) and so renders to one width, the text is sized without a
+pass over the tokens.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from operator import gt, le, truediv
 from . import entropy
 from .core import INT64_MAX, INT64_MIN
 from .errors import BadMagic, CorruptStream, UnsupportedVersion
-from .quantizer import LOSSLESS, MAX_DIGITS, quantize_stream, render_stream
+from .quantizer import LOSSLESS, MAX_DIGITS, code_survey, quantize_stream, render_stream
 from .transform import (
     METHOD_VERSIONS,
     check_block_settings,
@@ -134,16 +142,18 @@ class CodecConfig:
             raise UnsupportedVersion(f"unknown entropy coder id {self.coder}")
 
 
-def canonical_size(codes, scale_exp: int | None) -> int:
+def canonical_size(codes, scale_exp: int | None, bounds=None) -> int:
     """Byte size of the canonical text rendering (newline per sample).
 
-    Each code renders as a newline, one whole digit, '.' and d fraction
-    digits when d > 0, and a '-' when negative.  Its whole part |c| // 10**d
-    has one more digit for each k >= 1 with |c| >= 10**(d+k), so each such
-    power adds the count of magnitudes that reach it.
+    bounds is (min(codes), max(codes)), when the caller has it.  Each code
+    renders as a newline, one whole digit, '.' and d fraction digits when
+    d > 0, and a '-' when negative.  Its whole part |c| // 10**d has one
+    more digit for each k >= 1 with |c| >= 10**(d+k), so each such power
+    adds the count of magnitudes that reach it.  Given bounds, codes that
+    all lie in [0, 10**(d+1)) render to the base width and take no pass.
     """
     d = scale_exp or 0
-    lo, hi = min(codes), max(codes)
+    lo, hi = bounds or (min(codes), max(codes))
     total = (d + 3 if d else 2) * len(codes)
     mags = codes
     if lo < 0:
@@ -187,31 +197,46 @@ def compress_stream(samples, config: CodecConfig = CodecConfig()):
 
 
 def decode_codes(data: bytes):
-    """Decode a container back to (codes, header, decode_secs)."""
+    """Decode a container back to (codes, header, decode_secs, survey).
+
+    survey is code_survey(codes): the distinct codes, or None when the
+    codes do not repeat, and (lo, hi), their least and greatest.  The
+    signed 64-bit range check reads lo and hi, found over the distinct
+    codes alone when there are some; the renderer and the sizing reuse
+    both rather than read every code again.
+    """
     header = StreamHeader.parse(data)
     t0 = time.perf_counter()
     symbols = entropy.decode(
         data[HEADER_LEN:], header.entropy_id, max_stream_bytes(header, header.sample_count)
     )
     codes = decode_blocks(symbols, header, header.sample_count)
-    if not INT64_MIN <= min(codes) <= max(codes) <= INT64_MAX:
+    survey = code_survey(codes)
+    lo, hi = survey[1]
+    if not INT64_MIN <= lo <= hi <= INT64_MAX:
         raise CorruptStream("decoded sample outside the signed 64-bit range")
-    return codes, header, time.perf_counter() - t0
+    return codes, header, time.perf_counter() - t0, survey
 
 
 def decompress_stream(data: bytes):
     """Decompress a container; returns (list of floats, RunMetrics)."""
-    codes, header, decode_secs = decode_codes(data)
+    codes, header, decode_secs, survey = decode_codes(data)
     d = header.scale_exp
     if d is None or d == 0:
         values = list(map(float, codes))
     else:
         values = list(map(truediv, codes, repeat(10**d)))
-    return values, RunMetrics(canonical_size(codes, d), len(data), decode_secs)
+    return values, RunMetrics(canonical_size(codes, d, survey[1]), len(data), decode_secs)
 
 
 def decompress_to_tokens(data: bytes):
     """Decompress to exact decimal text tokens; returns (tokens, RunMetrics)."""
-    codes, header, decode_secs = decode_codes(data)
-    tokens = render_stream(codes, header.scale_exp)
-    return tokens, RunMetrics(sum(map(len, tokens)) + len(tokens), len(data), decode_secs)
+    codes, header, decode_secs, survey = decode_codes(data)
+    d = header.scale_exp
+    tokens = render_stream(codes, d, survey)
+    lo, hi = survey[1]
+    if lo >= 0 and hi < 10 ** ((d or 0) + 1):  # one width: sized without a pass
+        size = canonical_size(codes, d, (lo, hi))
+    else:
+        size = sum(map(len, tokens)) + len(tokens)
+    return tokens, RunMetrics(size, len(data), decode_secs)

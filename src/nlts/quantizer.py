@@ -295,8 +295,20 @@ def render_code(code: int, scale_exp: int | None) -> str:
     return f"{sign}{whole}.{frac:0{scale_exp}d}"
 
 
-def render_stream(codes, scale_exp: int | None) -> list[str]:
+def code_survey(codes):
+    """(distinct, (lo, hi)) of a list of codes: repeated's distinct codes, or None
+    when they do not repeat, and the least and greatest code ((0, 0) for
+    none), read over the distinct codes when there are some."""
+    distinct = repeated(codes, len(codes))
+    source = codes if distinct is None else distinct
+    return distinct, (min(source, default=0), max(source, default=0))
+
+
+def render_stream(codes, scale_exp: int | None, survey=None) -> list[str]:
     """Exact decimal text of every code, as render_code gives it, in C-level passes.
+
+    survey is code_survey(codes), when the caller has it; else it is taken
+    here.
 
     With d = scale_exp > 0 a code c reads as the float c / 10**d formatted
     with "%.<d>f".  That is exact while |c| < 2**52: c and 10**d (d <= 6)
@@ -310,12 +322,11 @@ def render_stream(codes, scale_exp: int | None) -> list[str]:
     When the codes repeat (see repeated), each distinct code is rendered
     once, the same way, and one lookup per code maps the texts back.
     """
-    distinct = repeated(codes, len(codes))
-    # the codes to render, a list either way: min and max read it too
+    distinct, (lo, hi) = survey or code_survey(codes)
     source = codes if distinct is None else distinct
     if scale_exp is None or scale_exp == 0:
         texts = map(str, source)
-    elif -(2**52) < min(source, default=0) and max(source, default=0) < 2**52:
+    elif -(2**52) < lo and hi < 2**52:
         fmt = f"%.{scale_exp}f".__mod__
         texts = map(fmt, map(truediv, source, repeat(10**scale_exp)))
     else:

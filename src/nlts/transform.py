@@ -12,8 +12,10 @@ knows the block layout.
 
 A constant block, the common case on a plateau, is a mode block with a
 zero mask: its value and one 0 byte.  encode_blocks writes it without
-counting the mode or building the mask, and decode_blocks repeats the value
-without expanding the mask.
+counting the mode or building the mask.  A plateau holds its value for many
+blocks, and their bytes are identical, so decode_blocks reads a constant
+block's run with one regex match and repeats the value for the whole run,
+without expanding a mask; every other block is parsed varint by varint.
 
 Two wire layouts exist (FORMAT.md section 3).  Version 1 spends an explicit
 branch flag per block; version 2 drops the flag and lets the decoder
@@ -28,6 +30,7 @@ a parsed StreamHeader on decode; check_block_settings is the rule both apply.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from itertools import accumulate, repeat
 from operator import add, sub
@@ -129,6 +132,17 @@ def max_stream_bytes(cfg, sample_count: int) -> int:
     return full * block(cfg.block_len) + (block(rest) if rest else 0)
 
 
+# A constant block in its shortest spelling -- [the version-1 flag 1,] a
+# header varint and the one-byte empty mask -- then up to 255 byte-identical
+# copies of it, keyed by "is version 1".  sre keeps ~80 bytes per repetition
+# until a match returns (an unbounded run of 10**6 blocks held ~76 MiB), so a
+# longer run is taken in several matches.
+_CONSTANT_RUN = {
+    False: re.compile(rb"([\x80-\xff]*[\x00-\x7f]\x00)\1{0,255}"),
+    True: re.compile(rb"(\x02[\x80-\xff]*[\x00-\x7f]\x00)\1{0,255}"),
+}
+
+
 def _expand(mask: int, width: int, nonzeros: list) -> list:
     """The width entries the mask stands for: first entry = most significant
     bit, one nonzero per set bit in order, 0 elsewhere."""
@@ -143,14 +157,24 @@ def _expand(mask: int, width: int, nonzeros: list) -> list:
 def decode_blocks(symbols, cfg, sample_count: int) -> list:
     """Parse and invert the symbol stream of sample_count codes; returns the codes.
 
+    A block whose mask is 0 is constant, and the byte-identical blocks right
+    after it (up to the blocks left) repeat its value: one match of
+    _CONSTANT_RUN finds them and the codes are extended once for the run.
+    The run is taken only when the match's first block ends where the varint
+    reader stopped.  A version-1 flag or a mask in a non-shortest spelling
+    fails the match, and such a block is decoded alone, as is every block
+    that is not constant.
+
     Raises CorruptStream for a stream that ends early, holds an invalid
     varint or version-1 flag, or has bytes left over after the final block.
     """
     codes = []
     L, v1 = cfg.block_len, cfg.method_version == 1
-    pos = 0
-    for start in range(0, sample_count, L):
+    run = _CONSTANT_RUN[v1]
+    pos = start = 0
+    while start < sample_count:
         width = min(L, sample_count - start)
+        first = pos
         fields = []
         pos = read_varints(symbols, pos, 1, fields)
         if v1:
@@ -158,6 +182,7 @@ def decode_blocks(symbols, cfg, sample_count: int) -> list:
             if flag == 0:
                 pos = read_varints(symbols, pos, width, fields)
                 codes.extend(accumulate(fields[1:]))
+                start += L
                 continue
             if flag != 1:
                 raise CorruptStream(f"version-1 branch flag must be 0 or 1, got {flag}")
@@ -166,7 +191,14 @@ def decode_blocks(symbols, cfg, sample_count: int) -> list:
         pos = read_varints(symbols, pos, 1, fields, False, width)
         mask = fields.pop()
         if not mask:  # no nonzero entry: a constant block of the header
-            codes.extend(repeat(header, width))
+            blocks = 1
+            m = run.match(symbols, first)
+            if m is not None and m.end(1) == pos:
+                left = -(-(sample_count - start) // L)
+                blocks = min((m.end() - first) // (pos - first), left)
+                pos = first + blocks * (pos - first)
+            codes.extend(repeat(header, min(blocks * L, sample_count - start)))
+            start += blocks * L
             continue
         nonzeros = []
         pos = read_varints(symbols, pos, mask.bit_count(), nonzeros)
@@ -175,6 +207,7 @@ def decode_blocks(symbols, cfg, sample_count: int) -> list:
             codes.extend(accumulate(_expand(mask, width, nonzeros)))
         else:
             codes.extend(map(add, _expand(mask, width, nonzeros), repeat(header)))
+        start += L
     if pos != len(symbols):
         raise CorruptStream(f"{len(symbols) - pos} trailing bytes after the final block")
     return codes

@@ -209,47 +209,64 @@ class TestCorruption:
                 pass
 
 
-def two_sample_container(version, coder, payload):
-    """Container of two samples (L16, tau 9, d3) whose entropy payload is payload."""
+def two_sample_container(version, coder, payload, sample_count=2):
+    """Container of sample_count samples (L16, tau 9, d3) whose entropy payload is payload."""
     header = StreamHeader(
         method_version=version,
         entropy_id=coder,
         block_len=16,
         tau=9,
         scale_exp=3,
-        sample_count=2,
+        sample_count=sample_count,
     )
     return header.pack() + payload
 
 
-def crafted_container(version, fields):
-    """Two-sample container whose one block is the given (values, signed) varint runs."""
+def crafted_container(version, fields, sample_count=2):
+    """Container of sample_count samples whose blocks are the given (values, signed) varint runs."""
     symbols = bytearray()
     for values, signed in fields:
-        write_varints(values, symbols, signed, 64 if signed else 2)
+        write_varints(values, symbols, signed, 64 if signed else 16)
     payload = entropy.encode(bytes(symbols), ADAPTIVE_ARITHMETIC).data
-    return two_sample_container(version, ADAPTIVE_ARITHMETIC, payload)
+    return two_sample_container(version, ADAPTIVE_ARITHMETIC, payload, sample_count)
 
 
-# Each decodes to [INT64_MAX, 2 * INT64_MAX], [INT64_MAX, INT64_MAX + 1] or
-# [INT64_MIN, INT64_MIN - 1]: a mode-block sum or a diff-block running sum
-# that leaves the signed 64-bit range.
+def constant_blocks(version, level, count):
+    """The varint runs of count constant blocks of level."""
+    header = ((1, level), True) if version == 1 else ((level,), True)
+    return [header, ((0,), False)] * count
+
+
+# Each two-sample case decodes to [INT64_MAX, 2 * INT64_MAX], [INT64_MAX,
+# INT64_MAX + 1] or [INT64_MIN, INT64_MIN - 1]: a mode-block sum or a
+# diff-block running sum that leaves the signed 64-bit range.  The
+# repeating cases hold 63 codes at an int64 edge and one step past it, so the
+# range is read over their two distinct codes.
 OUT_OF_RANGE = {
     "v1-mode": (1, [((1, INT64_MAX), True), ((0b01,), False), ((INT64_MAX,), True)]),
     "v1-diff": (1, [((0, INT64_MAX, 1), True)]),
     "v2-mode": (2, [((INT64_MAX,), True), ((0b01,), False), ((INT64_MAX,), True)]),
     "v2-diff": (2, [((INT64_MAX,), True), ((0b11,), False), ((INT64_MAX, 1), True)]),
     "v2-diff-low": (2, [((INT64_MIN,), True), ((0b11,), False), ((INT64_MIN, -1), True)]),
+    **{
+        f"v{v}-repeating-{side}": (
+            v,
+            constant_blocks(v, edge, 3)
+            + [((1, edge) if v == 1 else (edge,), True), ((0b1,), False), ((step,), True)],
+            64,
+        )
+        for v in (1, 2)
+        for side, edge, step in (("high", INT64_MAX, 1), ("low", INT64_MIN, -1))
+    },
 }
 
 
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
 def test_decoded_samples_outside_int64_rejected(case, tmp_path):
     blob = crafted_container(*OUT_OF_RANGE[case])
-    with pytest.raises(CorruptStream, match="64-bit"):
-        decompress_to_tokens(blob)
-    with pytest.raises(CorruptStream):
-        decompress_stream(blob)
+    for decompress in (decompress_to_tokens, decompress_stream):
+        with pytest.raises(CorruptStream, match="64-bit"):
+            decompress(blob)
     packed = tmp_path / "in.nlts"
     packed.write_bytes(blob)
     assert main(["decompress", str(packed), str(tmp_path / "out.txt")]) == 2
@@ -400,8 +417,24 @@ class TestMetrics:
             assert all(type(v) is float for v in values)
 
     def test_decompress_tokens_input_bytes_equals_canonical(self):
-        samples = [1.25, -3.5, 0.0]
-        blob, m = compress_stream(samples, make_config(digits=2))
-        tokens, md = decompress_to_tokens(blob)
-        text = "".join(t + "\n" for t in tokens)
-        assert md.input_bytes == len(text.encode()) == m.input_bytes
+        rng = random.Random(843)
+        # (samples, digits; None is lossless): repeating streams with negative
+        # codes, with codes on both sides of a power of ten, in [0, 10**(d+1))
+        # (every code one width), at d=0 and through integer passthrough
+        cases = [
+            ([1.25, -3.5, 0.0], 2),
+            (["-1.5", "2.25", "-1.5", "-12.75"] * 40, 2),
+            (["9.999", "10.000", "0.001"] * 50, 3),
+            (["0", "9.999", "5.5", "9.9994"] * 50, 3),
+            (["0.0004", "1", "-0.0004"] * 50, 3),
+            (["3", "12", "-4", "99", "100"] * 30, 0),
+            (["0", "9", "10"] * 30, 0),
+            (["7", "0", "9.4"] * 30, 0),
+            (["5", "-120", "5", "10"] * 30, None),
+            (["1", "2", "9"] * 30, None),
+            ([f"{rng.uniform(-20, 20):.4f}" for _ in range(2000)], 3),
+        ]
+        for samples, digits in cases:
+            blob, m = compress_stream(samples, make_config(digits=digits))
+            tokens, md = decompress_to_tokens(blob)
+            assert md.input_bytes == len("\n".join(tokens)) + 1 == m.input_bytes, samples[:5]

@@ -400,6 +400,79 @@ class TestMatchesReference:
             decode_stream(symbols, cfg, len(codes))
 
 
+def assert_decodes_as_reference(symbols, cfg, n):
+    """decode_blocks gives decode_stream's codes, or its CorruptStream text; returns the codes."""
+    try:
+        want = decode_stream(symbols, cfg, n)
+    except CorruptStream as e:
+        with pytest.raises(CorruptStream) as got:
+            decode_blocks(symbols, cfg, n)
+        assert str(got.value) == str(e)
+        return None
+    assert decode_blocks(symbols, cfg, n) == want
+    return want
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("L", [16, 32768])
+class TestConstantRuns:
+    """decode_blocks takes a run of byte-identical constant blocks in one step;
+    the reference decodes it one block at a time."""
+
+    def test_run_into_short_final_block(self, version, L):
+        # below tau a short block of a nonzero level is a diff block and ends
+        # the run; a level of 0 stays a constant block under version 2
+        cfg = CodecConfig(method_version=version, block_len=L, tau=9)
+        for full in (3, 600) if L == 16 else (3,):  # 600 blocks take several matches
+            for level in (0, 5, INT64_MIN):
+                for w in (8, 9):
+                    codes = [level] * (full * L + w)
+                    symbols = bytes(encode_blocks(codes, cfg))
+                    assert assert_decodes_as_reference(symbols, cfg, len(codes)) == codes
+
+    def test_run_past_or_short_of_the_blocks_left(self, version, L):
+        cfg = CodecConfig(method_version=version, block_len=L, tau=9)
+        for w in (L, 9):  # a full or a short final block, both constant
+            codes = [5] * (2 * L + w)
+            symbols = bytes(encode_blocks(codes, cfg))
+            block = symbols[: len(symbols) // 3]
+            assert symbols == block * 3
+            for extra in (1, 2, 300):
+                bad = symbols + block * extra
+                message = f"{len(block) * extra} trailing bytes after the final block"
+                with pytest.raises(CorruptStream, match=f"^{message}$"):
+                    decode_stream(bad, cfg, len(codes))
+                assert_decodes_as_reference(bad, cfg, len(codes))
+            for cut in (len(block), 2 * len(block), len(symbols) - 1):
+                assert assert_decodes_as_reference(symbols[:cut], cfg, len(codes)) is None
+
+    def test_non_shortest_spelling_inside_a_run(self, version, L):
+        # level 5 (zigzag 0a) with a version-1 flag, a header or a mask in
+        # two bytes where one would do
+        odd_spellings = {
+            1: ["82 00 0a 00", "02 8a 00 00", "02 0a 80 00"],
+            2: ["8a 00 00", "0a 80 00"],
+        }[version]
+        short = bytes.fromhex("02 0a 00" if version == 1 else "0a 00")
+        cfg = CodecConfig(method_version=version, block_len=L, tau=9)
+        for odd in map(bytes.fromhex, odd_spellings):
+            for layout in ([2, 1, 2, 3, 1], [0, 2, 3], [3, 2, 0]):  # short, odd, short, ...
+                symbols = b"".join((short, odd)[i % 2] * k for i, k in enumerate(layout))
+                n = sum(layout) * L
+                assert assert_decodes_as_reference(symbols, cfg, n) == [5] * n, odd
+                # a final block of width 5, too narrow for a two-byte mask
+                assert_decodes_as_reference(symbols, cfg, n - L + 5)
+
+    def test_alternating_runs(self, version, L):
+        cfg = CodecConfig(method_version=version, block_len=L, tau=9)
+        codes = []
+        for level, blocks in ((5, 3), (-7, 2), (5, 4), (-7, 1), (5, 1), (-7, 3)):
+            codes += [level] * (blocks * L)
+        for n in (len(codes), len(codes) - L // 2):
+            symbols = bytes(encode_blocks(codes[:n], cfg))
+            assert assert_decodes_as_reference(symbols, cfg, n) == codes[:n]
+
+
 @pytest.mark.slow
 class TestMatchesReferenceExhaustive:
     def test_hundred_thousand_streams(self):
