@@ -10,6 +10,11 @@ input: one sample per line, rendered with exactly the stream's number of
 fractional digits.  That is also byte-for-byte the text decompression
 produces, which keeps the ratio reproducible from the emitted files alone.
 
+Compressing reads the codes' range once: quantize_stream returns the least
+and greatest code, which its 64-bit check found over the distinct codes
+when the column repeats, and canonical_size takes them, so codes that all
+render to one width are sized without a pass.
+
 Decoding reads a stream's distinct codes and range once.  decode_codes asks
 quantizer.code_survey for the distinct codes (None when the codes do not
 repeat) and their least and greatest, and checks the signed 64-bit range on
@@ -178,7 +183,7 @@ def compress_stream(samples, config: CodecConfig = CodecConfig()):
         raise ValueError("cannot compress an empty stream")
 
     t0 = time.perf_counter()
-    codes, max_err, scale_exp = quantize_stream(samples, config.digits)
+    codes, max_err, scale_exp, bounds = quantize_stream(samples, config.digits)
     if config.digits == LOSSLESS and not scale_exp:
         scale_exp = None  # integer passthrough
 
@@ -193,7 +198,8 @@ def compress_stream(samples, config: CodecConfig = CodecConfig()):
     )
     blob = header.pack() + stream.data
     seconds = time.perf_counter() - t0
-    return blob, RunMetrics(canonical_size(codes, scale_exp), len(blob), seconds, float(max_err))
+    size = canonical_size(codes, scale_exp, bounds)
+    return blob, RunMetrics(size, len(blob), seconds, float(max_err))
 
 
 def decode_codes(data: bytes):

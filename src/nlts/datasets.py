@@ -177,21 +177,26 @@ def _lines(data: bytes):
 
 
 def _whole_file_tokens(spec: DatasetSpec, data: bytes):
-    """The tokens of a headerless single-column whitespace file and their "\n"-joined text, or None.
+    """The candidate tokens of a headerless single-column whitespace file and
+    their "\n"-joined text, or None.
 
-    The file is decoded whole and split in C when it is exactly its tokens,
-    each on its own line, all lines ending in "\n" or all in "\r\n": then
-    row-by-row reading would return the same tokens.  Any other file (blank
-    lines, other or mixed line endings or whitespace, more columns) returns
-    None.
+    A text that ends in "\n" and holds no "\r" is split at its newlines in
+    C: its text up to the final "\n" is then the joined text.  The tokens
+    are the file's exactly when each is one PLAIN decimal, which join_plain
+    checks; a blank line, extra whitespace or any other spelling fails that
+    check.  A text whose lines all end in "\r\n" is split on whitespace and
+    kept when it is exactly its tokens, each on its own line.  Any other
+    file returns None.
     """
     if spec.delimiter != WHITESPACE or spec.column != 0:
         return None
     text = data.decode("utf-8")
+    if text[-1:] == "\n" and "\r" not in text:
+        joined = text[:-1]
+        return joined.split("\n"), joined
     tokens = text.split()
-    joined = "\n".join(tokens)
-    if joined + "\n" == text or "\r\n".join(tokens) + "\r\n" == text:
-        return tokens, joined
+    if "\r\n".join(tokens) + "\r\n" == text:
+        return tokens, "\n".join(tokens)
     return None
 
 
@@ -201,25 +206,30 @@ def ingest(spec: DatasetSpec) -> list:
     Missing values follow the spec's policy; anything else non-numeric
     raises UnparseableRow with its 1-based row number.
 
-    The file is read once.  Its column is first collected unchecked and
-    checked in one pass by quantizer.join_plain, which decides whether the
-    column repeats (quantizer.repeated) and then searches only its distinct
-    tokens.  A column of plain decimals (quantizer.PLAIN) is returned as a
-    PlainColumn carrying its joined text, which quantize_stream does not
-    search again; quantize_stream asks repeated once more.  Any other
-    column, and any error on the way, is read again from the same bytes row
-    by row with every token checked, which raises the first fault with its
-    row.
+    The file is read once.  A headerless single-column whitespace file is
+    first split whole (_whole_file_tokens); any other file, and one whose
+    split tokens join_plain refuses, has its column collected row by row,
+    unchecked.  quantizer.join_plain checks the column in one pass: it
+    decides whether the column repeats (quantizer.repeated) and then
+    searches only its distinct tokens.  A column of plain decimals
+    (quantizer.PLAIN) is returned as a PlainColumn carrying its joined text
+    and distinct tokens, which quantize_stream neither searches nor counts
+    again.  Any other column, and any error on the way, is read again from
+    the same bytes row by row with every token checked, which raises the
+    first fault with its row.
     """
     with open(spec.source_path, "rb") as f:
         data = f.read()
     try:
-        tokens, text = _whole_file_tokens(spec, data) or (
-            _read_column(spec, _lines(data), checked=False), None
-        )
-        plain = join_plain(tokens, text)
+        whole = _whole_file_tokens(spec, data)
+        plain = whole and join_plain(*whole)
+        if plain:
+            tokens = whole[0]
+        else:
+            tokens = _read_column(spec, _lines(data), checked=False)
+            plain = join_plain(tokens)
         if plain is not None:
-            return PlainColumn(tokens, plain[0])
+            return PlainColumn(tokens, *plain)
     except (CodecError, ValueError, csv.Error):  # ValueError: bad UTF-8
         pass
     return _read_column(spec, _lines(data), checked=True)

@@ -10,7 +10,10 @@ The 32-bit state width and the model's 2^16 rescale ceiling are normative:
 changing either changes the bit stream.  For throughput, renormalization is
 batched: all agreeing leading bits leave in one shift, and so do all the
 straddle bits that follow them (after the first shift the top bits differ,
-so each kind occurs once per symbol).  The frequency model is inlined into
+so each kind occurs once per symbol).  With no straddle bits pending, the
+encoder moves the k agreeing bits, low's top k, into its output in one
+step; with some pending, the first of them goes out, then the pending bits
+as its opposite, then the other k - 1.  The frequency model is inlined into
 the coding loops.  Symbol 0's count is a local, so coding a 0 needs no tree
 at all; the counts of symbols 1..256 sit at positions 1..256 of a Fenwick
 tree whose root, node 256, holds only their sum and is never read, so the
@@ -135,19 +138,22 @@ def encode(payload: bytes) -> BitStream:
         k = _STATE_BITS - (low ^ high).bit_length()
         if k:
             bits = low >> (_STATE_BITS - k)
-            first = bits >> (k - 1)
-            acc = (acc << 1) | first
-            nacc += 1
             if pending:
+                # the first bit, the pending straddle bits as its opposite,
+                # then the other k - 1 bits
+                first = bits >> (k - 1)
+                acc = (acc << 1) | first
                 if first == 0:
                     acc = (acc << pending) | ((1 << pending) - 1)
                 else:
                     acc <<= pending
+                if k > 1:
+                    acc = (acc << (k - 1)) | (bits & ((1 << (k - 1)) - 1))
                 nacc += pending
                 pending = 0
-            if k > 1:
-                acc = (acc << (k - 1)) | (bits & ((1 << (k - 1)) - 1))
-                nacc += k - 1
+            else:
+                acc = (acc << k) | bits
+            nacc += k
             low = (low << k) & _MASK
             high = ((high << k) & _MASK) | ((1 << k) - 1)
             if nacc >= FLUSH_BITS:

@@ -12,9 +12,11 @@ round and measure the error with integer arithmetic.  Sensor columns repeat
 their readings.  One function, repeated, decides whether a sequence repeats
 (a probe of its first PROBE items, then the exact at-most-half rule) and
 returns its distinct items; ingest, quantize_stream, render_stream and
-bench.verify_values all ask it.  Only the distinct tokens of a repeating
-column are checked and quantized, and their codes are mapped back over the
-column (see join_plain and quantize_stream).  Any other stream --
+bench.verify_values all ask it.  ingest asks it once per column: the
+PlainColumn it returns carries the distinct tokens, which quantize_stream
+takes rather than count the column again.  Only the distinct tokens of a
+repeating column are checked and quantized, and their codes are mapped
+back over the column (see join_plain and quantize_stream).  Any other stream --
 floats, ints, Decimals, exponents, or any other spelling among its tokens --
 is converted one sample at a time through decimal.Decimal, exactly (lossless
 mode takes a float as its shortest repr), which keeps the rounding decision
@@ -83,18 +85,20 @@ def repeated(items, count: int):
 
 
 class PlainColumn(list):
-    """A list of tokens that join_plain accepted, with their joined text.
+    """A list of tokens that join_plain accepted, with their joined text and
+    distinct tokens (repeated's, None when they do not repeat).
 
-    join_plain compares the tokens' joined text with it rather than search
-    the text again; a column changed since then no longer matches and is
-    searched like any other.
+    join_plain compares the tokens' joined text with text rather than search
+    the text again or count the tokens again; a column changed since then no
+    longer matches and is searched and counted like any other.
     """
 
-    __slots__ = ("text",)
+    __slots__ = ("text", "distinct")
 
-    def __init__(self, tokens, text: str):
+    def __init__(self, tokens, text: str, distinct):
         super().__init__(tokens)
         self.text = text
+        self.distinct = distinct
 
 
 def join_plain(tokens, text=None):
@@ -103,7 +107,9 @@ def join_plain(tokens, text=None):
     The text is the tokens joined by "\n"; pass it when it is at hand.  The
     distinct tokens are repeated's.  The newline count covers the whole
     text, so no token holds a newline; the PLAIN search then runs over the
-    distinct tokens alone when the column repeats.
+    distinct tokens alone when the column repeats.  A PlainColumn whose
+    tokens still join to its text was counted and searched before: its
+    distinct tokens are returned as they are.
     """
     if text is None:
         try:
@@ -113,11 +119,10 @@ def join_plain(tokens, text=None):
     # a token holding a newline would read as two lines
     if text.count("\n") != len(tokens) - 1:
         return None
+    if text == getattr(tokens, "text", None):
+        return text, tokens.distinct
     distinct = repeated(tokens, len(tokens))
-    # a PlainColumn whose tokens still join to its text was searched before
-    if text != getattr(tokens, "text", None) and _NOT_PLAIN.search(
-        text if distinct is None else "\n".join(distinct)
-    ):
+    if _NOT_PLAIN.search(text if distinct is None else "\n".join(distinct)):
         return None
     return text, distinct
 
@@ -235,7 +240,7 @@ def _decimal_codes(samples, digits):
 
 
 def quantize_stream(samples, digits):
-    """Quantize a sequence of samples; returns (codes, max_abs_error, scale).
+    """Quantize a sequence of samples; returns (codes, max_abs_error, scale, (lo, hi)).
 
     digits is a scale of 0..6, or LOSSLESS for the smallest scale that holds
     every sample exactly: the largest fractional digit count seen, text
@@ -249,7 +254,7 @@ def quantize_stream(samples, digits):
     holding a token longer than int() reads.  Both give the same codes for
     the same tokens.  join_plain checks the tokens and decides, through
     repeated, whether they repeat; a PlainColumn (as ingest returns) whose
-    tokens still join to its text is not searched again.
+    tokens still join to its text is neither searched nor counted again.
 
     When the tokens of a plain column repeat, the column pass runs over the
     distinct tokens and one lookup per token maps their codes back; the
@@ -263,7 +268,9 @@ def quantize_stream(samples, digits):
     caller's decimal context; lossless inputs therefore report exactly 0.
     Parse faults (NonFiniteSample, TooManyDigits) are raised at the first
     bad sample; the 64-bit range is checked once, after the pass, at the
-    final scale (OverflowAtScale).
+    final scale (OverflowAtScale).  (lo, hi) is that range: the least and
+    greatest code, read over the distinct codes when the column repeats,
+    and (0, 0) for no samples, as code_survey gives it.
     """
     plain = join_plain(samples)
     tokens = samples
@@ -280,10 +287,11 @@ def quantize_stream(samples, digits):
     own = codes  # one code per member of tokens
     if tokens is not samples:
         codes = list(map(dict(zip(tokens, own)).__getitem__, samples))
-    if codes and not INT64_MIN <= min(own) <= max(own) <= INT64_MAX:
+    lo, hi = min(own, default=0), max(own, default=0)
+    if not INT64_MIN <= lo <= hi <= INT64_MAX:
         i = next(i for i, c in enumerate(codes) if not INT64_MIN <= c <= INT64_MAX)
         raise OverflowAtScale(i, samples[i], scale)
-    return codes, error, scale
+    return codes, error, scale, (lo, hi)
 
 
 def render_code(code: int, scale_exp: int | None) -> str:

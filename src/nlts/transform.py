@@ -11,11 +11,13 @@ reads them straight back into codes; this module is the only one that
 knows the block layout.
 
 A constant block, the common case on a plateau, is a mode block with a
-zero mask: its value and one 0 byte.  encode_blocks writes it without
-counting the mode or building the mask.  A plateau holds its value for many
-blocks, and their bytes are identical, so decode_blocks reads a constant
-block's run with one regex match and repeats the value for the whole run,
-without expanding a mask; every other block is parsed varint by varint.
+zero mask: its value and one 0 byte.  A plateau holds its value for many
+blocks, and their bytes are identical.  encode_blocks finds a constant
+block's run with list-slice comparisons and writes the bytes once, repeated
+for the whole run, without counting a mode or building a mask.
+decode_blocks reads the run with one regex match and repeats the value for
+the whole run, without expanding a mask; every other block is parsed
+varint by varint.
 
 Two wire layouts exist (FORMAT.md section 3).  Version 1 spends an explicit
 branch flag per block; version 2 drops the flag and lets the decoder
@@ -73,16 +75,28 @@ def encode_blocks(codes, cfg) -> bytearray:
     """
     out = bytearray()
     L, tau, v1 = cfg.block_len, cfg.tau, cfg.method_version == 1
+    n = len(codes)
+    start = 0
     try:
-        for start in range(0, len(codes), L):
+        while start < n:
             block = codes[start : start + L]
             x1 = block[0]
             width = len(block)
             if width >= tau and block.count(x1) == width:
                 # constant (frequency == width >= tau): the mode branch, every
-                # deviation 0; x1 == 2 * mode only when both are 0, kept as mode
-                write_varints((1, x1) if v1 else (x1,), out)
-                out.append(0)  # the empty mask
+                # deviation 0; x1 == 2 * mode only when both are 0, kept as
+                # mode.  The identical blocks after it, and a short final
+                # block of the value at least tau wide, spell the same bytes.
+                unit = bytearray()
+                write_varints((1, x1) if v1 else (x1,), unit)
+                unit.append(0)  # the empty mask
+                end = start + width
+                while codes[end : end + L] == block:
+                    end += L
+                if tau <= n - end < L and codes[end:] == block[: n - end]:
+                    end = n
+                out += unit * -(-(end - start) // L)
+                start = end
                 continue
             mode, frequency = compute_mode(block)
             if frequency >= tau:
@@ -98,6 +112,7 @@ def encode_blocks(codes, cfg) -> bytearray:
             elif v1:
                 # flag 0, then every difference: no mask, zeros kept
                 write_varints((0, x1, *map(sub, block[1:], block)), out)
+                start += L
                 continue
             else:
                 header = (x1,)
@@ -108,6 +123,7 @@ def encode_blocks(codes, cfg) -> bytearray:
             write_varints(header, out)
             write_varints((mask,), out, False, width)
             write_varints(list(filter(None, body)), out)
+            start += L
     except OverflowError as e:
         # a header is a code and fits; only a difference or a deviation
         # between two int64 codes can need a 65th bit

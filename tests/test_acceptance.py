@@ -71,7 +71,7 @@ def test_criterion_1_bitmap_golden_value():
 
 def test_criterion_2_quantizer_golden_value():
     title = "quantizer golden value 124.3472@d2 -> 124.35"
-    (code,), _, _ = quantize_stream([124.3472], 2)
+    (code,), _, _, _ = quantize_stream([124.3472], 2)
     try:
         assert code == 12435
         assert render_code(code, 2) == "124.35"
@@ -123,7 +123,7 @@ class TestCriterion3NearLossless:
                     blob, _ = compress_stream(samples, cfg)
                     tokens, _ = decompress_to_tokens(blob)
                     # bit-exact in the quantized domain
-                    codes, _, _ = quantize_stream(samples, d)
+                    codes, _, _, _ = quantize_stream(samples, d)
                     assert tokens == [render_code(c, d) for c in codes]
                     # hard error bound against the float inputs, exactly:
                     # |p/q - c/10**d| <= 10**-d  <=>  |p * 10**d - c * q| <= q
@@ -152,7 +152,7 @@ class TestCriterion3NearLossless:
                     cfg = CodecConfig(2, 2, 16, 9, d)
                     blob, _ = compress_stream(tokens, cfg)
                     decoded, _ = decompress_to_tokens(blob)
-                    codes, _, _ = quantize_stream(tokens, d)
+                    codes, _, _, _ = quantize_stream(tokens, d)
                     assert decoded == [render_code(c, d) for c in codes]
                     check = verify_values(tokens, decoded, Decimal(1).scaleb(-d))
                     assert check.ok, (name, d, check)

@@ -119,7 +119,7 @@ class TestRoundTrip:
             blob, m = compress_stream(samples, cfg)
             tokens, _ = decompress_to_tokens(blob)
             d = 2 if digits is None else digits
-            expected_codes, _, _ = quantize_stream(samples, d)
+            expected_codes, _, _, _ = quantize_stream(samples, d)
             scale = None if digits is None and d == 0 else d
             assert tokens == [render_code(c, scale) for c in expected_codes]
 
@@ -410,7 +410,7 @@ class TestMetrics:
             if d:
                 samples = [f"{s}.{rng.randrange(10**d):0{d}d}" for s in samples]
             blob, _ = compress_stream(samples, make_config(digits=d))
-            codes, _, _ = quantize_stream(samples, d or 0)
+            codes, _, _, _ = quantize_stream(samples, d or 0)
             values, _ = decompress_stream(blob)
             want = [c / 10**d if d else float(c) for c in codes]
             assert values == want

@@ -3,6 +3,7 @@ import itertools
 import json
 import pickle
 import random
+import re
 import tracemalloc
 from decimal import Context, Decimal, localcontext
 from importlib import resources
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from nlts import bench
+from nlts import bench, quantizer
 from nlts.bench import (
     SweepSpec,
     codec_config,
@@ -29,7 +30,7 @@ from nlts.errors import (
     MissingValue,
     UnparseableRow,
 )
-from nlts.quantizer import PlainColumn, repeated
+from nlts.quantizer import PLAIN, PlainColumn, repeated
 
 
 class TestIngest:
@@ -198,6 +199,76 @@ class TestIngestMatchesCheckedLoop:
         assert exc.value.row == 2
 
 
+# headerless single-column whitespace files: ingest splits those that end in
+# "\n" and hold no "\r" at their newlines, and reads the rest row by row
+SPLIT_FILES = {
+    "lf": "1.5\n-2.25\n1.5\n1.5\n",
+    "crlf": "1.5\r\n-2.25\r\n1.5\r\n1.5\r\n",
+    "no final newline": "1.5\n-2.25\n1.5",
+    "leading space": "1.5\n -2.25\n1.5\n",
+    "trailing space": "1.5\n-2.25 \n1.5\n",
+    "tab": "1.5\n\t-2.25\n1.5\n",
+    "blank line": "1.5\n\n-2.25\n1.5\n",
+    "final blank line": "1.5\n-2.25\n1.5\n\n",
+    "form feed": "1.5\n-2.25\x0c7\n1.5\n",
+    "next line": "1.5\n-2.25\x857\n1.5\n",
+    "line separator": "1.5\n-2.25\u20287\n1.5\n",
+    "no-break space": "1.5\n-2.25\xa0\n1.5\n",
+    "lone cr": "1.5\r-2.25\n1.5\n",
+    "nan": "1.5\nnan\n-2.25\n1.5\n",
+    "question mark": "1.5\n?\n-2.25\n1.5\n",
+    "not a number": "1.5\nx\n-2.25\n",
+    "exponent": "1.5\n1e3\n",
+    "empty": "",
+    "only newline": "\n",
+}
+
+
+class TestSingleSplit:
+    """A file split whole reads as the checked per-row loop reads it, is a
+    PlainColumn exactly when its tokens are all PLAIN, and compresses as a
+    plain list of its tokens does."""
+
+    @pytest.mark.parametrize("policy", ["skip", "forward-fill", "fail"])
+    @pytest.mark.parametrize("name", list(SPLIT_FILES))
+    def test_file(self, tmp_path, name, policy):
+        p = tmp_path / "in.txt"
+        p.write_bytes(SPLIT_FILES[name].encode("utf-8"))
+        spec = DatasetSpec(name="t", source_path=str(p), delimiter="whitespace",
+                           missing_policy=policy)
+        got = ingest_outcome(ingest, spec)
+        want = ingest_outcome(checked_loop, spec)
+        assert got == want
+        if not isinstance(want, list):
+            return
+        # an empty column is a plain list
+        plain = bool(want) and all(re.fullmatch(PLAIN, t) for t in want)
+        assert isinstance(got, PlainColumn) == plain
+        if plain:
+            assert got.text == "\n".join(want)
+            distinct = repeated(want, len(want))
+            assert got.distinct == distinct or sorted(got.distinct) == sorted(distinct)
+        for digits in (3, "lossless"):
+            assert compress_outcome(got, digits) == compress_outcome(list(got), digits)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_repeated_counts_the_column_once(self, tmp_path, monkeypatch, newline):
+        tokens = [f"{i // 40 % 5}.{i % 3}5" for i in range(3000)]
+        p = tmp_path / "in.txt"
+        p.write_bytes("".join(t + newline for t in tokens).encode("utf-8"))
+        counted = []
+        real = quantizer.repeated
+
+        def counting(items, count):
+            counted.append(count)
+            return real(items, count)
+
+        monkeypatch.setattr(quantizer, "repeated", counting)
+        col = ingest(DatasetSpec(name="t", source_path=str(p), delimiter="whitespace"))
+        compress_stream(col)
+        assert counted == [len(tokens)]
+
+
 def replace_at(i, token):
     def change(col):
         col[i] = token
@@ -272,7 +343,7 @@ class TestValidatedColumn:
     def test_pickle_keeps_text(self, column):
         back = pickle.loads(pickle.dumps(column))
         assert isinstance(back, PlainColumn) and back == column
-        assert back.text == column.text
+        assert back.text == column.text and back.distinct == column.distinct
 
 
 class TestValidatedRepeatingColumn(TestValidatedColumn):

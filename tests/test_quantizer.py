@@ -31,7 +31,7 @@ def code_value(code: int, scale_exp: int | None) -> float:
 
 def scaled_code(value, digits: int) -> int:
     """Quantize one sample through the stream quantizer."""
-    codes, _, _ = quantize_stream([value], digits)
+    codes, _, _, _ = quantize_stream([value], digits)
     return codes[0]
 
 
@@ -138,7 +138,7 @@ class TestErrorBound:
         rng = random.Random(500 + d)
         bound = Fraction(1, 2 * 10**d)
         xs = [rng.uniform(-1000, 1000) for _ in range(100_000)]
-        codes, _, _ = quantize_stream(xs, d)
+        codes, _, _, _ = quantize_stream(xs, d)
         for x, code in zip(xs, codes):
             err = abs(Fraction(code, 10**d) - Fraction(x))
             assert err <= bound, (x, code)
@@ -147,8 +147,8 @@ class TestErrorBound:
         rng = random.Random(505)
         for d in (0, 1, 2, 3):
             xs = [rng.uniform(-50, 50) for _ in range(2000)]
-            codes, _, _ = quantize_stream(xs, d)
-            again, _, _ = quantize_stream([code_value(c, d) for c in codes], d)
+            codes, _, _, _ = quantize_stream(xs, d)
+            again, _, _, _ = quantize_stream([code_value(c, d) for c in codes], d)
             assert again == codes
 
     def test_ties_match_decimal_oracle(self):
@@ -178,7 +178,7 @@ class TestStreamQuantization:
             tokens.append(tok)
         tokens += ["5.", ".5", "-.5", "0.0005", "00123.4500", "1e-3", "1.25E+2"]
         for d in (0, 1, 3, 6):
-            codes, max_err, scale = quantize_stream(tokens, d)
+            codes, max_err, scale, _ = quantize_stream(tokens, d)
             assert scale == d
             ctx = Context(prec=200)
             oracle = [
@@ -193,13 +193,13 @@ class TestStreamQuantization:
 
     def test_lossless_is_exact(self):
         tokens = ["1.5", "2.25", "-3.125", "7", "0.5"]
-        codes, max_err, scale = quantize_stream(tokens, LOSSLESS)
+        codes, max_err, scale, _ = quantize_stream(tokens, LOSSLESS)
         assert scale == 3
         assert codes == [1500, 2250, -3125, 7000, 500]
         assert max_err == 0
 
     def test_int_samples(self):
-        assert quantize_stream([5, -3, 1000], 2) == ([500, -300, 100000], 0, 2)
+        assert quantize_stream([5, -3, 1000], 2)[:3] == ([500, -300, 100000], 0, 2)
 
 
 def lossless_scale(value) -> int:
@@ -214,11 +214,11 @@ class TestDigitDetection:
         assert lossless_scale("1.5") == 1
         assert lossless_scale("7") == 0
         assert lossless_scale("1e-3") == 3
-        assert quantize_stream(["1.5E+2"], LOSSLESS) == ([150], 0, 0)
+        assert quantize_stream(["1.5E+2"], LOSSLESS)[:3] == ([150], 0, 0)
 
     def test_float_digits_use_shortest_repr(self):
         assert lossless_scale(0.1) == 1
-        assert quantize_stream([1500.0], LOSSLESS) == ([15000], 0, 1)
+        assert quantize_stream([1500.0], LOSSLESS)[:3] == ([15000], 0, 1)
         assert lossless_scale(-0.125) == 3
         assert lossless_scale(3) == 0
 
@@ -227,15 +227,15 @@ class TestDigitDetection:
             def __repr__(self):
                 return f"Reading({float(self)!r})"
 
-        assert quantize_stream([Reading(0.1)], LOSSLESS) == ([1], 0, 1)
+        assert quantize_stream([Reading(0.1)], LOSSLESS)[:3] == ([1], 0, 1)
 
     def test_stream_scale_is_widest_sample(self):
-        assert quantize_stream(["1.5", "2.25", "7"], LOSSLESS) == ([150, 225, 700], 0, 2)
-        assert quantize_stream([1, 2, 3], LOSSLESS) == ([1, 2, 3], 0, 0)
+        assert quantize_stream(["1.5", "2.25", "7"], LOSSLESS)[:3] == ([150, 225, 700], 0, 2)
+        assert quantize_stream([1, 2, 3], LOSSLESS)[:3] == ([1, 2, 3], 0, 0)
 
     def test_decimal_and_int_samples(self):
         samples = [Decimal("1.50"), 7, "0.5", Decimal("-2E+3")]
-        assert quantize_stream(samples, LOSSLESS) == ([150, 700, 50, -200000], 0, 2)
+        assert quantize_stream(samples, LOSSLESS)[:3] == ([150, 700, 50, -200000], 0, 2)
 
     def test_too_many_digits(self):
         with pytest.raises(TooManyDigits):
@@ -245,14 +245,14 @@ class TestDigitDetection:
 
     def test_int64_edges_at_scale_4(self):
         edges = ["922337203685477.5807", "-922337203685477.5808", "0.5"]
-        assert quantize_stream(edges, LOSSLESS) == ([INT64_MAX, INT64_MIN, 5000], 0, 4)
+        assert quantize_stream(edges, LOSSLESS)[:3] == ([INT64_MAX, INT64_MIN, 5000], 0, 4)
         for bad in ("922337203685477.5808", "-922337203685477.5809"):
             with pytest.raises(OverflowAtScale) as e:
                 quantize_stream(["1.5", bad], LOSSLESS)
             assert (e.value.index, e.value.value, e.value.digits) == (1, bad, 4)
 
     def test_integer_passthrough_edges(self):
-        assert quantize_stream([INT64_MAX, INT64_MIN], LOSSLESS) == (
+        assert quantize_stream([INT64_MAX, INT64_MIN], LOSSLESS)[:3] == (
             [INT64_MAX, INT64_MIN], 0, 0
         )
         with pytest.raises(OverflowAtScale):
@@ -297,7 +297,7 @@ class TestDigitDetection:
                 scaled = d.scaleb(scale, ctx)
                 assert scaled == scaled.to_integral_value()
                 oracle.append(int(scaled))
-            assert quantize_stream(samples, LOSSLESS) == (oracle, 0, scale), samples
+            assert quantize_stream(samples, LOSSLESS)[:3] == (oracle, 0, scale), samples
 
 
 class TestErrorPrecedence:
@@ -361,25 +361,25 @@ class TestExactDecimal:
     @pytest.mark.parametrize("token", ["0.1234564", "0.1234564e0"])
     def test_error_ignores_the_callers_context(self, token):
         with localcontext(Context(prec=3)):
-            assert quantize_stream([token], 3) == ([123], Decimal("0.0004564"), 3)
+            assert quantize_stream([token], 3)[:3] == ([123], Decimal("0.0004564"), 3)
 
     def test_error_keeps_every_digit(self):
-        _, error, _ = quantize_stream(["0." + "1" * 37], 3)
+        _, error, _, _ = quantize_stream(["0." + "1" * 37], 3)
         assert error == Decimal("0.000" + "1" * 34)
 
     def test_more_than_a_thousand_digits_round_once(self):
         # x = 0.0004999... < 0.0005: rounding x to 1,000 digits first would
         # round it up to 0.0005 and then to code 1
         token = "0.0004" + "9" * 1100 + "e0"
-        assert quantize_stream([token], 3) == ([0], Decimal("0.0004" + "9" * 1100), 3)
+        assert quantize_stream([token], 3)[:3] == ([0], Decimal("0.0004" + "9" * 1100), 3)
 
     def test_token_too_long_for_int(self):
         long = "0." + "1" * 5000
         exact = Decimal("0.000" + "1" * 4997)
-        assert quantize_stream([long, "1.5"], 3) == ([111, 1500], exact, 3)
+        assert quantize_stream([long, "1.5"], 3)[:3] == ([111, 1500], exact, 3)
         # repeated: the distinct-token column pass falls back the same way
         codes = [111, 111, 111, 1500]
-        assert quantize_stream([long, long, long, "1.5"], 3) == (codes, exact, 3)
+        assert quantize_stream([long, long, long, "1.5"], 3)[:3] == (codes, exact, 3)
 
     def test_token_too_long_for_int_lossless(self):
         with pytest.raises(TooManyDigits, match="index 0 carries 5000 "):
@@ -388,11 +388,11 @@ class TestExactDecimal:
 
 class TestBlockOps:
     def test_quantize_block_rounding(self):
-        codes, _, _ = quantize_stream((124.3472, 0.0, -1.25), 2)
+        codes, _, _, _ = quantize_stream((124.3472, 0.0, -1.25), 2)
         assert codes == [12435, 0, -125]
 
     def test_quantize_block_lossless_detects_scale(self):
-        assert quantize_stream(("1.5", "2.25"), LOSSLESS) == ([150, 225], 0, 2)
+        assert quantize_stream(("1.5", "2.25"), LOSSLESS)[:3] == ([150, 225], 0, 2)
 
     def test_config_validation(self):
         for good in (*range(7), LOSSLESS):
@@ -404,7 +404,7 @@ class TestBlockOps:
 
 
 def outcome(quantize, samples, digits):
-    """(codes, max_abs_error, scale), or the (type, message) of the error raised."""
+    """What quantize returns, or the (type, message) of the error raised."""
     try:
         return quantize(samples, digits)
     except CodecError as e:
@@ -414,6 +414,10 @@ def outcome(quantize, samples, digits):
 def assert_matches_reference(samples, digits):
     got = outcome(quantize_stream, samples, digits)
     want = outcome(reference_quantizer.quantize_stream, samples, digits)
+    if len(got) == 4:  # the range returned is the codes' own
+        codes, _, _, bounds = got
+        assert bounds == (min(codes, default=0), max(codes, default=0)), (samples, digits)
+        got = got[:3]
     # the Decimal errors compare by value
     assert got == want, (samples, digits)
 
@@ -573,6 +577,11 @@ class TestMatchesReference:
             for digits in DIGITS:
                 assert_matches_reference(stream, digits)
 
+    def test_no_samples(self):
+        for digits in DIGITS:
+            assert_matches_reference([], digits)
+            assert quantize_stream([], digits)[3] == (0, 0)
+
     def test_non_text_members(self):
         for samples in ([1, 2, 3], [1.5, "2.5"], [Decimal("1.25"), "2"], ["1", None], [b"1"]):
             for digits in DIGITS:
@@ -632,7 +641,7 @@ class TestProbe:
         rng = random.Random(650 + (7 if digits == LOSSLESS else digits))
         tokens = probe_columns(rng)[shape]
         assert_matches_reference(tokens, digits)
-        codes, _, scale = quantize_stream(tokens, digits)
+        codes, _, scale, _ = quantize_stream(tokens, digits)
         assert render_stream(codes, scale) == [render_code(c, scale) for c in codes]
 
     @pytest.mark.parametrize("d", [None, 0, 3, 6])

@@ -23,7 +23,7 @@ from reference_transform import (
 
 from nlts.container import CodecConfig
 from nlts.core import INT64_MAX, INT64_MIN, read_varints
-from nlts.errors import CorruptStream, LengthMismatch
+from nlts.errors import CodecError, CorruptStream, LengthMismatch
 from nlts.transform import (
     compute_mode,
     decode_blocks,
@@ -413,11 +413,19 @@ def assert_decodes_as_reference(symbols, cfg, n):
     return want
 
 
+def assert_encodes_as_reference(codes, cfg):
+    """encode_blocks writes encode_stream's bytes; returns them."""
+    symbols = bytes(encode_blocks(codes, cfg))
+    assert symbols == encode_stream(codes, cfg), (len(codes), cfg)
+    return symbols
+
+
 @pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize("L", [16, 32768])
 class TestConstantRuns:
-    """decode_blocks takes a run of byte-identical constant blocks in one step;
-    the reference decodes it one block at a time."""
+    """encode_blocks writes a run of identical constant blocks in one step and
+    decode_blocks reads it in one step; the references take it one block at
+    a time."""
 
     def test_run_into_short_final_block(self, version, L):
         # below tau a short block of a nonzero level is a diff block and ends
@@ -427,14 +435,48 @@ class TestConstantRuns:
             for level in (0, 5, INT64_MIN):
                 for w in (8, 9):
                     codes = [level] * (full * L + w)
-                    symbols = bytes(encode_blocks(codes, cfg))
+                    symbols = assert_encodes_as_reference(codes, cfg)
                     assert assert_decodes_as_reference(symbols, cfg, len(codes)) == codes
+
+    def test_run_into_short_final_block_below_tau(self, version, L):
+        # a final block of 11 is too narrow for tau 16: the run stops before it
+        cfg = CodecConfig(method_version=version, block_len=L, tau=16)
+        for level in (0, 5):
+            codes = [level] * (3 * L + 11)
+            symbols = assert_encodes_as_reference(codes, cfg)
+            assert assert_decodes_as_reference(symbols, cfg, len(codes)) == codes
+
+    def test_tau_one_and_a_final_block_of_one(self, version, L):
+        cfg = CodecConfig(method_version=version, block_len=L, tau=1)
+        for last in (5, 7):  # the run's level, which the run takes in, or another
+            codes = [5] * (3 * L) + [last]
+            symbols = assert_encodes_as_reference(codes, cfg)
+            assert assert_decodes_as_reference(symbols, cfg, len(codes)) == codes
+
+    def test_run_of_zero(self, version, L):
+        cfg = CodecConfig(method_version=version, block_len=L, tau=9)
+        for w in (L, 11, 5):
+            codes = [0] * (3 * L + w)
+            symbols = assert_encodes_as_reference(codes, cfg)
+            assert assert_decodes_as_reference(symbols, cfg, len(codes)) == codes
+
+    def test_run_then_an_overflowing_block(self, version, L):
+        # the mode is INT64_MAX, and INT64_MIN deviates from it by 2**64 - 1
+        cfg = CodecConfig(method_version=version, block_len=L, tau=9)
+        wide = [INT64_MAX] * (L - 7) + [INT64_MIN] * 7
+        for before in ([5] * (3 * L), [5] * (3 * L) + [6] * L):
+            message = (
+                f"^block starting at sample {len(before)}: a difference or a deviation "
+                "from the block mode needs more than signed 64 bits$"
+            )
+            with pytest.raises(CodecError, match=message):
+                encode_blocks(before + wide + [5] * L, cfg)
 
     def test_run_past_or_short_of_the_blocks_left(self, version, L):
         cfg = CodecConfig(method_version=version, block_len=L, tau=9)
         for w in (L, 9):  # a full or a short final block, both constant
             codes = [5] * (2 * L + w)
-            symbols = bytes(encode_blocks(codes, cfg))
+            symbols = assert_encodes_as_reference(codes, cfg)
             block = symbols[: len(symbols) // 3]
             assert symbols == block * 3
             for extra in (1, 2, 300):
@@ -469,7 +511,7 @@ class TestConstantRuns:
         for level, blocks in ((5, 3), (-7, 2), (5, 4), (-7, 1), (5, 1), (-7, 3)):
             codes += [level] * (blocks * L)
         for n in (len(codes), len(codes) - L // 2):
-            symbols = bytes(encode_blocks(codes[:n], cfg))
+            symbols = assert_encodes_as_reference(codes[:n], cfg)
             assert assert_decodes_as_reference(symbols, cfg, n) == codes[:n]
 
 
