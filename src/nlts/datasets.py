@@ -1,12 +1,13 @@
 """Dataset ingestion: pull one numeric column out of a delimited text file.
 
 Values are returned as the text tokens found in the file, not as floats, so
-the quantizer can parse digits exactly and lossless runs stay lossless.
+the quantizer can parse digits exactly and lossless runs stay lossless.  A
+quote-free file with one field count per row is read in a few C-level passes
+over its bytes; any other goes through csv.reader or str.split row by row.
 
-The packaged spec files under dataset_specs/ describe the benchmark
-datasets (column, delimiter, missing-value policy); the data files
-themselves are fetched by the user (see README) and located via a data
-directory.
+The packaged spec files under dataset_specs/ describe the benchmark datasets
+(column, delimiter, missing-value policy); the data files are fetched by the
+user (see README) and located via a data directory.
 """
 
 from __future__ import annotations
@@ -15,13 +16,15 @@ import csv
 import hashlib
 import io
 import json
+import re
+from contextlib import suppress
 from dataclasses import MISSING, dataclass, fields, replace
 from decimal import Decimal, InvalidOperation
 from importlib import resources
 from pathlib import Path
 
-from .errors import CodecError, MissingColumn, MissingValue, UnparseableRow
-from .quantizer import PlainColumn, join_plain
+from .errors import MissingColumn, MissingValue, UnparseableRow
+from .quantizer import PLAIN, PlainColumn, join_plain, plain_survey, repeated
 
 SKIP = "skip"
 FORWARD_FILL = "forward-fill"
@@ -115,14 +118,13 @@ def is_numeric(token: str) -> bool:
         return False
 
 
-def _read_column(spec: DatasetSpec, lines, checked: bool) -> list:
+def _read_column(spec: DatasetSpec, lines) -> list:
     """The spec's column read row by row from lines, after its missing-value policy.
 
-    lines reads as the file opened with newline="" would (see _lines).
-    With checked, a kept token that is not a finite number raises
-    UnparseableRow with its 1-based row number; without, tokens are kept
-    as read.  A negative column index counts from the end of the first
-    non-empty row read; a later row without that field raises MissingColumn.
+    lines reads as the file opened with newline="" would.  A kept token that
+    is not a finite number raises UnparseableRow with its 1-based row number.
+    A negative column index counts from the end of the first non-empty row
+    read; a later row without that field raises MissingColumn.
     """
     if spec.delimiter == WHITESPACE:
         rows = map(str.split, lines)
@@ -164,72 +166,110 @@ def _read_column(spec: DatasetSpec, lines, checked: bool) -> list:
                     out.append(last)
                 continue
             raise MissingValue(row_no)
-        if checked and not is_numeric(token):
+        if not is_numeric(token):
             raise UnparseableRow(row_no, token)
         out.append(token)
         last = token
     return out
 
 
-def _lines(data: bytes):
-    """The lines of a file's bytes, as the file opened with newline="" reads them."""
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+def _uniform_column(spec: DatasetSpec, data: bytes):
+    """The spec's column as a PlainColumn read in C-level passes, or None.
 
-
-def _whole_file_tokens(spec: DatasetSpec, data: bytes):
-    """The candidate tokens of a headerless single-column whitespace file and
-    their "\n"-joined text, or None.
-
-    A text that ends in "\n" and holds no "\r" is split at its newlines in
-    C: its text up to the final "\n" is then the joined text.  The tokens
-    are the file's exactly when each is one PLAIN decimal, which join_plain
-    checks; a blank line, extra whitespace or any other spelling fails that
-    check.  A text whose lines all end in "\r\n" is split on whitespace and
-    kept when it is exactly its tokens, each on its own line.  Any other
-    file returns None.
+    On the bytes: no NUL, no quote under a delimiter, "\r\n" or "\r" ends a
+    line; a header row names the fields as str.split reads it.  Whitespace
+    column 0 is each line's first field; any other column is every (m + 1)-th
+    field of one split once every non-blank row shows m of a one-byte
+    delimiter (whitespace runs made one space).  _mend reads non-PLAIN
+    tokens.  Any doubt, a negative index included, gives None.
     """
-    if spec.delimiter != WHITESPACE or spec.column != 0:
+    ws, delim, k = spec.delimiter == WHITESPACE, spec.delimiter, spec.column
+    data = data.removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark
+    if b"\0" in data or not ws and (delim in '\r\n"' or b'"' in data):
         return None
-    text = data.decode("utf-8")
-    if text[-1:] == "\n" and "\r" not in text:
-        joined = text[:-1]
-        return joined.split("\n"), joined
-    tokens = text.split()
-    if "\r\n".join(tokens) + "\r\n" == text:
-        return tokens, "\n".join(tokens)
-    return None
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if isinstance(k, str):
+        header, _, data = data.partition(b"\n")
+        names = header.decode().split(None if ws else delim)
+        k = names.index(k) if header and k in names else -1  # -1 gives None below
+    data = data.lstrip(b"\n").removesuffix(b"\n")
+    m = 0
+    if k or not ws:
+        if ws:  # str.split()'s ASCII whitespace, one space between fields
+            data = data.translate(bytes.maketrans(b"\t\x0b\x0c\x1c\x1d\x1e\x1f", b" " * 7))
+            while b"  " in data:
+                data = data.replace(b"  ", b" ")
+            data = data.replace(b"\n ", b"\n").replace(b" \n", b"\n").strip(b" ")
+            delim = " "
+        d = delim.encode()
+        m = data.partition(b"\n")[0].count(d)
+        while m and b"\n\n" in data:
+            data = data.replace(b"\n\n", b"\n")
+        uniform = (data.translate(None, bytes(range(256)).replace(d, b"").replace(b"\n", b""))
+                   + b"\n" == (d * m + b"\n") * (data.count(b"\n") + 1)) if m else d not in data
+        if len(d) != 1 or not 0 <= k <= m or ws and not data.isascii() or not uniform:
+            return None
+    text = data.decode()
+    tokens = text.replace(delim, "\n").split("\n")[k :: m + 1] if m else text.split("\n")
+    text = "\n".join(tokens) if m else text
+    distinct, odd = plain_survey(tokens, text)
+    if odd:
+        return _mend(tokens, distinct, odd, spec.missing_policy, ws, m)
+    return PlainColumn(tokens, text, distinct)
+
+
+def _mend(tokens: list, distinct, odd: list, policy: str, ws: bool, m: int):
+    """The column, each odd token read as its row's (whitespace: the first field,
+    else stripped), blank rows dropped and missing markers skipped or filled
+    where they stand; None on other odd tokens.  distinct is tokens' own."""
+    fix = {}
+    for v in odd:
+        t = (v.split() or [None])[0] if ws else v.strip() if v or m else None
+        if t is not None and t.lower() in MISSING_TOKENS and policy != FAIL:
+            t = None if policy == SKIP else FORWARD_FILL
+        elif t is not None and not re.fullmatch(PLAIN, t):  # a marker under FAIL too
+            return None
+        fix[v] = t
+    at = []
+    for v in fix:
+        i = -1
+        with suppress(ValueError):
+            while True:
+                i = tokens.index(v, i + 1)
+                at.append(i)
+    last, p = None, -1
+    for i in sorted(at):
+        last = tokens[i - 1] if i > p + 1 else last  # a row with no odd token
+        t = fix[tokens[i]]
+        tokens[i] = t = last if t == FORWARD_FILL else t
+        last, p = t or last, i
+    drop = [i for i in at if tokens[i] is None]
+    if len(drop) > 64:  # each del moves the rest of the list
+        tokens = list(filter(None, tokens))
+    else:
+        for i in sorted(drop, reverse=True):
+            del tokens[i]
+    known = distinct and set(distinct) - fix.keys() | set(fix.values()) - {None, FORWARD_FILL}
+    distinct = repeated(tokens, len(tokens), known)
+    return PlainColumn(tokens, "\n".join(tokens), distinct) if tokens else None
 
 
 def ingest(spec: DatasetSpec) -> list:
     """Extract the spec's column as a list of decimal text tokens.
 
     Missing values follow the spec's policy; anything else non-numeric
-    raises UnparseableRow with its 1-based row number.
-
-    The file is read once.  A headerless single-column whitespace file is
-    first split whole (_whole_file_tokens); any other file, and one whose
-    split tokens join_plain refuses, has its column collected row by row,
-    unchecked.  quantizer.join_plain checks the column in one pass: it
-    decides whether the column repeats (quantizer.repeated) and then
-    searches only its distinct tokens.  A column of plain decimals
-    (quantizer.PLAIN) is returned as a PlainColumn carrying its joined text
-    and distinct tokens, which quantize_stream neither searches nor counts
-    again.  Any other column, and any error on the way, is read again from
-    the same bytes row by row with every token checked, which raises the
-    first fault with its row.
+    raises UnparseableRow with its 1-based row number.  The file is read
+    once, as UTF-8 after an optional byte-order mark, by _uniform_column or,
+    failing that, row by row by _read_column, the one reader that reports
+    errors.  A column of PLAIN decimals is a PlainColumn, which
+    quantize_stream neither searches nor counts again.
     """
     with open(spec.source_path, "rb") as f:
         data = f.read()
-    try:
-        whole = _whole_file_tokens(spec, data)
-        plain = whole and join_plain(*whole)
-        if plain:
-            tokens = whole[0]
-        else:
-            tokens = _read_column(spec, _lines(data), checked=False)
-            plain = join_plain(tokens)
-        if plain is not None:
-            return PlainColumn(tokens, *plain)
-    except (CodecError, ValueError, csv.Error):  # ValueError: bad UTF-8
-        pass
-    return _read_column(spec, _lines(data), checked=True)
+    with suppress(ValueError):  # bad UTF-8 is reported by row
+        if column := _uniform_column(spec, data):
+            return column
+    tokens = _read_column(spec, io.TextIOWrapper(io.BytesIO(data), "utf-8-sig", newline=""))
+    plain = join_plain(tokens)
+    return PlainColumn(tokens, *plain) if plain else tokens

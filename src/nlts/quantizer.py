@@ -54,11 +54,11 @@ _CTX = decimal.Context(prec=decimal.MAX_PREC, rounding=decimal.ROUND_HALF_UP)
 #: or non-ASCII digit.
 PLAIN = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)"
 
-# Matches at the start of any line of a "\n"-joined column that is not PLAIN.
-# A search for one such line keeps no per-line state; matching the whole
-# column against a repeated group such as (?:PLAIN\n)+ makes sre hold state
-# for every repetition, megabytes over a long column.
-_NOT_PLAIN = re.compile(f"^(?!{PLAIN}$)", re.M)
+# Matches any line of a "\n"-joined column that is not PLAIN.  A search for
+# such lines keeps no per-line state; matching the whole column against a
+# repeated group such as (?:PLAIN\n)+ makes sre hold state for every
+# repetition, megabytes over a long column.
+_NOT_PLAIN = re.compile(f"^(?!{PLAIN}$).*$", re.M)
 
 # The characters a PLAIN token may hold before its point.
 _BEFORE_POINT = "+-0123456789"
@@ -68,19 +68,24 @@ _BEFORE_POINT = "+-0123456789"
 PROBE = 1024
 
 
-def repeated(items, count: int):
+def repeated(items, count: int, distinct=None):
     """The distinct items, in no set order, if at most half of them are distinct, else None.
 
     items is an iterable of count hashable items, read once.  When count
     exceeds PROBE, a sequence whose first PROBE items are more than half
     distinct counts as not repeating without a look at the rest: the
     per-sample readings of a noisy signal build no set they throw away.
+    Pass distinct, an iterable of the items' distinct values, when they are
+    known: only the first PROBE items are then counted.
     """
     it = iter(items)
     seen = set(islice(it, PROBE))
     if 2 * len(seen) > min(count, PROBE):
         return None
-    seen.update(it)
+    if distinct is None:
+        seen.update(it)
+    else:
+        seen = set(distinct)
     return list(seen) if 2 * len(seen) <= count else None
 
 
@@ -125,6 +130,16 @@ def join_plain(tokens, text=None):
     if _NOT_PLAIN.search(text if distinct is None else "\n".join(distinct)):
         return None
     return text, distinct
+
+
+def plain_survey(tokens, text: str):
+    """(repeated's distinct tokens, the non-PLAIN ones) of tokens free of newlines joined as text.
+
+    As join_plain, but every non-PLAIN token is found, rather than the
+    first: each once when the column repeats, else once per line.
+    """
+    distinct = repeated(tokens, len(tokens))
+    return distinct, _NOT_PLAIN.findall(text if distinct is None else "\n".join(distinct))
 
 
 def _too_many_digits(index: int, n: int) -> TooManyDigits:

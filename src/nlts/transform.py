@@ -14,7 +14,10 @@ A constant block, the common case on a plateau, is a mode block with a
 zero mask: its value and one 0 byte.  A plateau holds its value for many
 blocks, and their bytes are identical.  encode_blocks finds a constant
 block's run with list-slice comparisons and writes the bytes once, repeated
-for the whole run, without counting a mode or building a mask.
+for the whole run, without counting a mode or building a mask.  A block of
+so many distinct values that none can occur tau times is a diff block,
+written without counting its mode (a version-2 block leading with 0 still
+counts it: such a diff block would read back as a mode block).
 decode_blocks reads the run with one regex match and repeats the value for
 the whole run, without expanding a mask; every other block is parsed
 varint by varint.
@@ -59,6 +62,13 @@ def check_block_settings(method_version, block_len, tau) -> None:
         raise ValueError(f"tau must be an integer in 1..{L}, got {tau!r}")
 
 
+#: encode_blocks counts the values of a block at most SHORT_BLOCK wide that
+#: holds at most FEW_VALUES distinct ones with list.count rather than build
+#: a Counter: one pass per value is cheaper there.
+SHORT_BLOCK = 64
+FEW_VALUES = 8
+
+
 def compute_mode(codes) -> tuple:
     """(value, frequency) of the most frequent code; ties break toward the smallest value."""
     counts = Counter(codes)
@@ -98,7 +108,19 @@ def encode_blocks(codes, cfg) -> bytearray:
                 out += unit * -(-(end - start) // L)
                 start = end
                 continue
-            mode, frequency = compute_mode(block)
+            # A block of d distinct values has a mode frequency of at most
+            # width - d + 1, which tau 1 always reaches.  A short block with
+            # few values is counted value by value; any other with a Counter.
+            values = set(block) if width <= SHORT_BLOCK and tau > 1 else ()
+            if values and width - len(values) < tau - 1 and (v1 or x1):
+                # no value is frequent enough, and only a version-2 block
+                # leading with 0 would need the mode: a diff block
+                frequency = 0
+            elif 0 < len(values) <= FEW_VALUES:
+                mode = max(sorted(values), key=block.count)  # the smallest of the most frequent
+                frequency = block.count(mode)
+            else:
+                mode, frequency = compute_mode(block)
             if frequency >= tau:
                 # a version-2 mode block leading with a deviation equal to the
                 # mode would read back as a diff block

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from nlts import bench, quantizer
+from nlts import bench, datasets, quantizer
 from nlts.bench import (
     SweepSpec,
     codec_config,
@@ -138,8 +138,8 @@ def ingest_outcome(read, spec):
 
 
 def checked_loop(spec):
-    with open(spec.source_path, encoding="utf-8", newline="") as f:
-        return _read_column(spec, f, checked=True)
+    with open(spec.source_path, encoding="utf-8-sig", newline="") as f:
+        return _read_column(spec, f)
 
 
 # (file text, delimiter, column); each runs under every missing policy
@@ -166,6 +166,56 @@ INGEST_FILES = [
     ("ts,value\n1,2.5\n2,1e-3\n3,?\n", ",", "value"),
     ("ts,value\n1,2.5\n2\n", ",", "value"),
     ("a;b\n1;2\n", ";", "zzz"),
+    # a named column first, in the middle and last
+    ("a,b,c\n1,2.5,-3\n4,5.25,6.\n", ",", "a"),
+    ("a,b,c\n1,2.5,-3\n4,5.25,6.\n", ",", "b"),
+    ("a,b,c\n1,2.5,-3\n4,5.25,6.\n", ",", "c"),
+    # duplicate names (the first wins), a header alone, a blank first line
+    ("v,v,w\n1,2,3\n4,5,6\n", ",", "v"),
+    ("ts,value\n", ",", "value"),
+    ("ts,value", ",", "value"),
+    ("\nts,value\n1,2.5\n", ",", "value"),
+    ("\n1,2.5\n3,4.5\n", ",", 1),
+    ("\nR1 R2\n1 2\n", "whitespace", "R2"),
+    # negative indices
+    ("1,2.5\n3,4.5\n", ",", -1),
+    ("1 2.5\n3 4.5\n", "whitespace", -2),
+    # short and long ragged rows, and an index past every row
+    ("1,2.5\n3\n5,6.5\n", ",", 1),
+    ("1,2.5\n3,4.5,7\n5,6.5\n", ",", 1),
+    ("1,2.5\n3,4.5,7\n", ",", 0),
+    ("a b\n1 2.5\n3 4.5 7\n", "whitespace", "b"),
+    ("1,2\n3,4\n", ",", 2),
+    # a quoted field
+    ('ts,value\n1,"2.5"\n2,3.5\n', ",", "value"),
+    ('a,b\n"1,5",2\n3,4\n', ",", 1),
+    ('1,"2,3",4\n5,"6,7",8\n', ",", 3),
+    # ";", tab and non-ASCII delimiters
+    ("a;b\n1;2.5\n2;?\n3;-1\n", ";", "b"),
+    ("a\tb\n1\t2.5\n2\t\n3\t-1\n", "\t", "b"),
+    ("1\u00b52.5\n2\u00b5?\n", "\u00b5", 1),
+    ("a b\n1 2.5\n2 ?\n", " ", "b"),
+    # CRLF and lone "\r" line ends
+    ("ts,value\r\n1,2.5\r\n2,?\r\n3,-1\r\n", ",", "value"),
+    ("ts,value\r1,2.5\r2,3\r", ",", "value"),
+    ("ts,value\r\n1,2.5\r3,4.5\n", ",", "value"),
+    # gaps, leading ones included, under every policy
+    ("ts,value\n1,?\n2,nan\n3,\n4,1.5\n5,?\n6,2.5\n7,NULL\n", ",", "value"),
+    ("ts,value\n1,?\n2,na\n", ",", "value"),
+    ("?\n\n1.5\n \n2.5\n", ",", 0),
+    # spaces inside fields
+    ("ts,value\n1, 2.5\n2,3.5 \n3, \n4,\t4.5\n", ",", "value"),
+    ("1 2\n", ",", 0),
+    ("1.5\n 2.5 \n", ",", 0),
+    # a multi-column whitespace file with a header (the GAS shape)
+    ("id time R1 R2\n0   -0.99  12.86\t13.1\n1 -0.98 12.9 13.2 \n\n 2 -0.97 ? 13.3\n",
+     "whitespace", "R1"),
+    ("id time R1 R2\n0 -0.99 12.86 13.1\n1 -0.98 12.9\n", "whitespace", "R2"),
+    ("0 -0.99 12.86\n1 -0.98 12.9\u00a07\n", "whitespace", 2),
+    # a byte-order mark under a name and under an index
+    ("\ufeffts,value\n1,1.5\n2,?\n", ",", "ts"),
+    ("\ufeff1.5\n2.5\n", ",", 0),
+    ("\ufeffR1 R2\n1 2.5\n", "whitespace", "R2"),
 ]
 
 
@@ -179,7 +229,12 @@ class TestIngestMatchesCheckedLoop:
         p.write_bytes(text.encode("utf-8"))
         spec = DatasetSpec(name="t", source_path=str(p), column=column,
                            delimiter=delimiter, missing_policy=policy)
-        assert ingest_outcome(ingest, spec) == ingest_outcome(checked_loop, spec)
+        got, want = ingest_outcome(ingest, spec), ingest_outcome(checked_loop, spec)
+        assert got == want
+        if isinstance(want, list):
+            # an empty column is a plain list
+            plain = bool(want) and all(re.fullmatch(PLAIN, t) for t in want)
+            assert isinstance(got, PlainColumn) == plain
 
     def test_unparseable_row_before_missing_row(self, tmp_path):
         p = tmp_path / "in.txt"
@@ -253,20 +308,71 @@ class TestSingleSplit:
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_repeated_counts_the_column_once(self, tmp_path, monkeypatch, newline):
+        # a single-column whitespace file and a CSV read by header name
         tokens = [f"{i // 40 % 5}.{i % 3}5" for i in range(3000)]
-        p = tmp_path / "in.txt"
-        p.write_bytes("".join(t + newline for t in tokens).encode("utf-8"))
-        counted = []
+        files = {
+            "whitespace": "".join(t + newline for t in tokens),
+            ",": f"ts,value{newline}" + "".join(f"{i},{t}{newline}" for i, t in enumerate(tokens)),
+        }
         real = quantizer.repeated
+        for delimiter, text in files.items():
+            p = tmp_path / "in.txt"
+            p.write_bytes(text.encode("utf-8"))
+            counted = []
 
-        def counting(items, count):
-            counted.append(count)
-            return real(items, count)
+            def counting(items, count, distinct=None):
+                counted.append(count)
+                return real(items, count, distinct)
 
-        monkeypatch.setattr(quantizer, "repeated", counting)
-        col = ingest(DatasetSpec(name="t", source_path=str(p), delimiter="whitespace"))
-        compress_stream(col)
-        assert counted == [len(tokens)]
+            monkeypatch.setattr(quantizer, "repeated", counting)
+            column = 0 if delimiter == "whitespace" else "value"
+            col = ingest(DatasetSpec(name="t", source_path=str(p), column=column,
+                                     delimiter=delimiter))
+            compress_stream(col)
+            assert col == tokens and counted == [len(tokens)]
+
+
+class TestOnePassShapes:
+    """The shapes the gateway windows and the single-column benchmark specs
+    take are read without the row reader, to the row reader's tokens."""
+
+    SHAPES = {
+        # (file text, delimiter, column, policy)
+        "gateway window": ("ts,value\n" + "".join(
+            f"{1_600_000_000 + 60 * i},{'?' if i % 97 in (5, 6) else f'{i % 13}.{i % 7}5'}\n"
+            for i in range(1024)), ",", "value", "forward-fill"),
+        "gateway window, CRLF": ("ts,value\r\n" + "".join(
+            f"{60 * i},{f'-{i % 5}.125' if i % 50 else '?'}\r\n" for i in range(1, 1025)),
+            ",", "value", "forward-fill"),
+        "BVP": ("".join(f"{i % 17 - 8}.{i % 10}\n" for i in range(2000)), ",", 0, "skip"),
+        "BVP, a gap, a space and a blank line": (
+            "1.5\n?\n2.5 \n\n" + "".join(f"{i % 9}.25\n" for i in range(2000)), ",", 0, "skip"),
+        "Gactive": ("Date;Time;Global_active_power;Voltage\n" + "".join(
+            f"16/12/2006;17:{i % 60:02d}:00;{f'{i % 11}.{i % 7}16' if i % 10 - 3 else '?'};234.8\n"
+            for i in range(1000)), ";", "Global_active_power", "skip"),
+        "two columns by index, blank lines": ("\n\n" + "".join(
+            f"{i},{i % 4}.5\n" + "\n" * (i % 3 == 0) for i in range(500)), ",", 1, "skip"),
+        "GAS": ("id time R1 R2\n" + "".join(
+            f"{i}  -0.{i:05d}\t{12 + i % 3}.{i % 1000:03d} 13.1\n" for i in range(1000)),
+            "whitespace", "R1", "skip"),
+    }
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_shape(self, tmp_path, monkeypatch, shape):
+        text, delimiter, column, policy = self.SHAPES[shape]
+        p = tmp_path / "in.txt"
+        p.write_bytes(text.encode("utf-8"))
+        spec = DatasetSpec(name="t", source_path=str(p), column=column,
+                           delimiter=delimiter, missing_policy=policy)
+        want = checked_loop(spec)
+
+        def row_reader(*args):
+            raise AssertionError(f"{shape} was read row by row")
+
+        monkeypatch.setattr(datasets, "_read_column", row_reader)
+        got = ingest(spec)
+        assert isinstance(got, PlainColumn) and got == want and got.text == "\n".join(want)
+        assert sorted(got.distinct or ()) == sorted(repeated(want, len(want)) or ())
 
 
 def replace_at(i, token):

@@ -400,6 +400,37 @@ class TestMatchesReference:
             decode_stream(symbols, cfg, len(codes))
 
 
+@pytest.mark.parametrize("version", [1, 2])
+class TestModeShortcuts:
+    """encode_blocks skips the mode count when no value can reach tau and
+    counts a short block of few values value by value; both write the
+    reference's bytes, ties going to the smallest value."""
+
+    @pytest.mark.parametrize("L", [16, 64, 128])
+    def test_every_distinct_count_at_every_tau(self, version, L):
+        rng = random.Random(640 + version + L)
+        for tau in sorted({1, 2, 3, L // 4, L // 2, L - 1, L}):
+            cfg = CodecConfig(method_version=version, block_len=L, tau=tau)
+            for width in sorted({1, 2, L // 2 + 1, L}):
+                for distinct in sorted({1, 2, 3, 8, 9, width - tau + 1, width - tau + 2, width}):
+                    if not 1 <= distinct <= width:
+                        continue
+                    values = rng.sample(range(-200, 200), distinct)
+                    for lead in (None, 0):  # a version-2 block leading with 0 needs the mode
+                        if lead is not None and lead not in values:
+                            values[0] = lead
+                        codes = values + [rng.choice(values) for _ in range(width - distinct)]
+                        rng.shuffle(codes)
+                        if lead is not None:
+                            codes.insert(0, codes.pop(codes.index(lead)))
+                        assert_encodes_as_reference(codes * 2, cfg)
+
+    def test_tied_modes_take_the_smallest(self, version):
+        cfg = CodecConfig(method_version=version, block_len=16, tau=4)
+        for codes in ([7, 3] * 8, [-2, 5, 9] * 4 + [1, 2, 4, 6]):
+            assert_encodes_as_reference(codes, cfg)
+
+
 def assert_decodes_as_reference(symbols, cfg, n):
     """decode_blocks gives decode_stream's codes, or its CorruptStream text; returns the codes."""
     try:
