@@ -2,8 +2,9 @@
 
 Values are returned as the text tokens found in the file, not as floats, so
 the quantizer can parse digits exactly and lossless runs stay lossless.  A
-quote-free file with one field count per row is read in a few C-level passes
-over its bytes; any other goes through csv.reader or str.split row by row.
+whitespace file at column 0, or a quote-free delimited file with one field
+count per row, is read in a few C-level passes over its bytes; any other
+goes through csv.reader or str.split row by row.
 
 The packaged spec files under dataset_specs/ describe the benchmark datasets
 (column, delimiter, missing-value policy); the data files are fetched by the
@@ -178,10 +179,11 @@ def _uniform_column(spec: DatasetSpec, data: bytes):
 
     On the bytes: no NUL, no quote under a delimiter, "\r\n" or "\r" ends a
     line; a header row names the fields as str.split reads it.  Whitespace
-    column 0 is each line's first field; any other column is every (m + 1)-th
-    field of one split once every non-blank row shows m of a one-byte
-    delimiter (whitespace runs made one space).  _mend reads non-PLAIN
-    tokens.  Any doubt, a negative index included, gives None.
+    column 0 is each line's first field; a delimited column is every
+    (m + 1)-th field of one split once every non-blank row shows m of a
+    one-byte delimiter.  _mend reads up to MEND_MAX distinct non-PLAIN
+    tokens.  Any doubt, a negative index or a whitespace column past the
+    first included, gives None.
     """
     ws, delim, k = spec.delimiter == WHITESPACE, spec.delimiter, spec.column
     data = data.removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark
@@ -193,30 +195,32 @@ def _uniform_column(spec: DatasetSpec, data: bytes):
         header, _, data = data.partition(b"\n")
         names = header.decode().split(None if ws else delim)
         k = names.index(k) if header and k in names else -1  # -1 gives None below
+    if ws and k:
+        return None
     data = data.lstrip(b"\n").removesuffix(b"\n")
     m = 0
-    if k or not ws:
-        if ws:  # str.split()'s ASCII whitespace, one space between fields
-            data = data.translate(bytes.maketrans(b"\t\x0b\x0c\x1c\x1d\x1e\x1f", b" " * 7))
-            while b"  " in data:
-                data = data.replace(b"  ", b" ")
-            data = data.replace(b"\n ", b"\n").replace(b" \n", b"\n").strip(b" ")
-            delim = " "
+    if not ws:
         d = delim.encode()
         m = data.partition(b"\n")[0].count(d)
         while m and b"\n\n" in data:
             data = data.replace(b"\n\n", b"\n")
         uniform = (data.translate(None, bytes(range(256)).replace(d, b"").replace(b"\n", b""))
                    + b"\n" == (d * m + b"\n") * (data.count(b"\n") + 1)) if m else d not in data
-        if len(d) != 1 or not 0 <= k <= m or ws and not data.isascii() or not uniform:
+        if len(d) != 1 or not 0 <= k <= m or not uniform:
             return None
     text = data.decode()
     tokens = text.replace(delim, "\n").split("\n")[k :: m + 1] if m else text.split("\n")
     text = "\n".join(tokens) if m else text
-    distinct, odd = plain_survey(tokens, text)
+    distinct, odd = plain_survey(tokens, text, MEND_MAX + 1)
+    if len(odd) > MEND_MAX:
+        return None
     if odd:
         return _mend(tokens, distinct, odd, spec.missing_policy, ws, m)
     return PlainColumn(tokens, text, distinct)
+
+
+#: The most distinct non-PLAIN tokens _mend looks for, one list.index pass each.
+MEND_MAX = 16
 
 
 def _mend(tokens: list, distinct, odd: list, policy: str, ws: bool, m: int):
@@ -244,12 +248,8 @@ def _mend(tokens: list, distinct, odd: list, policy: str, ws: bool, m: int):
         t = fix[tokens[i]]
         tokens[i] = t = last if t == FORWARD_FILL else t
         last, p = t or last, i
-    drop = [i for i in at if tokens[i] is None]
-    if len(drop) > 64:  # each del moves the rest of the list
+    if None in map(tokens.__getitem__, at):  # a dropped row
         tokens = list(filter(None, tokens))
-    else:
-        for i in sorted(drop, reverse=True):
-            del tokens[i]
     known = distinct and set(distinct) - fix.keys() | set(fix.values()) - {None, FORWARD_FILL}
     distinct = repeated(tokens, len(tokens), known)
     return PlainColumn(tokens, "\n".join(tokens), distinct) if tokens else None

@@ -126,20 +126,20 @@ def join_plain(tokens, text=None):
         return None
     if text == getattr(tokens, "text", None):
         return text, tokens.distinct
-    distinct = repeated(tokens, len(tokens))
-    if _NOT_PLAIN.search(text if distinct is None else "\n".join(distinct)):
-        return None
-    return text, distinct
+    distinct, odd = plain_survey(tokens, text, 1)
+    return None if odd else (text, distinct)
 
 
-def plain_survey(tokens, text: str):
-    """(repeated's distinct tokens, the non-PLAIN ones) of tokens free of newlines joined as text.
+def plain_survey(tokens, text: str, most: int):
+    """(repeated's distinct tokens, up to most of the non-PLAIN ones) of tokens free of newlines joined as text.
 
-    As join_plain, but every non-PLAIN token is found, rather than the
-    first: each once when the column repeats, else once per line.
+    The non-PLAIN tokens are found over the distinct tokens when the column
+    repeats, each once, else over the text, once per line; the search stops
+    after most of them.
     """
     distinct = repeated(tokens, len(tokens))
-    return distinct, _NOT_PLAIN.findall(text if distinct is None else "\n".join(distinct))
+    odd = _NOT_PLAIN.finditer(text if distinct is None else "\n".join(distinct))
+    return distinct, [m[0] for m in islice(odd, most)]
 
 
 def _too_many_digits(index: int, n: int) -> TooManyDigits:

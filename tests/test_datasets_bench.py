@@ -4,6 +4,7 @@ import json
 import pickle
 import random
 import re
+import timeit
 import tracemalloc
 from decimal import Context, Decimal, localcontext
 from importlib import resources
@@ -212,6 +213,9 @@ INGEST_FILES = [
      "whitespace", "R1"),
     ("id time R1 R2\n0 -0.99 12.86 13.1\n1 -0.98 12.9\n", "whitespace", "R2"),
     ("0 -0.99 12.86\n1 -0.98 12.9\u00a07\n", "whitespace", 2),
+    # 16 and 17 distinct non-PLAIN tokens, the most the one-pass reader mends
+    ("".join(f" {i}.5\n" for i in range(15)) + "?\n", ",", 0),
+    ("".join(f" {i}.5\n" for i in range(15)) + "?\n \n", ",", 0),
     # a byte-order mark under a name and under an index
     ("\ufeffts,value\n1,1.5\n2,?\n", ",", "ts"),
     ("\ufeff1.5\n2.5\n", ",", 0),
@@ -352,9 +356,8 @@ class TestOnePassShapes:
             for i in range(1000)), ";", "Global_active_power", "skip"),
         "two columns by index, blank lines": ("\n\n" + "".join(
             f"{i},{i % 4}.5\n" + "\n" * (i % 3 == 0) for i in range(500)), ",", 1, "skip"),
-        "GAS": ("id time R1 R2\n" + "".join(
-            f"{i}  -0.{i:05d}\t{12 + i % 3}.{i % 1000:03d} 13.1\n" for i in range(1000)),
-            "whitespace", "R1", "skip"),
+        "16 distinct odd tokens": (
+            "".join(f"{' ' * (1 + i % 16)}{i % 16}.5\n" for i in range(2000)), ",", 0, "fail"),
     }
 
     @pytest.mark.parametrize("shape", list(SHAPES))
@@ -373,6 +376,57 @@ class TestOnePassShapes:
         got = ingest(spec)
         assert isinstance(got, PlainColumn) and got == want and got.text == "\n".join(want)
         assert sorted(got.distinct or ()) == sorted(repeated(want, len(want)) or ())
+
+
+class TestRowReaderShapes:
+    """Files whose column the one-pass reader does not take are read row by
+    row, in time linear in the rows."""
+
+    SHAPES = {
+        # (file text, delimiter, column)
+        "GAS": ("id time R1 R2\n" + "".join(
+            f"{i}  -0.{i:05d}\t{12 + i % 3}.{i % 1000:03d} 13.1\n" for i in range(1000)),
+            "whitespace", "R1"),
+        "17 distinct odd tokens": ("".join(f" {i % 17}.5\n" for i in range(1000)), ",", 0),
+        "a space after every delimiter": (
+            "ts,value\n" + "".join(f"{i}, {i}.25\n" for i in range(1000)), ",", "value"),
+        "two whitespace columns at column 0": (
+            "".join(f"{i}.5 -0.{i:05d}\n" for i in range(1000)), "whitespace", 0),
+    }
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_shape(self, tmp_path, monkeypatch, shape):
+        text, delimiter, column = self.SHAPES[shape]
+        p = tmp_path / "in.txt"
+        p.write_text(text)
+        spec = DatasetSpec(name="t", source_path=str(p), column=column,
+                           delimiter=delimiter, missing_policy="skip")
+        want = checked_loop(spec)
+        rows = []
+
+        def row_reader(*args):
+            rows.append(True)
+            return _read_column(*args)
+
+        monkeypatch.setattr(datasets, "_read_column", row_reader)
+        assert ingest(spec) == want and rows
+
+    @pytest.mark.parametrize("row", ["{i}, {i}.25", "{i}.5 -0.{i:05d}"])
+    def test_every_row_odd_is_linear(self, tmp_path, row):
+        # one distinct odd token a row; a search per token would take minutes
+        p = tmp_path / "in.txt"
+        p.write_text("".join(row.format(i=i) + "\n" for i in range(50_000)))
+        spec = DatasetSpec(name="t", source_path=str(p), column=1 if "," in row else 0,
+                           delimiter="," if "," in row else "whitespace")
+
+        def row_reader():
+            with open(p, newline="") as f:
+                return _read_column(spec, f)
+
+        def best(read):
+            return min(timeit.repeat(read, number=1, repeat=3))
+
+        assert best(lambda: ingest(spec)) < 5 * best(row_reader) + 0.05
 
 
 def replace_at(i, token):
