@@ -9,19 +9,9 @@ Compression ratios are computed against the canonicalized text of the
 input: one sample per line, rendered with exactly the stream's number of
 fractional digits.  That is also byte-for-byte the text decompression
 produces, which keeps the ratio reproducible from the emitted files alone.
-
-Compressing reads the codes' range once: quantize_stream returns the least
-and greatest code, which its 64-bit check found over the distinct codes
-when the column repeats, and canonical_size takes them, so codes that all
-render to one width are sized without a pass.
-
-Decoding reads a stream's distinct codes and range once.  decode_codes asks
-quantizer.code_survey for the distinct codes (None when the codes do not
-repeat) and their least and greatest, and checks the signed 64-bit range on
-those two; render_stream, canonical_size and the decoded-text sizing take
-the survey instead of reading every code again.  When every code lies in
-[0, 10**(d+1)) and so renders to one width, the text is sized without a
-pass over the tokens.
+quantize_stream sizes that text on the way in; render_stream checks the
+decoded codes' 64-bit range, renders them and sizes the text on the way
+out.
 """
 
 from __future__ import annotations
@@ -29,13 +19,10 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass
-from itertools import repeat
-from operator import gt, le, truediv
 
 from . import entropy
-from .core import INT64_MAX, INT64_MIN
 from .errors import BadMagic, CorruptStream, UnsupportedVersion
-from .quantizer import LOSSLESS, MAX_DIGITS, code_survey, quantize_stream, render_stream
+from .quantizer import LOSSLESS, MAX_DIGITS, quantize_stream, render_stream
 from .transform import (
     METHOD_VERSIONS,
     check_block_settings,
@@ -147,43 +134,19 @@ class CodecConfig:
             raise UnsupportedVersion(f"unknown entropy coder id {self.coder}")
 
 
-def canonical_size(codes, scale_exp: int | None, bounds=None) -> int:
-    """Byte size of the canonical text rendering (newline per sample).
-
-    bounds is (min(codes), max(codes)), when the caller has it.  Each code
-    renders as a newline, one whole digit, '.' and d fraction digits when
-    d > 0, and a '-' when negative.  Its whole part |c| // 10**d has one
-    more digit for each k >= 1 with |c| >= 10**(d+k), so each such power
-    adds the count of magnitudes that reach it.  Given bounds, codes that
-    all lie in [0, 10**(d+1)) render to the base width and take no pass.
-    """
-    d = scale_exp or 0
-    lo, hi = bounds or (min(codes), max(codes))
-    total = (d + 3 if d else 2) * len(codes)
-    mags = codes
-    if lo < 0:
-        total += sum(map(gt, repeat(0), codes))
-        mags = list(map(abs, codes))
-    power, top = 10 ** (d + 1), max(hi, -lo)
-    while power <= top:
-        total += sum(map(le, repeat(power), mags))
-        power *= 10
-    return total
-
-
 def compress_stream(samples, config: CodecConfig = CodecConfig()):
     """Compress a sample stream; returns (container bytes, RunMetrics).
 
     Samples may be floats, ints, or decimal text tokens; text is quantized
     digit-exactly.  At least one sample is required.
     """
-    if not isinstance(samples, list):  # a copy would drop a PlainColumn's text
+    if not isinstance(samples, list):
         samples = list(samples)
     if not samples:
         raise ValueError("cannot compress an empty stream")
 
     t0 = time.perf_counter()
-    codes, max_err, scale_exp, bounds = quantize_stream(samples, config.digits)
+    codes, max_err, scale_exp, size = quantize_stream(samples, config.digits)
     if config.digits == LOSSLESS and not scale_exp:
         scale_exp = None  # integer passthrough
 
@@ -198,51 +161,32 @@ def compress_stream(samples, config: CodecConfig = CodecConfig()):
     )
     blob = header.pack() + stream.data
     seconds = time.perf_counter() - t0
-    size = canonical_size(codes, scale_exp, bounds)
     return blob, RunMetrics(size, len(blob), seconds, float(max_err))
 
 
 def decode_codes(data: bytes):
-    """Decode a container back to (codes, header, decode_secs, survey).
-
-    survey is code_survey(codes): the distinct codes, or None when the
-    codes do not repeat, and (lo, hi), their least and greatest.  The
-    signed 64-bit range check reads lo and hi, found over the distinct
-    codes alone when there are some; the renderer and the sizing reuse
-    both rather than read every code again.
-    """
+    """Decode a container back to (codes, header, decode_secs)."""
     header = StreamHeader.parse(data)
     t0 = time.perf_counter()
     symbols = entropy.decode(
         data[HEADER_LEN:], header.entropy_id, max_stream_bytes(header, header.sample_count)
     )
     codes = decode_blocks(symbols, header, header.sample_count)
-    survey = code_survey(codes)
-    lo, hi = survey[1]
-    if not INT64_MIN <= lo <= hi <= INT64_MAX:
-        raise CorruptStream("decoded sample outside the signed 64-bit range")
-    return codes, header, time.perf_counter() - t0, survey
+    return codes, header, time.perf_counter() - t0
 
 
 def decompress_stream(data: bytes):
-    """Decompress a container; returns (list of floats, RunMetrics)."""
-    codes, header, decode_secs, survey = decode_codes(data)
-    d = header.scale_exp
-    if d is None or d == 0:
-        values = list(map(float, codes))
-    else:
-        values = list(map(truediv, codes, repeat(10**d)))
-    return values, RunMetrics(canonical_size(codes, d, survey[1]), len(data), decode_secs)
+    """Decompress a container; returns (list of floats, RunMetrics).
+
+    Each float is the token's: float(token) and code / 10**d are both the
+    correctly rounded double of the same rational.
+    """
+    tokens, metrics = decompress_to_tokens(data)
+    return list(map(float, tokens)), metrics
 
 
 def decompress_to_tokens(data: bytes):
     """Decompress to exact decimal text tokens; returns (tokens, RunMetrics)."""
-    codes, header, decode_secs, survey = decode_codes(data)
-    d = header.scale_exp
-    tokens = render_stream(codes, d, survey)
-    lo, hi = survey[1]
-    if lo >= 0 and hi < 10 ** ((d or 0) + 1):  # one width: sized without a pass
-        size = canonical_size(codes, d, (lo, hi))
-    else:
-        size = sum(map(len, tokens)) + len(tokens)
+    codes, header, decode_secs = decode_codes(data)
+    tokens, size = render_stream(codes, header.scale_exp)
     return tokens, RunMetrics(size, len(data), decode_secs)

@@ -4,7 +4,8 @@ Values are returned as the text tokens found in the file, not as floats, so
 the quantizer can parse digits exactly and lossless runs stay lossless.  A
 whitespace file at column 0, or a quote-free delimited file with one field
 count per row, is read in a few C-level passes over its bytes; any other
-goes through csv.reader or str.split row by row.
+goes through csv.reader or str.split row by row.  Either way ingest returns
+a plain list: the quantizer checks and counts the tokens itself.
 
 The packaged spec files under dataset_specs/ describe the benchmark datasets
 (column, delimiter, missing-value policy); the data files are fetched by the
@@ -24,8 +25,8 @@ from decimal import Decimal, InvalidOperation
 from importlib import resources
 from pathlib import Path
 
-from .errors import MissingColumn, MissingValue, UnparseableRow
-from .quantizer import PLAIN, PlainColumn, join_plain, plain_survey, repeated
+from .errors import CodecError, MissingColumn, MissingValue, UnparseableRow
+from .quantizer import PLAIN, plain_survey
 
 SKIP = "skip"
 FORWARD_FILL = "forward-fill"
@@ -125,7 +126,9 @@ def _read_column(spec: DatasetSpec, lines) -> list:
     lines reads as the file opened with newline="" would.  A kept token that
     is not a finite number raises UnparseableRow with its 1-based row number.
     A negative column index counts from the end of the first non-empty row
-    read; a later row without that field raises MissingColumn.
+    read; a later row without that field raises MissingColumn.  A row
+    csv.reader refuses (a field past its size limit, say) raises CodecError
+    with its row number.
     """
     if spec.delimiter == WHITESPACE:
         rows = map(str.split, lines)
@@ -133,49 +136,51 @@ def _read_column(spec: DatasetSpec, lines) -> list:
         rows = csv.reader(lines, delimiter=spec.delimiter)
     col = spec.column
     row_no = 0
+    try:
+        if isinstance(col, str):  # a named column: the first row is the header
+            header = next(rows, None)
+            row_no = 1
+            if header is None:
+                raise MissingColumn(f"{spec.source_path} is empty")
+            try:
+                col = header.index(col)
+            except ValueError:
+                raise MissingColumn(f"column {spec.column!r} not in header {header!r}") from None
 
-    if isinstance(col, str):  # a named column: the first row is the header
-        header = next(rows, None)
-        row_no = 1
-        if header is None:
-            raise MissingColumn(f"{spec.source_path} is empty")
-        try:
-            col = header.index(col)
-        except ValueError:
-            raise MissingColumn(f"column {spec.column!r} not in header {header!r}") from None
-
-    out = []
-    last = None
-    for row in rows:
-        row_no += 1
-        if not row:
-            continue
-        if col < 0 and len(row) + col >= 0:
-            col += len(row)
-        try:
-            token = row[col]
-        except IndexError:
-            raise MissingColumn(
-                f"row {row_no} has {len(row)} fields, column {col} requested"
-            ) from None
-        token = token.strip()
-        if token.lower() in MISSING_TOKENS:
-            if spec.missing_policy == SKIP:
+        out = []
+        last = None
+        for row in rows:
+            row_no += 1
+            if not row:
                 continue
-            if spec.missing_policy == FORWARD_FILL:
-                if last is not None:
-                    out.append(last)
-                continue
-            raise MissingValue(row_no)
-        if not is_numeric(token):
-            raise UnparseableRow(row_no, token)
-        out.append(token)
-        last = token
-    return out
+            if col < 0 and len(row) + col >= 0:
+                col += len(row)
+            try:
+                token = row[col]
+            except IndexError:
+                raise MissingColumn(
+                    f"row {row_no} has {len(row)} fields, column {col} requested"
+                ) from None
+            token = token.strip()
+            if token.lower() in MISSING_TOKENS:
+                if spec.missing_policy == SKIP:
+                    continue
+                if spec.missing_policy == FORWARD_FILL:
+                    if last is not None:
+                        out.append(last)
+                    continue
+                raise MissingValue(row_no)
+            if not is_numeric(token):
+                raise UnparseableRow(row_no, token)
+            out.append(token)
+            last = token
+        return out
+    except csv.Error as e:
+        raise CodecError(f"row {row_no + 1}: {e}") from None
 
 
 def _uniform_column(spec: DatasetSpec, data: bytes):
-    """The spec's column as a PlainColumn read in C-level passes, or None.
+    """The spec's column as a list of tokens read in C-level passes, or None.
 
     On the bytes: no NUL, no quote under a delimiter, "\r\n" or "\r" ends a
     line; a header row names the fields as str.split reads it.  Whitespace
@@ -211,22 +216,20 @@ def _uniform_column(spec: DatasetSpec, data: bytes):
     text = data.decode()
     tokens = text.replace(delim, "\n").split("\n")[k :: m + 1] if m else text.split("\n")
     text = "\n".join(tokens) if m else text
-    distinct, odd = plain_survey(tokens, text, MEND_MAX + 1)
+    odd = plain_survey(tokens, text, MEND_MAX + 1)[1]
     if len(odd) > MEND_MAX:
         return None
-    if odd:
-        return _mend(tokens, distinct, odd, spec.missing_policy, ws, m)
-    return PlainColumn(tokens, text, distinct)
+    return _mend(tokens, odd, spec.missing_policy, ws, m) if odd else tokens
 
 
 #: The most distinct non-PLAIN tokens _mend looks for, one list.index pass each.
 MEND_MAX = 16
 
 
-def _mend(tokens: list, distinct, odd: list, policy: str, ws: bool, m: int):
+def _mend(tokens: list, odd: list, policy: str, ws: bool, m: int):
     """The column, each odd token read as its row's (whitespace: the first field,
     else stripped), blank rows dropped and missing markers skipped or filled
-    where they stand; None on other odd tokens.  distinct is tokens' own."""
+    where they stand; None on other odd tokens or none left."""
     fix = {}
     for v in odd:
         t = (v.split() or [None])[0] if ws else v.strip() if v or m else None
@@ -250,9 +253,7 @@ def _mend(tokens: list, distinct, odd: list, policy: str, ws: bool, m: int):
         last, p = t or last, i
     if None in map(tokens.__getitem__, at):  # a dropped row
         tokens = list(filter(None, tokens))
-    known = distinct and set(distinct) - fix.keys() | set(fix.values()) - {None, FORWARD_FILL}
-    distinct = repeated(tokens, len(tokens), known)
-    return PlainColumn(tokens, "\n".join(tokens), distinct) if tokens else None
+    return tokens or None
 
 
 def ingest(spec: DatasetSpec) -> list:
@@ -262,14 +263,11 @@ def ingest(spec: DatasetSpec) -> list:
     raises UnparseableRow with its 1-based row number.  The file is read
     once, as UTF-8 after an optional byte-order mark, by _uniform_column or,
     failing that, row by row by _read_column, the one reader that reports
-    errors.  A column of PLAIN decimals is a PlainColumn, which
-    quantize_stream neither searches nor counts again.
+    errors.
     """
     with open(spec.source_path, "rb") as f:
         data = f.read()
     with suppress(ValueError):  # bad UTF-8 is reported by row
         if column := _uniform_column(spec, data):
             return column
-    tokens = _read_column(spec, io.TextIOWrapper(io.BytesIO(data), "utf-8-sig", newline=""))
-    plain = join_plain(tokens)
-    return PlainColumn(tokens, *plain) if plain else tokens
+    return _read_column(spec, io.TextIOWrapper(io.BytesIO(data), "utf-8-sig", newline=""))

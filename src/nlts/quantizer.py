@@ -11,21 +11,19 @@ it, int() reads every token with its point removed, and C-level map passes
 round and measure the error with integer arithmetic.  Sensor columns repeat
 their readings.  One function, repeated, decides whether a sequence repeats
 (a probe of its first PROBE items, then the exact at-most-half rule) and
-returns its distinct items; ingest, quantize_stream, render_stream and
-bench.verify_values all ask it.  ingest asks it once per column: the
-PlainColumn it returns carries the distinct tokens, which quantize_stream
-takes rather than count the column again.  Only the distinct tokens of a
-repeating column are checked and quantized, and their codes are mapped
-back over the column (see join_plain and quantize_stream).  Any other stream --
-floats, ints, Decimals, exponents, or any other spelling among its tokens --
-is converted one sample at a time through decimal.Decimal, exactly (lossless
-mode takes a float as its shortest repr), which keeps the rounding decision
+returns its distinct items.  quantize_stream surveys its samples once: it
+joins them, asks repeated for the distinct tokens and searches those alone
+for a non-PLAIN spelling, then quantizes each distinct token once and maps
+the codes back over the column.  Any other stream -- floats, ints,
+Decimals, exponents, or any other spelling among its tokens -- is converted
+one sample at a time through decimal.Decimal, exactly (lossless mode takes
+a float as its shortest repr), which keeps the rounding decision
 deterministic across platforms.  Both paths report the error exactly, at
 any number of digits and whatever the caller's decimal context.
 Rendering codes back to text goes through float formatting only where that
 is proven exact (see render_stream); every other code is rendered with
-integer arithmetic.  Like quantization, rendering converts each distinct
-code once when the codes repeat.
+integer arithmetic.  Like quantization, rendering surveys its codes once
+and converts each distinct code once when the codes repeat.
 """
 
 from __future__ import annotations
@@ -35,10 +33,10 @@ import math
 import re
 from decimal import Decimal
 from itertools import islice, repeat
-from operator import add, floordiv, lt, mod, mul, sub, truediv
+from operator import add, floordiv, gt, le, lt, mod, mul, sub, truediv
 
 from .core import INT64_MAX, INT64_MIN
-from .errors import NonFiniteSample, OverflowAtScale, TooManyDigits
+from .errors import CorruptStream, NonFiniteSample, OverflowAtScale, TooManyDigits
 
 LOSSLESS = "lossless"
 
@@ -68,66 +66,20 @@ _BEFORE_POINT = "+-0123456789"
 PROBE = 1024
 
 
-def repeated(items, count: int, distinct=None):
+def repeated(items, count: int):
     """The distinct items, in no set order, if at most half of them are distinct, else None.
 
     items is an iterable of count hashable items, read once.  When count
     exceeds PROBE, a sequence whose first PROBE items are more than half
     distinct counts as not repeating without a look at the rest: the
     per-sample readings of a noisy signal build no set they throw away.
-    Pass distinct, an iterable of the items' distinct values, when they are
-    known: only the first PROBE items are then counted.
     """
     it = iter(items)
     seen = set(islice(it, PROBE))
     if 2 * len(seen) > min(count, PROBE):
         return None
-    if distinct is None:
-        seen.update(it)
-    else:
-        seen = set(distinct)
+    seen.update(it)
     return list(seen) if 2 * len(seen) <= count else None
-
-
-class PlainColumn(list):
-    """A list of tokens that join_plain accepted, with their joined text and
-    distinct tokens (repeated's, None when they do not repeat).
-
-    join_plain compares the tokens' joined text with text rather than search
-    the text again or count the tokens again; a column changed since then no
-    longer matches and is searched and counted like any other.
-    """
-
-    __slots__ = ("text", "distinct")
-
-    def __init__(self, tokens, text: str, distinct):
-        super().__init__(tokens)
-        self.text = text
-        self.distinct = distinct
-
-
-def join_plain(tokens, text=None):
-    """(joined text, distinct tokens or None) if every token is text holding one PLAIN decimal, else None.
-
-    The text is the tokens joined by "\n"; pass it when it is at hand.  The
-    distinct tokens are repeated's.  The newline count covers the whole
-    text, so no token holds a newline; the PLAIN search then runs over the
-    distinct tokens alone when the column repeats.  A PlainColumn whose
-    tokens still join to its text was counted and searched before: its
-    distinct tokens are returned as they are.
-    """
-    if text is None:
-        try:
-            text = "\n".join(tokens)
-        except TypeError:  # a sample that is not text
-            return None
-    # a token holding a newline would read as two lines
-    if text.count("\n") != len(tokens) - 1:
-        return None
-    if text == getattr(tokens, "text", None):
-        return text, tokens.distinct
-    distinct, odd = plain_survey(tokens, text, 1)
-    return None if odd else (text, distinct)
 
 
 def plain_survey(tokens, text: str, most: int):
@@ -255,21 +207,20 @@ def _decimal_codes(samples, digits):
 
 
 def quantize_stream(samples, digits):
-    """Quantize a sequence of samples; returns (codes, max_abs_error, scale, (lo, hi)).
+    """Quantize a sequence of samples; returns (codes, max_abs_error, scale, size).
 
     digits is a scale of 0..6, or LOSSLESS for the smallest scale that holds
     every sample exactly: the largest fractional digit count seen, text
     counted as written ("1.500" has three), floats by their shortest repr,
-    ints as none.
+    ints as none.  size is canonical_size's: the bytes of the codes'
+    canonical text at scale.
 
     A sequence of text tokens that are all PLAIN decimals takes one column
     pass (_column_codes); any other sequence -- one float, int, Decimal,
     exponent or other spelling among its samples is enough -- goes through
     Decimal one sample at a time (_decimal_codes), as does a plain column
     holding a token longer than int() reads.  Both give the same codes for
-    the same tokens.  join_plain checks the tokens and decides, through
-    repeated, whether they repeat; a PlainColumn (as ingest returns) whose
-    tokens still join to its text is neither searched nor counted again.
+    the same tokens.
 
     When the tokens of a plain column repeat, the column pass runs over the
     distinct tokens and one lookup per token maps their codes back; the
@@ -283,21 +234,23 @@ def quantize_stream(samples, digits):
     caller's decimal context; lossless inputs therefore report exactly 0.
     Parse faults (NonFiniteSample, TooManyDigits) are raised at the first
     bad sample; the 64-bit range is checked once, after the pass, at the
-    final scale (OverflowAtScale).  (lo, hi) is that range: the least and
-    greatest code, read over the distinct codes when the column repeats,
-    and (0, 0) for no samples, as code_survey gives it.
+    final scale (OverflowAtScale).
     """
-    plain = join_plain(samples)
-    tokens = samples
-    column = None
-    if plain is not None:
-        text, distinct = plain
+    try:
+        text = "\n".join(samples)
+        # a token holding a newline would read as two lines
+        plain = text.count("\n") == len(samples) - 1
+    except TypeError:  # a sample that is not text
+        plain = False
+    tokens, column = samples, None
+    if plain:
+        distinct, odd = plain_survey(samples, text, 1)
         if distinct is not None:
             tokens, text = distinct, "\n".join(distinct)
-        column = _column_codes(tokens, text, digits, samples)
+        if not odd:
+            column = _column_codes(tokens, text, digits, samples)
     if column is None:
-        tokens = samples
-        column = _decimal_codes(samples, digits)
+        tokens, column = samples, _decimal_codes(samples, digits)
     codes, error, scale = column
     own = codes  # one code per member of tokens
     if tokens is not samples:
@@ -306,7 +259,7 @@ def quantize_stream(samples, digits):
     if not INT64_MIN <= lo <= hi <= INT64_MAX:
         i = next(i for i, c in enumerate(codes) if not INT64_MIN <= c <= INT64_MAX)
         raise OverflowAtScale(i, samples[i], scale)
-    return codes, error, scale, (lo, hi)
+    return codes, error, scale, canonical_size(codes, scale, lo, hi)
 
 
 def render_code(code: int, scale_exp: int | None) -> str:
@@ -318,20 +271,38 @@ def render_code(code: int, scale_exp: int | None) -> str:
     return f"{sign}{whole}.{frac:0{scale_exp}d}"
 
 
-def code_survey(codes):
-    """(distinct, (lo, hi)) of a list of codes: repeated's distinct codes, or None
-    when they do not repeat, and the least and greatest code ((0, 0) for
-    none), read over the distinct codes when there are some."""
-    distinct = repeated(codes, len(codes))
-    source = codes if distinct is None else distinct
-    return distinct, (min(source, default=0), max(source, default=0))
+def canonical_size(codes, scale_exp: int | None, lo: int, hi: int) -> int:
+    """Byte size of the codes' canonical text, each as render_code gives it
+    and a newline; lo and hi are the least and greatest code (0 for none).
+
+    Each code renders as a newline, one whole digit, '.' and d fraction
+    digits when d > 0, and a '-' when negative.  Its whole part
+    |c| // 10**d has one more digit for each k >= 1 with |c| >= 10**(d+k),
+    so each such power adds the count of magnitudes that reach it.  Codes
+    that all lie in [0, 10**(d+1)) render to the base width and take no
+    pass.
+    """
+    d = scale_exp or 0
+    total = (d + 3 if d else 2) * len(codes)
+    mags = codes
+    if lo < 0:
+        total += sum(map(gt, repeat(0), codes))
+        mags = list(map(abs, codes))
+    power, top = 10 ** (d + 1), max(hi, -lo)
+    while power <= top:
+        total += sum(map(le, repeat(power), mags))
+        power *= 10
+    return total
 
 
-def render_stream(codes, scale_exp: int | None, survey=None) -> list[str]:
-    """Exact decimal text of every code, as render_code gives it, in C-level passes.
+def render_stream(codes, scale_exp: int | None):
+    """(texts, size): the exact decimal text of every code, as render_code
+    gives it, made in C-level passes, and canonical_size's bytes.
 
-    survey is code_survey(codes), when the caller has it; else it is taken
-    here.
+    A code outside the signed 64-bit range raises CorruptStream; the check
+    reads the least and greatest code, over the distinct codes when the
+    codes repeat (see repeated).  Each distinct code is then rendered once,
+    the same way, and one lookup per code maps the texts back.
 
     With d = scale_exp > 0 a code c reads as the float c / 10**d formatted
     with "%.<d>f".  That is exact while |c| < 2**52: c and 10**d (d <= 6)
@@ -341,19 +312,23 @@ def render_stream(codes, scale_exp: int | None, survey=None) -> list[str]:
     lands back on x, never on a midpoint.  Only code 0 gives a zero
     quotient, and it is +0.0, so no "-0.000" appears.  A stream holding any
     code outside (-2**52, 2**52) goes through render_code for every code.
-
-    When the codes repeat (see repeated), each distinct code is rendered
-    once, the same way, and one lookup per code maps the texts back.
     """
-    distinct, (lo, hi) = survey or code_survey(codes)
+    distinct = repeated(codes, len(codes))
     source = codes if distinct is None else distinct
-    if scale_exp is None or scale_exp == 0:
+    lo, hi = min(source, default=0), max(source, default=0)
+    if not INT64_MIN <= lo <= hi <= INT64_MAX:
+        raise CorruptStream("decoded sample outside the signed 64-bit range")
+    d = scale_exp or 0
+    if not d:
         texts = map(str, source)
     elif -(2**52) < lo and hi < 2**52:
-        fmt = f"%.{scale_exp}f".__mod__
-        texts = map(fmt, map(truediv, source, repeat(10**scale_exp)))
+        fmt = f"%.{d}f".__mod__
+        texts = map(fmt, map(truediv, source, repeat(10**d)))
     else:
-        texts = (render_code(c, scale_exp) for c in source)
-    if distinct is None:
-        return list(texts)
-    return list(map(dict(zip(distinct, texts)).__getitem__, codes))
+        texts = (render_code(c, d) for c in source)
+    if distinct is not None:
+        texts = map(dict(zip(distinct, texts)).__getitem__, codes)
+    texts = list(texts)
+    if lo >= 0 and hi < 10 ** (d + 1):  # one width: sized without a pass
+        return texts, canonical_size(codes, d, lo, hi)
+    return texts, sum(map(len, texts)) + len(texts)

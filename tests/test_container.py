@@ -9,7 +9,6 @@ from nlts.container import (
     CodecConfig,
     RunMetrics,
     StreamHeader,
-    canonical_size,
     compress_stream,
     decompress_stream,
     decompress_to_tokens,
@@ -19,7 +18,7 @@ from nlts.cli import main
 from nlts.core import INT64_MAX, INT64_MIN, write_varints
 from nlts.entropy import ADAPTIVE_ARITHMETIC, ADAPTIVE_HUFFMAN, STATIC_HUFFMAN
 from nlts.errors import BadMagic, CodecError, CorruptStream, UnsupportedVersion
-from nlts.quantizer import LOSSLESS, quantize_stream, render_code
+from nlts.quantizer import LOSSLESS, canonical_size, quantize_stream, render_code
 
 
 def make_config(version=2, coder=ADAPTIVE_ARITHMETIC, L=16, tau=9, digits=3):
@@ -385,7 +384,7 @@ class TestMetrics:
         for d in (None, 0, 1, 3, 6):
             cs = codes + list(range(-(10 ** (d or 0)) + 1, 0, 499))  # -10**d < c < 0
             expected = sum(len(render_code(c, d)) + 1 for c in cs)
-            assert canonical_size(cs, d) == expected
+            assert canonical_size(cs, d, min(cs), max(cs)) == expected
         # columns of one sign, some of one whole-part width, some straddling
         # a power of ten at d = 3 (0.999 / 1.000 and 9.999 / 10.000)
         columns = [[0] * 40, [7], [-7], [999, 1000], [9_999, 10_000], [-10_000, -9_999]]
@@ -401,20 +400,29 @@ class TestMetrics:
             one = 10 ** (d or 0)
             for cs in columns + [[-one, 0, 10 * one], [10 * one, -one, 1]]:
                 expected = sum(len(render_code(c, d)) + 1 for c in cs)
-                assert canonical_size(cs, d) == expected, (cs, d)
+                assert canonical_size(cs, d, min(cs), max(cs)) == expected, (cs, d)
+        assert canonical_size([], 3, 0, 0) == 0
 
-    def test_decompress_stream_floats(self):
+    @pytest.mark.parametrize("d", [None, 0, 1, 2, 3, 4, 5, 6])
+    def test_decompress_stream_floats(self, d):
+        # each float is its token's and its code's c / 10**d, bit for bit:
+        # random codes, and codes near 2**52, near powers of ten and at the
+        # int64 edges, one stream each so that no block step leaves the range
         rng = random.Random(842)
-        for d in (None, 0, 1, 3, 6):
-            samples = [str(rng.randrange(-10**7, 10**7)) for _ in range(300)]
-            if d:
-                samples = [f"{s}.{rng.randrange(10**d):0{d}d}" for s in samples]
+        edges = [s * (2**52 + k) for s in (1, -1) for k in range(-3, 4)]
+        edges += [s * (10**k + j) for s in (1, -1) for k in range(19) for j in (-1, 1)]
+        edges += [0, INT64_MIN, INT64_MAX, INT64_MIN + 1, INT64_MAX - 1]
+        spread = [rng.randrange(-(10 ** (7 + (d or 0))), 10 ** (7 + (d or 0))) for _ in range(300)]
+        wide = [rng.randrange(-(2**62), 2**62) for _ in range(500)]
+        for codes in [spread, wide] + [[c, c] for c in edges]:
+            samples = [render_code(c, d) for c in codes]
             blob, _ = compress_stream(samples, make_config(digits=d))
-            codes, _, _, _ = quantize_stream(samples, d or 0)
+            tokens, _ = decompress_to_tokens(blob)
             values, _ = decompress_stream(blob)
-            want = [c / 10**d if d else float(c) for c in codes]
-            assert values == want
             assert all(type(v) is float for v in values)
+            want = [c / 10**d if d else float(c) for c in codes]
+            assert list(map(repr, values)) == list(map(repr, map(float, tokens)))
+            assert list(map(repr, values)) == list(map(repr, want)), codes
 
     def test_decompress_tokens_input_bytes_equals_canonical(self):
         rng = random.Random(843)

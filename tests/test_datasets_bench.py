@@ -3,7 +3,6 @@ import itertools
 import json
 import pickle
 import random
-import re
 import timeit
 import tracemalloc
 from decimal import Context, Decimal, localcontext
@@ -31,7 +30,7 @@ from nlts.errors import (
     MissingValue,
     UnparseableRow,
 )
-from nlts.quantizer import PLAIN, PlainColumn, repeated
+from nlts.quantizer import repeated
 
 
 class TestIngest:
@@ -51,6 +50,21 @@ class TestIngest:
         spec = DatasetSpec(name="t", source_path=str(p), column=5)
         with pytest.raises(MissingColumn):
             ingest(spec)
+
+    def test_field_csv_refuses_names_its_row(self, tmp_text_file):
+        # a quoted field past csv.reader's 131,072-character limit, in a row,
+        # after a row whose quoted field spans two lines, and in the header
+        big = '"' + "9" * 140_000 + '"'
+        for text, column, row in (
+            (f"ts,value\n1,1.5\n2,{big}\n3,2.5\n", "value", 3),
+            (f"1,1.5\n2,{big}\n", 1, 2),
+            (f'ts,value\n1,"1.5\n"\n2,{big}\n', "value", 3),
+            (f"{big},value\n1,1.5\n", "value", 1),
+        ):
+            p = tmp_text_file(text, name="d.csv")
+            spec = DatasetSpec(name="t", source_path=str(p), column=column)
+            with pytest.raises(CodecError, match=f"^row {row}: field larger than field limit"):
+                ingest(spec)
 
     def test_negative_column_fixed_by_first_row(self, tmp_text_file):
         # -1 is the last field of the first non-empty row, on every row
@@ -236,9 +250,7 @@ class TestIngestMatchesCheckedLoop:
         got, want = ingest_outcome(ingest, spec), ingest_outcome(checked_loop, spec)
         assert got == want
         if isinstance(want, list):
-            # an empty column is a plain list
-            plain = bool(want) and all(re.fullmatch(PLAIN, t) for t in want)
-            assert isinstance(got, PlainColumn) == plain
+            assert type(got) is list
 
     def test_unparseable_row_before_missing_row(self, tmp_path):
         p = tmp_path / "in.txt"
@@ -284,9 +296,8 @@ SPLIT_FILES = {
 
 
 class TestSingleSplit:
-    """A file split whole reads as the checked per-row loop reads it, is a
-    PlainColumn exactly when its tokens are all PLAIN, and compresses as a
-    plain list of its tokens does."""
+    """A file split whole reads as the checked per-row loop reads it, to a
+    plain list that compresses as a fresh list of its tokens does."""
 
     @pytest.mark.parametrize("policy", ["skip", "forward-fill", "fail"])
     @pytest.mark.parametrize("name", list(SPLIT_FILES))
@@ -300,19 +311,14 @@ class TestSingleSplit:
         assert got == want
         if not isinstance(want, list):
             return
-        # an empty column is a plain list
-        plain = bool(want) and all(re.fullmatch(PLAIN, t) for t in want)
-        assert isinstance(got, PlainColumn) == plain
-        if plain:
-            assert got.text == "\n".join(want)
-            distinct = repeated(want, len(want))
-            assert got.distinct == distinct or sorted(got.distinct) == sorted(distinct)
+        assert type(got) is list
         for digits in (3, "lossless"):
             assert compress_outcome(got, digits) == compress_outcome(list(got), digits)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_repeated_counts_the_column_once(self, tmp_path, monkeypatch, newline):
-        # a single-column whitespace file and a CSV read by header name
+        # a single-column whitespace file and a CSV read by header name: ingest
+        # counts the column once to find its odd tokens, compress once to quantize
         tokens = [f"{i // 40 % 5}.{i % 3}5" for i in range(3000)]
         files = {
             "whitespace": "".join(t + newline for t in tokens),
@@ -324,16 +330,18 @@ class TestSingleSplit:
             p.write_bytes(text.encode("utf-8"))
             counted = []
 
-            def counting(items, count, distinct=None):
+            def counting(items, count):
                 counted.append(count)
-                return real(items, count, distinct)
+                return real(items, count)
 
             monkeypatch.setattr(quantizer, "repeated", counting)
             column = 0 if delimiter == "whitespace" else "value"
             col = ingest(DatasetSpec(name="t", source_path=str(p), column=column,
                                      delimiter=delimiter))
-            compress_stream(col)
             assert col == tokens and counted == [len(tokens)]
+            counted.clear()
+            compress_stream(col)
+            assert counted == [len(tokens)]
 
 
 class TestOnePassShapes:
@@ -374,8 +382,7 @@ class TestOnePassShapes:
 
         monkeypatch.setattr(datasets, "_read_column", row_reader)
         got = ingest(spec)
-        assert isinstance(got, PlainColumn) and got == want and got.text == "\n".join(want)
-        assert sorted(got.distinct or ()) == sorted(repeated(want, len(want)) or ())
+        assert type(got) is list and got == want
 
 
 class TestRowReaderShapes:
@@ -479,7 +486,7 @@ class TestValidatedColumn:
         p = tmp_path / "in.txt"
         p.write_text("".join(f"{i % 7 - 3}.{i * 37 % 1000:0{1 + i % 3}d}\n" for i in range(40)))
         col = ingest(DatasetSpec(name="t", source_path=str(p), delimiter="whitespace"))
-        assert isinstance(col, PlainColumn)
+        assert type(col) is list
         assert col.count(col[5]) == 1
         return col
 
@@ -500,14 +507,9 @@ class TestValidatedColumn:
         for col in (before, after):
             assert compress_outcome(col, 3) == compress_outcome(list(col), 3)
 
-    def test_pickle_keeps_text(self, column):
-        back = pickle.loads(pickle.dumps(column))
-        assert isinstance(back, PlainColumn) and back == column
-        assert back.text == column.text and back.distinct == column.distinct
-
 
 class TestValidatedRepeatingColumn(TestValidatedColumn):
-    """The same edits on a column that repeats, so join_plain searches its distinct tokens."""
+    """The same edits on a column that repeats, so quantize_stream searches its distinct tokens."""
 
     @pytest.fixture
     def column(self, tmp_path):
@@ -517,7 +519,7 @@ class TestValidatedRepeatingColumn(TestValidatedColumn):
         p = tmp_path / "in.txt"
         p.write_text("".join(t + "\n" for t in tokens))
         col = ingest(DatasetSpec(name="t", source_path=str(p), delimiter="whitespace"))
-        assert isinstance(col, PlainColumn) and col == tokens
+        assert type(col) is list and col == tokens
         assert sorted(repeated(col, len(col))) == sorted(pool)
         assert col.count(col[5]) == 1
         return col

@@ -7,12 +7,10 @@ import pytest
 from nlts.container import CodecConfig
 from nlts.core import INT64_MAX, INT64_MIN
 from nlts.datasets import DatasetSpec, ingest
-from nlts.errors import CodecError, NonFiniteSample, OverflowAtScale, TooManyDigits
+from nlts.errors import CodecError, CorruptStream, NonFiniteSample, OverflowAtScale, TooManyDigits
 from nlts.quantizer import (
     LOSSLESS,
     PROBE,
-    PlainColumn,
-    join_plain,
     quantize_stream,
     render_code,
     render_stream,
@@ -90,6 +88,12 @@ class TestRendering:
         assert code_value(42, None) == 42.0
 
 
+def rendering(codes, d):
+    """What render_stream returns, from render_code: the texts and their bytes, a newline each."""
+    texts = [render_code(c, d) for c in codes]
+    return texts, sum(map(len, texts)) + len(texts)
+
+
 class TestRenderStream:
     """render_stream is a faster render_code; render_code is the reference."""
 
@@ -100,7 +104,7 @@ class TestRenderStream:
         rng = random.Random(530 + (d or 0))
         for bits in (8, 20, 40, 52):
             codes = [rng.randrange(-(2**bits) + 1, 2**bits) for _ in range(3000)]
-            assert render_stream(codes, d) == [render_code(c, d) for c in codes]
+            assert render_stream(codes, d) == rendering(codes, d)
 
     @pytest.mark.parametrize("d", DIGITS)
     def test_edge_codes(self, d):
@@ -110,9 +114,9 @@ class TestRenderStream:
         codes += [s * (2**52 + k) for s in (1, -1) for k in range(-3, 4)]
         # a stream of codes inside (-2**52, 2**52) takes the float path
         inside = [c for c in codes if -(2**52) < c < 2**52]
-        assert render_stream(inside, d) == [render_code(c, d) for c in inside]
+        assert render_stream(inside, d) == rendering(inside, d)
         codes += [INT64_MIN, INT64_MAX]
-        assert render_stream(codes, d) == [render_code(c, d) for c in codes]
+        assert render_stream(codes, d) == rendering(codes, d)
 
     @pytest.mark.parametrize("d", DIGITS)
     def test_repeated_codes(self, d):
@@ -128,7 +132,14 @@ class TestRenderStream:
             for _ in range(30):
                 few = rng.sample(pool, rng.randrange(1, len(pool) + 1))
                 codes = rng.choices(few, k=rng.randrange(2 * len(few), 300))
-                assert render_stream(codes, d) == [render_code(c, d) for c in codes]
+                assert render_stream(codes, d) == rendering(codes, d)
+
+    @pytest.mark.parametrize("d", DIGITS)
+    def test_codes_outside_int64_rejected(self, d):
+        for past in (INT64_MAX + 1, INT64_MIN - 1):
+            for codes in ([0, past], [past] + [1, 2, 3] * 40, [past] * 3):
+                with pytest.raises(CorruptStream, match="64-bit"):
+                    render_stream(codes, d)
 
 
 class TestErrorBound:
@@ -414,9 +425,9 @@ def outcome(quantize, samples, digits):
 def assert_matches_reference(samples, digits):
     got = outcome(quantize_stream, samples, digits)
     want = outcome(reference_quantizer.quantize_stream, samples, digits)
-    if len(got) == 4:  # the range returned is the codes' own
-        codes, _, _, bounds = got
-        assert bounds == (min(codes, default=0), max(codes, default=0)), (samples, digits)
+    if len(got) == 4:  # the size returned is the codes' canonical text's
+        codes, _, scale, size = got
+        assert size == sum(len(render_code(c, scale)) + 1 for c in codes), (samples, digits)
         got = got[:3]
     # the Decimal errors compare by value
     assert got == want, (samples, digits)
@@ -539,6 +550,13 @@ class TestMatchesReference:
             assert_matches_reference(tokens, digits)
             for tok in tokens:
                 assert_matches_reference([tok], digits)
+            # plain columns, one of them repeating
+            assert_matches_reference(["1.5", "-2", ".5", "+7."], digits)
+            assert_matches_reference(["-2", "1.5", "-2", "-2"], digits)
+            # one bad member sends a column to the Decimal path, repeating or not
+            for bad in (["1e3"], [""], ["1\n2"], ["1", 2], [], ["\u0661"], ["1_0"]):
+                assert_matches_reference(bad, digits)
+                assert_matches_reference(bad * 2 + ["1"] * 3, digits)
 
     @pytest.mark.parametrize("digits", [0, 1, 3, 6])
     def test_int64_edges_at_each_scale(self, digits):
@@ -580,23 +598,12 @@ class TestMatchesReference:
     def test_no_samples(self):
         for digits in DIGITS:
             assert_matches_reference([], digits)
-            assert quantize_stream([], digits)[3] == (0, 0)
+            assert quantize_stream([], digits)[3] == 0
 
     def test_non_text_members(self):
         for samples in ([1, 2, 3], [1.5, "2.5"], [Decimal("1.25"), "2"], ["1", None], [b"1"]):
             for digits in DIGITS:
                 assert_matches_reference(samples, digits)
-
-    def test_join_plain(self):
-        assert join_plain(["1.5", "-2", ".5", "+7."]) == ("1.5\n-2\n.5\n+7.", None)
-        # a repeating column comes back with its distinct tokens
-        text, distinct = join_plain(["-2", "1.5", "-2", "-2"])
-        assert (text, sorted(distinct)) == ("-2\n1.5\n-2\n-2", ["-2", "1.5"])
-        for bad in (["1e3"], [""], ["1\n2"], ["1", 2], [], ["\u0661"], ["1_0"]):
-            assert join_plain(bad) is None
-            # searched among the distinct tokens of a repeating column too
-            assert bad == [] or join_plain(bad * 2 + ["1"] * 3) is None
-
 
 def probe_columns(rng):
     """Columns longer than PROBE that the probe and the exact rule judge apart.
@@ -642,7 +649,7 @@ class TestProbe:
         tokens = probe_columns(rng)[shape]
         assert_matches_reference(tokens, digits)
         codes, _, scale, _ = quantize_stream(tokens, digits)
-        assert render_stream(codes, scale) == [render_code(c, scale) for c in codes]
+        assert render_stream(codes, scale) == rendering(codes, scale)
 
     @pytest.mark.parametrize("d", [None, 0, 3, 6])
     def test_render_codes(self, d):
@@ -652,7 +659,7 @@ class TestProbe:
         late = fresh[:PROBE] + rng.choices(few, k=3 * PROBE)
         early = rng.choices(few, k=PROBE) + fresh[PROBE:]
         for codes in (late, early, [c % 1000 for c in late], [c % 1000 for c in early]):
-            assert render_stream(codes, d) == [render_code(c, d) for c in codes]
+            assert render_stream(codes, d) == rendering(codes, d)
 
     def test_faults_name_the_first_index_in_a_long_repeating_column(self, tmp_path):
         few = ["1.5", "-2.25", "3", "0.125"]
@@ -668,7 +675,7 @@ class TestProbe:
             p = tmp_path / "in.txt"
             p.write_text("".join(t + "\n" for t in column))
             ingested = ingest(DatasetSpec(name="t", source_path=str(p), delimiter="whitespace"))
-            assert isinstance(ingested, PlainColumn) and repeated(column, len(column))
+            assert type(ingested) is list and repeated(column, len(column))
             for samples in (column, ingested):
                 assert_matches_reference(samples, digits)
                 with pytest.raises(error, match=message):
