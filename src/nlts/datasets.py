@@ -188,7 +188,8 @@ def _uniform_column(spec: DatasetSpec, data: bytes):
     (m + 1)-th field of one split once every non-blank row shows m of a
     one-byte delimiter.  _mend reads up to MEND_MAX distinct non-PLAIN
     tokens.  Any doubt, a negative index or a whitespace column past the
-    first included, gives None.
+    first included, gives None; so does a delimited file with a line that
+    might hold a field past csv.field_size_limit (str.split has no limit).
     """
     ws, delim, k = spec.delimiter == WHITESPACE, spec.delimiter, spec.column
     data = data.removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark
@@ -196,6 +197,10 @@ def _uniform_column(spec: DatasetSpec, data: bytes):
         return None
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    half = (csv.field_size_limit() + 1) // 2  # a longer field fills one whole window
+    if not ws and any(data.find(b"\n", i, i + half) < 0
+                      for i in range(0, len(data) - half + 1, half)):
+        return None
     if isinstance(k, str):
         header, _, data = data.partition(b"\n")
         names = header.decode().split(None if ws else delim)

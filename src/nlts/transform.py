@@ -13,14 +13,14 @@ knows the block layout.
 A constant block, the common case on a plateau, is a mode block with a
 zero mask: its value and one 0 byte.  A plateau holds its value for many
 blocks, and their bytes are identical.  encode_blocks finds a constant
-block's run with list-slice comparisons and writes the bytes once, repeated
-for the whole run, without counting a mode or building a mask.  A block of
-so many distinct values that none can occur tau times is a diff block,
-written without counting its mode (a version-2 block leading with 0 still
-counts it: such a diff block would read back as a mode block).
-decode_blocks reads the run with one regex match and repeats the value for
-the whole run, without expanding a mask; every other block is parsed
-varint by varint.
+block's run by comparing the codes of the full blocks after it, and
+decode_blocks by comparing their bytes; each writes the bytes or the value
+once for the whole run, without counting a mode or expanding a mask.  A
+short final block is never part of a run.  A block of so many distinct
+values that none can occur tau times is a diff block, written without
+counting its mode (a version-2 block leading with 0 still counts it: such
+a diff block would read back as a mode block).  decode_blocks parses every
+other block varint by varint.
 
 Two wire layouts exist (FORMAT.md section 3).  Version 1 spends an explicit
 branch flag per block; version 2 drops the flag and lets the decoder
@@ -35,7 +35,6 @@ a parsed StreamHeader on decode; check_block_settings is the rule both apply.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from itertools import accumulate, repeat
 from operator import add, sub
@@ -95,17 +94,14 @@ def encode_blocks(codes, cfg) -> bytearray:
             if width >= tau and block.count(x1) == width:
                 # constant (frequency == width >= tau): the mode branch, every
                 # deviation 0; x1 == 2 * mode only when both are 0, kept as
-                # mode.  The identical blocks after it, and a short final
-                # block of the value at least tau wide, spell the same bytes.
+                # mode.  The identical full blocks after it spell the same bytes.
                 unit = bytearray()
                 write_varints((1, x1) if v1 else (x1,), unit)
                 unit.append(0)  # the empty mask
-                end = start + width
+                end = start + L
                 while codes[end : end + L] == block:
                     end += L
-                if tau <= n - end < L and codes[end:] == block[: n - end]:
-                    end = n
-                out += unit * -(-(end - start) // L)
+                out += unit * ((end - start) // L)
                 start = end
                 continue
             # A block of d distinct values has a mode frequency of at most
@@ -170,17 +166,6 @@ def max_stream_bytes(cfg, sample_count: int) -> int:
     return full * block(cfg.block_len) + (block(rest) if rest else 0)
 
 
-# A constant block in its shortest spelling -- [the version-1 flag 1,] a
-# header varint and the one-byte empty mask -- then up to 255 byte-identical
-# copies of it, keyed by "is version 1".  sre keeps ~80 bytes per repetition
-# until a match returns (an unbounded run of 10**6 blocks held ~76 MiB), so a
-# longer run is taken in several matches.
-_CONSTANT_RUN = {
-    False: re.compile(rb"([\x80-\xff]*[\x00-\x7f]\x00)\1{0,255}"),
-    True: re.compile(rb"(\x02[\x80-\xff]*[\x00-\x7f]\x00)\1{0,255}"),
-}
-
-
 def _expand(mask: int, width: int, nonzeros: list) -> list:
     """The width entries the mask stands for: first entry = most significant
     bit, one nonzero per set bit in order, 0 elsewhere."""
@@ -195,20 +180,18 @@ def _expand(mask: int, width: int, nonzeros: list) -> list:
 def decode_blocks(symbols, cfg, sample_count: int) -> list:
     """Parse and invert the symbol stream of sample_count codes; returns the codes.
 
-    A block whose mask is 0 is constant, and the byte-identical blocks right
-    after it (up to the blocks left) repeat its value: one match of
-    _CONSTANT_RUN finds them and the codes are extended once for the run.
-    The run is taken only when the match's first block ends where the varint
-    reader stopped.  A version-1 flag or a mask in a non-shortest spelling
-    fails the match, and such a block is decoded alone, as is every block
-    that is not constant.
+    A block whose mask is 0 is constant, and every full block right after it
+    whose bytes start with its bytes repeats its value: blocks carry no
+    state, so the same bytes at the same width parse to the same codes.  The
+    codes are extended once for the run.  A short final block is parsed on
+    its own, since a mask spelling legal at width block_len (two bytes for a
+    0) need not be legal at its width.
 
     Raises CorruptStream for a stream that ends early, holds an invalid
     varint or version-1 flag, or has bytes left over after the final block.
     """
     codes = []
     L, v1 = cfg.block_len, cfg.method_version == 1
-    run = _CONSTANT_RUN[v1]
     pos = start = 0
     while start < sample_count:
         width = min(L, sample_count - start)
@@ -229,14 +212,13 @@ def decode_blocks(symbols, cfg, sample_count: int) -> list:
         pos = read_varints(symbols, pos, 1, fields, False, width)
         mask = fields.pop()
         if not mask:  # no nonzero entry: a constant block of the header
-            blocks = 1
-            m = run.match(symbols, first)
-            if m is not None and m.end(1) == pos:
-                left = -(-(sample_count - start) // L)
-                blocks = min((m.end() - first) // (pos - first), left)
-                pos = first + blocks * (pos - first)
-            codes.extend(repeat(header, min(blocks * L, sample_count - start)))
-            start += blocks * L
+            unit, k = symbols[first:pos], pos - first
+            stop = first + (sample_count - start) // L * k  # past every full block left
+            while pos < stop and symbols.startswith(unit, pos):
+                pos += k
+            run = (pos - first) // k * L
+            codes.extend(repeat(header, min(run, sample_count - start)))
+            start += run
             continue
         nonzeros = []
         pos = read_varints(symbols, pos, mask.bit_count(), nonzeros)

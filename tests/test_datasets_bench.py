@@ -53,13 +53,16 @@ class TestIngest:
 
     def test_field_csv_refuses_names_its_row(self, tmp_text_file):
         # a quoted field past csv.reader's 131,072-character limit, in a row,
-        # after a row whose quoted field spans two lines, and in the header
-        big = '"' + "9" * 140_000 + '"'
+        # after a row whose quoted field spans two lines, and in the header;
+        # then a quote-free one in a row and in the header
+        big, bare = '"' + "9" * 140_000 + '"', "9" * 140_000
         for text, column, row in (
             (f"ts,value\n1,1.5\n2,{big}\n3,2.5\n", "value", 3),
             (f"1,1.5\n2,{big}\n", 1, 2),
             (f'ts,value\n1,"1.5\n"\n2,{big}\n', "value", 3),
             (f"{big},value\n1,1.5\n", "value", 1),
+            (f"ts,value\n1,1.5\n2,{bare}\n3,2.5\n", "value", 3),
+            (f"{bare},value\n1,1.5\n", "value", 1),
         ):
             p = tmp_text_file(text, name="d.csv")
             spec = DatasetSpec(name="t", source_path=str(p), column=column)
@@ -234,6 +237,11 @@ INGEST_FILES = [
     ("\ufeffts,value\n1,1.5\n2,?\n", ",", "ts"),
     ("\ufeff1.5\n2.5\n", ",", 0),
     ("\ufeffR1 R2\n1 2.5\n", "whitespace", "R2"),
+    # a quote-free field past csv.reader's 131,072-character limit
+    pytest.param("ts,value\n1,1.5\n2,0." + "0" * 140_001 + "\n3,2.5\n", ",", "value",
+                 id="quote-free oversized field, named column"),
+    pytest.param("1.5\n0." + "0" * 140_001 + "\n2.5\n", ",", 0,
+                 id="quote-free oversized field, column 0"),
 ]
 
 

@@ -432,10 +432,12 @@ class TestModeShortcuts:
 
 
 def assert_decodes_as_reference(symbols, cfg, n):
-    """decode_blocks gives decode_stream's codes, or its CorruptStream text; returns the codes."""
+    """decode_blocks gives decode_stream's codes, or a CorruptStream with the
+    text of decode_stream's CodecError (a BadBranchFlag is not a
+    CorruptStream); returns the codes."""
     try:
         want = decode_stream(symbols, cfg, n)
-    except CorruptStream as e:
+    except CodecError as e:
         with pytest.raises(CorruptStream) as got:
             decode_blocks(symbols, cfg, n)
         assert str(got.value) == str(e)
@@ -454,15 +456,15 @@ def assert_encodes_as_reference(codes, cfg):
 @pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize("L", [16, 32768])
 class TestConstantRuns:
-    """encode_blocks writes a run of identical constant blocks in one step and
-    decode_blocks reads it in one step; the references take it one block at
-    a time."""
+    """encode_blocks finds a run of identical constant blocks by comparing
+    codes and decode_blocks by comparing bytes, the short final block left
+    out of the run; the references take every block on its own."""
 
     def test_run_into_short_final_block(self, version, L):
         # below tau a short block of a nonzero level is a diff block and ends
         # the run; a level of 0 stays a constant block under version 2
         cfg = CodecConfig(method_version=version, block_len=L, tau=9)
-        for full in (3, 600) if L == 16 else (3,):  # 600 blocks take several matches
+        for full in (3, 600) if L == 16 else (3,):  # a run of 600 full blocks
             for level in (0, 5, INT64_MIN):
                 for w in (8, 9):
                     codes = [level] * (full * L + w)
@@ -588,17 +590,9 @@ class TestFormatExamples:
 
 
 class TestDecodeFuzz:
-    # damaged symbol streams decode to exactly sample_count codes or raise
-    # CorruptStream; IndexError, StopIteration and ValueError must not escape
-    @staticmethod
-    def check(symbols, cfg, n):
-        try:
-            codes = decode_blocks(bytes(symbols), cfg, n)
-        except CorruptStream:
-            return False
-        assert len(codes) == n
-        return True
-
+    # damaged symbol streams decode to decode_stream's codes or raise its
+    # error as CorruptStream; IndexError, StopIteration and ValueError must
+    # not escape
     @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("L", [16, 128])
     def test_damaged_streams(self, version, L):
@@ -607,15 +601,16 @@ class TestDecodeFuzz:
             cfg = CodecConfig(method_version=version, block_len=L, tau=rng.randrange(1, L + 1))
             codes = random_stream(rng, L, True)
             n = len(codes)
-            symbols = encode_blocks(codes, cfg)
+            symbols = bytes(encode_blocks(codes, cfg))
             for cut in range(len(symbols)):
-                assert not self.check(symbols[:cut], cfg, n)
-            assert not self.check(symbols + bytes([rng.randrange(256)]), cfg, n)
+                assert assert_decodes_as_reference(symbols[:cut], cfg, n) is None
+            extra = symbols + bytes([rng.randrange(256)])
+            assert assert_decodes_as_reference(extra, cfg, n) is None
             for _ in range(200):
                 bad = bytearray(symbols)
                 for _ in range(rng.randrange(1, 4)):
                     bad[rng.randrange(len(bad))] = rng.randrange(256)
-                self.check(bad, cfg, n)
+                assert_decodes_as_reference(bytes(bad), cfg, n)
 
     @pytest.mark.parametrize("L", [16, 128])
     def test_version_1_flag_2(self, L):
