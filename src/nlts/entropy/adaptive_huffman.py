@@ -10,9 +10,13 @@ with the highest-numbered node of its weight class.
 The node numbering obeys the sibling property (weights nondecreasing with
 number, siblings adjacent), which makes the weight-class leader a binary
 search over the number-ordered weight list; a node whose next number
-weighs more is its own leader and needs no search.  The initial tree is
-built by the two-queue Huffman construction in symbol order and is part of
-the stream format; it is built once at import and copied per call.
+weighs more is its own leader and needs no search.  The initial tree, part
+of the stream format, is the two-queue Huffman construction in symbol order
+(FORMAT.md section 4.2).  Over 257 leaves of weight 1 each merge takes the
+two oldest unpaired nodes: a merged node weighs at least 2, no less than
+those merged before it, and a leaf wins ties.  So internal node p
+(258..513) has children 2(p - 257) - 1 and 2(p - 257).  It is built once
+at import and copied per call.
 
 The encoder emits each root-to-leaf path as one (value, length) int into
 an accumulator that spills whole bytes; the decoder walks the tree from a
@@ -22,7 +26,6 @@ local int window over whole bytes.  The update dominates both sides.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 
 from ..errors import CorruptStream
 from .bitio import FLUSH_BITS, BitStream, finish, spill
@@ -37,30 +40,15 @@ def _initial_tree():
     size = _NUM_NODES + 1  # ids/numbers are 1-based
     child = [0] * (2 * size)
     slot = [0] * size
-    weight = [0] * size
-    for n in range(1, NUM_SYMBOLS + 1):
-        weight[n] = 1
-
-    # Two-queue Huffman build over equal weights; creation order is
-    # nondecreasing in weight, so ids double as sibling-property numbers.
-    leaves = deque(range(1, NUM_SYMBOLS + 1))
-    internal = deque()
-    nxt = NUM_SYMBOLS + 1
-    while len(leaves) + len(internal) > 1:
-        pair = []
-        for _ in range(2):
-            if leaves and (not internal or weight[leaves[0]] <= weight[internal[0]]):
-                pair.append(leaves.popleft())
-            else:
-                pair.append(internal.popleft())
-        a, b = pair
-        child[2 * nxt] = a
-        child[2 * nxt + 1] = b
-        slot[a] = 2 * nxt
-        slot[b] = 2 * nxt + 1
-        weight[nxt] = weight[a] + weight[b]
-        internal.append(nxt)
-        nxt += 1
+    weight = [0] + [1] * NUM_SYMBOLS + [0] * (NUM_SYMBOLS - 1)
+    # the closed form of the module docstring; ids are sibling-property numbers
+    for p in range(NUM_SYMBOLS + 1, size):
+        a = 2 * (p - NUM_SYMBOLS) - 1
+        child[2 * p] = a
+        child[2 * p + 1] = a + 1
+        slot[a] = 2 * p
+        slot[a + 1] = 2 * p + 1
+        weight[p] = weight[a] + weight[a + 1]
 
     # number <-> node maps start as the identity
     return child, slot, list(range(size)), list(range(size)), weight

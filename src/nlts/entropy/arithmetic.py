@@ -10,10 +10,11 @@ The 32-bit state width and the model's 2^16 rescale ceiling are normative:
 changing either changes the bit stream.  For throughput, renormalization is
 batched: all agreeing leading bits leave in one shift, and so do all the
 straddle bits that follow them (after the first shift the top bits differ,
-so each kind occurs once per symbol).  With no straddle bits pending, the
-encoder moves the k agreeing bits, low's top k, into its output in one
-step; with some pending, the first of them goes out, then the pending bits
-as its opposite, then the other k - 1.  The frequency model is inlined into
+so each kind occurs once per symbol).  The k agreeing bits, low's top k,
+go out with the p pending straddle bits after the first of them, as its
+opposite: 0 1..1 rest and 1 0..0 rest are both bits + ((2**p - 1) << (k - 1))
+in k + p bits, so the encoder appends them in one step, with or without
+pending bits.  The frequency model is inlined into
 the coding loops.  Symbol 0's count is a local, so coding a 0 needs no tree
 at all; the counts of symbols 1..256 sit at positions 1..256 of a Fenwick
 tree whose root, node 256, holds only their sum and is never read, so the
@@ -137,23 +138,12 @@ def encode(payload: bytes) -> BitStream:
 
         k = _STATE_BITS - (low ^ high).bit_length()
         if k:
-            bits = low >> (_STATE_BITS - k)
-            if pending:
-                # the first bit, the pending straddle bits as its opposite,
-                # then the other k - 1 bits
-                first = bits >> (k - 1)
-                acc = (acc << 1) | first
-                if first == 0:
-                    acc = (acc << pending) | ((1 << pending) - 1)
-                else:
-                    acc <<= pending
-                if k > 1:
-                    acc = (acc << (k - 1)) | (bits & ((1 << (k - 1)) - 1))
-                nacc += pending
-                pending = 0
-            else:
-                acc = (acc << k) | bits
-            nacc += k
+            # low's top k bits with the pending straddle bits after the
+            # first of them, as its opposite (see the module docstring)
+            acc = (acc << (k + pending)) | (
+                (low >> (_STATE_BITS - k)) + (((1 << pending) - 1) << (k - 1)))
+            nacc += k + pending
+            pending = 0
             low = (low << k) & _MASK
             high = ((high << k) & _MASK) | ((1 << k) - 1)
             if nacc >= FLUSH_BITS:

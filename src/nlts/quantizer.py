@@ -83,15 +83,19 @@ def repeated(items, count: int):
 
 
 def plain_survey(tokens, text: str, most: int):
-    """(repeated's distinct tokens, up to most of the non-PLAIN ones) of tokens free of newlines joined as text.
+    """(repeated's distinct tokens, up to most distinct non-PLAIN ones) of tokens free of newlines joined as text.
 
     The non-PLAIN tokens are found over the distinct tokens when the column
     repeats, each once, else over the text, once per line; the search stops
-    after most of them.
+    after most distinct ones.
     """
     distinct = repeated(tokens, len(tokens))
-    odd = _NOT_PLAIN.finditer(text if distinct is None else "\n".join(distinct))
-    return distinct, [m[0] for m in islice(odd, most)]
+    odd = {}
+    for m in _NOT_PLAIN.finditer(text if distinct is None else "\n".join(distinct)):
+        odd[m[0]] = None
+        if len(odd) == most:
+            break
+    return distinct, list(odd)
 
 
 def _too_many_digits(index: int, n: int) -> TooManyDigits:

@@ -374,6 +374,10 @@ class TestOnePassShapes:
             f"{i},{i % 4}.5\n" + "\n" * (i % 3 == 0) for i in range(500)), ",", 1, "skip"),
         "16 distinct odd tokens": (
             "".join(f"{' ' * (1 + i % 16)}{i % 16}.5\n" for i in range(2000)), ",", 0, "fail"),
+        # the bound counts distinct tokens, not the rows that hold them
+        "no repeats, one marker on 40 rows": ("ts,value\n" + "".join(
+            f"{60 * i},{'?' if i % 25 == 3 else f'{i}.{i % 7}5'}\n" for i in range(1000)),
+            ",", "value", "forward-fill"),
     }
 
     @pytest.mark.parametrize("shape", list(SHAPES))
