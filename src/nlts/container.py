@@ -11,7 +11,7 @@ fractional digits.  That is also byte-for-byte the text decompression
 produces, which keeps the ratio reproducible from the emitted files alone.
 quantize_stream sizes that text on the way in; render_stream checks the
 decoded codes' 64-bit range, renders them and sizes the text on the way
-out.
+out, and decompress_stream checks and sizes them without rendering.
 """
 
 from __future__ import annotations
@@ -19,10 +19,19 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass
+from itertools import repeat
+from operator import truediv
 
 from . import entropy
 from .errors import BadMagic, CorruptStream, UnsupportedVersion
-from .quantizer import LOSSLESS, MAX_DIGITS, quantize_stream, render_stream
+from .quantizer import (
+    LOSSLESS,
+    MAX_DIGITS,
+    canonical_size,
+    decoded_range,
+    quantize_stream,
+    render_stream,
+)
 from .transform import (
     METHOD_VERSIONS,
     check_block_settings,
@@ -178,11 +187,15 @@ def decode_codes(data: bytes):
 def decompress_stream(data: bytes):
     """Decompress a container; returns (list of floats, RunMetrics).
 
-    Each float is the token's: float(token) and code / 10**d are both the
-    correctly rounded double of the same rational.
+    Each float is code / 10**d, which is float(token) for the code's text
+    token: int / int and float(text) both give the correctly rounded double
+    of the same rational.  The text is sized, not rendered.
     """
-    tokens, metrics = decompress_to_tokens(data)
-    return list(map(float, tokens)), metrics
+    codes, header, decode_secs = decode_codes(data)
+    _, lo, hi = decoded_range(codes)
+    size = canonical_size(codes, header.scale_exp, lo, hi)
+    floats = list(map(truediv, codes, repeat(10 ** (header.scale_exp or 0))))
+    return floats, RunMetrics(size, len(data), decode_secs)
 
 
 def decompress_to_tokens(data: bytes):

@@ -46,8 +46,10 @@ def decode(data: bytes, coder: int, max_len: float) -> bytes:
 
     Static Huffman checks its declared symbol count before it decodes.  The
     adaptive decoders check their output length each time they read input
-    and at the terminator, so a damaged stream stops within a few thousand
-    symbols of the bound and no longer payload is ever returned.
+    and at the terminator, so a damaged stream stops within 2,048 symbols
+    of the bound for adaptive Huffman (one 256-byte refill, at least one bit
+    a symbol) and ~5,800 for arithmetic, and no longer payload is ever
+    returned.
     """
     if coder not in _CODERS:
         raise UnsupportedVersion(f"unknown entropy coder id {coder}")

@@ -6,8 +6,9 @@ reads the padding as stream bits.  The coders do their own bit I/O on
 local integers: an encoder collects codes in an int accumulator,
 ``spill``s its whole bytes once it holds ``FLUSH_BITS`` bits and hands the
 rest to ``finish``; a decoder refills an int window a few bytes at a time
-from whole bytes, padding included.  Both stay a fixed size, so memory
-grows only with the output.
+(adaptive Huffman: 0/1 bytes, 256 stream bytes at a time) from whole
+bytes, padding included.  Both stay a fixed size, so memory grows only
+with the output.
 """
 
 from __future__ import annotations

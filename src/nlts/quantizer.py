@@ -299,14 +299,24 @@ def canonical_size(codes, scale_exp: int | None, lo: int, hi: int) -> int:
     return total
 
 
+def decoded_range(codes):
+    """(repeated's distinct codes or None, least code, greatest code); a code
+    outside the signed 64-bit range raises CorruptStream."""
+    distinct = repeated(codes, len(codes))
+    source = codes if distinct is None else distinct
+    lo, hi = min(source, default=0), max(source, default=0)
+    if not INT64_MIN <= lo <= hi <= INT64_MAX:
+        raise CorruptStream("decoded sample outside the signed 64-bit range")
+    return distinct, lo, hi
+
+
 def render_stream(codes, scale_exp: int | None):
     """(texts, size): the exact decimal text of every code, as render_code
     gives it, made in C-level passes, and canonical_size's bytes.
 
-    A code outside the signed 64-bit range raises CorruptStream; the check
-    reads the least and greatest code, over the distinct codes when the
-    codes repeat (see repeated).  Each distinct code is then rendered once,
-    the same way, and one lookup per code maps the texts back.
+    A code outside the signed 64-bit range raises CorruptStream (see
+    decoded_range).  When the codes repeat, each distinct code is rendered
+    once, the same way, and one lookup per code maps the texts back.
 
     With d = scale_exp > 0 a code c reads as the float c / 10**d formatted
     with "%.<d>f".  That is exact while |c| < 2**52: c and 10**d (d <= 6)
@@ -317,11 +327,8 @@ def render_stream(codes, scale_exp: int | None):
     quotient, and it is +0.0, so no "-0.000" appears.  A stream holding any
     code outside (-2**52, 2**52) goes through render_code for every code.
     """
-    distinct = repeated(codes, len(codes))
+    distinct, lo, hi = decoded_range(codes)
     source = codes if distinct is None else distinct
-    lo, hi = min(source, default=0), max(source, default=0)
-    if not INT64_MIN <= lo <= hi <= INT64_MAX:
-        raise CorruptStream("decoded sample outside the signed 64-bit range")
     d = scale_exp or 0
     if not d:
         texts = map(str, source)

@@ -13,14 +13,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import dataset_path, record_criterion, require_dataset
+from reference_coders import FgkTree, fgk_encode
 from reference_transform import NonzeroMask
 
 from nlts.bench import run_config, verify_values
 from nlts.container import CodecConfig, compress_stream, decompress_to_tokens
 from nlts.core import read_varints, write_varints
 from nlts.datasets import packaged_spec, ingest
-from nlts.entropy import static_huffman
-from nlts.entropy.adaptive_huffman import _Tree
+from nlts.entropy import adaptive_huffman, static_huffman
 from nlts.quantizer import LOSSLESS, quantize_stream, render_code
 from nlts.transform import decode_blocks, encode_blocks
 
@@ -376,11 +376,14 @@ class TestCriterion9PropertySuites:
             hist = {s: rng.randrange(1, 500) for s in syms}
             lengths = static_huffman.code_lengths(hist)
             assert sum(Fraction(1, 2**l) for l in lengths.values()) <= 1
-        tree = _Tree()
-        for step in range(3000):
-            tree.update(rng.randrange(257))
+        # the adaptive tree is the reference's, which the coder matches bit for bit
+        payload = bytes(rng.randrange(256) for _ in range(3000))
+        tree = FgkTree()
+        for step, sym in enumerate(payload):
+            tree.update(sym)
             if step % 750 == 0:
-                ks = sum(Fraction(1, 2 ** tree.code(s)[1]) for s in range(257))
+                ks = sum(Fraction(1, 2 ** len(tree.code_bits(s))) for s in range(257))
                 assert ks == 1
+        assert adaptive_huffman.encode(payload).data == fgk_encode(payload).data
         record_criterion(9, "property: Kraft inequality on Huffman code sets", "PASS",
                          "static (random histograms) and adaptive tree snapshots")

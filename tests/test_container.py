@@ -405,11 +405,12 @@ class TestMetrics:
 
     @pytest.mark.parametrize("d", [None, 0, 1, 2, 3, 4, 5, 6])
     def test_decompress_stream_floats(self, d):
-        # each float is its token's and its code's c / 10**d, bit for bit:
-        # random codes, and codes near 2**52, near powers of ten and at the
+        # each float is its token's and its code's c / 10**d, bit for bit,
+        # and the text size is the rendered text's: random codes, and codes
+        # near 2**52, 2**53 and 2**60, near powers of ten and at the
         # int64 edges, one stream each so that no block step leaves the range
         rng = random.Random(842)
-        edges = [s * (2**52 + k) for s in (1, -1) for k in range(-3, 4)]
+        edges = [s * (2**b + k) for s in (1, -1) for b in (52, 53, 60) for k in range(-3, 4)]
         edges += [s * (10**k + j) for s in (1, -1) for k in range(19) for j in (-1, 1)]
         edges += [0, INT64_MIN, INT64_MAX, INT64_MIN + 1, INT64_MAX - 1]
         spread = [rng.randrange(-(10 ** (7 + (d or 0))), 10 ** (7 + (d or 0))) for _ in range(300)]
@@ -417,8 +418,10 @@ class TestMetrics:
         for codes in [spread, wide] + [[c, c] for c in edges]:
             samples = [render_code(c, d) for c in codes]
             blob, _ = compress_stream(samples, make_config(digits=d))
-            tokens, _ = decompress_to_tokens(blob)
-            values, _ = decompress_stream(blob)
+            tokens, text_metrics = decompress_to_tokens(blob)
+            values, metrics = decompress_stream(blob)
+            assert metrics.input_bytes == text_metrics.input_bytes
+            assert metrics.output_bytes == text_metrics.output_bytes
             assert all(type(v) is float for v in values)
             want = [c / 10**d if d else float(c) for c in codes]
             assert list(map(repr, values)) == list(map(repr, map(float, tokens)))
@@ -446,3 +449,5 @@ class TestMetrics:
             blob, m = compress_stream(samples, make_config(digits=digits))
             tokens, md = decompress_to_tokens(blob)
             assert md.input_bytes == len("\n".join(tokens)) + 1 == m.input_bytes, samples[:5]
+            values, mf = decompress_stream(blob)
+            assert mf.input_bytes == m.input_bytes and values == list(map(float, tokens))

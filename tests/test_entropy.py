@@ -1,10 +1,14 @@
+import importlib.util
 import math
 import random
 from collections import Counter
+from itertools import chain
+from pathlib import Path
 
 import pytest
 
 from nlts import entropy
+from nlts.container import CodecConfig
 from nlts.entropy import (
     ADAPTIVE_ARITHMETIC,
     ADAPTIVE_HUFFMAN,
@@ -16,11 +20,15 @@ from nlts.entropy import (
 from nlts.entropy.bitio import finish
 from nlts.entropy.model import EOF_SYMBOL, NUM_SYMBOLS, RESCALE_CEILING
 from nlts.errors import CorruptStream, UnsupportedVersion
+from nlts.quantizer import quantize_stream
+from nlts.transform import encode_blocks
 
 from reference_coders import (
     BitReader,
     BitsExhausted,
     BitWriter,
+    FGK_NODES,
+    FgkTree,
     FrequencyModel,
     PaddedBitReader,
     arithmetic_decode,
@@ -213,27 +221,73 @@ class TestStaticHuffman:
             static_huffman.decode(data, math.inf)
 
 
+def motion_symbols(version, samples=21_000, seed=7):
+    """The symbol stream, at d=3, L=16 and tau=9, of perfbench's seeded motion
+    signal as its motion-coders workload codes it; its files hold 12,000
+    samples, and 21,000 give over 30,000 symbols."""
+    spec = importlib.util.spec_from_file_location(
+        "synth", Path(__file__).parents[1] / "perfbench" / "synth.py"
+    )
+    synth = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synth)
+    codes = quantize_stream(synth.motion(random.Random(seed), samples), 3)[0]
+    cfg = CodecConfig(method_version=version, coder=ADAPTIVE_HUFFMAN, digits=3)
+    return bytes(encode_blocks(codes, cfg))
+
+
+def fgk_code_spans(payload):
+    """(start bit, length) of each code in the FGK stream of payload, the
+    terminator's last, from the reference tree."""
+    tree = FgkTree()
+    spans = []
+    pos = 0
+    for sym in chain(payload, (EOF_SYMBOL,)):
+        length = len(tree.code_bits(sym))
+        spans.append((pos, length))
+        pos += length
+        tree.update(sym)
+    return spans
+
+
+class ReadLog(bytes):
+    """bytes that remember the furthest byte any slice of them reached."""
+
+    reached = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.reached = max(self.reached, min(key.stop, len(self)))
+        return super().__getitem__(key)
+
+
 class TestAdaptiveHuffman:
+    """The tree invariants are checked on the reference FgkTree; the coder
+    keeps no tree object, and its bit identity with the reference (here and
+    in TestMatchesReference) pins it to the same tree."""
+
     def test_initial_tree_sibling_property(self):
-        tree = adaptive_huffman._Tree()
-        self._check_sibling(tree)
+        self._check_sibling(FgkTree())
 
     def test_sibling_property_preserved_by_updates(self):
         rng = random.Random(730)
-        tree = adaptive_huffman._Tree()
-        for _ in range(3000):
-            tree.update(rng.randrange(NUM_SYMBOLS))
+        payload = bytes(rng.randrange(256) for _ in range(3000))
+        tree = FgkTree()
+        for sym in payload:
+            tree.update(sym)
         self._check_sibling(tree)
+        assert adaptive_huffman.encode(payload).data == fgk_encode(payload).data
 
     def test_kraft_equality_always(self):
         # a full binary code tree satisfies Kraft with equality
         rng = random.Random(731)
-        tree = adaptive_huffman._Tree()
-        for step in range(2000):
-            tree.update(rng.choice([0, 1, 2, 250]))
+        payload = bytes(rng.choice([0, 1, 2, 250]) for _ in range(2000))
+        tree = FgkTree()
+        for step, sym in enumerate(payload):
+            tree.update(sym)
             if step % 400 == 0:
-                total = sum(2.0 ** -tree.code(s)[1] for s in range(NUM_SYMBOLS))
+                total = sum(2.0 ** -len(tree.code_bits(s)) for s in range(NUM_SYMBOLS))
                 assert abs(total - 1.0) < 1e-9
+        assert adaptive_huffman.encode(payload).data == fgk_encode(payload).data
 
     def test_adapts_to_skew(self):
         payload = bytes([7] * 5000)
@@ -246,23 +300,106 @@ class TestAdaptiveHuffman:
         with pytest.raises(CorruptStream):
             adaptive_huffman.decode(stream.data[:4], math.inf)
 
+    @pytest.mark.parametrize("kind", ["uniform", "skewed", "motion-v1", "motion-v2", "one-byte"])
+    def test_long_payloads_match_reference(self, kind):
+        rng = random.Random(732)
+        payload = {
+            "uniform": lambda: rng.randbytes(30_000),
+            "skewed": lambda: bytes(
+                rng.choices(range(40), weights=[2.0**-k for k in range(40)], k=30_000)
+            ),
+            "motion-v1": lambda: motion_symbols(1),
+            "motion-v2": lambda: motion_symbols(2),
+            "one-byte": lambda: bytes([0x5A]) * 20_000,
+        }[kind]()
+        assert len(payload) >= (20_000 if kind == "one-byte" else 30_000)
+        fast = adaptive_huffman.encode(payload)
+        assert fast.data == fgk_encode(payload).data
+        assert adaptive_huffman.decode(fast.data, len(payload)) == payload
+        assert fgk_decode(fast.data) == payload
+
+    def test_codes_across_refill_boundaries(self):
+        # The decoder expands _CHUNK stream bytes at a time and carries a
+        # walk cut by the end of a chunk into the next one.  Random payloads cut the 8- and
+        # 9-bit codes that cross the chunk boundaries at every split.
+        rng = random.Random(733)
+        edge = 8 * adaptive_huffman._CHUNK
+        splits = set()
+        for _ in range(60):
+            payload = rng.randbytes(rng.randrange(edge // 4, edge // 2))
+            fast = adaptive_huffman.encode(payload)
+            assert adaptive_huffman.decode(fast.data, len(payload)) == payload
+            for start, length in fgk_code_spans(payload):
+                cut = -start % edge
+                if 0 < cut < length:
+                    splits.add((length, cut))
+        for length in (8, 9):
+            assert {cut for l, cut in splits if l == length} == set(range(1, length))
+        # A longer code at every split: after a steeply skewed warm-up and
+        # a run of 0s, a 0 costs one bit, so k more 0s move the next code k
+        # bits on without changing it.
+        warm = bytes(rng.choices(range(40), weights=[2.0**-j for j in range(40)], k=3000))
+        warm += bytes(2000)
+        tree = FgkTree()
+        pos = 0
+        for sym in warm:
+            pos += len(tree.code_bits(sym))
+            tree.update(sym)
+        assert len(tree.code_bits(0)) == 1
+        rare = max(range(256), key=lambda sym: len(tree.code_bits(sym)))
+        length = len(tree.code_bits(rare))
+        assert length >= 12
+        tail = bytes(rng.choices(range(40), k=500))
+        for cut in range(1, length):
+            payload = warm + bytes((-cut - pos) % edge) + bytes([rare]) + tail
+            fast = adaptive_huffman.encode(payload)
+            assert adaptive_huffman.decode(fast.data, len(payload)) == payload
+            if cut == length // 2:
+                assert fast.data == fgk_encode(payload).data
+                start, _ = fgk_code_spans(payload)[len(payload) - len(tail) - 1]
+                assert -start % edge == cut
+
+    def test_bound_stops_within_one_refill(self):
+        # entropy.decode's docstring: a stream longer than max_len raises
+        # within 8 * _CHUNK symbols of the bound.  The decoder reads the
+        # stream a chunk at a time and decodes every code it has read before
+        # it checks, so the codes inside the bytes it reached count the
+        # symbols it decoded.  One-bit codes make the bound tight.
+        rng = random.Random(734)
+        per_refill = 8 * adaptive_huffman._CHUNK
+        for payload in (bytes(40_000), rng.randbytes(30_000)):
+            spans = fgk_code_spans(payload)[:-1]
+            data = adaptive_huffman.encode(payload).data
+            past = []
+            for bound in (0, 1, 999, 4_000, 12_345, len(payload) - 1):
+                log = ReadLog(data)
+                with pytest.raises(CorruptStream, match="past its declared size"):
+                    adaptive_huffman.decode(log, bound)
+                decoded = sum(start + length <= 8 * log.reached for start, length in spans)
+                assert bound < decoded <= bound + per_refill
+                past.append(decoded - bound)
+            if not any(payload):  # one bit a symbol: the bound is nearly reached
+                assert max(past) > per_refill // 2
+
     def _check_sibling(self, tree):
         # weights nondecreasing in number order; siblings hold adjacent
         # numbers; parents outnumber both children
-        n = adaptive_huffman._NUM_NODES
+        n = FGK_NODES
         weights = tree.weight_at[1 : n + 1]
         assert weights == sorted(weights)
         assert sorted(tree.num_of[1 : n + 1]) == list(range(1, n + 1))
         assert all(tree.node_at[tree.num_of[i]] == i for i in range(1, n + 1))
-        weight = lambda node: tree.weight_at[tree.num_of[node]]
-        for node in range(NUM_SYMBOLS + 1, n + 1):
-            l, r = tree.child[2 * node], tree.child[2 * node + 1]
-            assert tree.slot[l] == 2 * node and tree.slot[r] == 2 * node + 1
+        assert all(tree.weight_at[tree.num_of[i]] == tree.weight[i] for i in range(1, n + 1))
+        internal = [node for node in range(1, n + 1) if tree.left[node]]
+        assert len(internal) == NUM_SYMBOLS - 1
+        for node in internal:
+            l, r = tree.left[node], tree.right[node]
+            assert tree.parent[l] == tree.parent[r] == node
             assert abs(tree.num_of[l] - tree.num_of[r]) == 1
             assert tree.num_of[node] > max(tree.num_of[l], tree.num_of[r])
-            assert weight(node) == weight(l) + weight(r)
+            assert tree.weight[node] == tree.weight[l] + tree.weight[r]
         for leaf in range(1, NUM_SYMBOLS + 1):
-            assert tree.child[2 * leaf] == tree.child[2 * leaf + 1] == 0
+            assert tree.left[leaf] == tree.right[leaf] == 0
 
 
 class TestArithmetic:
