@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_UP, Context, Decimal, InvalidOperation, localcontext
 from itertools import chain, product
@@ -225,6 +224,10 @@ def run_sweep(
 
     tasks = [(*config, sweep.repeats) for config in sweep.configs()]
     if jobs > 1:
+        # imported here: concurrent.futures pulls in multiprocessing, which a
+        # CLI call that never runs a pool should not pay for
+        from concurrent.futures import ProcessPoolExecutor
+
         # the pool forks all its workers at once: no more than there are tasks
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(tasks)), initializer=_init_worker, initargs=(tokens,)

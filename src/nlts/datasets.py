@@ -128,7 +128,9 @@ def _read_column(spec: DatasetSpec, lines) -> list:
     A negative column index counts from the end of the first non-empty row
     read; a later row without that field raises MissingColumn.  A row
     csv.reader refuses (a field past its size limit, say) raises CodecError
-    with its row number.
+    with its row number.  The kept tokens are checked together, by
+    _check_numeric, at the end or before any other error leaves: an
+    unparseable token still wins over every error of a later row.
     """
     if spec.delimiter == WHITESPACE:
         rows = map(str.split, lines)
@@ -136,10 +138,13 @@ def _read_column(spec: DatasetSpec, lines) -> list:
         rows = csv.reader(lines, delimiter=spec.delimiter)
     col = spec.column
     row_no = 0
+    out = []
+    idle = []  # the rows that add no token to out, in order
     try:
         if isinstance(col, str):  # a named column: the first row is the header
             header = next(rows, None)
             row_no = 1
+            idle.append(1)
             if header is None:
                 raise MissingColumn(f"{spec.source_path} is empty")
             try:
@@ -147,11 +152,11 @@ def _read_column(spec: DatasetSpec, lines) -> list:
             except ValueError:
                 raise MissingColumn(f"column {spec.column!r} not in header {header!r}") from None
 
-        out = []
         last = None
         for row in rows:
             row_no += 1
             if not row:
+                idle.append(row_no)
                 continue
             if col < 0 and len(row) + col >= 0:
                 col += len(row)
@@ -164,19 +169,47 @@ def _read_column(spec: DatasetSpec, lines) -> list:
             token = token.strip()
             if token.lower() in MISSING_TOKENS:
                 if spec.missing_policy == SKIP:
+                    idle.append(row_no)
                     continue
                 if spec.missing_policy == FORWARD_FILL:
                     if last is not None:
                         out.append(last)
+                    else:
+                        idle.append(row_no)
                     continue
                 raise MissingValue(row_no)
-            if not is_numeric(token):
-                raise UnparseableRow(row_no, token)
             out.append(token)
             last = token
-        return out
     except csv.Error as e:
+        _check_numeric(out, idle)
         raise CodecError(f"row {row_no + 1}: {e}") from None
+    except (CodecError, ValueError):  # a later row's fault, or bad UTF-8
+        _check_numeric(out, idle)
+        raise
+    _check_numeric(out, idle)
+    return out
+
+
+def _check_numeric(tokens: list, idle: list) -> None:
+    """Raise UnparseableRow for the first of tokens that is not a finite number.
+
+    Only the distinct tokens plain_survey finds not PLAIN go through
+    is_numeric.  tokens[i] came from the (i + 1)-th row not listed in idle.
+    """
+    text = "\n".join(tokens)
+    if text.count("\n") < len(tokens):
+        odd = plain_survey(tokens, text, len(tokens) + 1)[1]
+    else:  # a quoted field holds a line break, or there are no tokens
+        odd = set(tokens)
+    bad = {t for t in odd if not is_numeric(t)}
+    if bad:
+        i = next(i for i, t in enumerate(tokens) if t in bad)
+        row = i + 1
+        for r in idle:
+            if r > row:
+                break
+            row += 1
+        raise UnparseableRow(row, tokens[i])
 
 
 def _uniform_column(spec: DatasetSpec, data: bytes):

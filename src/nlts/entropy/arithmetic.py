@@ -14,22 +14,31 @@ so each kind occurs once per symbol).  The k agreeing bits, low's top k,
 go out with the p pending straddle bits after the first of them, as its
 opposite: 0 1..1 rest and 1 0..0 rest are both bits + ((2**p - 1) << (k - 1))
 in k + p bits, so the encoder appends them in one step, with or without
-pending bits.  The frequency model is inlined into
-the coding loops.  Symbol 0's count is a local, so coding a 0 needs no tree
-at all; the counts of symbols 1..256 sit at positions 1..256 of a Fenwick
-tree whose root, node 256, holds only their sum and is never read, so the
-tree stops at node 255.  The encoder sums precomputed per-symbol index
-tuples; the decoder's 8-step descent is unrolled and applies the decoded
-symbol's increment on its way down.  The decoder tracks code - low rather
-than the code itself, which turns both kinds of shift into one append of
-stream bits.  Output bits collect in an int accumulator that spills whole
-bytes, and the decoder reads four bytes at a time.  The output is
-bit-identical to the plain one-bit-at-a-time formulation.
+pending bits.
+
+The frequency model is inlined into the coding loops.  Symbols 0..4 -- the
+deviations 0, +-1 and +-2 after zigzag, which dominate the transform's
+output -- keep their cumulative counts in locals b1..b5, where b_k sums the
+counts of the symbols below k, so coding one of them needs no tree at all:
+the encoder reads its interval off two locals and the decoder finds it with
+at most four compares after one test against b5.  The counts of symbols
+5..256 sit at positions 5..256 of a Fenwick tree whose positions 1..4 stay
+0, so a symbol s >= 5 starts at b5 plus the tree's prefix below s.  The
+tree's root, node 256, holds only their sum and is never read, so the tree
+stops at node 255.  The encoder sums precomputed per-symbol index tuples;
+the decoder's 8-step descent is unrolled and applies the decoded symbol's
+increment on its way down.  At the rescale the locals go back into the
+count list, are halved with the rest and are read out again.  The decoder
+tracks code - low rather than the code itself, which turns both kinds of
+shift into one append of stream bits.  Output bits collect in an int
+accumulator that spills whole bytes, and the decoder reads four bytes at a
+time.  The output is bit-identical to the plain one-bit-at-a-time
+formulation of the model in model.py.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import accumulate, chain
 
 from ..errors import CorruptStream
 from .bitio import FLUSH_BITS, BitStream, finish, spill
@@ -48,8 +57,10 @@ _MAX_OVERRUN = 2 * _STATE_BITS
 # shifts in more than 18 bits, so it never reads past this much zero padding.
 _PAD = bytes((_MAX_OVERRUN + 2 * _STATE_BITS) // 8)
 
-# Fenwick nodes 1..255 over the counts of symbols 1..255 (index 0 unused).
+# Fenwick nodes 1..255 over the counts of symbols 5..255 (index 0 unused);
+# symbols below _LOCAL keep their counts in the coding loops' locals.
 _TREE_LEN = EOF_SYMBOL
+_LOCAL = 5
 
 
 def _fenwick_paths():
@@ -78,7 +89,7 @@ _DOWN, _UP = _fenwick_paths()
 
 def _fresh_tree(counts):
     tree = [0] * _TREE_LEN
-    for i in range(1, _TREE_LEN):
+    for i in range(_LOCAL, _TREE_LEN):
         tree[i] += counts[i]
         j = i + (i & -i)
         if j < _TREE_LEN:
@@ -89,11 +100,11 @@ def _fresh_tree(counts):
 _INITIAL_TREE = _fresh_tree([1] * NUM_SYMBOLS)
 
 
-def _halved(counts, c0):
-    """The model after a rescale: (counts, c0, total, tree)."""
-    counts[0] = c0
+def _halved(counts, b1, b2, b3, b4, b5):
+    """The model after a rescale: (counts, b1, b2, b3, b4, b5, total, tree)."""
+    counts[:_LOCAL] = b1, b2 - b1, b3 - b2, b4 - b3, b5 - b4
     counts = [(c + 1) >> 1 for c in counts]
-    return counts, counts[0], sum(counts), _fresh_tree(counts)
+    return (counts, *accumulate(counts[:_LOCAL]), sum(counts), _fresh_tree(counts))
 
 
 def _check(consumed, overrun_limit, decoded, max_len):
@@ -104,8 +115,8 @@ def _check(consumed, overrun_limit, decoded, max_len):
 
 
 def encode(payload: bytes) -> BitStream:
-    counts = [1] * NUM_SYMBOLS  # counts[0] is stale; c0 holds symbol 0's
-    c0 = 1
+    counts = [1] * NUM_SYMBOLS  # counts[:5] are stale; b1..b5 hold them
+    b1, b2, b3, b4, b5 = 1, 2, 3, 4, 5
     tree = _INITIAL_TREE[:]
     total = NUM_SYMBOLS
 
@@ -118,8 +129,8 @@ def encode(payload: bytes) -> BitStream:
 
     for sym in chain(payload, (EOF_SYMBOL,)):
         rng = high - low + 1
-        if sym:
-            lo_c = c0
+        if sym > 4:
+            lo_c = b5
             for i in _DOWN[sym]:
                 lo_c += tree[i]
             c = counts[sym]
@@ -129,12 +140,37 @@ def encode(payload: bytes) -> BitStream:
             counts[sym] = c + 1
             for i in _UP[sym]:
                 tree[i] += 1
+        elif not sym:
+            high = low + b1 * rng // total - 1
+            b1 += 1
+            b2 += 1
+            b3 += 1
+            b4 += 1
+            b5 += 1
         else:
-            high = low + c0 * rng // total - 1
-            c0 += 1
+            if sym == 1:
+                lo_c = b1
+                high = low + b2 * rng // total - 1
+                b2 += 1
+                b3 += 1
+                b4 += 1
+            elif sym == 2:
+                lo_c = b2
+                high = low + b3 * rng // total - 1
+                b3 += 1
+                b4 += 1
+            elif sym == 3:
+                lo_c = b3
+                high = low + b4 * rng // total - 1
+                b4 += 1
+            else:
+                lo_c = b4
+                high = low + b5 * rng // total - 1
+            b5 += 1
+            low += lo_c * rng // total
         total += 1
         if total >= RESCALE_CEILING:
-            counts, c0, total, tree = _halved(counts, c0)
+            counts, b1, b2, b3, b4, b5, total, tree = _halved(counts, b1, b2, b3, b4, b5)
 
         k = _STATE_BITS - (low ^ high).bit_length()
         if k:
@@ -161,8 +197,8 @@ def encode(payload: bytes) -> BitStream:
 
 
 def decode(data: bytes, max_len: float) -> bytes:
-    counts = [1] * NUM_SYMBOLS  # counts[0] is stale; c0 holds symbol 0's
-    c0 = 1
+    counts = [1] * NUM_SYMBOLS  # counts[:5] are stale; b1..b5 hold them
+    b1, b2, b3, b4, b5 = 1, 2, 3, 4, 5
     tree = _INITIAL_TREE[:]
     total = NUM_SYMBOLS
     # Counts stay >= 1 under a total below 2**16, so a symbol costs at least
@@ -193,18 +229,15 @@ def decode(data: bytes, max_len: float) -> bytes:
     while True:
         rng = high - low + 1
         value = ((d + 1) * total - 1) // rng
-        if value < c0:
-            high = low + c0 * rng // total - 1
-            c0 += 1
-            append(0)
-        else:
-            # Fenwick descent over symbols 1..256 for value - c0, unrolled
+        if value >= b5:
+            # Fenwick descent over symbols 5..256 for value - b5, unrolled
             # over the 8 powers of two from 128 down; sym - 1 is the
-            # position reached so far.  The nodes where the descent does not
-            # advance are exactly _UP[sym], the nodes covering counts[sym],
-            # so each else branch applies the symbol's increment as it
-            # passes.  The terminator advances at every step.
-            rem = value - c0
+            # position reached so far.  The empty positions 1..4 never stop
+            # it.  The nodes where the descent does not advance are exactly
+            # _UP[sym], the nodes covering counts[sym], so each else branch
+            # applies the symbol's increment as it passes.  The terminator
+            # advances at every step.
+            rem = value - b5
             t = tree[128]
             if t <= rem:
                 rem -= t
@@ -265,9 +298,44 @@ def decode(data: bytes, max_len: float) -> bytes:
             d -= step
             counts[sym] = c + 1
             append(sym)
+        elif value < b1:
+            high = low + b1 * rng // total - 1
+            b1 += 1
+            b2 += 1
+            b3 += 1
+            b4 += 1
+            b5 += 1
+            append(0)
+        else:
+            if value < b2:
+                lo_c = b1
+                high = low + b2 * rng // total - 1
+                b2 += 1
+                b3 += 1
+                b4 += 1
+                append(1)
+            elif value < b3:
+                lo_c = b2
+                high = low + b3 * rng // total - 1
+                b3 += 1
+                b4 += 1
+                append(2)
+            elif value < b4:
+                lo_c = b3
+                high = low + b4 * rng // total - 1
+                b4 += 1
+                append(3)
+            else:
+                lo_c = b4
+                high = low + b5 * rng // total - 1
+                append(4)
+            b5 += 1
+            step = lo_c * rng // total
+            low += step
+            d -= step
         total += 1
         if total >= RESCALE_CEILING:
-            counts, c0, total, tree = _halved(counts, c0)
+            counts, b1, b2, b3, b4, b5, total, tree = _halved(counts, b1, b2, b3, b4, b5)
 
         # n leading bits agree (none when the top bits differ)
         n = _STATE_BITS - (low ^ high).bit_length()

@@ -6,9 +6,10 @@ count is halved rounding up, which keeps counts >= 1 and the total inside
 16 bits -- all three constants are normative for stream compatibility.
 
 The model itself is inlined into the coding loops of arithmetic.py, which
-keeps symbol 0's count apart from a Fenwick tree over the other 256 (a
-layout of its own, not of the model); a plain class form lives with the
-reference coders in the tests.
+keeps the cumulative counts of symbols 0..4 in locals and the counts of
+symbols 5..256 in a Fenwick tree (a layout of its own, not of the model:
+the intervals are those of one count list in symbol order); a plain class
+form lives with the reference coders in the tests.
 """
 
 NUM_SYMBOLS = 257

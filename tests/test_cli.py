@@ -1,9 +1,14 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nlts
 from nlts.bench import SweepSpec
 from nlts.cli import main
 from nlts.cli import _build_parser
@@ -18,6 +23,26 @@ def write_series(path, n=600, seed=920, fmt="{:.4f}"):
         for _ in range(n):
             v += rng.gauss(0, 0.02)
             f.write(fmt.format(v) + "\n")
+
+
+class TestColdCall:
+    def test_compress_imports_no_process_pool(self, tmp_path):
+        # the CLI is one process per file; only `nlts bench --jobs N` runs a
+        # process pool, and concurrent.futures pulls in multiprocessing
+        src, packed = tmp_path / "in.txt", tmp_path / "out.nlts"
+        write_series(src, n=1024)
+        script = (
+            "import sys\n"
+            "from nlts.cli import main\n"
+            f"code = main(['compress', {str(src)!r}, {str(packed)!r}])\n"
+            "heavy = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
+            "print(code, *heavy)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(nlts.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "0"
+        assert packed.stat().st_size > 0
 
 
 class TestCompressDecompressVerify:

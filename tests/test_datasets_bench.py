@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import itertools
 import json
@@ -268,6 +269,31 @@ class TestIngestMatchesCheckedLoop:
         with pytest.raises(UnparseableRow) as exc:
             ingest(spec)
         assert exc.value.row == 3
+
+    @pytest.mark.parametrize("policy", ["skip", "forward-fill"])
+    def test_unparseable_row_before_short_row(self, tmp_path, policy):
+        # the row reader checks the kept tokens together, before a later
+        # row's error leaves: row 5's token wins over row 9's missing field,
+        # counted past the header, a blank row and a marker
+        p = tmp_path / "in.csv"
+        p.write_text("ts,value\n1,1.5\n\n3,?\n4,x\n5,1.5\n6,2.5\n7,x\n8\n9,y\n")
+        spec = DatasetSpec(name="t", source_path=str(p), column="value",
+                           delimiter=",", missing_policy=policy)
+        for read in (ingest, checked_loop):
+            with pytest.raises(UnparseableRow) as exc:
+                read(spec)
+            assert (exc.value.row, exc.value.token) == (5, "x")
+        p.write_text("ts,value\n1,1.5\n\n3,?\n4,1.5\n5,1e3\n6,2.5\n7,2.5\n8\n9,y\n")
+        with pytest.raises(MissingColumn, match="^row 9 has 1 fields, column 1 requested$"):
+            ingest(spec)
+
+    def test_line_break_in_quoted_token(self, tmp_path):
+        p = tmp_path / "in.csv"
+        p.write_text('ts,value\n1,1.5\n2,"2\n5"\n3,2.5\n')
+        spec = DatasetSpec(name="t", source_path=str(p), column="value", delimiter=",")
+        with pytest.raises(UnparseableRow) as exc:
+            ingest(spec)
+        assert (exc.value.row, exc.value.token) == (3, "2\n5")
 
     def test_bad_utf8_after_unparseable_row(self, tmp_path):
         p = tmp_path / "in.txt"
@@ -773,7 +799,8 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", Pool)
+        # run_sweep imports the pool from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(bench, "_WORKER_TOKENS", None)
         spec = self._dataset(tmp_path, n=100)
         sweep = SweepSpec(taus=(3, 5, 9), repeats=1)

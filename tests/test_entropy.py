@@ -20,7 +20,7 @@ from nlts.entropy import (
 from nlts.entropy.bitio import finish
 from nlts.entropy.model import EOF_SYMBOL, NUM_SYMBOLS, RESCALE_CEILING
 from nlts.errors import CorruptStream, UnsupportedVersion
-from nlts.quantizer import quantize_stream
+from nlts.quantizer import LOSSLESS, quantize_stream
 from nlts.transform import encode_blocks
 
 from reference_coders import (
@@ -221,18 +221,24 @@ class TestStaticHuffman:
             static_huffman.decode(data, math.inf)
 
 
-def motion_symbols(version, samples=21_000, seed=7):
-    """The symbol stream, at d=3, L=16 and tau=9, of perfbench's seeded motion
-    signal as its motion-coders workload codes it; its files hold 12,000
-    samples, and 21,000 give over 30,000 symbols."""
+def synth_symbols(shape, samples, digits=3, version=2, seed=7):
+    """The symbol stream, at L=16 and tau=9, of perfbench's seeded shape as
+    its workloads code it; perfbench/synth.py is only read."""
     spec = importlib.util.spec_from_file_location(
         "synth", Path(__file__).parents[1] / "perfbench" / "synth.py"
     )
     synth = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(synth)
-    codes = quantize_stream(synth.motion(random.Random(seed), samples), 3)[0]
-    cfg = CodecConfig(method_version=version, coder=ADAPTIVE_HUFFMAN, digits=3)
+    codes = quantize_stream(synth.SHAPES[shape](random.Random(seed), samples), digits)[0]
+    cfg = CodecConfig(method_version=version, digits=digits)
     return bytes(encode_blocks(codes, cfg))
+
+
+def motion_symbols(version, samples=21_000, seed=7):
+    """The symbol stream, at d=3, of perfbench's seeded motion signal as its
+    motion-coders workload codes it; its files hold 12,000 samples, and
+    21,000 give over 30,000 symbols."""
+    return synth_symbols("motion", samples, version=version, seed=seed)
 
 
 def fgk_code_spans(payload):
@@ -402,6 +408,17 @@ class TestAdaptiveHuffman:
             assert tree.left[leaf] == tree.right[leaf] == 0
 
 
+def rescales(payload):
+    """How often the reference model halves its counts while coding payload."""
+    model = FrequencyModel()
+    halvings = 0
+    for sym in payload:
+        before = model.total
+        model.update(sym)
+        halvings += model.total < before
+    return halvings
+
+
 class TestArithmetic:
     def test_matches_reference_bit_for_bit(self):
         for payload in random_payloads(740, 80, max_len=3000):
@@ -411,20 +428,45 @@ class TestArithmetic:
             assert arithmetic.decode(fast.data, len(payload)) == payload
             assert arithmetic_decode(fast.data) == payload
 
-    @pytest.mark.parametrize("n", [65_278, 65_279, 65_280])
+    @pytest.mark.parametrize("n", [65_278, 65_279, 65_280, 140_000])
     def test_rescale_ceiling_matches_reference(self, n):
         # the model halves once the total reaches 2^16, after 65,279 symbols:
         # 65,278 stop one short, 65,279 halve just before the terminator
-        # and 65,280 code one more symbol after the halving
-        assert n + NUM_SYMBOLS in (RESCALE_CEILING - 1, RESCALE_CEILING, RESCALE_CEILING + 1)
+        # and 65,280 code one more symbol after the halving; 140,000 halve
+        # three times, twice with counts that were halved before.  Symbols
+        # 0..4 keep their counts outside the coder's tree, 5 is the first
+        # inside it.
         rng = random.Random(743)
-        skewed = bytes(rng.choices([0, 1, 2, 255, 7], weights=[70, 12, 8, 8, 2], k=n))
+        alphabet = [0, 1, 2, 3, 4, 5, 7, 255]
+        skewed = bytes(rng.choices(alphabet, weights=[40, 12, 10, 9, 8, 8, 2, 11], k=n))
         for payload in (skewed, rng.randbytes(n)):
             fast = arithmetic.encode(payload)
             ref = arithmetic_encode(payload)
             assert fast.data == ref.data
             assert arithmetic.decode(fast.data, n) == payload
             assert arithmetic_decode(fast.data) == payload
+        assert rescales(skewed) == {65_278: 0, 65_279: 1, 65_280: 1, 140_000: 3}[n]
+
+    @pytest.mark.parametrize("kind", ["stepwise", "pulse", "plateau"])
+    def test_long_payloads_match_reference(self, kind):
+        # the seed-7 symbol streams of a gateway-chunks window at --digits 3
+        # and at --lossless, and of a plateau-long file, where symbols 0..4
+        # (the deviations 0, +-1 and +-2) are a large share
+        payload = {
+            "stepwise": lambda: synth_symbols("stepwise", 1_024),
+            "pulse": lambda: synth_symbols("pulse", 1_024, digits=LOSSLESS),
+            "plateau": lambda: synth_symbols("drift_plateau", 50_000),
+        }[kind]()
+        assert sum(sym < 5 for sym in payload) > len(payload) // 8
+        fast = arithmetic.encode(payload)
+        assert fast.data == arithmetic_encode(payload).data
+        assert arithmetic.decode(fast.data, len(payload)) == payload
+        assert arithmetic_decode(fast.data) == payload
+        # the decoder's bound (entropy.decode's docstring): one symbol past
+        # it raises, and so does any bound below the length
+        for bound in (len(payload) - 1, len(payload) // 2):
+            with pytest.raises(CorruptStream, match="past its declared size"):
+                arithmetic.decode(fast.data, bound)
 
     def test_truncated_stream(self):
         stream = arithmetic.encode(bytes(random.Random(741).randbytes(400)))
