@@ -12,7 +12,6 @@ import os
 import sys
 from pathlib import Path
 
-from .bench import CONFIG_FIELDS, SweepSpec, codec_config, config_label, run_sweep, verify_files
 from .container import (
     FORMAT_VERSION,
     HEADER_LEN,
@@ -122,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_compress(args) -> int:
     samples = ingest(_reading_spec(args, args.input))
     digits = LOSSLESS if args.lossless else args.digits
-    cfg = codec_config(args.version, args.coder, args.block, args.tau, digits)
+    cfg = CodecConfig(args.version, CODER_IDS[args.coder], args.block, args.tau, digits)
     blob, m = compress_stream(samples, cfg)
     Path(args.output).write_bytes(blob)
     print(
@@ -148,6 +147,7 @@ def _cmd_decompress(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .bench import verify_files  # compress and decompress never load the sweep harness
     result = verify_files(_reading_spec(args, args.original), args.decoded, args.epsilon)
     if result.ok:
         print(f"ok  max_abs_error={result.max_abs_error}")
@@ -158,6 +158,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import CONFIG_FIELDS, SweepSpec, config_label, run_sweep
     load = DatasetSpec.from_json if Path(args.dataset_spec).exists() else packaged_spec
     dataset = load(args.dataset_spec)
     sweep = SweepSpec.from_json(args.sweep_spec)

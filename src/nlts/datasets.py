@@ -15,14 +15,12 @@ user (see README) and located via a data directory.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import re
 from contextlib import suppress
 from dataclasses import MISSING, dataclass, fields, replace
 from decimal import Decimal, InvalidOperation
-from importlib import resources
 from pathlib import Path
 
 from .errors import CodecError, MissingColumn, MissingValue, UnparseableRow
@@ -98,6 +96,7 @@ class DatasetSpec:
 
 def packaged_spec(name: str) -> DatasetSpec:
     """Load one of the shipped benchmark dataset specs by name."""
+    from importlib import resources  # only `nlts bench` loads a packaged spec
     ref = resources.files(__package__) / "dataset_specs" / f"{name.lower()}.json"
     with resources.as_file(ref) as path:
         if not path.exists():
@@ -106,6 +105,7 @@ def packaged_spec(name: str) -> DatasetSpec:
 
 
 def file_sha256(path) -> str:
+    import hashlib  # only a bench report records a checksum
     h = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):

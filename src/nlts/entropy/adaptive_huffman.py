@@ -20,11 +20,10 @@ each merge takes the two oldest unpaired nodes, since a merged node weighs
 at least 2 and no less than those merged before it, and a leaf wins ties.
 So internal node p has children 2(p - 257) - 1 and 2(p - 257).
 
-Each direction is one loop with the update written into it.  The encoder
-walks up from the leaf, collecting code bits and incrementing weights,
-until a node must swap; it then finishes the code walk to the root, emits
-the code as one int and only then swaps, since a swap moves the path the
-code is read from.  The decoder expands the stream _CHUNK bytes at a time
+Both directions run the same update loop from the leaf to the root.  The
+encoder first reads the leaf's code on one walk up and emits it as one
+int, since a swap moves the path the code is read from; it then updates
+from the leaf.  The decoder expands the stream _CHUNK bytes at a time
 into 0/1 byte values and walks child[(node << 1) | bit] over them in one
 loop, updating at each leaf; a walk cut by the end of a chunk goes on in
 the next.
@@ -80,17 +79,7 @@ def encode(payload: bytes) -> BitStream:
         node = sym + 1
         value = 0
         length = 0
-        while node != _ROOT:
-            n = num_of[node]
-            w = weight_at[n]
-            if weight_at[n + 1] == w:
-                break
-            weight_at[n] = w + 1
-            s = slot[node]
-            value |= (s & 1) << length
-            length += 1
-            node = s >> 1
-        up = node  # the first node to swap, or the root: the code is read before it moves
+        up = node  # the code is read before the update moves its path
         while up != _ROOT:
             s = slot[up]
             value |= (s & 1) << length

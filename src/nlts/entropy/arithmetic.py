@@ -64,14 +64,16 @@ _LOCAL = 5
 
 
 def _fenwick_paths():
-    """Per symbol s >= 1, the Fenwick indices summed for counts[1..s-1]
-    (_DOWN) and the indices an increment of counts[s] touches (_UP)."""
-    down = [()]
-    up = [()]
-    for sym in range(1, NUM_SYMBOLS):
+    """Per tree symbol s >= _LOCAL, the Fenwick nodes summed for counts[5..s-1]
+    (_DOWN) and the nodes an increment of counts[s] touches (_UP).  Nodes
+    below _LOCAL cover only positions 1..4 and stay 0, so no path names
+    them, and the rows of the local symbols 0..4 are empty."""
+    down = [()] * _LOCAL
+    up = [()] * _LOCAL
+    for sym in range(_LOCAL, NUM_SYMBOLS):
         path = []
         i = sym - 1
-        while i:
+        while i >= _LOCAL:
             path.append(i)
             i &= i - 1
         down.append(tuple(path))

@@ -61,10 +61,9 @@ def check_block_settings(method_version, block_len, tau) -> None:
         raise ValueError(f"tau must be an integer in 1..{L}, got {tau!r}")
 
 
-#: encode_blocks counts the values of a block at most SHORT_BLOCK wide that
-#: holds at most FEW_VALUES distinct ones with list.count rather than build
-#: a Counter: one pass per value is cheaper there.
-SHORT_BLOCK = 64
+#: encode_blocks counts the values of a block that holds at most FEW_VALUES
+#: distinct ones with list.count rather than build a Counter: one pass per
+#: value is cheaper there.
 FEW_VALUES = 8
 
 
@@ -105,14 +104,14 @@ def encode_blocks(codes, cfg) -> bytearray:
                 start = end
                 continue
             # A block of d distinct values has a mode frequency of at most
-            # width - d + 1, which tau 1 always reaches.  A short block with
-            # few values is counted value by value; any other with a Counter.
-            values = set(block) if width <= SHORT_BLOCK and tau > 1 else ()
-            if values and width - len(values) < tau - 1 and (v1 or x1):
+            # width - d + 1.  A block with few values is counted value by
+            # value; any other with a Counter.
+            values = set(block)
+            if width - len(values) < tau - 1 and (v1 or x1):
                 # no value is frequent enough, and only a version-2 block
                 # leading with 0 would need the mode: a diff block
                 frequency = 0
-            elif 0 < len(values) <= FEW_VALUES:
+            elif len(values) <= FEW_VALUES:
                 mode = max(sorted(values), key=block.count)  # the smallest of the most frequent
                 frequency = block.count(mode)
             else:

@@ -28,14 +28,18 @@ def write_series(path, n=600, seed=920, fmt="{:.4f}"):
 class TestColdCall:
     def test_compress_imports_no_process_pool(self, tmp_path):
         # the CLI is one process per file; only `nlts bench --jobs N` runs a
-        # process pool, and concurrent.futures pulls in multiprocessing
+        # process pool, and concurrent.futures pulls in multiprocessing.  The
+        # sweep harness (with statistics), packaged specs (importlib.resources)
+        # and report checksums (hashlib) are bench's alone too.
         src, packed = tmp_path / "in.txt", tmp_path / "out.nlts"
         write_series(src, n=1024)
+        heavy = ("concurrent.futures", "multiprocessing", "nlts.bench", "statistics",
+                 "importlib.resources", "hashlib")
         script = (
             "import sys\n"
             "from nlts.cli import main\n"
             f"code = main(['compress', {str(src)!r}, {str(packed)!r}])\n"
-            "heavy = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
+            f"heavy = [m for m in {heavy!r} if m in sys.modules]\n"
             "print(code, *heavy)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(nlts.__file__).parents[1]))

@@ -468,6 +468,24 @@ class TestArithmetic:
             with pytest.raises(CorruptStream, match="past its declared size"):
                 arithmetic.decode(fast.data, bound)
 
+    def test_fenwick_paths_name_only_tree_nodes(self):
+        # symbols 0..4 are coded from locals, and nodes 1..4 cover only their
+        # positions, which stay 0: no path reads or bumps them
+        local = arithmetic._LOCAL
+        assert local == 5
+        for table in (arithmetic._DOWN, arithmetic._UP):
+            assert len(table) == NUM_SYMBOLS
+            assert table[:local] == ((),) * local
+            assert all(min(row) >= local for row in table[local:] if row)
+        # each path still sums or touches exactly the right counts
+        rng = random.Random(744)
+        counts = [0] * local + [rng.randrange(1, 1000) for _ in range(local, NUM_SYMBOLS)]
+        tree = arithmetic._fresh_tree(counts)
+        for sym in range(local, NUM_SYMBOLS):
+            assert sum(tree[i] for i in arithmetic._DOWN[sym]) == sum(counts[local:sym])
+            covering = {i for i in range(1, len(tree)) if i - (i & -i) < sym <= i}
+            assert set(arithmetic._UP[sym]) == covering
+
     def test_truncated_stream(self):
         stream = arithmetic.encode(bytes(random.Random(741).randbytes(400)))
         with pytest.raises(CorruptStream):
