@@ -10,7 +10,6 @@ import argparse
 import functools
 import os
 import sys
-from pathlib import Path
 
 from .container import (
     FORMAT_VERSION,
@@ -55,7 +54,7 @@ def _add_reading_options(parser) -> None:
 def _reading_spec(args, path: str) -> DatasetSpec:
     """The DatasetSpec that reads path as the reading options in args say."""
     return DatasetSpec(
-        name=Path(path).name,
+        name=os.path.basename(path),
         source_path=path,
         column=args.column,
         delimiter=args.delimiter,
@@ -123,7 +122,8 @@ def _cmd_compress(args) -> int:
     digits = LOSSLESS if args.lossless else args.digits
     cfg = CodecConfig(args.version, CODER_IDS[args.coder], args.block, args.tau, digits)
     blob, m = compress_stream(samples, cfg)
-    Path(args.output).write_bytes(blob)
+    with open(args.output, "wb") as f:
+        f.write(blob)
     print(
         f"{len(samples)} samples -> {m.output_bytes} bytes  "
         f"cr={m.cr:.2f}  encode={m.rate:.2f} MB/s  "
@@ -133,7 +133,8 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_decompress(args) -> int:
-    blob = Path(args.input).read_bytes()
+    with open(args.input, "rb") as f:
+        blob = f.read()
     tokens, m = decompress_to_tokens(blob)
     # newline="" writes the canonical text byte for byte on every platform
     with open(args.output, "w", encoding="utf-8", newline="") as f:
@@ -159,7 +160,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     from .bench import CONFIG_FIELDS, SweepSpec, config_label, run_sweep
-    load = DatasetSpec.from_json if Path(args.dataset_spec).exists() else packaged_spec
+    load = DatasetSpec.from_json if os.path.exists(args.dataset_spec) else packaged_spec
     dataset = load(args.dataset_spec)
     sweep = SweepSpec.from_json(args.sweep_spec)
     data_dir = args.data_dir or os.environ.get("NLTS_DATA_DIR") or "."
@@ -173,7 +174,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    blob = Path(args.input).read_bytes()
+    with open(args.input, "rb") as f:
+        blob = f.read()
     h = StreamHeader.parse(blob)
     scale = "lossless-integer" if h.scale_exp is None else h.scale_exp
     print(f"format_version:  {FORMAT_VERSION}")

@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import re
 from contextlib import suppress
 from dataclasses import MISSING, dataclass, fields, replace
 from decimal import Decimal, InvalidOperation
-from pathlib import Path
 
 from .errors import CodecError, MissingColumn, MissingValue, UnparseableRow
 from .quantizer import PLAIN, plain_survey
@@ -45,6 +43,7 @@ def load_spec(cls, path):
     without a default or names an unknown one, raises ValueError; so does
     any value cls refuses.  Only cls holds the defaults.
     """
+    import json  # only a spec file is JSON; the codec commands read none
     with open(path, encoding="utf-8") as f:
         raw = json.load(f)
     if not isinstance(raw, dict):
@@ -88,6 +87,7 @@ class DatasetSpec:
 
     def resolve(self, data_dir=None) -> "DatasetSpec":
         """Anchor a relative source path at the data directory."""
+        from pathlib import Path  # only `nlts bench` resolves a spec
         p = Path(self.source_path)
         if not p.is_absolute() and data_dir is not None:
             p = Path(data_dir) / p

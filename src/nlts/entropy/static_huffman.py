@@ -11,11 +11,11 @@ symbols sorted by (length, value) receive consecutive codes, left-shifted
 at each length increase, so no tree shape needs to travel.
 
 The encoder shifts each symbol's code into an int accumulator that spills
-whole bytes.  The decoder reads whole bytes into an int window and resolves
-a code of up to _TABLE_BITS bits in one lookup in a canonical prefix table
-(Moffat & Turpin 1997, as zlib's inflate does); longer codes, and bit
-patterns that start no code, fall back to the bit-by-bit canonical walk
-over first[] and by_len[], which also produces the damaged-stream errors.
+whole bytes.  The decoder refills one int window, 64 bits at a time, to
+hold the longest code; a code of up to _TABLE_BITS bits resolves in one
+lookup in a canonical prefix table (Moffat & Turpin 1997, as zlib's
+inflate does), a longer one by testing each further length against first[]
+and by_len[] on the same window bits.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from ..errors import CorruptStream
 from .bitio import FLUSH_BITS, BitStream, finish, spill
 
 # Width of the decoder's lookup table: codes up to this long decode in one
-# step, longer ones fall back to a bit-by-bit walk.
+# lookup, longer ones by testing each further length.
 _TABLE_BITS = 11
 
 
@@ -97,23 +97,21 @@ def _write_table(lengths: dict, out: bytearray) -> None:
 def _read_table(data, pos: int):
     lengths = {}
     sym = 0
-    end = len(data)
-    while sym < 256:
-        if pos >= end:
-            raise CorruptStream("huffman table truncated")
-        l = data[pos]
-        pos += 1
-        if l == 0:
-            if pos >= end:
-                raise CorruptStream("huffman table truncated")
-            run = data[pos]
+    try:
+        while sym < 256:
+            l = data[pos]
             pos += 1
-            if run == 0 or sym + run > 256:
-                raise CorruptStream("huffman table zero-run out of range")
-            sym += run
-        else:
-            lengths[sym] = l
-            sym += 1
+            if l == 0:
+                run = data[pos]
+                pos += 1
+                if run == 0 or sym + run > 256:
+                    raise CorruptStream("huffman table zero-run out of range")
+                sym += run
+            else:
+                lengths[sym] = l
+                sym += 1
+    except IndexError:
+        raise CorruptStream("huffman table truncated") from None
     return lengths, pos
 
 
@@ -156,7 +154,7 @@ def decode(data: bytes, max_len: float) -> bytes:
 
     # table[k-bit prefix] = (length << 8) | symbol for the code of length <= k
     # that the prefix starts with; 0 where there is none (a longer code, or
-    # no code at all), which sends the decoder to the bit-by-bit walk.
+    # no code at all), which sends the decoder on to lengths k+1..longest.
     k = min(longest, _TABLE_BITS)
     kmask = (1 << k) - 1
     table = [0] * (1 << k)
@@ -167,17 +165,17 @@ def decode(data: bytes, max_len: float) -> bytes:
             table[lo : lo + (1 << shift)] = [(l << 8) | sym] * (1 << shift)
 
     # The window holds the wbits bits that follow the consumed ones, in its
-    # low bits; past the end of data it reads zeros.  Bit position
+    # low bits, refilled to at least longest (past 64 on a crafted table);
+    # past the end of data it reads zeros.  Bit position
     # 8 * bytepos - wbits overrunning nbits means a code ran past the end.
-    dlen = len(data)
-    nbits = 8 * dlen
+    nbits = 8 * len(data)
     bytepos = pos
     window = 0
     wbits = 0
     out = bytearray()
     append = out.append
     for _ in range(count):
-        if wbits < k:
+        while wbits < longest:
             if 8 * bytepos - wbits > nbits:
                 raise CorruptStream("huffman stream ended mid-code")
             chunk = data[bytepos : bytepos + 8]
@@ -191,27 +189,19 @@ def decode(data: bytes, max_len: float) -> bytes:
             wbits -= entry >> 8
             append(entry & 0xFF)
             continue
-        # No code of length <= k fits: walk on one bit at a time.
-        acc = (window >> (wbits - k)) & kmask
-        wbits -= k
-        l = k
-        while True:
-            if 8 * bytepos - wbits >= nbits:
-                raise CorruptStream("huffman stream ended mid-code")
-            if not wbits:
-                window = data[bytepos] if bytepos < dlen else 0
-                bytepos += 1
-                wbits = 8
-            wbits -= 1
-            acc = (acc << 1) | ((window >> wbits) & 1)
-            l += 1
-            if l > longest:
-                raise CorruptStream("bit pattern matches no huffman code")
-            idx = acc - first[l]
-            group = by_len[l]
-            if 0 <= idx < len(group):
-                append(group[idx])
+        # No code of length <= k fits: try the longer lengths in turn.
+        acc = window & ((1 << wbits) - 1)
+        for l in range(k + 1, longest + 1):
+            idx = (acc >> (wbits - l)) - first[l]
+            if 0 <= idx < len(by_len[l]):
+                wbits -= l
+                append(by_len[l][idx])
                 break
+        else:
+            # a bit-by-bit walk gives up on reading bit longest + 1, if it is there
+            if 8 * bytepos - wbits + longest >= nbits:
+                raise CorruptStream("huffman stream ended mid-code")
+            raise CorruptStream("bit pattern matches no huffman code")
     if 8 * bytepos - wbits > nbits:
         raise CorruptStream("huffman stream ended mid-code")
     return bytes(out)

@@ -26,20 +26,26 @@ def write_series(path, n=600, seed=920, fmt="{:.4f}"):
 
 
 class TestColdCall:
-    def test_compress_imports_no_process_pool(self, tmp_path):
-        # the CLI is one process per file; only `nlts bench --jobs N` runs a
-        # process pool, and concurrent.futures pulls in multiprocessing.  The
-        # sweep harness (with statistics), packaged specs (importlib.resources)
-        # and report checksums (hashlib) are bench's alone too.
-        src, packed = tmp_path / "in.txt", tmp_path / "out.nlts"
+    # the CLI is one process per file; only `nlts bench --jobs N` runs a
+    # process pool, and concurrent.futures pulls in multiprocessing.  The
+    # sweep harness (with statistics), packaged specs (importlib.resources),
+    # report checksums (hashlib), spec files (json) and spec resolution
+    # (pathlib) are bench's alone too.
+    HEAVY = ("concurrent.futures", "multiprocessing", "nlts.bench", "statistics",
+             "importlib.resources", "hashlib", "json", "pathlib")
+
+    @pytest.mark.parametrize("command", ["compress", "decompress"])
+    def test_codec_command_imports_no_bench_module(self, tmp_path, command):
+        src, packed, back = tmp_path / "in.txt", tmp_path / "out.nlts", tmp_path / "back.txt"
         write_series(src, n=1024)
-        heavy = ("concurrent.futures", "multiprocessing", "nlts.bench", "statistics",
-                 "importlib.resources", "hashlib")
+        assert main(["compress", str(src), str(packed)]) == 0
+        argv = [command, str(src), str(packed)] if command == "compress" else [
+            command, str(packed), str(back)]
         script = (
             "import sys\n"
             "from nlts.cli import main\n"
-            f"code = main(['compress', {str(src)!r}, {str(packed)!r}])\n"
-            f"heavy = [m for m in {heavy!r} if m in sys.modules]\n"
+            f"code = main({argv!r})\n"
+            f"heavy = [m for m in {self.HEAVY!r} if m in sys.modules]\n"
             "print(code, *heavy)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(nlts.__file__).parents[1]))

@@ -9,6 +9,7 @@ import pytest
 
 from nlts import entropy
 from nlts.container import CodecConfig
+from nlts.core import write_varints
 from nlts.entropy import (
     ADAPTIVE_ARITHMETIC,
     ADAPTIVE_HUFFMAN,
@@ -549,14 +550,18 @@ class TestArithmetic:
         return bits
 
 
-def fibonacci_payload(seed, distinct=22):
-    """Symbol counts 1, 1, 2, 3, 5, ...: the longest Huffman code is
-    distinct - 1 bits, past the static decoder's lookup table."""
+def fibonacci_counts(distinct):
     counts = [1, 1]
     while len(counts) < distinct:
         counts.append(counts[-1] + counts[-2])
+    return counts
+
+
+def fibonacci_payload(seed, distinct=22):
+    """Symbol counts 1, 1, 2, 3, 5, ...: the longest Huffman code is
+    distinct - 1 bits, past the static decoder's lookup table."""
     syms = random.Random(seed).sample(range(256), distinct)
-    payload = [s for s, c in zip(syms, counts) for _ in range(c)]
+    payload = [s for s, c in zip(syms, fibonacci_counts(distinct)) for _ in range(c)]
     random.Random(seed + 1).shuffle(payload)
     return bytes(payload)
 
@@ -621,6 +626,14 @@ def arithmetic_outcome(data, max_len=math.inf):
         return None
 
 
+def decode_outcome(decode, *args):
+    """What decode makes of args: the decoded bytes, or the CorruptStream it raises."""
+    try:
+        return decode(*args)
+    except CorruptStream as e:
+        return e
+
+
 class TestDamagedStreams:
     @pytest.mark.parametrize("coder", ALL_CODERS)
     def test_fuzz(self, coder):
@@ -636,10 +649,10 @@ class TestDamagedStreams:
         for payload in payloads:
             stream = entropy.encode(payload, coder)
             for data in mutations(stream.data, rng, 150):
-                outcome = self._outcome(decode, data, math.inf)
+                outcome = decode_outcome(decode, data, math.inf)
                 assert isinstance(outcome, (bytes, CorruptStream))
                 if coder in REFERENCES:
-                    expected = self._outcome(REFERENCES[coder][1], data)
+                    expected = decode_outcome(REFERENCES[coder][1], data)
                     assert repr(outcome) == repr(expected)
                 else:
                     expected = arithmetic_reference_outcome(data)
@@ -661,12 +674,82 @@ class TestDamagedStreams:
                 expected = arithmetic_reference_outcome(data[:cut])
                 assert arithmetic_outcome(data[:cut]) == expected
 
+
+def crafted_static_stream(lengths, symbols, count=None, ones=0):
+    """A static Huffman stream coding symbols under the given code lengths,
+    which need not be optimal or complete, then ones one bits; count
+    overrides the declared symbol count."""
+    out = bytearray()
+    write_varints((len(symbols) if count is None else count,), out, signed=False)
+    static_huffman._write_table(lengths, out)
+    codes = canonical_codes(lengths)
+    writer = BitWriter()
+    for sym in symbols:
+        length, code = codes[sym]
+        writer.write_bits(code, length)
+    writer.write_bits((1 << ones) - 1, ones)
+    return bytes(out) + writer.getvalue().data
+
+
+class TestStaticLongCodes:
+    """Codes longer than the lookup table, which the decoder reads from its
+    64-bit-refilled window; each outcome, bytes or error message, is the
+    bit-by-bit reference's."""
+
+    def test_long_code_at_every_refill_offset(self):
+        # weights 1, 1, 2, 3, 5, ... over 31 symbols give code lengths 1..30;
+        # a 1-bit filler moves each long code to each offset of a 64-bit refill
+        syms = random.Random(790).sample(range(256), 31)
+        lengths = static_huffman.code_lengths(dict(zip(syms, fibonacci_counts(31))))
+        filler = min(syms, key=lengths.get)
+        long_syms = [s for s in syms if lengths[s] > static_huffman._TABLE_BITS]
+        assert {lengths[s] for s in long_syms} == set(range(12, 31))
+        symbols, bit_pos = [], 0
+        for sym in long_syms:
+            for offset in range(64):
+                while bit_pos % 64 != offset:
+                    symbols.append(filler)
+                    bit_pos += 1
+                symbols.append(sym)
+                bit_pos += lengths[sym]
+        data = crafted_static_stream(lengths, symbols)
+        assert static_huffman.decode(data, math.inf) == bytes(symbols)
+        for cut in range(len(data) - 8, len(data) + 1):
+            self.assert_matches_reference(data[:cut])
+
+    def test_codes_past_64_bits_cut_at_every_byte(self):
+        # lengths 1..70 leave the all-ones pattern free.  The second stream
+        # declares one symbol more and ends in 78 one bits, which match no
+        # code; cut by a byte, it ends in 70, so the 71st bit the reference
+        # reads to give up is past the end
+        syms = random.Random(791).sample(range(256), 70)
+        lengths = {sym: l for l, sym in enumerate(syms, 1)}
+        symbols = random.Random(792).sample(syms, 70) + [syms[0]] * 5
+        assert sum(map(lengths.get, symbols)) % 8 == 2
+        whole = crafted_static_stream(lengths, symbols)
+        no_code = crafted_static_stream(lengths, symbols, count=len(symbols) + 1, ones=78)
+        for data, message in ((no_code, "bit pattern matches no huffman code"),
+                              (no_code[:-1], "huffman stream ended mid-code")):
+            assert repr(decode_outcome(static_huffman_decode, data)) == f"CorruptStream({message!r})"
+        for data in (whole, no_code):
+            for cut in range(len(data) + 1):
+                self.assert_matches_reference(data[:cut])
+
+    @pytest.mark.parametrize("longest", [1, 70])
+    def test_huge_declared_count_ends_mid_code(self, longest):
+        # 2^32 - 1 symbols declared over a few bytes of code bits: the
+        # refill-time end check stops the decoder within a window
+        syms = random.Random(793).sample(range(256), longest + 1)
+        lengths = {sym: min(l, longest) for l, sym in enumerate(syms, 1)}
+        data = crafted_static_stream(lengths, syms * 3, count=(1 << 32) - 1)
+        self.assert_matches_reference(data)
+        with pytest.raises(CorruptStream, match="ended mid-code"):
+            static_huffman.decode(data, math.inf)
+
     @staticmethod
-    def _outcome(decode, *args):
-        try:
-            return decode(*args)
-        except CorruptStream as e:
-            return e
+    def assert_matches_reference(data):
+        expected = decode_outcome(static_huffman_decode, data)
+        assert repr(decode_outcome(static_huffman.decode, data, math.inf)) == repr(expected)
 
 
 @pytest.mark.slow

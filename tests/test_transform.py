@@ -403,7 +403,7 @@ class TestMatchesReference:
 @pytest.mark.parametrize("version", [1, 2])
 class TestModeShortcuts:
     """encode_blocks skips the mode count when no value can reach tau and
-    counts a short block of few values value by value; both write the
+    counts a block of few values value by value; both write the
     reference's bytes, ties going to the smallest value."""
 
     @pytest.mark.parametrize("L", [16, 64, 128])
