@@ -32,8 +32,9 @@ EXIT_IO = 3
 
 
 def _column(arg: str) -> int | str:
-    """A --column argument: an index if it reads as one, else a header name."""
-    return int(arg) if arg.lstrip("-").isdigit() else arg
+    """A --column argument: an index if it is ASCII digits after an optional '-', else a header name."""
+    digits = arg.removeprefix("-")
+    return int(arg) if digits.isascii() and digits.isdigit() else arg
 
 
 def _add_reading_options(parser) -> None:

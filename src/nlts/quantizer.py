@@ -4,22 +4,21 @@ Samples become signed integers code = round(value * 10**d) with ties away
 from zero, so every reconstruction code / 10**d sits within 0.5 * 10**-d of
 the input -- strictly tighter than the advertised bound of 10**-d.
 
-Quantization never goes through binary floating point.  A stream of text
-tokens that are all plain decimals (PLAIN: a sign, digits and at most one
-point, no exponent) is quantized as one column: one regex search validates
-it, int() reads every token with its point removed, and C-level map passes
-round and measure the error with integer arithmetic.  Sensor columns repeat
-their readings.  One function, repeated, decides whether a sequence repeats
-(a probe of its first PROBE items, then the exact at-most-half rule) and
-returns its distinct items.  quantize_stream surveys its samples once: it
-joins them, asks repeated for the distinct tokens and searches those alone
-for a non-PLAIN spelling, then quantizes each distinct token once and maps
-the codes back over the column.  Any other stream -- floats, ints,
-Decimals, exponents, or any other spelling among its tokens -- is converted
-one sample at a time through decimal.Decimal, exactly (lossless mode takes
-a float as its shortest repr), which keeps the rounding decision
-deterministic across platforms.  Both paths report the error exactly, at
-any number of digits and whatever the caller's decimal context.
+Quantization never goes through binary floating point.  Every stream is
+quantized as one column of plain decimal text (PLAIN: a sign, digits and at
+most one point, no exponent): one regex search validates it, int() reads
+every token with its point removed, and C-level map passes round and
+measure the error with integer arithmetic.  A stream of text tokens that
+are all PLAIN is that column as given.  Any other stream -- floats, ints,
+Decimals, exponents, or any other spelling among its tokens -- is first
+spelled, one sample at a time, as the exact PLAIN text of its value, which
+decimal.Decimal gives (lossless mode takes a float as its shortest repr);
+so the rounding decision is deterministic across platforms, and the error
+is exact at any number of digits and whatever the caller's decimal context.
+Sensor columns repeat their readings.  One function, repeated, decides
+whether a sequence repeats (a probe of its first PROBE items, then the
+exact at-most-half rule) and returns its distinct items; the column pass
+then quantizes each distinct token once and maps the codes back.
 Rendering codes back to text goes through float formatting only where that
 is proven exact (see render_stream); every other code is rendered with
 integer arithmetic.  Like quantization, rendering surveys its codes once
@@ -29,7 +28,6 @@ and converts each distinct code once when the codes repeat.
 from __future__ import annotations
 
 import decimal
-import math
 import re
 from decimal import Decimal
 from itertools import islice, repeat
@@ -42,10 +40,9 @@ LOSSLESS = "lossless"
 
 MAX_DIGITS = 6
 
-# Every Decimal operation that could round runs here, not in the caller's
-# context: at the largest precision scaleb and subtraction are exact for any
-# input.  Nothing here divides, which this precision would leave unbounded.
-_CTX = decimal.Context(prec=decimal.MAX_PREC, rounding=decimal.ROUND_HALF_UP)
+# The error's scaleb runs here, not in the caller's context: at the largest
+# precision it is exact for any input.
+_CTX = decimal.Context(prec=decimal.MAX_PREC)
 
 #: A plain decimal token: an optional sign, then digits with at most one
 #: point, at least one of them a digit.  No exponent, whitespace, underscore
@@ -108,8 +105,9 @@ def _too_many_digits(index: int, n: int) -> TooManyDigits:
 def _column_codes(tokens, text: str, digits, column):
     """Quantize PLAIN tokens joined as text; returns (codes, max_abs_error, scale).
 
-    The tokens are column, the samples as given, or its distinct tokens in
-    any order: a fault names the first index in column that holds one.
+    The tokens are column, the samples as given or as spelled, or its
+    distinct tokens in any order: a fault names the first index in column
+    that holds one.
 
     Every token reads as the integer n = int(token without its point) at its
     own fraction length, and is brought to the widest fraction length S, so
@@ -119,25 +117,25 @@ def _column_codes(tokens, text: str, digits, column):
     turns that into ties away from zero.  The code is the multiple of
     10**(S - d) nearest n, so the error, exact in units of 10**-S, is
     min(r, 10**(S - d) - r) for r = n mod 10**(S - d), taken over the
-    distinct residues.  Lossless mode takes S as its scale.  Returns None
-    when a token has more digits than int() reads.
+    distinct residues.  Lossless mode takes S as its scale.
     """
     # per token: 0 without a point, else 1 + its fraction length
     tails = list(map(len, map(str.lstrip, tokens, repeat(_BEFORE_POINT))))
-    widest = max(tails)
+    widest = max(tails, default=0)
     source = max(widest - 1, 0)
     lossless = digits == LOSSLESS
     if lossless and source > MAX_DIGITS:
         tails = list(map(len, map(str.lstrip, column, repeat(_BEFORE_POINT))))
         i = next(i for i, t in enumerate(tails) if t > MAX_DIGITS + 1)
         raise _too_many_digits(i, tails[i] - 1)
+    whole = text.replace(".", "").split("\n") if text else []
     try:
-        n = list(map(int, text.replace(".", "").split("\n")))
+        n = list(map(int, whole))
     except ValueError:  # a token longer than int() reads (sys.set_int_max_str_digits)
-        return None
+        n = [int(Decimal(t)) for t in whole]
     if source and min(tails) < widest:
         # a token with a shorter fraction: multiply by 10**(S - its length)
-        up = [10 ** (source - max(t - 1, 0)) for t in range(widest + 1)]
+        up = {t: 10 ** (source - max(t - 1, 0)) for t in set(tails)}
         n = list(map(mul, n, map(up.__getitem__, tails)))
     scale = source if lossless else digits
     if source <= scale:
@@ -151,63 +149,56 @@ def _column_codes(tokens, text: str, digits, column):
     return codes, Decimal(error).scaleb(-source, context=_CTX), scale
 
 
-def _slow_sample_code(v, scale: int, index: int, lossless: bool):
-    """Decimal-exact quantization of one sample.
-
-    Returns (code, scaled error, fractional digits); the digits are counted
-    in lossless mode only.  Floats convert at their binary value, except in
-    lossless mode, which takes a float as its shortest repr so that the
-    detected scale captures it exactly.
-    """
-    if isinstance(v, Decimal):
-        d = v
-    elif isinstance(v, float):
-        if not math.isfinite(v):
-            raise NonFiniteSample(index, v)
-        d = Decimal(float.__repr__(v) if lossless else v)
-    elif isinstance(v, int):
-        d = Decimal(v)
-    else:
-        try:
-            d = Decimal(str(v).strip())
-        except decimal.InvalidOperation:
-            raise NonFiniteSample(index, v) from None
-    if not d.is_finite():
-        raise NonFiniteSample(index, v)
-    n = max(0, -d.as_tuple().exponent) if lossless else 0
-    if d.adjusted() >= 19:  # |d| > INT64_MAX: a code out of range at every final scale
-        return 10 ** (19 + MAX_DIGITS), Decimal(0), n
-    scaled = d.scaleb(scale, context=_CTX)
-    q = scaled.to_integral_value(rounding=decimal.ROUND_HALF_UP)
-    return int(q), _CTX.subtract(scaled, q).copy_abs(), n
+# Stands for a sample of 10**19 or more, a code out of range at every final
+# scale, whose digits its exponent could make millions long.
+_OUT_OF_RANGE = f"{10**19}."
 
 
-def _decimal_codes(samples, digits):
-    """Quantize samples one at a time through Decimal; returns (codes, max_abs_error, scale).
+def _spelled(samples, digits):
+    """(the exact PLAIN text of each sample, the largest error of those spelled "0").
 
-    Lossless mode quantizes at scale 6 while it counts digits and divides
-    the codes down to the widest count after the pass.
+    Each sample converts exactly to Decimal: a float at its binary value
+    (2.675 stays 2.67499999999999982...), except in lossless mode, which
+    takes a float as its shortest repr so that the detected scale captures
+    it; text as Decimal reads it, stripped.  A sample that is not finite,
+    or in lossless mode one with more than MAX_DIGITS fractional digits,
+    raises at its index, in sample order.  format(d, "f") writes d with
+    every fractional digit its exponent gives, so "1.500" keeps three and
+    "1.5E+2" has none.  Two kinds of value would be spelled with as many
+    digits as their exponent says: one of 10**19 or more is spelled
+    _OUT_OF_RANGE with its fractional digits, and one below 10**-(d+1),
+    which rounds to code 0 with its magnitude as its error, is spelled "0"
+    and that magnitude is returned.  Lossless mode has no such small value.
     """
     lossless = digits == LOSSLESS
-    scale = MAX_DIGITS if lossless else digits
-    widest = 0
-    worst = Decimal(0)
-    codes = []
-    append = codes.append
+    tiny = -1 - (MAX_DIGITS if lossless else digits)  # a smaller adjusted exponent rounds to 0
+    tiny_error = Decimal(0)
+    spelled = []
+    append = spelled.append
     for i, v in enumerate(samples):
-        code, err, flen = _slow_sample_code(v, scale, i, lossless)
-        if flen > widest:
-            if lossless and flen > MAX_DIGITS:
-                raise _too_many_digits(i, flen)
-            widest = flen
-        if err > worst:
-            worst = err
-        append(code)
-    if lossless:
-        scale = widest
-        if scale < MAX_DIGITS:
-            codes = list(map(floordiv, codes, repeat(10 ** (MAX_DIGITS - scale))))
-    return codes, worst.scaleb(-scale, context=_CTX), scale
+        if isinstance(v, float):
+            d = Decimal(float.__repr__(v) if lossless else v)
+        elif isinstance(v, (int, Decimal)):
+            d = Decimal(v)
+        else:
+            try:
+                d = Decimal(str(v).strip())
+            except decimal.InvalidOperation:
+                raise NonFiniteSample(i, v) from None
+        if not d.is_finite():
+            raise NonFiniteSample(i, v)
+        n = -d.as_tuple().exponent if lossless else 0
+        if n > MAX_DIGITS:
+            raise _too_many_digits(i, n)
+        size = d.adjusted()
+        if size >= 19 and d:
+            append(_OUT_OF_RANGE + "0" * n)
+        elif size < tiny:
+            tiny_error = max(tiny_error, d.copy_abs())
+            append("0")
+        else:
+            append(format(d, "f"))
+    return spelled, tiny_error
 
 
 def quantize_stream(samples, digits):
@@ -219,26 +210,25 @@ def quantize_stream(samples, digits):
     ints as none.  size is canonical_size's: the bytes of the codes'
     canonical text at scale.
 
-    A sequence of text tokens that are all PLAIN decimals takes one column
-    pass (_column_codes); any other sequence -- one float, int, Decimal,
-    exponent or other spelling among its samples is enough -- goes through
-    Decimal one sample at a time (_decimal_codes), as does a plain column
-    holding a token longer than int() reads.  Both give the same codes for
-    the same tokens.
+    A sequence of text tokens that are all PLAIN decimals is quantized as
+    given; any other sequence -- one float, int, Decimal, exponent or other
+    spelling among its samples is enough -- is first spelled as the exact
+    PLAIN text of each sample (_spelled).  Either column then takes the
+    same pass (_column_codes), which parses a token longer than int() reads
+    through Decimal.
 
-    When the tokens of a plain column repeat, the column pass runs over the
+    When the tokens of a column repeat, the column pass runs over the
     distinct tokens and one lookup per token maps their codes back; the
     error, a max over distinct residues, and the range check, over the
     distinct codes, are unchanged.  Equal text is an equal token, so "1.5"
-    and "1.50" stay apart.  The Decimal path is not de-duplicated: 1, 1.0,
-    True and Decimal("1.50") hash and compare equal to spellings with other
-    digit counts, which would change the lossless scale.
+    and "1.50" stay apart, and so do the spellings of 1, 1.0 and
+    Decimal("1.50"), which lossless mode counts with different digits.
 
     The error is measured exactly in the decimal domain, whatever the
     caller's decimal context; lossless inputs therefore report exactly 0.
     Parse faults (NonFiniteSample, TooManyDigits) are raised at the first
     bad sample; the 64-bit range is checked once, after the pass, at the
-    final scale (OverflowAtScale).
+    final scale (OverflowAtScale), and names the sample as given.
     """
     try:
         text = "\n".join(samples)
@@ -246,24 +236,22 @@ def quantize_stream(samples, digits):
         plain = text.count("\n") == len(samples) - 1
     except TypeError:  # a sample that is not text
         plain = False
-    tokens, column = samples, None
+    column, tiny_error = samples, Decimal(0)
     if plain:
         distinct, odd = plain_survey(samples, text, 1)
-        if distinct is not None:
-            tokens, text = distinct, "\n".join(distinct)
-        if not odd:
-            column = _column_codes(tokens, text, digits, samples)
-    if column is None:
-        tokens, column = samples, _decimal_codes(samples, digits)
-    codes, error, scale = column
-    own = codes  # one code per member of tokens
+    if not plain or odd:
+        column, tiny_error = _spelled(samples, digits)
+        distinct = repeated(column, len(column))
+    tokens = column if distinct is None else distinct
     if tokens is not samples:
-        codes = list(map(dict(zip(tokens, own)).__getitem__, samples))
+        text = "\n".join(tokens)
+    own, error, scale = _column_codes(tokens, text, digits, column)  # a code per token
+    codes = own if tokens is column else list(map(dict(zip(tokens, own)).__getitem__, column))
     lo, hi = min(own, default=0), max(own, default=0)
     if not INT64_MIN <= lo <= hi <= INT64_MAX:
         i = next(i for i, c in enumerate(codes) if not INT64_MIN <= c <= INT64_MAX)
         raise OverflowAtScale(i, samples[i], scale)
-    return codes, error, scale, canonical_size(codes, scale, lo, hi)
+    return codes, max(error, tiny_error), scale, canonical_size(codes, scale, lo, hi)
 
 
 def render_code(code: int, scale_exp: int | None) -> str:

@@ -7,18 +7,20 @@ BitReader below.  The adaptive arithmetic reference renormalizes one bit per
 loop iteration, talks to the FrequencyModel class below (the same model
 arithmetic.py inlines into its loops), and reads through PaddedBitReader,
 which feeds zeros past the end of the stream.  The static Huffman reference
-walks the canonical code one bit at a time, and the FGK reference keeps its
-tree as parent/left/right lists with a separate swap step (FgkTree).
+writes and reads its length table as FORMAT.md 4.1 words it, one symbol at
+a time, and walks the canonical code one bit at a time; the FGK reference
+keeps its tree as parent/left/right lists with a separate swap step
+(FgkTree).
 """
 
 from bisect import bisect_right
 from collections import Counter, deque
-from itertools import chain
+from itertools import chain, groupby
 
 from nlts.core import read_varints, write_varints
 from nlts.entropy.bitio import BitStream
 from nlts.entropy.model import EOF_SYMBOL, NUM_SYMBOLS, RESCALE_CEILING
-from nlts.entropy.static_huffman import _read_table, _write_table, code_lengths
+from nlts.entropy.static_huffman import code_lengths
 from nlts.errors import CorruptStream
 
 
@@ -255,11 +257,48 @@ def canonical_codes(lengths: dict) -> dict:
     return codes
 
 
+def write_length_table(lengths: dict, out: bytearray) -> None:
+    """FORMAT.md 4.1: symbols 0..255 in order, a present symbol as its code
+    length, each run of absent symbols as a zero byte and its count, split
+    into runs of at most 255."""
+    for present, run in groupby(range(256), key=lambda sym: lengths.get(sym, 0) > 0):
+        run = list(run)
+        if present:
+            out.extend(lengths[sym] for sym in run)
+        else:
+            for start in range(0, len(run), 255):
+                out.extend((0, len(run[start : start + 255])))
+
+
+def read_length_table(data: bytes, pos: int):
+    """The table write_length_table writes, from data[pos:]; returns
+    ({symbol: length} of the present symbols, the position after it)."""
+    lengths = {}
+    sym = 0
+    while sym < 256:
+        if pos >= len(data):
+            raise CorruptStream("huffman table truncated")
+        length = data[pos]
+        pos += 1
+        if length:
+            lengths[sym] = length
+            sym += 1
+            continue
+        if pos >= len(data):
+            raise CorruptStream("huffman table truncated")
+        run = data[pos]
+        pos += 1
+        if not 1 <= run <= 256 - sym:
+            raise CorruptStream("huffman table zero-run out of range")
+        sym += run
+    return lengths, pos
+
+
 def static_huffman_encode(payload: bytes) -> BitStream:
     lengths = code_lengths(Counter(payload))
     out = bytearray()
     write_varints((len(payload),), out, signed=False)
-    _write_table(lengths, out)
+    write_length_table(lengths, out)
     writer = BitWriter()
     if payload:
         codes = canonical_codes(lengths)
@@ -272,7 +311,7 @@ def static_huffman_encode(payload: bytes) -> BitStream:
 def static_huffman_decode(data: bytes) -> bytes:
     count_field = []
     pos = read_varints(data, 0, 1, count_field, signed=False, max_bits=32)
-    lengths, pos = _read_table(data, pos)
+    lengths, pos = read_length_table(data, pos)
     (count,) = count_field
     if count == 0:
         return b""

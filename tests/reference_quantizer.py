@@ -1,12 +1,16 @@
 """Test-only reference quantizer: one token at a time, as an oracle.
 
 quantize_stream below is the per-token stream quantizer that nlts.quantizer
-replaced with a whole-column pass.  Plain decimal text tokens go through
-string arithmetic that reproduces the Decimal rounding exactly; anything
-else (floats, ints, Decimals, exponents, unusual spellings) through the
-per-sample Decimal conversion.  It is kept independent of
-nlts.quantizer.quantize_stream, which must return the same codes, error and
-scale, and raise the same error at the same index with the same message.
+replaced with one column pass.  Plain decimal text tokens go through
+string arithmetic that reproduces the Decimal rounding exactly (int() reads
+them, so a token past its digit limit fails here); anything else (floats,
+ints, Decimals, exponents, unusual spellings) through a per-sample Decimal
+conversion and rounding.  nlts.quantizer instead spells every sample that
+is not plain text as plain text and quantizes every column in the same
+integer pass, so the two share no rounding or error code for any kind of
+sample.  nlts.quantizer.quantize_stream must return the same codes, error
+and scale, and raise the same error at the same index with the same
+message.
 """
 
 from __future__ import annotations

@@ -167,6 +167,20 @@ class TestCompressDecompressVerify:
                      "--delimiter", ","]) == 2
         assert capsys.readouterr().err == "error: row 2 has 1 fields, column 1 requested\n"
 
+    def test_unicode_digit_column_is_a_header_name(self, tmp_path):
+        # "²" and "١" are str.isdigit() digits; only ASCII digits make an index
+        assert [_build_parser().parse_args(["compress", "in", "out", "--column", c]).column
+                for c in ("²", "١", "-١", "12", "-1")] == ["²", "١", "-١", 12, -1]
+        src = tmp_path / "in.csv"
+        src.write_text("t,²,١\n0,1.5,7\n1,2.5,8\n", encoding="utf-8")
+        packed = tmp_path / "out.nlts"
+        back = tmp_path / "back.txt"
+        for column, text in (("²", "1.5\n2.5\n"), ("١", "7.0\n8.0\n")):
+            assert main(["compress", str(src), str(packed), "--column", column,
+                         "--delimiter", ",", "--digits", "1"]) == 0
+            assert main(["decompress", str(packed), str(back)]) == 0
+            assert back.read_text() == text
+
     def test_verify_non_numeric_exit_2(self, tmp_path, capsys):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"

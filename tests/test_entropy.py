@@ -38,8 +38,10 @@ from reference_coders import (
     fgk_decode,
     fgk_encode,
     huffman_lengths_bruteforce,
+    read_length_table,
     static_huffman_decode,
     static_huffman_encode,
+    write_length_table,
 )
 
 ALL_CODERS = (STATIC_HUFFMAN, ADAPTIVE_HUFFMAN, ADAPTIVE_ARITHMETIC)
@@ -590,6 +592,44 @@ class TestMatchesReference:
         assert max(lengths.values()) > static_huffman._TABLE_BITS
 
 
+class TestLengthTable:
+    """The static Huffman length table (FORMAT.md 4.1), written and read by
+    the coder and by the reference's own code."""
+
+    def test_layout(self):
+        cases = [
+            ({}, b"\x00\xff\x00\x01"),  # 256 absent symbols: runs of 255 and 1
+            ({0: 1}, b"\x01\x00\xff"),
+            ({255: 30}, b"\x00\xff\x1e"),
+            ({1: 2, 3: 2}, b"\x00\x01\x02\x00\x01\x02\x00\xfc"),
+        ]
+        for lengths, table in cases:
+            for write in (write_length_table, static_huffman._write_table):
+                out = bytearray()
+                write(lengths, out)
+                assert out == table
+            for read in (read_length_table, static_huffman._read_table):
+                assert read(b"\x07" + table + b"\x09", 1) == (lengths, 1 + len(table))
+
+    def test_matches_the_coder(self):
+        rng = random.Random(795)
+        for _ in range(300):
+            syms = rng.sample(range(256), rng.randrange(257))
+            lengths = {sym: rng.randrange(1, 80) for sym in syms}
+            table = bytearray()
+            write_length_table(lengths, table)
+            coded = bytearray()
+            static_huffman._write_table(lengths, coded)
+            assert coded == table
+            # whole, cut and damaged tables: the same lengths or the same error
+            damaged = bytearray(table)
+            for _ in range(rng.randrange(1, 4)):
+                damaged[rng.randrange(len(damaged))] = rng.choice((0, 1, rng.randrange(256)))
+            for data in (bytes(table), bytes(table[: rng.randrange(len(table))]), bytes(damaged)):
+                expected = decode_outcome(read_length_table, data, 0)
+                assert repr(decode_outcome(static_huffman._read_table, data, 0)) == repr(expected)
+
+
 def mutations(data, rng, count):
     """Seeded damaged copies of a stream's bytes: bit flips anywhere in
     them (the final byte's padding too), byte-boundary truncations and
@@ -681,7 +721,7 @@ def crafted_static_stream(lengths, symbols, count=None, ones=0):
     overrides the declared symbol count."""
     out = bytearray()
     write_varints((len(symbols) if count is None else count,), out, signed=False)
-    static_huffman._write_table(lengths, out)
+    write_length_table(lengths, out)
     codes = canonical_codes(lengths)
     writer = BitWriter()
     for sym in symbols:

@@ -388,7 +388,7 @@ class TestExactDecimal:
         long = "0." + "1" * 5000
         exact = Decimal("0.000" + "1" * 4997)
         assert quantize_stream([long, "1.5"], 3)[:3] == ([111, 1500], exact, 3)
-        # repeated: the distinct-token column pass falls back the same way
+        # repeated: the distinct-token column pass parses it the same way
         codes = [111, 111, 111, 1500]
         assert quantize_stream([long, long, long, "1.5"], 3)[:3] == (codes, exact, 3)
 
@@ -433,7 +433,7 @@ def assert_matches_reference(samples, digits):
     assert got == want, (samples, digits)
 
 
-# tokens that are not plain decimals: each sends a column to the Decimal path
+# tokens that are not plain decimals: each makes a column be spelled out first
 INTRUDERS = [
     "1e3", "-2.5E-1", "", " 1.5", "1.5 ", "1_000", "\u0661\u0662", "\uff11.5", "nan",
     "inf", "x", ".", "+", "-.", "1.2.3", "1\n2", "5\n", 1.5, 7, Decimal("2.25"),
@@ -553,7 +553,7 @@ class TestMatchesReference:
             # plain columns, one of them repeating
             assert_matches_reference(["1.5", "-2", ".5", "+7."], digits)
             assert_matches_reference(["-2", "1.5", "-2", "-2"], digits)
-            # one bad member sends a column to the Decimal path, repeating or not
+            # one bad member makes a column be spelled out first, repeating or not
             for bad in (["1e3"], [""], ["1\n2"], ["1", 2], [], ["\u0661"], ["1_0"]):
                 assert_matches_reference(bad, digits)
                 assert_matches_reference(bad * 2 + ["1"] * 3, digits)
@@ -604,6 +604,65 @@ class TestMatchesReference:
         for samples in ([1, 2, 3], [1.5, "2.5"], [Decimal("1.25"), "2"], ["1", None], [b"1"]):
             for digits in DIGITS:
                 assert_matches_reference(samples, digits)
+
+
+class TestSpelledColumns:
+    """A stream that is not all plain text is spelled as the exact plain
+    text of each sample and takes the same column pass as a text column."""
+
+    @pytest.mark.parametrize("digits", DIGITS)
+    def test_long_repeating_mixed_column(self, digits):
+        few = [1.5, 0.1, 2, -7, Decimal("2.250"), Decimal("-0.5"), "1e-3", "-2.5E1", "1.50", "3"]
+        rng = random.Random(700)
+        column = rng.choices(few, k=3 * PROBE)
+        assert_matches_reference(column, digits)
+        # a fault first seen after the probe, and seen again later
+        faults = ["nan", float("inf"), "x", "9223372036854775808", Decimal("0.1234567"), 1e19]
+        for fault in faults:
+            bad = list(column)
+            bad[2000] = bad[2500] = fault
+            assert_matches_reference(bad, digits)
+
+    @pytest.mark.parametrize("digits", DIGITS)
+    def test_float_column_with_a_subnormal(self, digits):
+        rng = random.Random(710)
+        column = [round(rng.uniform(-50, 50), rng.randrange(7)) for _ in range(300)]
+        for subnormal in (5e-324, -2.5e-310):
+            column[150] = subnormal
+            assert_matches_reference(column, digits)
+            assert_matches_reference([subnormal], digits)
+
+    @pytest.mark.parametrize("digits", DIGITS)
+    def test_repeating_column_with_a_token_too_long_for_int(self, digits):
+        long = "-3." + "1" * 4400 + "5"
+        rng = random.Random(720)
+        column = rng.choices(["1.5", "-2.25", "0.125", "7"], k=3 * PROBE)
+        # the reference reads plain text with int(), which stops at 4,300
+        # digits, and any other spelling through Decimal, which does not
+        for spelling in (long + "e0", Decimal(long)):
+            column[10] = column[2000] = spelling
+            assert_matches_reference(column, digits)
+        text = [long if t is spelling else t for t in column]
+        assert outcome(quantize_stream, text, digits) == outcome(quantize_stream, column, digits)
+
+    @pytest.mark.parametrize("digits", DIGITS)
+    def test_exponents_far_from_the_scale(self, digits):
+        # a value far below 10**-d or past 10**19 is not spelled digit by
+        # digit; a zero with a large exponent is in range
+        cases = [
+            ["1e-999999999", "2.5"], [Decimal("-1E-999999999"), 0.5], ["1.5", "0E-1000000"],
+            ["0E+25", "1.5"], ["-0e1000000"], ["1", "1e999999999"], [2.5e-300, 1e300],
+        ]
+        for samples in cases:
+            assert_matches_reference(samples, digits)
+        assert quantize_stream(["0E+25", "1.5"], 3)[0] == [0, 1500]
+
+    def test_floats_round_at_their_binary_value(self):
+        # 2.675 is 2.67499999999999982236431605997495353221893310546875
+        error = Decimal("0.00499999999999982236431605997495353221893310546875")
+        assert quantize_stream([2.675], 2)[:3] == ([267], error, 2)
+        assert quantize_stream([2.675], LOSSLESS)[:3] == ([2675], 0, 3)
+
 
 def probe_columns(rng):
     """Columns longer than PROBE that the probe and the exact rule judge apart.
