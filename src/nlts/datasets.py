@@ -4,8 +4,9 @@ Values are returned as the text tokens found in the file, not as floats, so
 the quantizer can parse digits exactly and lossless runs stay lossless.  A
 whitespace file at column 0, or a quote-free delimited file with one field
 count per row, is read in a few C-level passes over its bytes; any other
-goes through csv.reader or str.split row by row.  Either way ingest returns
-a plain list: the quantizer checks and counts the tokens itself.
+goes through csv.reader or str.split row by row.  Either way _mend applies
+the missing-value policy, and ingest returns a plain list: the quantizer
+checks and counts the tokens itself.
 
 The packaged spec files under dataset_specs/ describe the benchmark datasets
 (column, delimiter, missing-value policy); the data files are fetched by the
@@ -16,13 +17,12 @@ from __future__ import annotations
 
 import csv
 import io
-import re
 from contextlib import suppress
 from dataclasses import MISSING, dataclass, fields, replace
 from decimal import Decimal, InvalidOperation
 
 from .errors import CodecError, MissingColumn, MissingValue, UnparseableRow
-from .quantizer import PLAIN, plain_survey
+from .quantizer import plain_survey
 
 SKIP = "skip"
 FORWARD_FILL = "forward-fill"
@@ -123,14 +123,16 @@ def is_numeric(token: str) -> bool:
 def _read_column(spec: DatasetSpec, lines) -> list:
     """The spec's column read row by row from lines, after its missing-value policy.
 
-    lines reads as the file opened with newline="" would.  A kept token that
-    is not a finite number raises UnparseableRow with its 1-based row number.
-    A negative column index counts from the end of the first non-empty row
-    read; a later row without that field raises MissingColumn.  A row
-    csv.reader refuses (a field past its size limit, say) raises CodecError
-    with its row number.  The kept tokens are checked together, by
-    _check_numeric, at the end or before any other error leaves: an
-    unparseable token still wins over every error of a later row.
+    lines reads as the file opened with newline="" would.  Every non-blank
+    row's stripped token is kept, markers too, and _mend mends them together
+    at the end: the first that is not a finite number, nor a marker the
+    policy skips or fills, raises MissingValue (a marker under fail) or
+    UnparseableRow with its 1-based row number.  A negative column index
+    counts from the end of the first non-empty row read; a later row without
+    that field raises MissingColumn.  A row csv.reader refuses (a field past
+    its size limit, say) raises CodecError with its row number.  Such a
+    fault, or bad UTF-8, ends the read, and is raised after the tokens before
+    it are mended: a fault in an earlier row's token still wins.
     """
     if spec.delimiter == WHITESPACE:
         rows = map(str.split, lines)
@@ -139,7 +141,8 @@ def _read_column(spec: DatasetSpec, lines) -> list:
     col = spec.column
     row_no = 0
     out = []
-    idle = []  # the rows that add no token to out, in order
+    idle = []  # the header and the blank rows, which add no token to out
+    fault = None
     try:
         if isinstance(col, str):  # a named column: the first row is the header
             header = next(rows, None)
@@ -152,7 +155,6 @@ def _read_column(spec: DatasetSpec, lines) -> list:
             except ValueError:
                 raise MissingColumn(f"column {spec.column!r} not in header {header!r}") from None
 
-        last = None
         for row in rows:
             row_no += 1
             if not row:
@@ -161,55 +163,33 @@ def _read_column(spec: DatasetSpec, lines) -> list:
             if col < 0 and len(row) + col >= 0:
                 col += len(row)
             try:
-                token = row[col]
+                out.append(row[col].strip())
             except IndexError:
                 raise MissingColumn(
                     f"row {row_no} has {len(row)} fields, column {col} requested"
                 ) from None
-            token = token.strip()
-            if token.lower() in MISSING_TOKENS:
-                if spec.missing_policy == SKIP:
-                    idle.append(row_no)
-                    continue
-                if spec.missing_policy == FORWARD_FILL:
-                    if last is not None:
-                        out.append(last)
-                    else:
-                        idle.append(row_no)
-                    continue
-                raise MissingValue(row_no)
-            out.append(token)
-            last = token
     except csv.Error as e:
-        _check_numeric(out, idle)
-        raise CodecError(f"row {row_no + 1}: {e}") from None
-    except (CodecError, ValueError):  # a later row's fault, or bad UTF-8
-        _check_numeric(out, idle)
-        raise
-    _check_numeric(out, idle)
-    return out
-
-
-def _check_numeric(tokens: list, idle: list) -> None:
-    """Raise UnparseableRow for the first of tokens that is not a finite number.
-
-    Only the distinct tokens plain_survey finds not PLAIN go through
-    is_numeric.  tokens[i] came from the (i + 1)-th row not listed in idle.
-    """
-    text = "\n".join(tokens)
-    if text.count("\n") < len(tokens):
-        odd = plain_survey(tokens, text, len(tokens) + 1)[1]
+        fault = CodecError(f"row {row_no + 1}: {e}")
+    except (CodecError, ValueError) as e:  # a row without the field, or bad UTF-8
+        fault = e
+    text = "\n".join(out)
+    if text.count("\n") < len(out):
+        odd = plain_survey(out, text, len(out) + 1)[1]
     else:  # a quoted field holds a line break, or there are no tokens
-        odd = set(tokens)
-    bad = {t for t in odd if not is_numeric(t)}
-    if bad:
-        i = next(i for i, t in enumerate(tokens) if t in bad)
-        row = i + 1
+        odd = set(out)
+    column = _mend(out, odd, spec.missing_policy, False)  # each token is a field already
+    if type(column) is int:
+        token, row = out[column], column + 1  # the (column + 1)-th row not in idle
         for r in idle:
             if r > row:
                 break
             row += 1
-        raise UnparseableRow(row, tokens[i])
+        if _mend([token], [token], SKIP, False) == []:  # a marker under fail
+            raise MissingValue(row)
+        raise UnparseableRow(row, token)
+    if fault:
+        raise fault
+    return column
 
 
 def _uniform_column(spec: DatasetSpec, data: bytes):
@@ -218,11 +198,12 @@ def _uniform_column(spec: DatasetSpec, data: bytes):
     On the bytes: no NUL, no quote under a delimiter, "\r\n" or "\r" ends a
     line; a header row names the fields as str.split reads it.  Whitespace
     column 0 is each line's first field; a delimited column is every
-    (m + 1)-th field of one split once every non-blank row shows m of a
-    one-byte delimiter.  _mend reads up to MEND_MAX distinct non-PLAIN
-    tokens.  Any doubt, a negative index or a whitespace column past the
-    first included, gives None; so does a delimited file with a line that
-    might hold a field past csv.field_size_limit (str.split has no limit).
+    (m + 1)-th field of one split once blank lines are dropped and every row
+    shows m of a one-byte delimiter.  Up to MEND_MAX distinct non-PLAIN
+    tokens go through _mend.  Any doubt, a negative index, a whitespace
+    column past the first or a token _mend finds at fault included, gives
+    None, and so does a delimited file with a line that might hold a field
+    past csv.field_size_limit (str.split has no limit).
     """
     ws, delim, k = spec.delimiter == WHITESPACE, spec.delimiter, spec.column
     data = data.removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark
@@ -240,13 +221,13 @@ def _uniform_column(spec: DatasetSpec, data: bytes):
         k = names.index(k) if header and k in names else -1  # -1 gives None below
     if ws and k:
         return None
-    data = data.lstrip(b"\n").removesuffix(b"\n")
+    data = data.strip(b"\n")
     m = 0
     if not ws:
         d = delim.encode()
-        m = data.partition(b"\n")[0].count(d)
-        while m and b"\n\n" in data:
+        while b"\n\n" in data:
             data = data.replace(b"\n\n", b"\n")
+        m = data.partition(b"\n")[0].count(d)
         uniform = (data.translate(None, bytes(range(256)).replace(d, b"").replace(b"\n", b""))
                    + b"\n" == (d * m + b"\n") * (data.count(b"\n") + 1)) if m else d not in data
         if len(d) != 1 or not 0 <= k <= m or not uniform:
@@ -257,25 +238,32 @@ def _uniform_column(spec: DatasetSpec, data: bytes):
     odd = plain_survey(tokens, text, MEND_MAX + 1)[1]
     if len(odd) > MEND_MAX:
         return None
-    return _mend(tokens, odd, spec.missing_policy, ws, m) if odd else tokens
+    column = _mend(tokens, odd, spec.missing_policy, ws)
+    return None if type(column) is int else column  # the row reader reports a fault
 
 
-#: The most distinct non-PLAIN tokens _mend looks for, one list.index pass each.
+#: The most distinct non-PLAIN tokens the one-pass reader hands to _mend.
 MEND_MAX = 16
+_FAULT = object()  # _mend's mark for a token it cannot mend
 
 
-def _mend(tokens: list, odd: list, policy: str, ws: bool, m: int):
-    """The column, each odd token read as its row's (whitespace: the first field,
-    else stripped), blank rows dropped and missing markers skipped or filled
-    where they stand; None on other odd tokens or none left."""
+def _mend(tokens: list, odd, policy: str, ws: bool):
+    """The column with its markers skipped or filled where they stand, or the
+    index of its first fault: a token neither a finite number nor a marker the
+    policy skips or fills.  Only the odd tokens (every distinct non-PLAIN one,
+    at least) are read, each as its row's first field (ws) or stripped, so a
+    blank row is dropped; each that reads as another costs a list.index pass."""
     fix = {}
     for v in odd:
-        t = (v.split() or [None])[0] if ws else v.strip() if v or m else None
-        if t is not None and t.lower() in MISSING_TOKENS and policy != FAIL:
-            t = None if policy == SKIP else FORWARD_FILL
-        elif t is not None and not re.fullmatch(PLAIN, t):  # a marker under FAIL too
-            return None
-        fix[v] = t
+        t = (v.split() or [None])[0] if ws else v.strip()
+        if t is not None and t.lower() in MISSING_TOKENS:
+            t = _FAULT if policy == FAIL else None if policy == SKIP else FORWARD_FILL
+        elif t is not None and not is_numeric(t):
+            t = _FAULT
+        if t != v:
+            fix[v] = t
+    if _FAULT in fix.values():
+        return next(i for i, v in enumerate(tokens) if fix.get(v) is _FAULT)
     at = []
     for v in fix:
         i = -1
@@ -291,7 +279,7 @@ def _mend(tokens: list, odd: list, policy: str, ws: bool, m: int):
         last, p = t or last, i
     if None in map(tokens.__getitem__, at):  # a dropped row
         tokens = list(filter(None, tokens))
-    return tokens or None
+    return tokens
 
 
 def ingest(spec: DatasetSpec) -> list:

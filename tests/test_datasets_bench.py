@@ -304,6 +304,76 @@ class TestIngestMatchesCheckedLoop:
         assert exc.value.row == 2
 
 
+#: "", "?" and every case spelling of na, nan and null: the 30 marker tokens.
+MARKER_SPELLINGS = ["", "?"] + ["".join(cased) for word in ("na", "nan", "null")
+                                for cased in itertools.product(*zip(word, word.upper()))]
+
+# (file text, delimiter, column, {policy: tokens, or (error type, message)}),
+# each outcome written by hand rather than taken from either reader
+POLICY_FILES = [
+    # leading, consecutive and trailing markers, with a blank row inside a run
+    ("?\n?\n1.5\n?\n\n?\n2.5\n?\n", "whitespace", 0, {
+        "skip": ["1.5", "2.5"],
+        "forward-fill": ["1.5", "1.5", "1.5", "2.5", "2.5"],
+        "fail": (MissingValue, "row 1: missing value"),
+    }),
+    ("ts,value\n1,?\n2,1.5\n3,\n4,NA\n5,2.5\n6,?\n", ",", "value", {
+        "skip": ["1.5", "2.5"],
+        "forward-fill": ["1.5", "1.5", "1.5", "2.5", "2.5"],
+        "fail": (MissingValue, "row 2: missing value"),
+    }),
+    # every marker spelling after a reading
+    ("ts,value\n" + "".join(f"{2 * j},{j}.5\n{2 * j + 1},{s}\n"
+                            for j, s in enumerate(MARKER_SPELLINGS)), ",", "value", {
+        "skip": [f"{j}.5" for j in range(30)],
+        "forward-fill": [f"{j}.5" for j in range(30) for _ in (0, 1)],
+        "fail": (MissingValue, "row 3: missing value"),
+    }),
+    # an empty field, a blank row, and a whitespace-only line in a one-column CSV
+    ("ts,value\n1,1.5\n2,\n\n3,2.5\n", ",", "value", {
+        "skip": ["1.5", "2.5"],
+        "forward-fill": ["1.5", "1.5", "2.5"],
+        "fail": (MissingValue, "row 3: missing value"),
+    }),
+    ("1.5\n\n \n2.5\n", ",", 0, {
+        "skip": ["1.5", "2.5"],
+        "forward-fill": ["1.5", "1.5", "2.5"],
+        "fail": (MissingValue, "row 3: missing value"),
+    }),
+    # a marker under fail before an unparseable token, and after one
+    ("1.5\n?\nx\n", "whitespace", 0, {
+        "skip": (UnparseableRow, "row 3: cannot parse value 'x'"),
+        "forward-fill": (UnparseableRow, "row 3: cannot parse value 'x'"),
+        "fail": (MissingValue, "row 2: missing value"),
+    }),
+    ("1.5\nx\n?\n", "whitespace", 0, {
+        policy: (UnparseableRow, "row 2: cannot parse value 'x'")
+        for policy in ("skip", "forward-fill", "fail")
+    }),
+    # a marker under fail before a later short row
+    ("ts,value\n1,1.5\n2,?\n3\n", ",", "value", {
+        "skip": (MissingColumn, "row 4 has 1 fields, column 1 requested"),
+        "forward-fill": (MissingColumn, "row 4 has 1 fields, column 1 requested"),
+        "fail": (MissingValue, "row 3: missing value"),
+    }),
+]
+
+
+class TestMissingPolicy:
+    """Both readers skip, fill or refuse missing markers as written by hand."""
+
+    @pytest.mark.parametrize("policy", ["skip", "forward-fill", "fail"])
+    @pytest.mark.parametrize("text,delimiter,column,want", POLICY_FILES)
+    def test_file(self, tmp_path, text, delimiter, column, want, policy):
+        p = tmp_path / "in.txt"
+        p.write_bytes(text.encode("utf-8"))
+        spec = DatasetSpec(name="t", source_path=str(p), column=column,
+                           delimiter=delimiter, missing_policy=policy)
+        for read in (ingest, checked_loop):
+            got = ingest_outcome(read, spec)
+            assert (got if isinstance(got, list) else got[:2]) == want[policy], read
+
+
 # headerless single-column whitespace files: ingest splits those that end in
 # "\n" and hold no "\r" at their newlines, and reads the rest row by row
 SPLIT_FILES = {
@@ -400,6 +470,10 @@ class TestOnePassShapes:
             f"{i},{i % 4}.5\n" + "\n" * (i % 3 == 0) for i in range(500)), ",", 1, "skip"),
         "16 distinct odd tokens": (
             "".join(f"{' ' * (1 + i % 16)}{i % 16}.5\n" for i in range(2000)), ",", 0, "fail"),
+        # an exponent reading stays in place, as the row reader keeps it
+        "gateway window, an exponent reading": ("ts,value\n" + "".join(
+            f"{60 * i},{'1e-3' if i == 500 else '?' if i % 97 in (5, 6) else f'{i % 13}.25'}\n"
+            for i in range(1024)), ",", "value", "forward-fill"),
         # the bound counts distinct tokens, not the rows that hold them
         "no repeats, one marker on 40 rows": ("ts,value\n" + "".join(
             f"{60 * i},{'?' if i % 25 == 3 else f'{i}.{i % 7}5'}\n" for i in range(1000)),
@@ -472,6 +546,25 @@ class TestRowReaderShapes:
             return min(timeit.repeat(read, number=1, repeat=3))
 
         assert best(lambda: ingest(spec)) < 5 * best(row_reader) + 0.05
+
+    def test_every_marker_spelling_is_linear(self, tmp_path):
+        # quoted fields send both files to the row reader; _mend makes one
+        # list.index pass for each of the 30 marker spellings it rewrites
+        def spec(name, marker):
+            p = tmp_path / name
+            p.write_text("".join(f'{i},"{marker(i) if i % 2 else f"{i}.5"}"\n'
+                                 for i in range(50_000)))
+            return DatasetSpec(name="t", source_path=str(p), column=1,
+                               missing_policy="forward-fill")
+
+        gaps = spec("gaps.csv", lambda i: MARKER_SPELLINGS[i // 2 % 30])
+        plain = spec("plain.csv", lambda i: f"{i}.5")
+
+        def best(s):
+            return min(timeit.repeat(lambda: ingest(s), number=1, repeat=3))
+
+        assert ingest(gaps)[:4] == ["0.5", "0.5", "2.5", "2.5"]
+        assert best(gaps) < 5 * best(plain) + 0.05
 
 
 def replace_at(i, token):
