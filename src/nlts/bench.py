@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_UP, Context, Decimal, InvalidOperation, localcontext
 from itertools import chain, product
 from operator import indexOf, sub
@@ -24,8 +24,9 @@ from .entropy import CODER_IDS, CODER_NAMES
 from .errors import CodecError, LengthMismatch
 from .quantizer import LOSSLESS, repeated
 
-#: The settings of one configuration, in CodecConfig's field order.
-CONFIG_FIELDS = ("method_version", "coder", "block_len", "tau", "digits")
+#: The settings of one configuration: CodecConfig's fields, in order.
+CONFIG_FIELDS = CodecConfig._fields
+_DEFAULT = CodecConfig()  # a sweep's axes default to its settings
 
 REPORT_FIELDS = [
     "dataset",
@@ -42,21 +43,21 @@ REPORT_FIELDS = [
 ]
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """The settings a sweep crosses, each axis a non-empty tuple of values.
+class SweepSpec(namedtuple(
+        "SweepSpec", "versions coders block_lens taus digits repeats",
+        defaults=((_DEFAULT.method_version,), (CODER_NAMES[_DEFAULT.coder],),
+                  (_DEFAULT.block_len,), (_DEFAULT.tau,), (_DEFAULT.digits,), 3))):
+    """The settings a sweep crosses, each axis a non-empty tuple of values
+    (digits 0..6 or "lossless"), and the repeats of each run.
 
     A combination codec_config refuses raises ValueError: every run can start.
     """
 
-    versions: tuple = (CodecConfig.method_version,)
-    coders: tuple = (CODER_NAMES[CodecConfig.coder],)
-    block_lens: tuple = (CodecConfig.block_len,)
-    taus: tuple = (CodecConfig.tau,)
-    digits: tuple = (CodecConfig.digits,)  # 0..6 or "lossless"
-    repeats: int = 3
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks its values
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         axes = (self.versions, self.coders, self.block_lens, self.taus, self.digits)
         if not all(isinstance(axis, (tuple, list)) and axis for axis in axes):
             raise ValueError("sweep axes must all be non-empty lists")
@@ -64,6 +65,7 @@ class SweepSpec:
             raise ValueError(f"repeats must be an integer >= 1, got {self.repeats!r}")
         for config in self.configs():
             codec_config(*config)
+        return self
 
     @classmethod
     def from_json(cls, path) -> "SweepSpec":
@@ -74,11 +76,8 @@ class SweepSpec:
         return product(self.versions, self.coders, self.block_lens, self.taus, self.digits)
 
 
-@dataclass
-class VerifyResult:
-    ok: bool
-    max_abs_error: Decimal
-    argmax_index: int
+#: verify_values's verdict, the largest error as a Decimal, and its first index.
+VerifyResult = namedtuple("VerifyResult", "ok max_abs_error argmax_index")
 
 
 def verify_values(original, decoded, epsilon) -> VerifyResult:

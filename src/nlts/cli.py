@@ -43,12 +43,13 @@ def _add_reading_options(parser) -> None:
     Added after the parser's own options, where compress has always listed
     them (an argparse parent would put them first).
     """
-    parser.add_argument("--column", type=_column, default=DatasetSpec.column,
+    default = DatasetSpec._field_defaults
+    parser.add_argument("--column", type=_column, default=default["column"],
                         help="column index or header name (default: single column)")
     parser.add_argument("--delimiter", default=WHITESPACE,
                         help="field delimiter, or 'whitespace' (default)")
     parser.add_argument("--missing", choices=MISSING_POLICIES,
-                        default=DatasetSpec.missing_policy,
+                        default=default["missing_policy"],
                         help="missing-value policy (default: %(default)s)")
 
 
@@ -74,16 +75,17 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("input")
     c.add_argument("output")
     # every default is CodecConfig's own; CodecConfig checks the values
+    default = CodecConfig()
     c.add_argument("--version", type=int, choices=METHOD_VERSIONS,
-                   default=CodecConfig.method_version)
+                   default=default.method_version)
     c.add_argument(
-        "--coder", choices=sorted(CODER_IDS), default=CODER_NAMES[CodecConfig.coder],
+        "--coder", choices=sorted(CODER_IDS), default=CODER_NAMES[default.coder],
         help="entropy coder (default: %(default)s)",
     )
-    c.add_argument("--block", type=int, default=CodecConfig.block_len, metavar="L")
-    c.add_argument("--tau", type=int, default=CodecConfig.tau, metavar="N")
+    c.add_argument("--block", type=int, default=default.block_len, metavar="L")
+    c.add_argument("--tau", type=int, default=default.tau, metavar="N")
     g = c.add_mutually_exclusive_group()
-    g.add_argument("--digits", type=int, default=CodecConfig.digits, metavar="D",
+    g.add_argument("--digits", type=int, default=default.digits, metavar="D",
                    help="fractional digits to keep (max error 10^-D)")
     g.add_argument("--lossless", action="store_true",
                    help="keep every digit (scale auto-detected)")

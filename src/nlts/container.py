@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
 from operator import truediv
 
@@ -50,14 +50,11 @@ _HEADER_STRUCT = struct.Struct("<4sBBBBHH4xQ")
 SCALE_PASSTHROUGH = 255
 
 
-@dataclass(frozen=True)
-class StreamHeader:
-    method_version: int
-    entropy_id: int
-    block_len: int
-    tau: int
-    scale_exp: int | None  # None marks integer passthrough
-    sample_count: int
+class StreamHeader(namedtuple(
+        "StreamHeader", "method_version entropy_id block_len tau scale_exp sample_count")):
+    """A container's header fields; a scale_exp of None marks integer passthrough."""
+
+    __slots__ = ()
 
     def pack(self) -> bytes:
         scale_byte = SCALE_PASSTHROUGH if self.scale_exp is None else self.scale_exp
@@ -100,15 +97,12 @@ class StreamHeader:
         return cls(method, coder, block_len, tau, scale_exp, count)
 
 
-@dataclass(frozen=True)
-class RunMetrics:
+class RunMetrics(namedtuple(
+        "RunMetrics", "input_bytes output_bytes seconds max_abs_error", defaults=(None,))):
     """What one call measured: canonical text and container bytes, and the
-    codec's own seconds, text I/O excluded."""
+    codec's own seconds, text I/O excluded; max_abs_error is compress's only."""
 
-    input_bytes: int
-    output_bytes: int
-    seconds: float
-    max_abs_error: float | None = None  # compress only
+    __slots__ = ()
 
     @property
     def cr(self) -> float:
@@ -120,27 +114,27 @@ class RunMetrics:
         return self.input_bytes / self.seconds / 1e6 if self.seconds else 0.0
 
 
-@dataclass(frozen=True)
-class CodecConfig:
+class CodecConfig(namedtuple(
+        "CodecConfig", "method_version coder block_len tau digits",
+        defaults=(2, entropy.ADAPTIVE_ARITHMETIC, 16, 9, 3))):
     """The codec's five settings; digits is 0..MAX_DIGITS or LOSSLESS.
 
     A block setting of the wrong type or range, or bad digits, raises
     ValueError; an unknown coder id raises UnsupportedVersion.
     """
 
-    method_version: int = 2
-    coder: int = entropy.ADAPTIVE_ARITHMETIC
-    block_len: int = 16
-    tau: int = 9
-    digits: int | str = 3
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks its values
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check_block_settings(self.method_version, self.block_len, self.tau)
         d = self.digits
         if d != LOSSLESS and (type(d) is not int or not 0 <= d <= MAX_DIGITS):
             raise ValueError(f"digits must be 0..{MAX_DIGITS} or {LOSSLESS!r}, got {d!r}")
         if self.coder not in entropy.CODER_NAMES:
             raise UnsupportedVersion(f"unknown entropy coder id {self.coder}")
+        return self
 
 
 def compress_stream(samples, config: CodecConfig = CodecConfig()):

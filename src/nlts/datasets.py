@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import namedtuple
 from contextlib import suppress
-from dataclasses import MISSING, dataclass, fields, replace
 from decimal import Decimal, InvalidOperation
+from itertools import islice
 
 from .errors import CodecError, MissingColumn, MissingValue, UnparseableRow
 from .quantizer import plain_survey
@@ -37,7 +38,7 @@ WHITESPACE = "whitespace"
 
 
 def load_spec(cls, path):
-    """The dataclass cls built from the JSON object in path, arrays as tuples.
+    """The record cls (a named tuple) built from the JSON object in path, arrays as tuples.
 
     A file holding anything but an object, or an object that lacks a field
     without a default or names an unknown one, raises ValueError; so does
@@ -48,7 +49,7 @@ def load_spec(cls, path):
         raw = json.load(f)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(raw).__name__}")
-    known = {field.name: field.default is MISSING for field in fields(cls)}  # name: required
+    known = {name: name not in cls._field_defaults for name in cls._fields}  # name: required
     bad = [f"unknown key {key!r}" for key in raw if key not in known]
     bad += [f"missing key {key!r}" for key, needed in known.items() if needed and key not in raw]
     if bad:
@@ -59,17 +60,18 @@ def load_spec(cls, path):
         raise ValueError(f"{path}: {e}") from None
 
 
-@dataclass(frozen=True)
-class DatasetSpec:
-    """Where a dataset's column lives; a field of the wrong type or value raises ValueError."""
+class DatasetSpec(namedtuple(
+        "DatasetSpec", "name source_path column delimiter missing_policy",
+        defaults=(0, ",", SKIP))):
+    """Where a dataset's column lives: its index or the name in a header row,
+    and a delimiter of one character or WHITESPACE.  A field of the wrong type
+    or value raises ValueError."""
 
-    name: str
-    source_path: str
-    column: int | str = 0  # index, or the name in a header row
-    delimiter: str = ","  # one character, or WHITESPACE
-    missing_policy: str = SKIP
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks its values
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for key in ("name", "source_path"):
             if type(getattr(self, key)) is not str:
                 raise ValueError(f"{key} must be a string, got {getattr(self, key)!r}")
@@ -80,6 +82,7 @@ class DatasetSpec:
         d = self.delimiter
         if type(d) is not str or (d != WHITESPACE and len(d) != 1):
             raise ValueError(f"delimiter must be one character or {WHITESPACE!r}, got {d!r}")
+        return self
 
     @classmethod
     def from_json(cls, path) -> "DatasetSpec":
@@ -91,7 +94,7 @@ class DatasetSpec:
         p = Path(self.source_path)
         if not p.is_absolute() and data_dir is not None:
             p = Path(data_dir) / p
-        return replace(self, source_path=str(p))
+        return self._replace(source_path=str(p))
 
 
 def packaged_spec(name: str) -> DatasetSpec:
@@ -127,12 +130,16 @@ def _read_column(spec: DatasetSpec, lines) -> list:
     row's stripped token is kept, markers too, and _mend mends them together
     at the end: the first that is not a finite number, nor a marker the
     policy skips or fills, raises MissingValue (a marker under fail) or
-    UnparseableRow with its 1-based row number.  A negative column index
-    counts from the end of the first non-empty row read; a later row without
-    that field raises MissingColumn.  A row csv.reader refuses (a field past
-    its size limit, say) raises CodecError with its row number.  Such a
-    fault, or bad UTF-8, ends the read, and is raised after the tokens before
-    it are mended: a fault in an earlier row's token still wins.
+    UnparseableRow with its 1-based row number.  Rows are read in chunks,
+    READ_CHUNK and then twice the last, and the read ends after the first
+    chunk that holds such a token: it reads fewer than twice the rows up to
+    it plus READ_CHUNK.
+    A negative column index counts from the end of the first non-empty row
+    read; a later row without that field raises MissingColumn.  A row
+    csv.reader refuses (a field past its size limit, say) raises CodecError
+    with its row number.  Such a fault, or bad UTF-8, ends the read, and is
+    raised after the tokens before it are mended: a fault in an earlier
+    row's token still wins.
     """
     if spec.delimiter == WHITESPACE:
         rows = map(str.split, lines)
@@ -142,6 +149,7 @@ def _read_column(spec: DatasetSpec, lines) -> list:
     row_no = 0
     out = []
     idle = []  # the header and the blank rows, which add no token to out
+    fix, done = {}, 0  # _fixes of the odd tokens in out[:done]
     fault = None
     try:
         if isinstance(col, str):  # a named column: the first row is the header
@@ -155,36 +163,39 @@ def _read_column(spec: DatasetSpec, lines) -> list:
             except ValueError:
                 raise MissingColumn(f"column {spec.column!r} not in header {header!r}") from None
 
-        for row in rows:
-            row_no += 1
-            if not row:
-                idle.append(row_no)
-                continue
-            if col < 0 and len(row) + col >= 0:
-                col += len(row)
-            try:
-                out.append(row[col].strip())
-            except IndexError:
-                raise MissingColumn(
-                    f"row {row_no} has {len(row)} fields, column {col} requested"
-                ) from None
+        size = READ_CHUNK
+        while _FAULT not in fix.values():
+            before = row_no
+            for row in islice(rows, size):
+                row_no += 1
+                if not row:
+                    idle.append(row_no)
+                    continue
+                if col < 0 and len(row) + col >= 0:
+                    col += len(row)
+                try:
+                    out.append(row[col].strip())
+                except IndexError:
+                    raise MissingColumn(
+                        f"row {row_no} has {len(row)} fields, column {col} requested"
+                    ) from None
+            if row_no == before:
+                break
+            fix.update(_fixes(_odd(out[done:]), spec.missing_policy, False))
+            done, size = len(out), 2 * size
     except csv.Error as e:
         fault = CodecError(f"row {row_no + 1}: {e}")
     except (CodecError, ValueError) as e:  # a row without the field, or bad UTF-8
         fault = e
-    text = "\n".join(out)
-    if text.count("\n") < len(out):
-        odd = plain_survey(out, text, len(out) + 1)[1]
-    else:  # a quoted field holds a line break, or there are no tokens
-        odd = set(out)
-    column = _mend(out, odd, spec.missing_policy, False)  # each token is a field already
+    fix.update(_fixes(_odd(out[done:]), spec.missing_policy, False))  # rows a fault cut short
+    column = _mend(out, fix)
     if type(column) is int:
         token, row = out[column], column + 1  # the (column + 1)-th row not in idle
         for r in idle:
             if r > row:
                 break
             row += 1
-        if _mend([token], [token], SKIP, False) == []:  # a marker under fail
+        if _fixes([token], SKIP, False)[token] is None:  # a marker under fail
             raise MissingValue(row)
         raise UnparseableRow(row, token)
     if fault:
@@ -238,21 +249,32 @@ def _uniform_column(spec: DatasetSpec, data: bytes):
     odd = plain_survey(tokens, text, MEND_MAX + 1)[1]
     if len(odd) > MEND_MAX:
         return None
-    column = _mend(tokens, odd, spec.missing_policy, ws)
+    column = _mend(tokens, _fixes(odd, spec.missing_policy, ws))
     return None if type(column) is int else column  # the row reader reports a fault
 
 
 #: The most distinct non-PLAIN tokens the one-pass reader hands to _mend.
 MEND_MAX = 16
+#: The rows in the row reader's first chunk; each chunk read is surveyed for a
+#: token _mend cannot mend before the next, twice as long, is read.
+READ_CHUNK = 4096
 _FAULT = object()  # _mend's mark for a token it cannot mend
 
 
-def _mend(tokens: list, odd, policy: str, ws: bool):
-    """The column with its markers skipped or filled where they stand, or the
-    index of its first fault: a token neither a finite number nor a marker the
-    policy skips or fills.  Only the odd tokens (every distinct non-PLAIN one,
-    at least) are read, each as its row's first field (ws) or stripped, so a
-    blank row is dropped; each that reads as another costs a list.index pass."""
+def _odd(tokens: list):
+    """The distinct non-PLAIN tokens of a row reader's tokens, or all of them
+    if a quoted field holds a line break."""
+    text = "\n".join(tokens)
+    if text.count("\n") < len(tokens):
+        return plain_survey(tokens, text, len(tokens) + 1)[1]
+    return set(tokens)
+
+
+def _fixes(odd, policy: str, ws: bool) -> dict:
+    """What _mend puts in place of each odd token that reads as another: the
+    token read as its row's first field (ws) or stripped, None to drop it (a
+    marker under skip or a blank row), FORWARD_FILL, or _FAULT for a token
+    neither a finite number nor a marker the policy skips or fills."""
     fix = {}
     for v in odd:
         t = (v.split() or [None])[0] if ws else v.strip()
@@ -262,6 +284,14 @@ def _mend(tokens: list, odd, policy: str, ws: bool):
             t = _FAULT
         if t != v:
             fix[v] = t
+    return fix
+
+
+def _mend(tokens: list, fix: dict):
+    """The column with its markers skipped or filled where they stand, or the
+    index of its first fault.  fix is the _fixes of its odd tokens (every
+    distinct non-PLAIN one, at least); each token it rewrites costs a
+    list.index pass."""
     if _FAULT in fix.values():
         return next(i for i, v in enumerate(tokens) if fix.get(v) is _FAULT)
     at = []

@@ -13,17 +13,13 @@ with the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 #: an encoder's accumulator spills its whole bytes once it holds this many bits
 FLUSH_BITS = 64
 
-
-@dataclass(frozen=True)
-class BitStream:
-    """A coded stream: its whole bytes, the last one zero-padded."""
-
-    data: bytes
+#: A coded stream: its whole bytes, the last one zero-padded.
+BitStream = namedtuple("BitStream", "data")
 
 
 def spill(out: bytearray, acc: int, nacc: int):

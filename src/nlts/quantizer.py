@@ -133,6 +133,7 @@ def _column_codes(tokens, text: str, digits, column):
         n = list(map(int, whole))
     except ValueError:  # a token longer than int() reads (sys.set_int_max_str_digits)
         n = [int(Decimal(t)) for t in whole]
+    del whole  # a string per token: free it before the rounding passes
     if source and min(tails) < widest:
         # a token with a shorter fraction: multiply by 10**(S - its length)
         up = {t: 10 ** (source - max(t - 1, 0)) for t in set(tails)}

@@ -30,9 +30,11 @@ class TestColdCall:
     # process pool, and concurrent.futures pulls in multiprocessing.  The
     # sweep harness (with statistics), packaged specs (importlib.resources),
     # report checksums (hashlib), spec files (json) and spec resolution
-    # (pathlib) are bench's alone too.
+    # (pathlib) are bench's alone too.  The value records are named tuples:
+    # dataclasses would pull in inspect (with ast, dis and tokenize) and
+    # build their methods by exec at import.
     HEAVY = ("concurrent.futures", "multiprocessing", "nlts.bench", "statistics",
-             "importlib.resources", "hashlib", "json", "pathlib")
+             "importlib.resources", "hashlib", "json", "pathlib", "dataclasses", "inspect")
 
     @pytest.mark.parametrize("command", ["compress", "decompress"])
     def test_codec_command_imports_no_bench_module(self, tmp_path, command):

@@ -1,9 +1,10 @@
-import dataclasses
 import random
 import time
+from decimal import Decimal
 
 import pytest
 
+from nlts.bench import SweepSpec, VerifyResult
 from nlts.container import (
     HEADER_LEN,
     CodecConfig,
@@ -16,7 +17,8 @@ from nlts.container import (
 from nlts import entropy
 from nlts.cli import main
 from nlts.core import INT64_MAX, INT64_MIN, write_varints
-from nlts.entropy import ADAPTIVE_ARITHMETIC, ADAPTIVE_HUFFMAN, STATIC_HUFFMAN
+from nlts.datasets import DatasetSpec
+from nlts.entropy import ADAPTIVE_ARITHMETIC, ADAPTIVE_HUFFMAN, STATIC_HUFFMAN, BitStream
 from nlts.errors import BadMagic, CodecError, CorruptStream, UnsupportedVersion
 from nlts.quantizer import LOSSLESS, canonical_size, quantize_stream, render_code
 
@@ -37,7 +39,7 @@ class TestHeader:
                 scale_exp=rng.choice([None, 0, 1, 2, 3, 4, 5, 6]),
                 sample_count=rng.randrange(1, 2**63),
             )
-            h = StreamHeader(**{**h.__dict__, "tau": rng.randrange(1, h.block_len + 1)})
+            h = h._replace(tau=rng.randrange(1, h.block_len + 1))
             packed = h.pack()
             assert len(packed) == HEADER_LEN == 24
             assert StreamHeader.parse(packed) == h
@@ -345,6 +347,51 @@ def test_step_past_int64_names_block(case, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+# (record, values by position, its repr, a field, a new value for it, a value
+# the record refuses for that field or None)
+RECORDS = [
+    (StreamHeader, (2, 0, 16, 9, None, 100),
+     "StreamHeader(method_version=2, entropy_id=0, block_len=16, tau=9, scale_exp=None, "
+     "sample_count=100)", "tau", 4, None),
+    (RunMetrics, (10, 5, 0.25, 0.5),
+     "RunMetrics(input_bytes=10, output_bytes=5, seconds=0.25, max_abs_error=0.5)",
+     "seconds", 0.5, None),
+    (CodecConfig, (1, STATIC_HUFFMAN, 32, 4, LOSSLESS),
+     "CodecConfig(method_version=1, coder=0, block_len=32, tau=4, digits='lossless')",
+     "tau", 2, 0),
+    (BitStream, (b"\x80",), "BitStream(data=b'\\x80')", "data", b"", None),
+    (DatasetSpec, ("t", "in.csv", "value", ";", "fail"),
+     "DatasetSpec(name='t', source_path='in.csv', column='value', delimiter=';', "
+     "missing_policy='fail')", "missing_policy", "skip", "drop"),
+    (SweepSpec, ((1, 2), ("static",), (16,), (9,), (3, "lossless"), 2),
+     "SweepSpec(versions=(1, 2), coders=('static',), block_lens=(16,), taus=(9,), "
+     "digits=(3, 'lossless'), repeats=2)", "repeats", 5, 0),
+    (VerifyResult, (True, Decimal("0.001"), 3),
+     "VerifyResult(ok=True, max_abs_error=Decimal('0.001'), argmax_index=3)", "ok", False, None),
+]
+
+
+@pytest.mark.parametrize("cls, values, text, field, new, bad", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_value_record(cls, values, text, field, new, bad):
+    # every record is a named tuple: immutable, equal to (and hashed as) the
+    # plain tuple of its values
+    r = cls(*values)
+    assert r == cls(**dict(zip(cls._fields, values))) == values
+    assert repr(r) == text and hash(r) == hash(values)
+    assert r._asdict() == dict(zip(cls._fields, values))
+    changed = r._replace(**{field: new})
+    assert type(changed) is cls and r == values
+    assert changed == tuple(new if k == field else v for k, v in zip(cls._fields, values))
+    if bad is not None:  # _replace checks the new value as the constructor does
+        with pytest.raises(ValueError):
+            r._replace(**{field: bad})
+    with pytest.raises(AttributeError):
+        setattr(r, field, new)
+    with pytest.raises(AttributeError):
+        r.note = "a record takes no other attribute"
+
+
 class TestMetrics:
     def test_arithmetic(self):
         m = RunMetrics(1000, 250, 1.0)
@@ -358,10 +405,9 @@ class TestMetrics:
         assert RunMetrics(2_000_000, 100, 0).rate == 0.0
 
     def test_record_holds_what_a_call_measures(self):
-        fields = [f.name for f in dataclasses.fields(RunMetrics)]
-        assert fields == ["input_bytes", "output_bytes", "seconds", "max_abs_error"]
+        assert RunMetrics._fields == ("input_bytes", "output_bytes", "seconds", "max_abs_error")
         m = RunMetrics(10, 5, 0.25, 0.5)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             m.input_bytes = 20
         with pytest.raises(AttributeError):
             m.cr = 1.0

@@ -374,6 +374,34 @@ class TestMissingPolicy:
             assert (got if isinstance(got, list) else got[:2]) == want[policy], read
 
 
+class TestRowReaderEnd:
+    """The row reader stops after the chunk of rows that holds a token _mend
+    cannot mend, and names that token's row."""
+
+    @pytest.mark.parametrize("at", [3, datasets.READ_CHUNK + 1, datasets.READ_CHUNK + 2, 50_000])
+    @pytest.mark.parametrize("policy,token,error", [
+        ("fail", "?", MissingValue),
+        ("skip", "x", UnparseableRow),
+        ("forward-fill", "x", UnparseableRow),
+    ])
+    def test_early_fault_ends_the_read(self, at, policy, token, error):
+        # 100,000 quoted rows under a header; row `at` holds the fault
+        rows = ["ts,value\n"] + [f'{i},"{i}.5"\n' for i in range(1, 100_000)]
+        rows[at - 1] = f'{at},"{token}"\n'
+        read = []
+
+        def lines():
+            for row in rows:
+                read.append(row)
+                yield row
+
+        spec = DatasetSpec(name="t", source_path="in.csv", column="value",
+                           missing_policy=policy)
+        with pytest.raises(error) as exc:
+            _read_column(spec, lines())
+        assert exc.value.row == at and len(read) < 2 * at + datasets.READ_CHUNK
+
+
 # headerless single-column whitespace files: ingest splits those that end in
 # "\n" and hold no "\r" at their newlines, and reads the rest row by row
 SPLIT_FILES = {
