@@ -6,9 +6,11 @@ the input -- strictly tighter than the advertised bound of 10**-d.
 
 Quantization never goes through binary floating point.  Every stream is
 quantized as one column of plain decimal text (PLAIN: a sign, digits and at
-most one point, no exponent): one regex search validates it, int() reads
-every token with its point removed, and C-level map passes round and
-measure the error with integer arithmetic.  A stream of text tokens that
+most one point, no exponent): a few passes over its bytes validate it and
+tell whether every token has the same fraction length, int() reads every
+token with its point removed, and C-level map passes round and measure the
+error with integer arithmetic; a column of mixed fraction lengths rounds
+the tokens of each length at that length.  A stream of text tokens that
 are all PLAIN is that column as given.  Any other stream -- floats, ints,
 Decimals, exponents, or any other spelling among its tokens -- is first
 spelled, one sample at a time, as the exact PLAIN text of its value, which
@@ -49,11 +51,18 @@ _CTX = decimal.Context(prec=decimal.MAX_PREC)
 #: or non-ASCII digit.
 PLAIN = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)"
 
-# Matches any line of a "\n"-joined column that is not PLAIN.  A search for
-# such lines keeps no per-line state; matching the whole column against a
-# repeated group such as (?:PLAIN\n)+ makes sre hold state for every
-# repetition, megabytes over a long column.
+# Matches any line of a "\n"-joined column that is not PLAIN.  It runs only
+# on a column that _all_plain refuses, to name the lines at fault; sre spends
+# ~100 ns a line on it.
 _NOT_PLAIN = re.compile(f"^(?!{PLAIN}$).*$", re.M)
+
+# Each byte of a column as _all_plain and _one_tail read it: a digit as "0",
+# a sign as "+", a point or newline as itself, any other byte as "!".
+_SHAPE = bytes(
+    ord("0") if chr(c) in "0123456789" else ord("+") if chr(c) in "+-"
+    else c if chr(c) in ".\n" else ord("!")
+    for c in range(256)
+)
 
 # The characters a PLAIN token may hold before its point.
 _BEFORE_POINT = "+-0123456789"
@@ -82,17 +91,64 @@ def repeated(items, count: int):
 def plain_survey(tokens, text: str, most: int):
     """(repeated's distinct tokens, up to most distinct non-PLAIN ones) of tokens free of newlines joined as text.
 
-    The non-PLAIN tokens are found over the distinct tokens when the column
-    repeats, each once, else over the text, once per line; the search stops
-    after most distinct ones.
+    The non-PLAIN tokens are looked for over the distinct tokens when the
+    column repeats, each once, else over the text.  _all_plain passes a
+    column of PLAIN tokens only; any other column is searched line by line,
+    and the search stops after most distinct non-PLAIN ones.
     """
     distinct = repeated(tokens, len(tokens))
+    column = text if distinct is None else "\n".join(distinct)
+    if _all_plain(column):
+        return distinct, []
     odd = {}
-    for m in _NOT_PLAIN.finditer(text if distinct is None else "\n".join(distinct)):
+    for m in _NOT_PLAIN.finditer(column):
         odd[m[0]] = None
         if len(odd) == most:
             break
     return distinct, list(odd)
+
+
+def _all_plain(text: str) -> bool:
+    """Whether every line of text is PLAIN (_NOT_PLAIN finds none), in byte
+    passes that run in C.
+
+    A line is PLAIN when it holds only digits, signs and points, at least
+    one digit, at most one point, and a sign only as its first character.
+    With a newline added at each end, a line without a digit is an empty
+    line once signs and points are deleted, and two points on a line meet
+    once digits and signs are deleted.
+    """
+    if not text.isascii():  # so encode() cannot fail on a lone surrogate
+        return False
+    shape = ("\n" + text + "\n").encode().translate(_SHAPE)
+    signs = shape.count(b"+")
+    return (
+        b"!" not in shape
+        and b"\n\n" not in shape.translate(None, b"+.")
+        and b".." not in shape.translate(None, b"0+")
+        and (not signs or signs == shape.count(b"\n+"))
+    )
+
+
+def _one_tail(text: str, count: int):
+    """The tail every one of count PLAIN tokens joined as text has, or None
+    if they differ, in byte passes that run in C.
+
+    A token's tail is 0 without a point, else 1 + its fraction length.  A
+    PLAIN token has at most one point, so with count points every token has
+    one; the first token's fraction length f is then every token's when the
+    text, a digit read as "0" and a newline after every token, holds count
+    times "." + f digits + "\n".
+    """
+    points = text.count(".")
+    if not points:
+        return 0
+    if points != count:
+        return None
+    first = text.partition("\n")[0]
+    f = len(first) - first.index(".") - 1
+    shape = (text + "\n").encode().translate(_SHAPE)
+    return f + 1 if shape.count(b"." + b"0" * f + b"\n") == count else None
 
 
 def _too_many_digits(index: int, n: int) -> TooManyDigits:
@@ -102,6 +158,17 @@ def _too_many_digits(index: int, n: int) -> TooManyDigits:
     )
 
 
+def _rounded(n: list, source: int, scale: int):
+    """(codes, error) of integers n / 10**source rounded to scale digits; the
+    largest error is in units of 10**-source."""
+    if source <= scale:
+        return (n if source == scale else list(map(mul, n, repeat(10 ** (scale - source))))), 0
+    den = 10 ** (source - scale)
+    halfway = map(sub, map(add, n, repeat(den >> 1)), map(lt, n, repeat(0)))
+    codes = list(map(floordiv, halfway, repeat(den)))
+    return codes, max(min(r, den - r) for r in set(map(mod, n, repeat(den))))
+
+
 def _column_codes(tokens, text: str, digits, column):
     """Quantize PLAIN tokens joined as text; returns (codes, max_abs_error, scale).
 
@@ -109,19 +176,23 @@ def _column_codes(tokens, text: str, digits, column):
     distinct tokens in any order: a fault names the first index in column
     that holds one.
 
-    Every token reads as the integer n = int(token without its point) at its
-    own fraction length, and is brought to the widest fraction length S, so
-    that it stands for n / 10**S.  Rounding to d < S digits is
-    (n + half - (n < 0)) // 10**(S - d) with half = 10**(S - d) / 2: floor
-    division after adding half rounds ties up, and the -1 for a negative n
-    turns that into ties away from zero.  The code is the multiple of
-    10**(S - d) nearest n, so the error, exact in units of 10**-S, is
-    min(r, 10**(S - d) - r) for r = n mod 10**(S - d), taken over the
-    distinct residues.  Lossless mode takes S as its scale.
+    Every token reads as the integer n = int(token without its point), and
+    stands for n / 10**s at its fraction length s.  Rounding to d < s digits
+    is (n + half - (n < 0)) // 10**(s - d) with half = 10**(s - d) / 2:
+    floor division after adding half rounds ties up, and the -1 for a
+    negative n turns that into ties away from zero.  The code is the
+    multiple of 10**(s - d) nearest n, so the error, exact in units of
+    10**-s, is min(r, 10**(s - d) - r) for r = n mod 10**(s - d), taken over
+    the distinct residues.  When no token rounds (lossless mode, which takes
+    the widest fraction length S as its scale, or d >= S), every token is
+    brought to S; else the tokens of each fraction length round at that
+    length, so one long token does not widen its column, and the largest
+    error is given in units of 10**-S.
     """
-    # per token: 0 without a point, else 1 + its fraction length
-    tails = list(map(len, map(str.lstrip, tokens, repeat(_BEFORE_POINT))))
-    widest = max(tails, default=0)
+    tails = None  # per token: 0 without a point, else 1 + its fraction length
+    if (widest := _one_tail(text, len(tokens))) is None:
+        tails = list(map(len, map(str.lstrip, tokens, repeat(_BEFORE_POINT))))
+        widest = max(tails)
     source = max(widest - 1, 0)
     lossless = digits == LOSSLESS
     if lossless and source > MAX_DIGITS:
@@ -134,19 +205,26 @@ def _column_codes(tokens, text: str, digits, column):
     except ValueError:  # a token longer than int() reads (sys.set_int_max_str_digits)
         n = [int(Decimal(t)) for t in whole]
     del whole  # a string per token: free it before the rounding passes
-    if source and min(tails) < widest:
-        # a token with a shorter fraction: multiply by 10**(S - its length)
-        up = {t: 10 ** (source - max(t - 1, 0)) for t in set(tails)}
-        n = list(map(mul, n, map(up.__getitem__, tails)))
     scale = source if lossless else digits
+    if tails is None or source <= scale:
+        if tails and source:
+            # a token with a shorter fraction: multiply by 10**(S - its length)
+            up = {t: 10 ** (source - max(t - 1, 0)) for t in set(tails)}
+            n = list(map(mul, n, map(up.__getitem__, tails)))
+        codes, error = _rounded(n, source, scale)
+    else:
+        at = {t: [] for t in set(tails)}  # the indices of each tail
+        for i, t in enumerate(tails):
+            at[t].append(i)
+        codes, error = [0] * len(n), 0
+        for t, indices in at.items():
+            s = max(t - 1, 0)
+            own, e = _rounded(list(map(n.__getitem__, indices)), s, scale)
+            for i, c in zip(indices, own):
+                codes[i] = c
+            error = max(error, e * 10 ** (source - s))
     if source <= scale:
-        if source < scale:
-            n = list(map(mul, n, repeat(10 ** (scale - source))))
-        return n, Decimal(0), scale
-    den = 10 ** (source - scale)
-    halfway = map(sub, map(add, n, repeat(den >> 1)), map(lt, n, repeat(0)))
-    codes = list(map(floordiv, halfway, repeat(den)))
-    error = max(min(r, den - r) for r in set(map(mod, n, repeat(den))))
+        return codes, Decimal(0), scale
     return codes, Decimal(error).scaleb(-source, context=_CTX), scale
 
 

@@ -1,16 +1,22 @@
 import random
+import tracemalloc
 from decimal import ROUND_HALF_UP, Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
+from nlts import quantizer
 from nlts.container import CodecConfig
 from nlts.core import INT64_MAX, INT64_MIN
 from nlts.datasets import DatasetSpec, ingest
 from nlts.errors import CodecError, CorruptStream, NonFiniteSample, OverflowAtScale, TooManyDigits
 from nlts.quantizer import (
+    _NOT_PLAIN,
     LOSSLESS,
     PROBE,
+    _all_plain,
+    _one_tail,
+    plain_survey,
     quantize_stream,
     render_code,
     render_stream,
@@ -662,6 +668,128 @@ class TestSpelledColumns:
         error = Decimal("0.00499999999999982236431605997495353221893310546875")
         assert quantize_stream([2.675], 2)[:3] == ([267], error, 2)
         assert quantize_stream([2.675], LOSSLESS)[:3] == ([2675], 0, 3)
+
+
+# what a fuzzed line is drawn from, and lines on the edges of PLAIN
+FUZZ_CHARS = "0123456789+-. \re_\u0661\uff11"
+EDGE_LINES = ["", "+", ".", "+.", "5.", ".5", "-.5", "1.2.3", "+-1", "5-", ".-5"]
+
+
+def fuzzed_column(rng):
+    """1 to 6 lines joined by newlines: edge lines, and lines of 0 to 5
+    characters, most of them drawn from digits, signs and points only."""
+    lines = []
+    for _ in range(rng.randrange(1, 7)):
+        r = rng.random()
+        if r < 0.3:
+            lines.append(rng.choice(EDGE_LINES))
+        else:
+            chars = FUZZ_CHARS if r < 0.45 else FUZZ_CHARS[:13]
+            lines.append("".join(rng.choices(chars, k=rng.randrange(6))))
+    return "\n".join(lines)
+
+
+def assert_plain_check_agrees(rng, columns):
+    plain = 0
+    for _ in range(columns):
+        text = fuzzed_column(rng)
+        want = _NOT_PLAIN.search(text) is None
+        assert _all_plain(text) == want, text
+        plain += want
+    assert columns // 20 < plain < columns // 2  # both answers are well sampled
+
+
+class TestPlainCheck:
+    """_all_plain, the byte-pass check, says what a search with the PLAIN line regex says."""
+
+    def test_fuzzed_columns(self):
+        assert_plain_check_agrees(random.Random(730), 100_000)
+
+    @pytest.mark.slow
+    def test_million_fuzzed_columns(self):
+        assert_plain_check_agrees(random.Random(770), 1_000_000)
+
+    def test_edges(self):
+        assert _all_plain("+1.5\n-2\n.5\n7.\n-.5\n0")
+        assert not _all_plain("") and not _all_plain("1\n") and not _all_plain("\n1")
+        assert not _all_plain("1\n\ud800")  # a lone surrogate has no UTF-8 bytes
+
+    def test_a_plain_column_skips_the_line_regex(self, monkeypatch):
+        monkeypatch.setattr(quantizer, "_NOT_PLAIN", None)
+        tokens = ["1.5", "-2", ".5", "+7."]
+        assert plain_survey(tokens, "\n".join(tokens), 1) == (None, [])
+
+
+def plain_token(rng, tail):
+    """A PLAIN token with that tail: no point (0), else a point and tail - 1
+    fraction digits; a sign or none, and whole digits or none where PLAIN allows."""
+    sign = rng.choice(("", "-", "+"))
+    whole = str(rng.randrange(10 ** rng.randrange(1, 8)))
+    if not tail:
+        return sign + whole
+    frac = "".join(rng.choices("0123456789", k=tail - 1))
+    return f"{sign}{whole if not frac or rng.random() < 0.8 else ''}.{frac}"
+
+
+class TestOneTail:
+    """_one_tail, two byte counts, gives a column's tail exactly when every
+    token has it (0 without a point, else 1 + its fraction length)."""
+
+    def test_columns_of_one_tail_and_one_odd_tail(self):
+        rng = random.Random(740)
+        for _ in range(20_000):
+            tail = rng.randrange(0, 9)
+            column = [plain_token(rng, tail) for _ in range(rng.randrange(1, 30))]
+            if rng.random() < 0.5:  # one token of another tail, or maybe the same
+                column[rng.randrange(len(column))] = plain_token(rng, rng.randrange(0, 9))
+            tails = [len(t.lstrip("+-0123456789")) for t in column]
+            want = tails[0] if len(set(tails)) == 1 else None
+            assert _one_tail("\n".join(column), len(column)) == want, column
+
+    def test_edges(self):
+        assert _one_tail("", 0) == 0
+        assert _one_tail("5\n-7", 2) == 0
+        assert _one_tail("5.\n-7.", 2) == 1  # trailing points
+        assert _one_tail("5.\n-7", 2) is None
+        assert _one_tail(".25\n-1.50\n+3.75", 3) == 3
+        assert _one_tail("1.25\n1.2\n1.255", 3) is None  # the point counts alone agree
+        assert _one_tail("1.25\n1.255\n1.2", 3) is None
+
+
+class TestMixedWidths:
+    """In rounding mode, the tokens of each fraction length round at that
+    length, so one long token does not widen its whole column."""
+
+    @pytest.mark.parametrize("d", [0, 1, 3, 6])
+    def test_matches_reference(self, d):
+        rng = random.Random(750 + d)
+        tie = "0" * d + "5"
+        for _ in range(300):
+            column = [plain_token(rng, rng.randrange(0, 10)) for _ in range(rng.randrange(2, 40))]
+            column[rng.randrange(len(column))] = f"{rng.choice(('', '-'))}{rng.randrange(100)}.{tie}"
+            if rng.random() < 0.3:  # long enough to widen, short enough for the reference's int()
+                k = rng.randrange(20, 4000)
+                column[rng.randrange(len(column))] = rng.choice((
+                    "-1." + "".join(rng.choices("0123456789", k=k)),
+                    f"2.{tie}" + "0" * k,
+                ))
+            assert_matches_reference(column, d)
+            assert_matches_reference(column * 3, d)  # repeating: over its distinct tokens
+
+    def test_a_long_token_does_not_widen_its_column(self):
+        rng = random.Random(760)
+        rows = [f"{rng.randrange(-99_999, 100_000) / 1000:.3f}" for _ in range(10_000)]
+        long = "0." + "".join(rng.choices("0123456789", k=20_000))
+
+        def peak(column):
+            tracemalloc.start()
+            try:
+                quantize_stream(column, 3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(rows + [long]) <= 2 * peak(rows + ["0.123"])
 
 
 def probe_columns(rng):
