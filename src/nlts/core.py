@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from .errors import CorruptStream
 
-# Name of the mode block branch; perfbench/tracing.py counts blocks by it.
+# Name of the mode block branch.  No codec path reads it: it stays because
+# perfbench/tracing.py imports it, and goes with that tracer (ROADMAP item 2).
 MODE = "mode"
 
 INT64_MIN = -(1 << 63)

@@ -128,48 +128,39 @@ def _read_column(spec: DatasetSpec, lines) -> list:
 
     lines reads as the file opened with newline="" would.  Every non-blank
     row's stripped token is kept, markers too, and _mend mends them together
-    at the end: the first that is not a finite number, nor a marker the
-    policy skips or fills, raises MissingValue (a marker under fail) or
-    UnparseableRow with its 1-based row number.  Rows are read in chunks,
-    READ_CHUNK and then twice the last, and the read ends after the first
-    chunk that holds such a token: it reads fewer than twice the rows up to
-    it plus READ_CHUNK.
+    at the end.  Rows are read in chunks, READ_CHUNK and then twice the
+    last, and each chunk is judged once read: its first token that is not a
+    finite number, nor a marker the policy skips or fills, raises
+    MissingValue (a marker under fail) or UnparseableRow with its 1-based
+    row number, so the read reads fewer than twice the rows up to it plus
+    READ_CHUNK.
     A negative column index counts from the end of the first non-empty row
     read; a later row without that field raises MissingColumn.  A row
     csv.reader refuses (a field past its size limit, say) raises CodecError
-    with its row number.  Such a fault, or bad UTF-8, ends the read, and is
-    raised after the tokens before it are mended: a fault in an earlier
-    row's token still wins.
+    with its row number.  Such a fault, or bad UTF-8, ends the read after
+    its chunk's tokens are judged: a fault in an earlier row's token wins.
     """
     if spec.delimiter == WHITESPACE:
         rows = map(str.split, lines)
     else:
         rows = csv.reader(lines, delimiter=spec.delimiter)
-    col = spec.column
-    row_no = 0
-    out = []
-    idle = []  # the header and the blank rows, which add no token to out
-    fix, done = {}, 0  # _fixes of the odd tokens in out[:done]
-    fault = None
-    try:
-        if isinstance(col, str):  # a named column: the first row is the header
-            header = next(rows, None)
-            row_no = 1
-            idle.append(1)
-            if header is None:
-                raise MissingColumn(f"{spec.source_path} is empty")
-            try:
+    col, row_no, size = spec.column, 0, READ_CHUNK
+    out, fix, fault = [], {}, None
+    while not fault:
+        start, first, blank = row_no, len(out), []  # blank: the chunk's rows without a token
+        try:
+            if isinstance(col, str):  # a named column: the first row is the header
+                header = next(rows, None)
+                start = row_no = 1
+                if header is None:
+                    raise MissingColumn(f"{spec.source_path} is empty")
+                if col not in header:
+                    raise MissingColumn(f"column {col!r} not in header {header!r}")
                 col = header.index(col)
-            except ValueError:
-                raise MissingColumn(f"column {spec.column!r} not in header {header!r}") from None
-
-        size = READ_CHUNK
-        while _FAULT not in fix.values():
-            before = row_no
             for row in islice(rows, size):
                 row_no += 1
                 if not row:
-                    idle.append(row_no)
+                    blank.append(row_no)
                     continue
                 if col < 0 and len(row) + col >= 0:
                     col += len(row)
@@ -179,28 +170,28 @@ def _read_column(spec: DatasetSpec, lines) -> list:
                     raise MissingColumn(
                         f"row {row_no} has {len(row)} fields, column {col} requested"
                     ) from None
-            if row_no == before:
-                break
-            fix.update(_fixes(_odd(out[done:]), spec.missing_policy, False))
-            done, size = len(out), 2 * size
-    except csv.Error as e:
-        fault = CodecError(f"row {row_no + 1}: {e}")
-    except (CodecError, ValueError) as e:  # a row without the field, or bad UTF-8
-        fault = e
-    fix.update(_fixes(_odd(out[done:]), spec.missing_policy, False))  # rows a fault cut short
-    column = _mend(out, fix)
-    if type(column) is int:
-        token, row = out[column], column + 1  # the (column + 1)-th row not in idle
-        for r in idle:
-            if r > row:
-                break
-            row += 1
-        if _fixes([token], SKIP, False)[token] is None:  # a marker under fail
-            raise MissingValue(row)
-        raise UnparseableRow(row, token)
+        except csv.Error as e:
+            fault = CodecError(f"row {row_no + 1}: {e}")
+        except (CodecError, ValueError) as e:  # a row without the field, or bad UTF-8
+            fault = e
+        new = _fixes(_odd(out[first:]), spec.missing_policy, False)
+        if _FAULT in new.values():
+            i = next(i for i in range(first, len(out)) if new.get(out[i]) is _FAULT)
+            row = start + 1 + i - first  # and one more for each blank row up to it
+            for r in blank:
+                if r > row:
+                    break
+                row += 1
+            if out[i].lower() in MISSING_TOKENS:  # a marker under fail
+                raise MissingValue(row)
+            raise UnparseableRow(row, out[i])
+        fix.update(new)
+        if row_no == start:
+            break
+        size *= 2
     if fault:
         raise fault
-    return column
+    return _mend(out, fix)
 
 
 def _uniform_column(spec: DatasetSpec, data: bytes):
@@ -212,7 +203,7 @@ def _uniform_column(spec: DatasetSpec, data: bytes):
     (m + 1)-th field of one split once blank lines are dropped and every row
     shows m of a one-byte delimiter.  Up to MEND_MAX distinct non-PLAIN
     tokens go through _mend.  Any doubt, a negative index, a whitespace
-    column past the first or a token _mend finds at fault included, gives
+    column past the first or a token _fixes finds at fault included, gives
     None, and so does a delimited file with a line that might hold a field
     past csv.field_size_limit (str.split has no limit).
     """
@@ -249,16 +240,16 @@ def _uniform_column(spec: DatasetSpec, data: bytes):
     odd = plain_survey(tokens, text, MEND_MAX + 1)[1]
     if len(odd) > MEND_MAX:
         return None
-    column = _mend(tokens, _fixes(odd, spec.missing_policy, ws))
-    return None if type(column) is int else column  # the row reader reports a fault
+    fix = _fixes(odd, spec.missing_policy, ws)
+    return None if _FAULT in fix.values() else _mend(tokens, fix)  # the row reader reports a fault
 
 
 #: The most distinct non-PLAIN tokens the one-pass reader hands to _mend.
 MEND_MAX = 16
-#: The rows in the row reader's first chunk; each chunk read is surveyed for a
+#: The rows in the row reader's first chunk; each chunk read is judged for a
 #: token _mend cannot mend before the next, twice as long, is read.
 READ_CHUNK = 4096
-_FAULT = object()  # _mend's mark for a token it cannot mend
+_FAULT = object()  # _fixes' mark for a token _mend cannot mend
 
 
 def _odd(tokens: list):
@@ -287,13 +278,10 @@ def _fixes(odd, policy: str, ws: bool) -> dict:
     return fix
 
 
-def _mend(tokens: list, fix: dict):
-    """The column with its markers skipped or filled where they stand, or the
-    index of its first fault.  fix is the _fixes of its odd tokens (every
-    distinct non-PLAIN one, at least); each token it rewrites costs a
-    list.index pass."""
-    if _FAULT in fix.values():
-        return next(i for i, v in enumerate(tokens) if fix.get(v) is _FAULT)
+def _mend(tokens: list, fix: dict) -> list:
+    """The column with its markers skipped or filled where they stand.  fix
+    is the _fixes of its odd tokens (every distinct non-PLAIN one, at least),
+    none of them _FAULT; each token it rewrites costs a list.index pass."""
     at = []
     for v in fix:
         i = -1

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import decimal
 import re
+import sys
 from decimal import Decimal
 from itertools import islice, repeat
 from operator import add, floordiv, gt, le, lt, mod, mul, sub, truediv
@@ -203,7 +204,8 @@ def _column_codes(tokens, text: str, digits, column):
     try:
         n = list(map(int, whole))
     except ValueError:  # a token longer than int() reads (sys.set_int_max_str_digits)
-        n = [int(Decimal(t)) for t in whole]
+        most = sys.get_int_max_str_digits()
+        n = [int(t) if len(t) <= most else int(Decimal(t)) for t in whole]
     del whole  # a string per token: free it before the rounding passes
     scale = source if lossless else digits
     if tails is None or source <= scale:

@@ -402,6 +402,55 @@ class TestRowReaderEnd:
         assert exc.value.row == at and len(read) < 2 * at + datasets.READ_CHUNK
 
 
+class TestRowReaderChunks:
+    """Past its first chunk, the row reader names a fault's row from the
+    chunk's first row and blank rows, judges the chunk's tokens before a row
+    fault in it, and fills a gap from the chunk before."""
+
+    FAULTS = {"fail": ("?", MissingValue), "skip": ("x", UnparseableRow),
+              "forward-fill": ("x", UnparseableRow)}
+
+    @staticmethod
+    def read(tmp_path, last, policy, rows):
+        # quoted rows 2 to last under a header, with rows[r] in place of row r;
+        # the quotes send the file to the row reader
+        p = tmp_path / "in.csv"
+        p.write_text("ts,value\n" + "".join(rows.get(r, f'{r},"{r}.5"\n')
+                                            for r in range(2, last + 1)))
+        spec = DatasetSpec(name="t", source_path=str(p), column="value",
+                           delimiter=",", missing_policy=policy)
+        return ingest_outcome(ingest, spec)
+
+    @pytest.mark.parametrize("policy", list(FAULTS))
+    def test_fault_row_past_the_header_and_blank_rows(self, tmp_path, policy):
+        token, error = self.FAULTS[policy]
+        at = datasets.READ_CHUNK + 1000  # in the second chunk
+        blank = dict.fromkeys([10, 11, at - 500, at - 1, at + 1, at + 2000], "\n")
+        got = self.read(tmp_path, at + 3000, policy, {**blank, at: f'{at},"{token}"\n'})
+        assert (got[0], got[2]) == (error, at)
+
+    @pytest.mark.parametrize("policy", list(FAULTS))
+    def test_fault_before_a_short_row_in_its_chunk(self, tmp_path, policy):
+        token, error = self.FAULTS[policy]
+        at = datasets.READ_CHUNK + 1000
+        got = self.read(tmp_path, at + 3000, policy,
+                        {at: f'{at},"{token}"\n', at + 500: f"{at + 500}\n"})
+        assert (got[0], got[2]) == (error, at)
+
+    @pytest.mark.parametrize("policy", list(FAULTS))
+    def test_gap_first_in_the_second_chunk(self, tmp_path, policy):
+        # the header and the first chunk come before row at
+        at, last = datasets.READ_CHUNK + 2, datasets.READ_CHUNK + 100
+        got = self.read(tmp_path, last, policy, {at: f'{at},"?"\n'})
+        before = [f"{r}.5" for r in range(2, at)]
+        after = [f"{r}.5" for r in range(at + 1, last + 1)]
+        assert got == {
+            "skip": before + after,
+            "forward-fill": before + [f"{at - 1}.5"] + after,
+            "fail": (MissingValue, f"row {at}: missing value", at),
+        }[policy]
+
+
 # headerless single-column whitespace files: ingest splits those that end in
 # "\n" and hold no "\r" at their newlines, and reads the rest row by row
 SPLIT_FILES = {

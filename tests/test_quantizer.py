@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from decimal import ROUND_HALF_UP, Context, Decimal, localcontext
 from fractions import Fraction
@@ -790,6 +791,35 @@ class TestMixedWidths:
                 tracemalloc.stop()
 
         assert peak(rows + [long]) <= 2 * peak(rows + ["0.123"])
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="int() reads any length")
+    @pytest.mark.parametrize("long", ["0." + "7" * 20_000, "-" + "3" * 20_000 + ".5"])
+    def test_only_a_token_past_the_int_digit_limit_reads_through_decimal(self, monkeypatch, long):
+        rng = random.Random(761)
+        column = [f"{rng.randrange(-99_999, 100_000) / 1000:.3f}" for _ in range(10_000)]
+        column.insert(5_000, long)
+        parsed = []
+
+        class Counted(Decimal):
+            def __new__(cls, value="0", context=None):
+                parsed.append(isinstance(value, str))
+                return Decimal(value, context)
+
+        def outcome():
+            try:
+                return quantize_stream(column, 3)
+            except CodecError as e:  # the long integer is out of range at every scale
+                return type(e), str(e)
+
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            want = outcome()
+            monkeypatch.setattr(quantizer, "Decimal", Counted)
+            assert outcome() == want and parsed.count(True) == 1
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def probe_columns(rng):
