@@ -174,7 +174,9 @@ def _read_column(spec: DatasetSpec, lines) -> list:
             fault = CodecError(f"row {row_no + 1}: {e}")
         except (CodecError, ValueError) as e:  # a row without the field, or bad UTF-8
             fault = e
-        new = _fixes(_odd(out[first:]), spec.missing_policy, False)
+        chunk = out[first:]
+        odd = plain_survey(chunk, "\n".join(chunk), len(chunk))[1]
+        new = _fixes(odd, spec.missing_policy, False)
         if _FAULT in new.values():
             i = next(i for i in range(first, len(out)) if new.get(out[i]) is _FAULT)
             row = start + 1 + i - first  # and one more for each blank row up to it
@@ -252,15 +254,6 @@ READ_CHUNK = 4096
 _FAULT = object()  # _fixes' mark for a token _mend cannot mend
 
 
-def _odd(tokens: list):
-    """The distinct non-PLAIN tokens of a row reader's tokens, or all of them
-    if a quoted field holds a line break."""
-    text = "\n".join(tokens)
-    if text.count("\n") < len(tokens):
-        return plain_survey(tokens, text, len(tokens) + 1)[1]
-    return set(tokens)
-
-
 def _fixes(odd, policy: str, ws: bool) -> dict:
     """What _mend puts in place of each odd token that reads as another: the
     token read as its row's first field (ws) or stripped, None to drop it (a
@@ -312,6 +305,6 @@ def ingest(spec: DatasetSpec) -> list:
     with open(spec.source_path, "rb") as f:
         data = f.read()
     with suppress(ValueError):  # bad UTF-8 is reported by row
-        if column := _uniform_column(spec, data):
+        if (column := _uniform_column(spec, data)) is not None:
             return column
     return _read_column(spec, io.TextIOWrapper(io.BytesIO(data), "utf-8-sig", newline=""))

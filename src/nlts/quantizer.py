@@ -90,15 +90,18 @@ def repeated(items, count: int):
 
 
 def plain_survey(tokens, text: str, most: int):
-    """(repeated's distinct tokens, up to most distinct non-PLAIN ones) of tokens free of newlines joined as text.
+    """(repeated's distinct tokens, up to most distinct non-PLAIN ones) of tokens joined as text.
 
     The non-PLAIN tokens are looked for over the distinct tokens when the
-    column repeats, each once, else over the text.  _all_plain passes a
-    column of PLAIN tokens only; any other column is searched line by line,
-    and the search stops after most distinct non-PLAIN ones.
+    column repeats, each once, else over the text.  A column with as many
+    newlines as tokens has a token that spans lines: up to most distinct
+    tokens are odd, unsearched.  _all_plain passes a column of PLAIN tokens
+    only; any other is searched line by line, up to most non-PLAIN ones.
     """
     distinct = repeated(tokens, len(tokens))
     column = text if distinct is None else "\n".join(distinct)
+    if column.count("\n") >= len(distinct or tokens):
+        return distinct, list(islice(dict.fromkeys(distinct or tokens), most))
     if _all_plain(column):
         return distinct, []
     odd = {}
@@ -313,14 +316,12 @@ def quantize_stream(samples, digits):
     """
     try:
         text = "\n".join(samples)
-        # a token holding a newline would read as two lines
-        plain = text.count("\n") == len(samples) - 1
     except TypeError:  # a sample that is not text
-        plain = False
-    column, tiny_error = samples, Decimal(0)
-    if plain:
+        odd = True
+    else:
         distinct, odd = plain_survey(samples, text, 1)
-    if not plain or odd:
+    column, tiny_error = samples, Decimal(0)
+    if odd:
         column, tiny_error = _spelled(samples, digits)
         distinct = repeated(column, len(column))
     tokens = column if distinct is None else distinct

@@ -12,15 +12,16 @@ knows the block layout.
 
 A constant block, the common case on a plateau, is a mode block with a
 zero mask: its value and one 0 byte.  A plateau holds its value for many
-blocks, and their bytes are identical.  encode_blocks finds a constant
-block's run by comparing the codes of the full blocks after it, and
-decode_blocks by comparing their bytes; each writes the bytes or the value
-once for the whole run, without counting a mode or expanding a mask.  A
-short final block is never part of a run.  A block of so many distinct
-values that none can occur tau times is a diff block, written without
-counting its mode (a version-2 block leading with 0 still counts it: such
-a diff block would read back as a mode block).  decode_blocks parses every
-other block varint by varint.
+blocks, and their bytes are identical.  Each direction handles such a
+block like any other, then takes in the full blocks after it that repeat
+it, encode_blocks by their codes and decode_blocks by their bytes, and
+writes its bytes or extends the codes once for the run: only a run's first
+block counts its mode or reads its mask.  A short final block is never
+part of a run.  A block of so many distinct values that none can occur
+tau times is a diff block, written without counting its mode (a version-2
+block leading with 0 still counts it: such a diff block would read back
+as a mode block).  decode_blocks parses every block outside a run varint
+by varint.
 
 Two wire layouts exist (FORMAT.md section 3).  Version 1 spends an explicit
 branch flag per block; version 2 drops the flag and lets the decoder
@@ -90,19 +91,6 @@ def encode_blocks(codes, cfg) -> bytearray:
             block = codes[start : start + L]
             x1 = block[0]
             width = len(block)
-            if width >= tau and block.count(x1) == width:
-                # constant (frequency == width >= tau): the mode branch, every
-                # deviation 0; x1 == 2 * mode only when both are 0, kept as
-                # mode.  The identical full blocks after it spell the same bytes.
-                unit = bytearray()
-                write_varints((1, x1) if v1 else (x1,), unit)
-                unit.append(0)  # the empty mask
-                end = start + L
-                while codes[end : end + L] == block:
-                    end += L
-                out += unit * ((end - start) // L)
-                start = end
-                continue
             # A block of d distinct values has a mode frequency of at most
             # width - d + 1.  A block with few values is counted value by
             # value; any other with a Counter.
@@ -137,10 +125,18 @@ def encode_blocks(codes, cfg) -> bytearray:
             mask = 0
             for d in body:
                 mask = (mask << 1) | (d != 0)
+            first = len(out)
             write_varints(header, out)
             write_varints((mask,), out, False, width)
             write_varints(list(filter(None, body)), out)
             start += L
+            if not mask:
+                # a constant block; each full block after it that repeats it spells its bytes
+                end = start
+                while codes[end : end + L] == block:
+                    end += L
+                out += out[first:] * ((end - start) // L)
+                start = end
     except OverflowError as e:
         # a header is a code and fits; only a difference or a deviation
         # between two int64 codes can need a 65th bit

@@ -68,6 +68,12 @@ class TestHeader:
         with pytest.raises(UnsupportedVersion):
             StreamHeader.parse(bad_coder)
 
+    def test_unknown_coder_in_config(self):
+        with pytest.raises(UnsupportedVersion, match="^unknown entropy coder id 7$"):
+            CodecConfig(coder=7)
+        with pytest.raises(UnsupportedVersion, match="^unknown entropy coder id 9$"):
+            CodecConfig()._replace(coder=9)
+
     def test_invalid_fields(self):
         good = compress_stream([1.0, 2.0])[0]
         bad_scale = good[:7] + bytes([9]) + good[8:]
@@ -155,8 +161,15 @@ class TestRoundTrip:
             assert len(values) == n
 
     def test_empty_stream_rejected(self):
-        with pytest.raises(ValueError):
-            compress_stream([])
+        for samples in ([], (), iter([])):
+            with pytest.raises(ValueError, match="^cannot compress an empty stream$"):
+                compress_stream(samples)
+
+    def test_tuple_and_iterator_give_the_lists_container(self):
+        samples = ["1.5", "2.25", "-0.125", "2.25"] * 9
+        blob = compress_stream(samples)[0]
+        assert compress_stream(tuple(samples))[0] == blob
+        assert compress_stream(iter(samples))[0] == blob
 
 
 class TestCorruption:

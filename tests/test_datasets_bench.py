@@ -128,6 +128,31 @@ class TestIngest:
             ingest(spec)
         assert exc.value.row == 2 and exc.value.token == "bogus"
 
+    @pytest.mark.parametrize("policy", ["skip", "forward-fill", "fail"])
+    @pytest.mark.parametrize("delimiter", [",", ";", "whitespace"])
+    def test_empty_file_with_a_named_column(self, tmp_text_file, delimiter, policy):
+        p = tmp_text_file("")
+        spec = DatasetSpec(name="t", source_path=str(p), column="value",
+                           delimiter=delimiter, missing_policy=policy)
+        with pytest.raises(MissingColumn, match=f"^{p} is empty$"):
+            ingest(spec)
+
+    @pytest.mark.parametrize("policy", ["skip", "forward-fill"])
+    def test_all_marker_file_is_read_once(self, tmp_text_file, monkeypatch, policy):
+        # the one-pass reader's empty column is the answer, not a refusal
+        def row_reader(spec, lines):
+            raise AssertionError("read row by row")
+
+        monkeypatch.setattr(datasets, "_read_column", row_reader)
+        for text, column, delimiter in (
+            ("ts,value\n" + "".join(f"{i},?\n" for i in range(1000)), "value", ","),
+            ("?\nNaN\n\n?\n", 0, "whitespace"),
+        ):
+            p = tmp_text_file(text)
+            spec = DatasetSpec(name="t", source_path=str(p), column=column,
+                               delimiter=delimiter, missing_policy=policy)
+            assert ingest(spec) == []
+
     def test_empty_lines_skipped(self, tmp_text_file):
         p = tmp_text_file("1.0\n\n2.0\n")
         spec = DatasetSpec(name="t", source_path=str(p), column=0,

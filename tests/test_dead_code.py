@@ -1,9 +1,11 @@
-"""Every function, class and method in src/nlts is used by the package itself.
+"""Every definition, constant and import in src/nlts is used by the package itself.
 
-A top-level function or class, or a non-dunder method, passes when its name
-is referenced (as a name or an attribute) somewhere in src/nlts outside its
-own definition, or when it is listed in an ``__all__``.  Code that only the
-tests use belongs in tests/.
+A top-level function or class, a non-dunder method, or a name a
+module-level assignment binds (a constant) passes when its name is
+referenced (as a name or an attribute) somewhere in src/nlts outside its
+own definition, or when it is listed in an ``__all__``.  A name an import
+binds passes when its module reads it, or when it is listed in an
+``__all__``.  Code that only the tests use belongs in tests/.
 """
 
 import ast
@@ -21,10 +23,22 @@ def _parse_sources():
     }
 
 
+#: Defined in src/nlts for a caller outside it: perfbench/tracing.py reads
+#: a traced block's branch against core.MODE.
+USED_OUTSIDE = {"core.py:MODE"}
+
+
 def _definitions(tree):
-    """Yield (qualified name, name, node) for top-level defs and their methods."""
+    """Yield (qualified name, name, node) for top-level defs, their methods
+    and the non-dunder names module-level assignments bind."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                        yield name.id, name.id, node
         if not isinstance(node, defs):
             continue
         yield node.name, node.name, node
@@ -62,8 +76,7 @@ def _exported(tree):
     return names
 
 
-def unreferenced():
-    sources = _parse_sources()
+def unreferenced(sources):
     exported = set().union(*(_exported(tree) for tree in sources.values()))
     unused = []
     for module, tree in sources.items():
@@ -75,8 +88,38 @@ def unreferenced():
                 continue
             if name not in _references(tree, skip=node):
                 unused.append(f"{module}:{qualname}")
+    return [u for u in unused if u not in USED_OUTSIDE]
+
+
+def unused_imports(sources):
+    """module:name for each name an import binds that its module never reads."""
+    exported = set().union(*(_exported(tree) for tree in sources.values()))
+    unused = []
+    for module, tree in sources.items():
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read and name not in exported:
+                    unused.append(f"{module}:{name}")
     return unused
 
 
 def test_no_unreferenced_definitions():
-    assert unreferenced() == []
+    assert unreferenced(_parse_sources()) == []
+
+
+def test_no_unused_imports():
+    assert unused_imports(_parse_sources()) == []
+
+
+def test_the_scans_find_a_stale_import_and_constant():
+    # a module that imports Counter and defines LIMIT, and uses neither
+    stale = ast.parse("from collections import Counter\nLIMIT = 4\n")
+    sources = {**_parse_sources(), "stale.py": stale}
+    assert unused_imports(sources) == ["stale.py:Counter"]
+    assert unreferenced(sources) == ["stale.py:LIMIT"]

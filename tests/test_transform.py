@@ -486,6 +486,15 @@ class TestConstantRuns:
             symbols = assert_encodes_as_reference(codes, cfg)
             assert assert_decodes_as_reference(symbols, cfg, len(codes)) == codes
 
+    def test_run_ends_at_a_block_differing_in_one_code(self, version, L):
+        cfg = CodecConfig(method_version=version, block_len=L, tau=9)
+        for i in (0, L - 1):  # the block after the run differs in its first or last code
+            other = [5] * L
+            other[i] = 6
+            codes = [5] * (2 * L) + other + [5] * L
+            symbols = assert_encodes_as_reference(codes, cfg)
+            assert assert_decodes_as_reference(symbols, cfg, len(codes)) == codes
+
     def test_run_of_zero(self, version, L):
         cfg = CodecConfig(method_version=version, block_len=L, tau=9)
         for w in (L, 11, 5):
