@@ -1,20 +1,25 @@
 """Adaptive binary-renormalized arithmetic coder (32-bit integer ranges).
 
-Encoder and decoder keep a [low, high] window of 32-bit integers, narrow it
-by the model's cumulative interval for each symbol, and emit/consume bits as
-the window loses leading agreement; straddle states are deferred as pending
-underflow bits.  The terminator symbol closes the stream, followed by a
-single 1 bit so the final window is identifiable under zero padding.
+Both directions narrow an interval by the model's cumulative interval for
+each symbol and double it as its ends lose leading agreement.  The
+terminator symbol closes the stream, followed by a single 1 bit so the
+final interval is identifiable under zero padding.  The 32-bit state width
+and the model's 2^16 rescale ceiling are normative: changing either changes
+the bit stream.
 
-The 32-bit state width and the model's 2^16 rescale ceiling are normative:
-changing either changes the bit stream.  For throughput, renormalization is
-batched: all agreeing leading bits leave in one shift, and so do all the
-straddle bits that follow them (after the first shift the top bits differ,
-so each kind occurs once per symbol).  The k agreeing bits, low's top k,
-go out with the p pending straddle bits after the first of them, as its
-opposite: 0 1..1 rest and 1 0..0 rest are both bits + ((2**p - 1) << (k - 1))
-in k + p bits, so the encoder appends them in one step, with or without
-pending bits.
+FORMAT.md 4.3 words the coder as a [low, high] window of 32-bit integers
+that emits agreeing bits and defers straddle bits.  Here the ends are exact
+integers, low and an exclusive top = high + 1, so every shift is a plain
+low <<= n; top <<= n.  A straddle step differs from that only in bit 31,
+which it flips in both ends, so the agreeing bits, the straddle test and
+the straddle run read the same from the ends' low 32 bits.  The encoder's
+bits above them are the stream: bits-plus-follow output is the binary
+expansion of the exact low, a deferred straddle bit a carry not yet known
+(Witten, Neal & Cleary 1987; Moffat, Neal & Witten 1998).  With p bits
+deferred, low reads 0 1..1 and top - 1 reads 1 0..0 above the window, and
+a later low += carries into them or not.  Right after an agreeing shift
+none is deferred, so no carry reaches the bits above the window and their
+whole bytes go out.
 
 The frequency model is inlined into the coding loops.  Symbols 0..4 -- the
 deviations 0, +-1 and +-2 after zigzag, which dominate the transform's
@@ -28,12 +33,8 @@ tree's root, node 256, holds only their sum and is never read, so the tree
 stops at node 255.  The encoder sums precomputed per-symbol index tuples;
 the decoder's 8-step descent is unrolled and applies the decoded symbol's
 increment on its way down.  At the rescale the locals go back into the
-count list, are halved with the rest and are read out again.  The decoder
-tracks code - low rather than the code itself, which turns both kinds of
-shift into one append of stream bits.  Output bits collect in an int
-accumulator that spills whole bytes, and the decoder reads four bytes at a
-time.  The output is bit-identical to the plain one-bit-at-a-time
-formulation of the model in model.py.
+count list, are halved with the rest and are read out again.  The output is
+bit-identical to the one-bit-at-a-time formulation of the model in model.py.
 """
 
 from __future__ import annotations
@@ -41,14 +42,16 @@ from __future__ import annotations
 from itertools import accumulate, chain
 
 from ..errors import CorruptStream
-from .bitio import FLUSH_BITS, BitStream, finish, spill
+from .bitio import FLUSH_BITS, BitStream, finish
 from .model import EOF_SYMBOL, NUM_SYMBOLS, RESCALE_CEILING
 
 _STATE_BITS = 32
 _MASK = (1 << _STATE_BITS) - 1
-_TOP = 1 << (_STATE_BITS - 1)
-_SECOND = _TOP >> 1
-_HALF_MASK = _MASK >> 1
+# a straddle reads low's bit 30 as 1 and high's as 0, and its run goes on below
+_STRADDLE = 1 << (_STATE_BITS - 2)
+_RUN = _MASK >> 1
+# low >> _SPILL is nonzero once FLUSH_BITS stream bits lie above the window
+_SPILL = _STATE_BITS + FLUSH_BITS
 
 # A healthy stream never needs more than the state width of padding bits
 # past its end; needing more means the stream was torn.
@@ -123,27 +126,24 @@ def encode(payload: bytes) -> BitStream:
     total = NUM_SYMBOLS
 
     out = bytearray()
-    acc = 0        # pending output bits, MSB-first
-    nacc = 0
-    low = 0
-    high = _MASK
-    pending = 0
+    # exact ends; a sentinel 1 heads the stream bits above low's window
+    low, top = 1 << _STATE_BITS, 2 << _STATE_BITS
 
     for sym in chain(payload, (EOF_SYMBOL,)):
-        rng = high - low + 1
+        rng = top - low
         if sym > 4:
             lo_c = b5
             for i in _DOWN[sym]:
                 lo_c += tree[i]
             c = counts[sym]
-            high = low + (lo_c + c) * rng // total - 1
+            top = low + (lo_c + c) * rng // total
             low += lo_c * rng // total
             # the terminator's update is never used
             counts[sym] = c + 1
             for i in _UP[sym]:
                 tree[i] += 1
         elif not sym:
-            high = low + b1 * rng // total - 1
+            top = low + b1 * rng // total
             b1 += 1
             b2 += 1
             b3 += 1
@@ -152,50 +152,52 @@ def encode(payload: bytes) -> BitStream:
         else:
             if sym == 1:
                 lo_c = b1
-                high = low + b2 * rng // total - 1
+                top = low + b2 * rng // total
                 b2 += 1
                 b3 += 1
                 b4 += 1
             elif sym == 2:
                 lo_c = b2
-                high = low + b3 * rng // total - 1
+                top = low + b3 * rng // total
                 b3 += 1
                 b4 += 1
             elif sym == 3:
                 lo_c = b3
-                high = low + b4 * rng // total - 1
+                top = low + b4 * rng // total
                 b4 += 1
             else:
                 lo_c = b4
-                high = low + b5 * rng // total - 1
+                top = low + b5 * rng // total
             b5 += 1
             low += lo_c * rng // total
         total += 1
         if total >= RESCALE_CEILING:
             counts, b1, b2, b3, b4, b5, total, tree = _halved(counts, b1, b2, b3, b4, b5)
 
-        k = _STATE_BITS - (low ^ high).bit_length()
+        k = _STATE_BITS - ((low ^ (top - 1)) & _MASK).bit_length()
         if k:
-            # low's top k bits with the pending straddle bits after the
-            # first of them, as its opposite (see the module docstring)
-            acc = (acc << (k + pending)) | (
-                (low >> (_STATE_BITS - k)) + (((1 << pending) - 1) << (k - 1)))
-            nacc += k + pending
-            pending = 0
-            low = (low << k) & _MASK
-            high = ((high << k) & _MASK) | ((1 << k) - 1)
-            if nacc >= FLUSH_BITS:
-                acc, nacc = spill(out, acc, nacc)
-        if low & ~high & _SECOND:
-            # j straddle shifts at once: the second bits of low and high
-            # read 1 and 0 for the j bits below the top
-            j = _STATE_BITS - 1 - ((~low | high) & _HALF_MASK).bit_length()
-            pending += j
-            low = (low << j) & _HALF_MASK
-            high = ((high << j) & _HALF_MASK) | _TOP | ((1 << j) - 1)
+            low <<= k
+            top <<= k
+            if low >> _SPILL:
+                # no bit is deferred: the whole bytes above the window go out
+                n = low.bit_length() - _STATE_BITS - 1
+                shift = _STATE_BITS + (n & 7)
+                head = low >> shift
+                out += head.to_bytes(1 + (n >> 3), "big")[1:]
+                head = (head - 1) << shift
+                low -= head
+                top -= head
+        if (s := low & -top) & _STRADDLE:
+            # j straddle shifts at once: low reads 1 and high 0 below the top
+            j = _STATE_BITS - 1 - (~s & _RUN).bit_length()
+            low <<= j
+            top <<= j
 
-    # one disambiguating bit; deferred underflow bits are never needed
-    return finish(out, (acc << 1) | 1, nacc + 1)
+    # drop the p deferred straddle bits; one disambiguating bit
+    p = ((low ^ (top - 1)) >> _STATE_BITS).bit_length()
+    head = low >> (_STATE_BITS + p)
+    n = head.bit_length() - 1
+    return finish(out, ((head - (1 << n)) << 1) | 1, n + 1)
 
 
 def decode(data: bytes, max_len: float) -> bytes:
@@ -217,19 +219,15 @@ def decode(data: bytes, max_len: float) -> bytes:
     window = 0
     wbits = 0
 
-    # The code value always lies in [low, high], so the scaled search value
-    # always lies in [0, total).  Both kinds of shift map code and low alike
-    # (x -> 2x mod 2^32, or x -> 2x - 2^31 for a straddle), so the decoder
-    # keeps only d = code - low: a shift by n bits makes it (d << n) | the
-    # next n stream bits.
-    low = 0
-    high = _MASK
+    # The code value lies in [low, top), so the scaled search value lies in
+    # [0, total); a shift doubles code and low alike, so only d = code - low is kept.
+    low, top = 0, 1 << _STATE_BITS
     d = int.from_bytes(data[:bytepos], "big")
 
     out = bytearray()
     append = out.append
     while True:
-        rng = high - low + 1
+        rng = top - low
         value = ((d + 1) * total - 1) // rng
         if value >= b5:
             # Fenwick descent over symbols 5..256 for value - b5, unrolled
@@ -294,14 +292,14 @@ def decode(data: bytes, max_len: float) -> bytes:
                 return bytes(out)
             lo_c = value - rem
             c = counts[sym]
-            high = low + (lo_c + c) * rng // total - 1
+            top = low + (lo_c + c) * rng // total
             step = lo_c * rng // total
             low += step
             d -= step
             counts[sym] = c + 1
             append(sym)
         elif value < b1:
-            high = low + b1 * rng // total - 1
+            top = low + b1 * rng // total
             b1 += 1
             b2 += 1
             b3 += 1
@@ -311,25 +309,25 @@ def decode(data: bytes, max_len: float) -> bytes:
         else:
             if value < b2:
                 lo_c = b1
-                high = low + b2 * rng // total - 1
+                top = low + b2 * rng // total
                 b2 += 1
                 b3 += 1
                 b4 += 1
                 append(1)
             elif value < b3:
                 lo_c = b2
-                high = low + b3 * rng // total - 1
+                top = low + b3 * rng // total
                 b3 += 1
                 b4 += 1
                 append(2)
             elif value < b4:
                 lo_c = b3
-                high = low + b4 * rng // total - 1
+                top = low + b4 * rng // total
                 b4 += 1
                 append(3)
             else:
                 lo_c = b4
-                high = low + b5 * rng // total - 1
+                top = low + b5 * rng // total
                 append(4)
             b5 += 1
             step = lo_c * rng // total
@@ -340,22 +338,23 @@ def decode(data: bytes, max_len: float) -> bytes:
             counts, b1, b2, b3, b4, b5, total, tree = _halved(counts, b1, b2, b3, b4, b5)
 
         # n leading bits agree (none when the top bits differ)
-        n = _STATE_BITS - (low ^ high).bit_length()
+        n = _STATE_BITS - ((low ^ (top - 1)) & _MASK).bit_length()
         if n:
-            low = (low << n) & _MASK
-            high = ((high << n) & _MASK) | ((1 << n) - 1)
-        if low & ~high & _SECOND:
-            j = _STATE_BITS - 1 - ((~low | high) & _HALF_MASK).bit_length()
-            low = (low << j) & _HALF_MASK
-            high = ((high << j) & _HALF_MASK) | _TOP | ((1 << j) - 1)
+            low <<= n
+            top <<= n
+        if (s := low & -top) & _STRADDLE:
+            j = _STATE_BITS - 1 - (~s & _RUN).bit_length()
+            low <<= j
+            top <<= j
             n += j
         if n:
             if wbits < n:
                 _check(8 * bytepos - wbits, overrun_limit, len(out), max_len)
-                window = ((window & ((1 << wbits) - 1)) << 32) | int.from_bytes(
-                    data[bytepos : bytepos + 4], "big"
-                )
+                chunk = int.from_bytes(data[bytepos : bytepos + 4], "big")
+                window = ((window & ((1 << wbits) - 1)) << 32) | chunk
                 bytepos += 4
                 wbits += 32
+                top -= low & ~_MASK  # the ends' common base above the window
+                low &= _MASK
             wbits -= n
             d = (d << n) | ((window >> wbits) & ((1 << n) - 1))

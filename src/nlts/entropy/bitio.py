@@ -3,19 +3,22 @@
 Bit 7 of each byte comes first; the final partial byte is padded with zero
 bits.  A stream is its whole bytes: no bit length is kept, and a decoder
 reads the padding as stream bits.  The coders do their own bit I/O on
-local integers: an encoder collects codes in an int accumulator,
-``spill``s its whole bytes once it holds ``FLUSH_BITS`` bits and hands the
-rest to ``finish``; a decoder refills an int window a few bytes at a time
-(adaptive Huffman: 0/1 bytes, 256 stream bytes at a time) from whole
-bytes, padding included.  Both stay a fixed size, so memory grows only
-with the output.
+local integers.  The Huffman encoders collect codes in an int accumulator,
+``spill`` its whole bytes once it holds ``FLUSH_BITS`` bits and hand the
+rest to ``finish``.  The arithmetic encoder holds its stream bits above
+the 32-bit window of its exact low end, moves their whole bytes out once
+``FLUSH_BITS`` of them are settled and hands the rest to ``finish``.  A
+decoder refills an int window a few bytes at a time (adaptive Huffman: 0/1
+bytes, 256 stream bytes at a time) from whole bytes, padding included.
+These integers stay a fixed size, but for a run of deferred straddle bits
+in the arithmetic encoder, so memory grows only with the output.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-#: an encoder's accumulator spills its whole bytes once it holds this many bits
+#: an encoder moves its whole bytes out once it holds this many stream bits
 FLUSH_BITS = 64
 
 #: A coded stream: its whole bytes, the last one zero-padded.

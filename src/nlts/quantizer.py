@@ -162,6 +162,20 @@ def _too_many_digits(index: int, n: int) -> TooManyDigits:
     )
 
 
+def _long_int(token: str, most: int) -> int:
+    """int(token) for a signed digit string longer than int() reads (most
+    digits): each half is read on its own, down to pieces int() reads, and
+    the halves join with a power of ten."""
+    if token[0] in "+-":
+        n = _long_int(token[1:], most)
+        return -n if token[0] == "-" else n
+    if len(token) <= most:
+        return int(token)
+    half = len(token) // 2
+    head, tail = token[:half], token[half:]
+    return _long_int(head, most) * 10 ** len(tail) + _long_int(tail, most)
+
+
 def _rounded(n: list, source: int, scale: int):
     """(codes, error) of integers n / 10**source rounded to scale digits; the
     largest error is in units of 10**-source."""
@@ -208,7 +222,7 @@ def _column_codes(tokens, text: str, digits, column):
         n = list(map(int, whole))
     except ValueError:  # a token longer than int() reads (sys.set_int_max_str_digits)
         most = sys.get_int_max_str_digits()
-        n = [int(t) if len(t) <= most else int(Decimal(t)) for t in whole]
+        n = [int(t) if len(t) <= most else _long_int(t, most) for t in whole]
     del whole  # a string per token: free it before the rounding passes
     scale = source if lossless else digits
     if tails is None or source <= scale:
@@ -299,7 +313,7 @@ def quantize_stream(samples, digits):
     spelling among its samples is enough -- is first spelled as the exact
     PLAIN text of each sample (_spelled).  Either column then takes the
     same pass (_column_codes), which parses a token longer than int() reads
-    through Decimal.
+    in pieces.
 
     When the tokens of a column repeat, the column pass runs over the
     distinct tokens and one lookup per token maps their codes back; the

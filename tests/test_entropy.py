@@ -25,6 +25,10 @@ from nlts.quantizer import LOSSLESS, quantize_stream
 from nlts.transform import encode_blocks
 
 from reference_coders import (
+    MASK,
+    SECOND,
+    STATE_BITS,
+    TOP,
     BitReader,
     BitsExhausted,
     BitWriter,
@@ -141,12 +145,16 @@ class TestDecodeBound:
 class TestRoundTripExhaustive:
     @pytest.mark.parametrize("coder", ALL_CODERS)
     def test_ten_thousand_payloads(self, coder):
-        # full-size sweep: lengths up to 64 KiB, 10^4 payloads per coder
+        # full-size sweep: lengths up to 64 KiB, 10^4 payloads per coder; the
+        # arithmetic streams also match the reference (FORMAT.md 4.3) bit for
+        # bit, so a change made to both directions cannot drift from it
         rng = random.Random(710 + coder)
         for i in range(10_000):
             n = min(int(rng.paretovariate(0.7) * 8), 65536)
             payload = bytes(rng.choices(range(256), k=n)) if i % 2 else rng.randbytes(n)
             stream = entropy.encode(payload, coder)
+            if coder == ADAPTIVE_ARITHMETIC:
+                assert stream.data == arithmetic_encode(payload).data
             assert entropy.decode(stream.data, coder, len(payload)) == payload
 
 
@@ -550,6 +558,114 @@ class TestArithmetic:
                 total = sum(counts)
         bits += -math.log2(counts[EOF_SYMBOL] / total)
         return bits
+
+
+class StraddleProbe:
+    """The reference encoder's window and deferred straddle bits, coded by
+    the loop of reference_coders.arithmetic_encode without its output; runs
+    holds each settled run of deferred bits as (length, settling bit)."""
+
+    def __init__(self):
+        self.model = FrequencyModel()
+        self.low, self.high, self.pending = 0, MASK, 0
+        self.runs = []
+
+    def code(self, sym):
+        lo_c, hi_c, total = self.model.interval(sym)
+        low, high = self.low, self.high
+        rng = high - low + 1
+        high = low + hi_c * rng // total - 1
+        low = low + lo_c * rng // total
+        while True:
+            if (low ^ high) & TOP == 0:
+                if self.pending:
+                    self.runs.append((self.pending, low >> (STATE_BITS - 1)))
+                    self.pending = 0
+                low = (low << 1) & MASK
+                high = ((high << 1) & MASK) | 1
+            elif low & ~high & SECOND:
+                self.pending += 1
+                low = (low << 1) & (MASK >> 1)
+                high = ((high << 1) & (MASK >> 1)) | TOP | 1
+            else:
+                break
+        self.low, self.high = low, high
+        if sym != EOF_SYMBOL:
+            self.model.update(sym)
+
+    def midpoint_symbol(self):
+        """The symbol whose interval holds the frame's midpoint, 2**31."""
+        rng = self.high - self.low + 1
+        return self.model.locate(((TOP - self.low + 1) * self.model.total - 1) // rng)
+
+
+class TestStraddleRuns:
+    """A straddle shift keeps the frame's midpoint in place, so coding the
+    symbol whose interval holds it, again and again, defers straddle bits
+    with no agreeing bit to settle them: runs far longer than the encoder's
+    flush window (bitio.FLUSH_BITS), which it must hold until a carry
+    settles them, or not, or the stream ends."""
+
+    LONG = 200
+
+    @staticmethod
+    def midpoint_run(seed=793, most=math.inf):
+        """A short random payload, then midpoint symbols until more than
+        most bits are deferred or the midpoint symbol is the terminator;
+        returns (payload, probe after it, the next midpoint symbol)."""
+        payload = bytearray(random.Random(seed).choices(range(8), k=50))
+        probe = StraddleProbe()
+        for sym in payload:
+            probe.code(sym)
+        while (sym := probe.midpoint_symbol()) != EOF_SYMBOL and probe.pending <= most:
+            payload.append(sym)
+            probe.code(sym)
+        return payload, probe, sym
+
+    @staticmethod
+    def assert_coded(payload):
+        payload = bytes(payload)
+        stream = arithmetic.encode(payload)
+        assert stream.data == arithmetic_encode(payload).data
+        assert arithmetic.decode(stream.data, len(payload)) == payload
+        assert arithmetic_decode(stream.data) == payload
+
+    @pytest.mark.parametrize("carry", [0, 1])
+    def test_a_long_run_settles(self, carry):
+        payload, probe, mid = self.midpoint_run(most=self.LONG)
+        assert mid != EOF_SYMBOL and probe.pending > self.LONG
+        # the symbol above the midpoint's carries into the deferred bits,
+        # the one below it does not; each settles the whole run
+        settle = mid + 1 if carry else mid - 1
+        run = probe.pending
+        probe.code(settle)
+        assert probe.runs[-1] == (run, carry)
+        payload.append(settle)
+        self.assert_coded(payload + random.Random(794).randbytes(300))
+
+    def ended_run(self, seed):
+        """A midpoint run whose terminator holds the midpoint too, so the
+        run outlives it: (payload, deferred bits at the end)."""
+        payload, probe, mid = self.midpoint_run(seed)
+        assert mid == EOF_SYMBOL
+        probe.code(EOF_SYMBOL)
+        return bytes(payload), probe.pending
+
+    def test_a_stream_ends_in_a_short_run(self):
+        payload, deferred = self.ended_run(790)
+        assert deferred > 0
+        self.assert_coded(payload)
+
+    def test_a_stream_ends_in_a_long_run(self):
+        payload, deferred = self.ended_run(793)
+        assert deferred > self.LONG
+        data = arithmetic.encode(payload).data
+        assert data == arithmetic_encode(payload).data
+        # The decoder reads the dropped bits as padding before it reaches
+        # the terminator, over 64 of them, so FORMAT.md 4.3's overrun rule
+        # rejects the stream, in both decoders.
+        assert arithmetic_outcome(data) is None
+        assert arithmetic_reference_outcome(data) is None
 
 
 def fibonacci_counts(distinct):

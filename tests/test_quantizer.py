@@ -794,32 +794,39 @@ class TestMixedWidths:
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="int() reads any length")
-    @pytest.mark.parametrize("long", ["0." + "7" * 20_000, "-" + "3" * 20_000 + ".5"])
-    def test_only_a_token_past_the_int_digit_limit_reads_through_decimal(self, monkeypatch, long):
-        rng = random.Random(761)
-        column = [f"{rng.randrange(-99_999, 100_000) / 1000:.3f}" for _ in range(10_000)]
-        column.insert(5_000, long)
-        parsed = []
+    @pytest.mark.parametrize("digits", [3, LOSSLESS])
+    def test_a_token_past_the_int_digit_limit_reads_in_pieces(self, monkeypatch, digits):
+        # Decimal refuses a string past the limit, so only int() of pieces
+        # can read such a token; the reference reads it with no limit
+        limit = 4300
 
-        class Counted(Decimal):
+        class Refusing(Decimal):
             def __new__(cls, value="0", context=None):
-                parsed.append(isinstance(value, str))
+                assert not (isinstance(value, str) and len(value) > limit), "read through Decimal"
                 return Decimal(value, context)
 
-        def outcome():
-            try:
-                return quantize_stream(column, 3)
-            except CodecError as e:  # the long integer is out of range at every scale
-                return type(e), str(e)
-
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)
+        rng = random.Random(762)
+        rows = [f"{rng.randrange(-99_999, 100_000) / 1000:.3f}" for _ in range(100)]
+        saved = sys.get_int_max_str_digits()
         try:
-            want = outcome()
-            monkeypatch.setattr(quantizer, "Decimal", Counted)
-            assert outcome() == want and parsed.count(True) == 1
+            for length in (limit, limit + 1, 3 * limit):  # digits, the point left out
+                figures = "".join(rng.choices("0123456789", k=length))
+                for sign in ("", "+", "-"):
+                    for long in (
+                        sign + figures[:-1] + "." + figures[-1],  # out of range at any scale
+                        sign + "0" * (length - 3) + "12.5",  # leading zeros
+                        sign + "0." + figures[1:],
+                    ):
+                        column = rows[:50] + [long] + rows[50:]
+                        sys.set_int_max_str_digits(limit)
+                        with monkeypatch.context() as patch:
+                            patch.setattr(quantizer, "Decimal", Refusing)
+                            got = outcome(quantize_stream, column, digits)
+                        sys.set_int_max_str_digits(0)
+                        want = outcome(reference_quantizer.quantize_stream, column, digits)
+                        assert (got[:3] if len(got) == 4 else got) == want, (length, long[:8])
         finally:
-            sys.set_int_max_str_digits(limit)
+            sys.set_int_max_str_digits(saved)
 
 
 def probe_columns(rng):
